@@ -4,80 +4,126 @@ Two exact decomposition families split the chord gap LR(f, g, a, b, A) into
 endpoint divided-difference terms plus a remainder: `decompose_lemma21`
 anchors the node block at the left endpoint a (remainder weight
 (g-a)^m (g-b)^(n-m)), `decompose_lemma22` mirrors it at b (remainder weight
-(g-b)^m (g-a)^(n-m)).  Dropping the remainder and reading off its sign from
-the parity of the exponents and the n-convexity class of f turns each
-identity into a certified one-sided bound; combining the m = 1 and m = 2
-cases of either family yields a two-sided bracket.
+(g-b)^m (g-a)^(n-m)), with one shared term layout.  Dropping the remainder
+and reading off its sign from the parity of the exponents and the
+n-convexity class of f turns each identity into a certified one-sided bound;
+pairing two such sides yields a two-sided bracket.
 
-Bound families carry the tags TM21, TM22 (one-sided, m >= 3), COR21 (bracket
-from TM21 + TM22, odd n) and TM23, TM24 (brackets from the m = 1, 2 cases).
-Every divided difference is computed by the confluent table; no closed forms
-are hard-coded.  Convexity classification is an input - certification lives
-in the oracle module.
+`FAMILIES` registers the bound families by tag: TM21, TM22 (one-sided,
+m >= 3), COR21 (bracket from the TM21 and TM22 sides, odd n) and TM23, TM24
+(brackets from the m = 1, 2 sides); `bound` evaluates any of them.  Every
+divided difference is computed by the confluent table; no closed forms are
+hard-coded.  Convexity classification is an input - certification lives in
+the oracle module.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .divided_diff import FunctionModel, NodeMultiset, divided_difference, remainder_R, remainder_Rstar
+from .divided_diff import FunctionModel, NodeMultiset, divided_difference, remainder_R
 from .functional import DiscreteFunctional, lr_difference
 
 __all__ = [
     "CONVEX",
     "CONCAVE",
+    "FAMILIES",
     "THEOREMS",
     "ParityCase",
     "BoundReport",
     "decompose_lemma21",
     "decompose_lemma22",
+    "bound",
     "bound_tm21",
     "bound_tm22",
     "bracket_cor21",
     "bracket_tm23",
     "bracket_tm24",
     "n3_closed_form",
-    "TM21_DIRECTION",
-    "TM22_DIRECTION",
-    "TM23_STRAIGHT",
-    "COR21_STRAIGHT",
 ]
 
 CONVEX = "n-convex"
 CONCAVE = "n-concave"
 
-THEOREMS = ("TM21", "TM22", "COR21", "TM23", "TM24")
 
-# Direction dispatch, encoded once and unit-tested against the statements.
-# TM21 keys on whether n and m share parity, TM22 on whether m is odd.
-TM21_DIRECTION = {
-    (CONVEX, False): "upper",
-    (CONVEX, True): "lower",
-    (CONCAVE, True): "upper",
-    (CONCAVE, False): "lower",
+@dataclass(frozen=True)
+class _Family:
+    """A bound family: its sides and the labels of their CLI term rows.
+
+    A side (anchor, m) is the term sum of decompose_lemma21 (anchor "a") or
+    decompose_lemma22 (anchor "b") at m; m None stands for the caller's m,
+    which must be >= 3.
+    """
+
+    tag: str
+    sides: tuple[tuple[str, int | None], ...]
+    labels: tuple[str, ...]
+
+    @property
+    def takes_m(self) -> bool:
+        return any(k is None for _, k in self.sides)
+
+    @property
+    def min_n(self) -> int:
+        return 4 if self.takes_m else 1 + max(k for _, k in self.sides)
+
+    def resolve(self, n: int, m: int | None) -> list[tuple[str, int]]:
+        """The sides with the caller's m filled in; `_terms` checks m against n."""
+        if self.takes_m:
+            if m is None or m < 3:
+                raise ValueError(f"{self.tag} requires m >= 3, got m={m}")
+        elif n < self.min_n:
+            raise ValueError(f"{self.tag} requires n >= {self.min_n}, got n={n}")
+        return [(x, m if k is None else k) for x, k in self.sides]
+
+    def decompose(
+        self, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None
+    ) -> Iterator[list[float]]:
+        """Yield each side's terms in turn, from the decomposition its anchor names."""
+        for x, k in self.resolve(n, m):
+            yield (decompose_lemma21 if x == "a" else decompose_lemma22)(f, A, n, k)[0]
+
+    def signs(self, n: int, m: int | None, convexity: str) -> list[int]:
+        """Sign of the remainder each side drops: the parity rule.
+
+        With sigma = +1 for n-convex and -1 for n-concave f, the remainder
+        dropped by side (anchor, m) has the sign sigma (-1)^(n-m) at anchor a
+        and sigma (-1)^m at anchor b.  A side whose sign is +1 bounds LR from
+        below, one whose sign is -1 from above.
+        """
+        _check_convexity(convexity)
+        sigma = 1 if convexity == CONVEX else -1
+        return [sigma * (-1) ** (n - k if x == "a" else k) for x, k in self.resolve(n, m)]
+
+    def arrange(
+        self, n: int, m: int | None, convexity: str, values: list[float]
+    ) -> tuple[float | None, float | None, bool]:
+        """(lower, upper, direction_valid) for the side values.
+
+        In a bracket the second side fixes the arrangement, and the bracket is
+        certified only when the two sides' signs differ.
+        """
+        signs = self.signs(n, m, convexity)
+        if len(signs) == 1:
+            return (values[0], None, True) if signs[0] > 0 else (None, values[0], True)
+        first, second = values
+        lower, upper = (second, first) if signs[1] > 0 else (first, second)
+        return lower, upper, signs[0] != signs[1]
+
+
+FAMILIES = {
+    family.tag: family
+    for family in (
+        _Family("TM21", (("a", None),), ("bound",)),
+        _Family("TM22", (("b", None),), ("bound",)),
+        _Family("COR21", (("a", None), ("b", None)), ("tm21", "tm22")),
+        _Family("TM23", (("a", 1), ("a", 2)), ("m1", "m2")),
+        _Family("TM24", (("b", 1), ("b", 2)), ("m1", "m2")),
+    )
 }
-TM22_DIRECTION = {
-    (CONVEX, True): "upper",
-    (CONVEX, False): "lower",
-    (CONCAVE, False): "upper",
-    (CONCAVE, True): "lower",
-}
-# TM23 keys on whether n is odd; True means the m=1 sum is the lower side and
-# the m=2 sum the upper side.  COR21 keys on whether m is odd; True means the
-# TM21 expression is the lower side and the TM22 expression the upper side.
-TM23_STRAIGHT = {
-    (CONVEX, True): True,
-    (CONCAVE, False): True,
-    (CONVEX, False): False,
-    (CONCAVE, True): False,
-}
-COR21_STRAIGHT = {
-    (CONVEX, True): True,
-    (CONCAVE, False): True,
-    (CONVEX, False): False,
-    (CONCAVE, True): False,
-}
+THEOREMS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -157,41 +203,55 @@ def _check_case(n: int, m: int) -> None:
         raise ValueError(f"m must be an integer in 1..{n - 1}, got {m}")
 
 
+def _family(tag: str) -> _Family:
+    if tag.upper() not in FAMILIES:
+        raise ValueError(f"unknown theorem tag {tag.upper()!r}; choose from {THEOREMS}")
+    return FAMILIES[tag.upper()]
+
+
+def _terms(f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean) -> list[float]:
+    """Endpoint terms of the decomposition anchored at x, the other endpoint being y.
+
+    `moment(i, j)` returns A[(g-x)^i (g-y)^j] and `mean()` returns A(g), which
+    only m >= 3 reads.
+
+    m = 1:  f[x; y x k] * A[(g-x)(g-y)^(k-1)], k = 2..n-1 (a k = 1 term would
+            break the polynomial-equality property, see tests).
+    m = 2:  f[x,x; y] * A[(g-x)(g-y)] then f[x,x; y x k] * A[(g-x)^2 (g-y)^(k-1)].
+    m >= 3: (A(g)-x)(f[x,x] - f[x,y]), then f^(k)(x)/k! * A[(g-x)^k] for
+            k = 2..m-1, then f[x x m; y x k] * A[(g-x)^m (g-y)^(k-1)].
+    """
+    _check_case(n, m)
+    dd = lambda pairs: divided_difference(f, NodeMultiset(pairs))
+    if m == 1:
+        return [dd(((x, 1), (y, k))) * moment(1, k - 1) for k in range(2, n)]
+    if m == 2:
+        return [dd(((x, 2), (y, 1))) * moment(1, 1)] + [
+            dd(((x, 2), (y, k))) * moment(2, k - 1) for k in range(2, n - 1)
+        ]
+    f_xx = dd(((x, 2),))
+    f_xy = dd(((x, 1), (y, 1)))
+    # Anchored at b the lead reads (b - A(g))(f[a,b] - f[b,b]), which keeps
+    # lemma 2.2's signed zero when A(g) == b.
+    lead = (mean() - x) * (f_xx - f_xy) if x < y else (x - mean()) * (f_xy - f_xx)
+    return (
+        [lead]
+        + [float(f.deriv(k, x)) / math.factorial(k) * moment(k, 0) for k in range(2, m)]
+        + [dd(((x, m), (y, k))) * moment(m, k - 1) for k in range(1, n - m + 1)]
+    )
+
+
 def decompose_lemma21(
     f: FunctionModel, A: DiscreteFunctional, n: int, m: int
 ) -> tuple[list[float], float]:
     """Split LR(f, A) into left-anchored terms plus the exact remainder.
 
-    m = 1:  terms f[a; b x k] * A[(g-a)(g-b)^(k-1)], k = 2..n-1.
-    m = 2:  f[a,a; b] * A[(g-a)(g-b)] then f[a,a; b x k] * A[(g-a)^2 (g-b)^(k-1)].
-    m >= 3: (A(g)-a)(f[a,a] - f[a,b]), then f^(k)(a)/k! * A[(g-a)^k] for
-            k = 2..m-1, then f[a x m; b x k] * A[(g-a)^m (g-b)^(k-1)].
-
-    The terms plus `A(R_m(g))` reproduce lr_difference exactly (up to rounding).
+    The terms are those of `_terms` with x = a, y = b; with A(R_m(g)) added
+    they reproduce lr_difference exactly (up to rounding).
     """
-    _check_case(n, m)
     a, b = A.interval
-    terms: list[float] = []
-    if m == 1:
-        for k in range(2, n):
-            c = divided_difference(f, NodeMultiset(((a, 1), (b, k))))
-            terms.append(c * A.moment(1, k - 1))
-    elif m == 2:
-        terms.append(divided_difference(f, NodeMultiset(((a, 2), (b, 1)))) * A.moment(1, 1))
-        for k in range(2, n - 1):
-            c = divided_difference(f, NodeMultiset(((a, 2), (b, k))))
-            terms.append(c * A.moment(2, k - 1))
-    else:
-        f_aa = divided_difference(f, NodeMultiset(((a, 2),)))
-        f_ab = divided_difference(f, NodeMultiset(((a, 1), (b, 1))))
-        terms.append((A.mean - a) * (f_aa - f_ab))
-        for k in range(2, m):
-            terms.append(float(f.deriv(k, a)) / math.factorial(k) * A.moment(k, 0))
-        for k in range(1, n - m + 1):
-            c = divided_difference(f, NodeMultiset(((a, m), (b, k))))
-            terms.append(c * A.moment(m, k - 1))
-    remainder = A.apply(lambda t: remainder_R(f, a, b, m, n, t))
-    return terms, remainder
+    terms = _terms(f, a, b, n, m, A.moment, lambda: A.mean)
+    return terms, A.apply(lambda t: remainder_R(f, a, b, m, n, t))
 
 
 def decompose_lemma22(
@@ -199,159 +259,65 @@ def decompose_lemma22(
 ) -> tuple[list[float], float]:
     """Mirror of decompose_lemma21 with the node block anchored at b.
 
-    m = 1:  terms f[b; a x k] * A[(g-b)(g-a)^(k-1)], k = 2..n-1.
-    m = 2:  f[b,b; a] * A[(g-b)(g-a)] then f[b,b; a x k] * A[(g-b)^2 (g-a)^(k-1)].
-    m >= 3: (b-A(g))(f[a,b] - f[b,b]), then f^(k)(b)/k! * A[(g-b)^k], then
-            f[b x m; a x k] * A[(g-b)^m (g-a)^(k-1)].
+    The terms are those of `_terms` with x = b, y = a; the remainder is the
+    mirror remainder (g-b)^m (g-a)^(n-m) f[g; b x m; a x (n-m)].
     """
-    _check_case(n, m)
     a, b = A.interval
-    terms: list[float] = []
-    if m == 1:
-        for k in range(2, n):
-            c = divided_difference(f, NodeMultiset(((b, 1), (a, k))))
-            terms.append(c * A.moment(k - 1, 1))
-    elif m == 2:
-        terms.append(divided_difference(f, NodeMultiset(((b, 2), (a, 1)))) * A.moment(1, 1))
-        for k in range(2, n - 1):
-            c = divided_difference(f, NodeMultiset(((b, 2), (a, k))))
-            terms.append(c * A.moment(k - 1, 2))
-    else:
-        f_bb = divided_difference(f, NodeMultiset(((b, 2),)))
-        f_ab = divided_difference(f, NodeMultiset(((a, 1), (b, 1))))
-        terms.append((b - A.mean) * (f_ab - f_bb))
-        for k in range(2, m):
-            terms.append(float(f.deriv(k, b)) / math.factorial(k) * A.moment(0, k))
-        for k in range(1, n - m + 1):
-            c = divided_difference(f, NodeMultiset(((b, m), (a, k))))
-            terms.append(c * A.moment(k - 1, m))
-    remainder = A.apply(lambda t: remainder_Rstar(f, a, b, m, n, t))
-    return terms, remainder
+    terms = _terms(f, b, a, n, m, lambda i, j: A.moment(j, i), lambda: A.mean)
+    return terms, A.apply(lambda t: remainder_R(f, b, a, m, n, t))
+
+
+def bound(
+    tag: str, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None, convexity: str
+) -> BoundReport:
+    """Bound report of family `tag` (any letter case) for LR(f, A).
+
+    Each side is the sum of its decomposition's terms, placed by the parity
+    rule of `FAMILIES[tag]`.  Families with fixed sides (TM23, TM24) ignore m.
+    """
+    family = _family(tag)
+    _check_convexity(convexity)
+    values = [math.fsum(terms) for terms in family.decompose(f, A, n, m)]
+    lower, upper, valid = family.arrange(n, m, convexity, values)
+    return BoundReport(
+        lr=lr_difference(f, A),
+        lower=lower,
+        upper=upper,
+        theorem=family.tag,
+        case=ParityCase(n, m if family.takes_m else None, convexity),
+        direction_valid=valid,
+    )
 
 
 def bound_tm21(
     f: FunctionModel, A: DiscreteFunctional, n: int, m: int, convexity: str
 ) -> BoundReport:
-    """One-sided bound from the left-anchored decomposition, m >= 3.
-
-    Upper bound on LR when (n-convex and n, m of different parity) or
-    (n-concave and equal parity); lower bound in the two remaining cases.
-    """
-    _check_convexity(convexity)
-    if m < 3:
-        raise ValueError(f"TM21 requires m >= 3, got m={m}")
-    terms, _ = decompose_lemma21(f, A, n, m)
-    value = math.fsum(terms)
-    direction = TM21_DIRECTION[(convexity, (n - m) % 2 == 0)]
-    lower, upper = (value, None) if direction == "lower" else (None, value)
-    return BoundReport(
-        lr=lr_difference(f, A),
-        lower=lower,
-        upper=upper,
-        theorem="TM21",
-        case=ParityCase(n, m, convexity),
-        direction_valid=True,
-    )
+    """One-sided bound from the left-anchored terms at m >= 3."""
+    return bound("TM21", f, A, n, m, convexity)
 
 
 def bound_tm22(
     f: FunctionModel, A: DiscreteFunctional, n: int, m: int, convexity: str
 ) -> BoundReport:
-    """One-sided bound from the right-anchored decomposition, m >= 3.
-
-    Upper bound on LR when (n-convex and m odd) or (n-concave and m even);
-    lower bound otherwise.  No condition on the parity of n.
-    """
-    _check_convexity(convexity)
-    if m < 3:
-        raise ValueError(f"TM22 requires m >= 3, got m={m}")
-    terms, _ = decompose_lemma22(f, A, n, m)
-    value = math.fsum(terms)
-    direction = TM22_DIRECTION[(convexity, m % 2 == 1)]
-    lower, upper = (value, None) if direction == "lower" else (None, value)
-    return BoundReport(
-        lr=lr_difference(f, A),
-        lower=lower,
-        upper=upper,
-        theorem="TM22",
-        case=ParityCase(n, m, convexity),
-        direction_valid=True,
-    )
+    """One-sided bound from the right-anchored terms at m >= 3."""
+    return bound("TM22", f, A, n, m, convexity)
 
 
 def bracket_cor21(
     f: FunctionModel, A: DiscreteFunctional, n: int, m: int, convexity: str
 ) -> BoundReport:
-    """Two-sided bracket pairing the TM21 and TM22 expressions; needs n odd.
-
-    For n-convex f with m odd (or n-concave with m even) the TM21 value is the
-    lower side and the TM22 value the upper side; the remaining cases swap the
-    sides.  With n even no bracket is certified: direction_valid is False and
-    the sides are reported in the n-convex/m-odd arrangement.
-    """
-    _check_convexity(convexity)
-    if m < 3:
-        raise ValueError(f"COR21 requires m >= 3, got m={m}")
-    terms21, _ = decompose_lemma21(f, A, n, m)
-    terms22, _ = decompose_lemma22(f, A, n, m)
-    v21 = math.fsum(terms21)
-    v22 = math.fsum(terms22)
-    straight = COR21_STRAIGHT[(convexity, m % 2 == 1)]
-    lower, upper = (v21, v22) if straight else (v22, v21)
-    return BoundReport(
-        lr=lr_difference(f, A),
-        lower=lower,
-        upper=upper,
-        theorem="COR21",
-        case=ParityCase(n, m, convexity),
-        direction_valid=n % 2 == 1,
-    )
+    """Bracket pairing the TM21 and TM22 sides; certified only for odd n."""
+    return bound("COR21", f, A, n, m, convexity)
 
 
 def bracket_tm23(f: FunctionModel, A: DiscreteFunctional, n: int, convexity: str) -> BoundReport:
-    """Two-sided bracket from the m = 1 and m = 2 left-anchored term sums.
-
-    For n-convex f with n odd (or n-concave with n even) the m = 1 sum bounds
-    LR from below and the m = 2 sum from above; otherwise the sides swap.
-    """
-    _check_convexity(convexity)
-    if n < 3:
-        raise ValueError(f"TM23 requires n >= 3, got n={n}")
-    v1 = math.fsum(decompose_lemma21(f, A, n, 1)[0])
-    v2 = math.fsum(decompose_lemma21(f, A, n, 2)[0])
-    straight = TM23_STRAIGHT[(convexity, n % 2 == 1)]
-    lower, upper = (v1, v2) if straight else (v2, v1)
-    return BoundReport(
-        lr=lr_difference(f, A),
-        lower=lower,
-        upper=upper,
-        theorem="TM23",
-        case=ParityCase(n, None, convexity),
-        direction_valid=True,
-    )
+    """Bracket from the m = 1 and m = 2 left-anchored term sums, n >= 3."""
+    return bound("TM23", f, A, n, None, convexity)
 
 
 def bracket_tm24(f: FunctionModel, A: DiscreteFunctional, n: int, convexity: str) -> BoundReport:
-    """Two-sided bracket from the m = 2 and m = 1 right-anchored term sums.
-
-    Valid for every n: n-convex f satisfies m2-sum <= LR <= m1-sum, and
-    n-concave f the reverse.  The m = 1 sum starts at k = 2; the k = 1 term
-    would break the polynomial-equality property (see tests).
-    """
-    _check_convexity(convexity)
-    if n < 3:
-        raise ValueError(f"TM24 requires n >= 3, got n={n}")
-    v1 = math.fsum(decompose_lemma22(f, A, n, 1)[0])
-    v2 = math.fsum(decompose_lemma22(f, A, n, 2)[0])
-    lower, upper = (v2, v1) if convexity == CONVEX else (v1, v2)
-    return BoundReport(
-        lr=lr_difference(f, A),
-        lower=lower,
-        upper=upper,
-        theorem="TM24",
-        case=ParityCase(n, None, convexity),
-        direction_valid=True,
-    )
+    """Bracket from the m = 1 and m = 2 right-anchored term sums, n >= 3."""
+    return bound("TM24", f, A, n, None, convexity)
 
 
 def n3_closed_form(f: FunctionModel, A: DiscreteFunctional) -> tuple[float, float]:

@@ -16,17 +16,7 @@ import math
 import os
 import sys
 
-from .bounds import (
-    CONCAVE,
-    CONVEX,
-    bound_tm21,
-    bound_tm22,
-    bracket_cor21,
-    bracket_tm23,
-    bracket_tm24,
-    decompose_lemma21,
-    decompose_lemma22,
-)
+from .bounds import CONCAVE, CONVEX, FAMILIES, bound
 from .divergence import ProbabilityVector, divergence_bounds, f_divergence, ratio_range
 from .divided_diff import FunctionModel, NodeMultiset, divided_difference, newton_interpolant
 from .functional import DiscreteFunctional, lr_difference
@@ -36,7 +26,7 @@ from .zipf import ZipfMandelbrotParams, pmf_vector, ratio_extrema, zm_divergence
 
 __all__ = ["main"]
 
-_THEOREM_CHOICES = ("tm21", "tm22", "cor21", "tm23", "tm24")
+_THEOREM_CHOICES = tuple(tag.lower() for tag in FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -205,46 +195,14 @@ def _parse_zm(text: str) -> ZipfMandelbrotParams:
 # Subcommands
 
 
-def _bound_report(args, f: FunctionModel, A: DiscreteFunctional):
-    theorem = args.theorem
-    n = args.n
-    convexity = _resolve_convexity(args, f, n)
-    if theorem in ("tm21", "tm22", "cor21"):
-        if args.m is None:
-            raise ValueError(f"--m: required for --theorem {theorem}")
-        fn = {"tm21": bound_tm21, "tm22": bound_tm22, "cor21": bracket_cor21}[theorem]
-        return fn(f, A, n, args.m, convexity)
-    fn = {"tm23": bracket_tm23, "tm24": bracket_tm24}[theorem]
-    return fn(f, A, n, convexity)
-
-
 def _bound_term_rows(args, f: FunctionModel, A: DiscreteFunctional) -> list[tuple]:
     """One row per displayed summand, mirroring the bound's summation structure."""
-    n = args.n
-    if args.theorem == "tm21":
-        sides = (("bound", decompose_lemma21(f, A, n, args.m)[0]),)
-    elif args.theorem == "tm22":
-        sides = (("bound", decompose_lemma22(f, A, n, args.m)[0]),)
-    elif args.theorem == "cor21":
-        sides = (
-            ("tm21", decompose_lemma21(f, A, n, args.m)[0]),
-            ("tm22", decompose_lemma22(f, A, n, args.m)[0]),
-        )
-    elif args.theorem == "tm23":
-        sides = (
-            ("m1", decompose_lemma21(f, A, n, 1)[0]),
-            ("m2", decompose_lemma21(f, A, n, 2)[0]),
-        )
-    else:
-        sides = (
-            ("m1", decompose_lemma22(f, A, n, 1)[0]),
-            ("m2", decompose_lemma22(f, A, n, 2)[0]),
-        )
-    rows = []
-    for side, terms in sides:
-        for k, term in enumerate(terms, start=1):
-            rows.append((f"{side}_term", k, term))
-    return rows
+    family = FAMILIES[args.theorem.upper()]
+    return [
+        (f"{side}_term", k, term)
+        for side, terms in zip(family.labels, family.decompose(f, A, args.n, args.m))
+        for k, term in enumerate(terms, start=1)
+    ]
 
 
 def _run_dd(args) -> tuple[str, int]:
@@ -274,7 +232,7 @@ def _run_lr(args) -> tuple[str, int]:
 def _run_bounds(args) -> tuple[str, int]:
     A = _load_functional(args)
     f = make_generator(parse_function_spec(args.function, domain=A.interval))
-    report = _bound_report(args, f, A)
+    report = bound(args.theorem, f, A, args.n, args.m, _resolve_convexity(args, f, args.n))
     if args.format == "csv":
         rows: list[tuple] = [("kind", "k", "value")]
         rows += [(k, None, v) for k, v in report.to_dict().items()]
@@ -491,9 +449,11 @@ def main(argv=None) -> int:
             print(f"error: ELR_SEED: not an integer: {env_seed!r}", file=sys.stderr)
             return 1
     try:
-        if getattr(args, "theorem", None) in ("tm21", "tm22", "cor21", "tm23", "tm24"):
-            if getattr(args, "n", None) is None:
+        if getattr(args, "theorem", None) is not None:
+            if args.n is None:
                 raise ValueError("--n: required with --theorem")
+            if args.m is None and FAMILIES[args.theorem.upper()].takes_m:
+                raise ValueError(f"--m: required for --theorem {args.theorem}")
         output, code = args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ infinity, and p_i = 0 uses the generator's declared limit at 0+.
 
 `divergence_bounds` turns a pair of distributions into the weighted-point
 functional with points p_i / q_i and weights q_i (whose mean is exactly 1),
-delegates toatom the requested bound family, and re-evaluates every bound
+delegates to the requested bound family, and re-evaluates every bound
 value through the probability-sum form of the moments
 
     sum_i (p_i - a q_i)^j (p_i - b q_i)^k / q_i^(j + k - 1)
@@ -22,17 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import bounds as _bounds
-from .bounds import (
-    CONCAVE,
-    CONVEX,
-    COR21_STRAIGHT,
-    THEOREMS,
-    TM21_DIRECTION,
-    TM22_DIRECTION,
-    TM23_STRAIGHT,
-    BoundReport,
-)
-from .divided_diff import FunctionModel, NodeMultiset, divided_difference
+from .bounds import CONVEX, BoundReport, _family, _terms
+from .divided_diff import FunctionModel
 from .functional import DiscreteFunctional
 
 __all__ = [
@@ -165,60 +156,20 @@ def direct_bound_values(
 ) -> tuple[float | None, float | None]:
     """Bound sides evaluated through probability sums instead of functional moments.
 
-    Shares the divided-difference factors with the delegated route but none of
-    the moment arithmetic, so a transcription slip in either route shows up as
-    disagreement.  Returns (lower, upper) arranged by the same dispatch tables.
+    Shares the term layout and the divided-difference factors with the
+    delegated route but none of the moment arithmetic, so a slip in either
+    route's moments shows up as disagreement (layout slips are the identity
+    audit's job).  Returns (lower, upper) arranged by the same parity rule.
     """
-    theorem = theorem.upper()
-    dd = lambda pairs: divided_difference(f, NodeMultiset(pairs))
-    if theorem in ("TM21", "COR21"):
-        if m is None or m < 3:
-            raise ValueError(f"{theorem} requires m >= 3, got {m}")
-        parts = [(1.0 - a) * (dd(((a, 2),)) - dd(((a, 1), (b, 1))))]
-        for k in range(2, m):
-            parts.append(float(f.deriv(k, a)) / math.factorial(k) * _pq_moment(p, q, a, b, k, 0))
-        for k in range(1, n - m + 1):
-            parts.append(dd(((a, m), (b, k))) * _pq_moment(p, q, a, b, m, k - 1))
-        v21 = math.fsum(parts)
-        if theorem == "TM21":
-            direction = TM21_DIRECTION[(convexity, (n - m) % 2 == 0)]
-            return (v21, None) if direction == "lower" else (None, v21)
-    if theorem in ("TM22", "COR21"):
-        if m is None or m < 3:
-            raise ValueError(f"{theorem} requires m >= 3, got {m}")
-        parts = [(b - 1.0) * (dd(((a, 1), (b, 1))) - dd(((b, 2),)))]
-        for k in range(2, m):
-            parts.append(float(f.deriv(k, b)) / math.factorial(k) * _pq_moment(p, q, a, b, 0, k))
-        for k in range(1, n - m + 1):
-            parts.append(dd(((b, m), (a, k))) * _pq_moment(p, q, a, b, k - 1, m))
-        v22 = math.fsum(parts)
-        if theorem == "TM22":
-            direction = TM22_DIRECTION[(convexity, m % 2 == 1)]
-            return (v22, None) if direction == "lower" else (None, v22)
-        straight = COR21_STRAIGHT[(convexity, m % 2 == 1)]
-        return (v21, v22) if straight else (v22, v21)
-    if theorem == "TM23":
-        v1 = math.fsum(
-            dd(((a, 1), (b, k))) * _pq_moment(p, q, a, b, 1, k - 1) for k in range(2, n)
-        )
-        parts = [dd(((a, 2), (b, 1))) * _pq_moment(p, q, a, b, 1, 1)]
-        parts += [
-            dd(((a, 2), (b, k))) * _pq_moment(p, q, a, b, 2, k - 1) for k in range(2, n - 1)
-        ]
-        v2 = math.fsum(parts)
-        straight = TM23_STRAIGHT[(convexity, n % 2 == 1)]
-        return (v1, v2) if straight else (v2, v1)
-    if theorem == "TM24":
-        parts = [dd(((b, 2), (a, 1))) * _pq_moment(p, q, a, b, 1, 1)]
-        parts += [
-            dd(((b, 2), (a, k))) * _pq_moment(p, q, a, b, k - 1, 2) for k in range(2, n - 1)
-        ]
-        v2 = math.fsum(parts)
-        v1 = math.fsum(
-            dd(((b, 1), (a, k))) * _pq_moment(p, q, a, b, k - 1, 1) for k in range(2, n)
-        )
-        return (v2, v1) if convexity == CONVEX else (v1, v2)
-    raise ValueError(f"unknown theorem tag {theorem!r}; choose from {THEOREMS}")
+    family = _family(theorem)
+
+    def side(anchor: str, k: int) -> float:
+        x, y = (a, b) if anchor == "a" else (b, a)
+        moment = lambda i, j: _pq_moment(p, q, x, y, i, j)
+        return math.fsum(_terms(f, x, y, n, k, moment, lambda: 1.0))
+
+    values = [side(x, k) for x, k in family.resolve(n, m)]
+    return family.arrange(n, m, convexity, values)[:2]
 
 
 def divergence_bounds(
@@ -241,9 +192,7 @@ def divergence_bounds(
     produce a degenerate range and require it.
     """
     _check_pair(p, q)
-    theorem = theorem.upper()
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem tag {theorem!r}; choose from {THEOREMS}")
+    theorem = _family(theorem).tag
     rr = ratio_range(p, q)
     if interval is None:
         a, b = rr.a, rr.b
@@ -262,16 +211,7 @@ def divergence_bounds(
         weights=q.values,
         interval=(a, b),
     )
-    if theorem == "TM21":
-        report = _bounds.bound_tm21(f, A, n, m, convexity)
-    elif theorem == "TM22":
-        report = _bounds.bound_tm22(f, A, n, m, convexity)
-    elif theorem == "COR21":
-        report = _bounds.bracket_cor21(f, A, n, m, convexity)
-    elif theorem == "TM23":
-        report = _bounds.bracket_tm23(f, A, n, convexity)
-    else:
-        report = _bounds.bracket_tm24(f, A, n, convexity)
+    report = _bounds.bound(theorem, f, A, n, m, convexity)
     direct = direct_bound_values(f, p, q, a, b, n=n, m=m, theorem=theorem, convexity=convexity)
     for side, delegated, direct_v in zip(("lower", "upper"), (report.lower, report.upper), direct):
         if (delegated is None) != (direct_v is None):

@@ -311,12 +311,5 @@ def remainder_R(f: FunctionModel, a: float, b: float, m: int, n: int, t: float) 
 
 
 def remainder_Rstar(f: FunctionModel, a: float, b: float, m: int, n: int, t: float) -> float:
-    """Mirror remainder (t-b)^m (t-a)^(n-m) * f[t; b x m; a x (n-m)]."""
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"m must satisfy 1 <= m <= n-1, got m={m}, n={n}")
-    t = float(t)
-    w = (t - b) ** m * (t - a) ** (n - m)
-    if w == 0.0:
-        return 0.0
-    nodes = NodeMultiset(((t, 1), (float(b), m), (float(a), n - m)))
-    return float(w * divided_difference(f, nodes))
+    """Mirror remainder (t-b)^m (t-a)^(n-m) * f[t; b x m; a x (n-m)]: remainder_R with a, b swapped."""
+    return remainder_R(f, b, a, m, n, t)

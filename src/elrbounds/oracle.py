@@ -251,19 +251,6 @@ def audit_identities(config: AuditConfig | None = None) -> AuditReport:
     )
 
 
-def _draw_case(rng: np.random.Generator, theorem: str, n_range: tuple[int, int]) -> tuple[int, int | None]:
-    lo, hi = n_range
-    if theorem in ("TM21", "TM22"):
-        n = int(rng.integers(max(4, lo), hi + 1))
-        return n, int(rng.integers(3, n))
-    if theorem == "COR21":
-        odd = [k for k in range(max(5, lo), hi + 1) if k % 2 == 1]
-        n = int(odd[int(rng.integers(0, len(odd)))])
-        return n, int(rng.integers(3, n))
-    n = int(rng.integers(max(3, lo), hi + 1))
-    return n, None
-
-
 def _flip(verdict: str) -> str:
     return CONCAVE if verdict == CONVEX else CONVEX
 
@@ -286,6 +273,13 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
     total = 0
     worst = 0.0
     for theorem in cfg.theorems:
+        family = _bounds.FAMILIES[theorem]
+        # Orders at which the family's direction is certified; that depends on
+        # n alone, since the two sides of a bracket share m.
+        orders = [
+            k for k in range(max(family.min_n, cfg.n_range[0]), cfg.n_range[1] + 1)
+            if len(set(family.signs(k, 3, CONVEX))) == len(family.sides)
+        ]
         collected = 0
         attempts = 0
         while collected < cfg.cases_per_theorem:
@@ -293,7 +287,8 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
             if attempts > 100 * cfg.cases_per_theorem:
                 raise RuntimeError(f"unable to collect definite cases for {theorem}")
             f = _random_function(rng, cfg.function_pool)
-            n, m = _draw_case(rng, theorem, cfg.n_range)
+            n = orders[int(rng.integers(0, len(orders)))]
+            m = int(rng.integers(3, n)) if family.takes_m else None
             cert_seed = int(rng.integers(0, 2**31 - 1))
             if n > f.max_order:
                 skipped += 1
@@ -304,16 +299,7 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
                 continue
             A = _random_functional(rng, f.domain, cfg.max_points)
             claimed = _flip(cert.verdict) if cfg.inject_wrong_parity else cert.verdict
-            if theorem == "TM21":
-                report = _bounds.bound_tm21(f, A, n, m, claimed)
-            elif theorem == "TM22":
-                report = _bounds.bound_tm22(f, A, n, m, claimed)
-            elif theorem == "COR21":
-                report = _bounds.bracket_cor21(f, A, n, m, claimed)
-            elif theorem == "TM23":
-                report = _bounds.bracket_tm23(f, A, n, claimed)
-            else:
-                report = _bounds.bracket_tm24(f, A, n, claimed)
+            report = _bounds.bound(theorem, f, A, n, m, claimed)
             tol = _BRACKET_REL_TOL * (1.0 + abs(report.lr))
             violation = report.violation()
             worst = max(worst, violation)

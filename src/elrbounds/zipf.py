@@ -100,9 +100,11 @@ def zm_divergence_bounds(
     `convexity` is omitted, classified there; a ready `FunctionModel` is used
     as-is and requires an explicit convexity class.
     """
+    if P.N != Q.N:
+        raise ValueError(f"laws must share N, got {P.N} and {Q.N}")
     p = pmf_vector(P)
     q = pmf_vector(Q)
-    rr = ratio_extrema(P, Q)
+    rr = ratio_range(p, q)
     if interval is None:
         if rr.is_degenerate:
             raise ValueError(

@@ -23,12 +23,7 @@ from elrbounds import (
     lr_difference,
     n3_closed_form,
 )
-from elrbounds.bounds import (
-    COR21_STRAIGHT,
-    TM21_DIRECTION,
-    TM22_DIRECTION,
-    TM23_STRAIGHT,
-)
+from elrbounds.bounds import FAMILIES
 
 from conftest import exp_model, poly_model, random_functional
 
@@ -111,32 +106,79 @@ def test_decompose_requires_derivatives():
         decompose_lemma21(f, A, 5, 4)
 
 
-# --- dispatch tables ----------------------------------------------------------
+# --- parity rule -------------------------------------------------------------
+#
+# The statements' direction tables, case by case, checked against the
+# registry's parity rule over every (n, m) with 3 <= m < n <= 9.
+
+
+def _direction(tag, n, m, convexity):
+    lower, upper, valid = FAMILIES[tag].arrange(n, m, convexity, [1.0])
+    assert valid
+    return "lower" if upper is None else "upper"
+
+
+def _straight(tag, n, m, convexity):
+    """True when the first side is the lower one."""
+    lower, _, _ = FAMILIES[tag].arrange(n, m, convexity, [1.0, 2.0])
+    return lower == 1.0
+
+
+def _cases(key, takes_m=True):
+    if takes_m:
+        cases = [(n, m) for n in range(4, 10) for m in range(3, n)]
+    else:
+        cases = [(n, None) for n in range(3, 10)]
+    return [(n, m) for n, m in cases if key(n, m)]
 
 
 def test_tm21_direction_table():
-    assert TM21_DIRECTION == {
+    # Keyed on whether n and m share parity.
+    table = {
         (CONVEX, False): "upper",
         (CONVEX, True): "lower",
         (CONCAVE, True): "upper",
         (CONCAVE, False): "lower",
     }
+    for (convexity, same), expected in table.items():
+        cases = _cases(lambda n, m: ((n - m) % 2 == 0) == same)
+        assert cases
+        for n, m in cases:
+            assert _direction("TM21", n, m, convexity) == expected, (convexity, n, m)
 
 
 def test_tm22_direction_table():
-    assert TM22_DIRECTION == {
+    # Keyed on whether m is odd; no condition on n.
+    table = {
         (CONVEX, True): "upper",
         (CONVEX, False): "lower",
         (CONCAVE, False): "upper",
         (CONCAVE, True): "lower",
     }
+    for (convexity, m_odd), expected in table.items():
+        cases = _cases(lambda n, m: (m % 2 == 1) == m_odd)
+        assert cases
+        for n, m in cases:
+            assert _direction("TM22", n, m, convexity) == expected, (convexity, n, m)
 
 
 def test_bracket_orientation_tables():
+    # TM23 keys on whether n is odd (True: the m=1 sum is the lower side);
+    # COR21 keys on whether m is odd (True: the TM21 side is the lower one).
     straight = {(CONVEX, True): True, (CONCAVE, False): True,
                 (CONVEX, False): False, (CONCAVE, True): False}
-    assert TM23_STRAIGHT == straight
-    assert COR21_STRAIGHT == straight
+    for (convexity, odd), expected in straight.items():
+        for n, _ in _cases(lambda n, m: (n % 2 == 1) == odd, takes_m=False):
+            assert _straight("TM23", n, None, convexity) == expected, (convexity, n)
+            assert FAMILIES["TM23"].arrange(n, None, convexity, [1.0, 2.0])[2]
+        for n, m in _cases(lambda n, m: (m % 2 == 1) == odd):
+            assert _straight("COR21", n, m, convexity) == expected, (convexity, n, m)
+            # Certified only for odd n; even n keeps the same arrangement.
+            assert FAMILIES["COR21"].arrange(n, m, convexity, [1.0, 2.0])[2] == (n % 2 == 1)
+    # TM24: n-convex f gives m2-sum <= LR <= m1-sum for every n.
+    for n in range(3, 10):
+        assert not _straight("TM24", n, None, CONVEX)
+        assert _straight("TM24", n, None, CONCAVE)
 
 
 # --- one-sided bounds -----------------------------------------------------------
@@ -197,8 +239,9 @@ def test_polynomial_degree_below_n_gives_equality(worked_functional):
 
 def test_m_below_three_rejected(cube, worked_functional):
     for fn in (bound_tm21, bound_tm22, bracket_cor21):
-        with pytest.raises(ValueError, match="m >= 3"):
-            fn(cube, worked_functional, 5, 2, CONVEX)
+        for m in (2, None):
+            with pytest.raises(ValueError, match="m >= 3"):
+                fn(cube, worked_functional, 5, m, CONVEX)
 
 
 def test_bad_convexity_string_rejected(cube, worked_functional):

@@ -229,6 +229,22 @@ def test_validation_errors_exit_1(capsys):
     assert "m must be" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--function", "exp", "--points", "0.5", "--weights", "1.0", "--interval", "0,2"),
+        ("div", "--function", "kl", "--p", "0.5,0.5", "--q", "0.25,0.75"),
+        ("zm", "--zm", "5,0,1", "--zm", "5,1,2", "--function", "kl"),
+    ],
+)
+@pytest.mark.parametrize("theorem", ["tm21", "tm22", "cor21"])
+def test_missing_m_exits_1(capsys, argv, theorem):
+    code, out, err = run(capsys, *argv, "--theorem", theorem, "--n", "5")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --m: required for --theorem {theorem}\n"
+
+
 def test_missing_required_flags_exit_1(capsys):
     code, _, err = run(capsys, "lr", "--function", "exp")
     assert code == 1

@@ -254,3 +254,38 @@ def test_direct_formulas_match_delegation(theorem, n, m):
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert abs(got - want) <= 1e-12
+
+
+def test_missing_m_is_a_validation_error():
+    f = _gen("kl")
+    for theorem in ("tm21", "tm22", "cor21"):
+        with pytest.raises(ValueError, match="m >= 3"):
+            divergence_bounds(f, P, Q, n=5, theorem=theorem, convexity=CONCAVE)
+
+
+def test_direct_route_rejects_out_of_range_m():
+    rr = ratio_range(P, Q)
+    f = _gen("kl", domain=(rr.a, rr.b))
+    with pytest.raises(ValueError, match="m must be"):
+        direct_bound_values(f, P, Q, rr.a, rr.b, n=5, theorem="TM21", m=7)
+    with pytest.raises(ValueError, match="m must be"):
+        divergence_bounds(f, P, Q, n=5, m=7, theorem="tm21", convexity=CONCAVE)
+
+
+def test_moment_slip_in_direct_route_raises(monkeypatch):
+    # Negative control for the crosscheck: one wrong probability-sum moment.
+    from elrbounds import divergence
+
+    honest = divergence._pq_moment
+
+    def slipped(p, q, a, b, j, k):
+        return honest(p, q, a, b, j, k) * (1.0 + 1e-6 * (j == 1 and k == 1))
+
+    p = ProbabilityVector((0.2, 0.5, 0.3))
+    q = ProbabilityVector((0.4, 0.3, 0.3))
+    rr = ratio_range(p, q)
+    f = _gen("kl", domain=(rr.a, rr.b))
+    divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
+    monkeypatch.setattr(divergence, "_pq_moment", slipped)
+    with pytest.raises(RuntimeError, match="differ"):
+        divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)

@@ -141,6 +141,18 @@ def test_report_serialization_shape():
     ]
 
 
+def test_layout_slip_fails_identity_audit(monkeypatch):
+    # Negative control: both decompositions share one term layout, and
+    # dropping its last term must break the identities.
+    from elrbounds import bounds
+
+    honest = bounds._terms
+    monkeypatch.setattr(bounds, "_terms", lambda *args: honest(*args)[:-1])
+    report = audit_identities(AuditConfig(cases=40, seed=42))
+    assert not report.ok
+    assert {failure["identity"] for failure in report.failures} == {"lemma21", "lemma22"}
+
+
 # --- audit_brackets -----------------------------------------------------------------
 
 

@@ -160,3 +160,10 @@ def test_zm_plain_function_model_needs_convexity():
         zm_divergence_bounds(P, Q, f, n=3, theorem="tm23")
     rep = zm_divergence_bounds(P, Q, f, n=3, theorem="tm23", convexity=CONVEX)
     assert rep.lower - 1e-12 <= rep.lr <= rep.upper + 1e-12
+
+
+def test_zm_missing_m_is_a_validation_error():
+    P = ZipfMandelbrotParams(5, 0, 1)
+    Q = ZipfMandelbrotParams(5, 1, 2)
+    with pytest.raises(ValueError, match="m >= 3"):
+        zm_divergence_bounds(P, Q, GeneratorSpec("kl"), n=5, theorem="tm21")
