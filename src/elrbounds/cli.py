@@ -2,31 +2,37 @@
 
 Output is byte-stable for fixed inputs and seed: JSON fields appear in a
 fixed order and floats are printed with 17 significant digits, so re-parsing
-reproduces the exact values.  Exit status is 0 on success, 1 on validation
-errors (reported with the offending field), and 2 when `verify` finds a
-violated identity or bracket.  The ELR_SEED environment variable overrides
---seed everywhere.
+reproduces the exact values.  Each subcommand returns its JSON value and its
+CSV rows, and `main` writes the one that --format asks for.  Exit status is
+0 on success, 1 on validation errors (reported with the offending field),
+and 2 when `verify` finds a violated identity or bracket.  `--convexity auto`
+takes the class from `generators.classify` in bounds, div and zm alike (an
+indefinite class is a validation error); only verify samples, so --samples
+is a verify flag and --seed matters only there.  The ELR_SEED environment
+variable overrides --seed everywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 
 from .bounds import CONCAVE, CONVEX, FAMILIES, bound
-from .divergence import ProbabilityVector, divergence_bounds, f_divergence, ratio_range
+from .divergence import ProbabilityVector, divergence_bounds, f_divergence
 from .divided_diff import FunctionModel, NodeMultiset, divided_difference, newton_interpolant
 from .functional import DiscreteFunctional, lr_difference
-from .generators import INDEFINITE, GeneratorSpec, make_generator, parse_function_spec
-from .oracle import AuditConfig, audit_brackets, audit_identities, certify_convexity
+from .generators import definite_class, make_generator, parse_function_spec
+from .oracle import AuditConfig, audit_brackets, audit_identities
 from .zipf import ZipfMandelbrotParams, pmf_vector, ratio_extrema, zm_divergence_bounds
 
 __all__ = ["main"]
 
 _THEOREM_CHOICES = tuple(tag.lower() for tag in FAMILIES)
+_SEED_HELP = "accepted for uniformity; only verify draws random numbers"
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +176,6 @@ def _load_distribution(inline: str | None, path: str | None, key: str, flag: str
     return ProbabilityVector(tuple(float(v) for v in data))
 
 
-def _resolve_convexity(args, f: FunctionModel, n: int) -> str:
-    if args.convexity != "auto":
-        return args.convexity
-    cert = certify_convexity(f, n, samples=args.samples, seed=args.seed)
-    if cert.verdict == INDEFINITE:
-        raise ValueError(
-            f"--convexity: auto-certification found {f.name!r} indefinite at order {n} "
-            f"(min_dd={cert.min_dd:g}, max_dd={cert.max_dd:g}); pass it explicitly"
-        )
-    return cert.verdict
-
-
 def _parse_zm(text: str) -> ZipfMandelbrotParams:
     vals = _parse_floats(text, "--zm")
     if len(vals) != 3:
@@ -195,119 +189,94 @@ def _parse_zm(text: str) -> ZipfMandelbrotParams:
 # Subcommands
 
 
-def _bound_term_rows(args, f: FunctionModel, A: DiscreteFunctional) -> list[tuple]:
+def _report_rows(report: dict) -> list[tuple]:
+    return [("kind", "k", "value")] + [(k, None, v) for k, v in report.items()]
+
+
+def _bound_term_rows(args, f: FunctionModel, A: DiscreteFunctional):
     """One row per displayed summand, mirroring the bound's summation structure."""
     family = FAMILIES[args.theorem.upper()]
-    return [
-        (f"{side}_term", k, term)
-        for side, terms in zip(family.labels, family.decompose(f, A, args.n, args.m))
-        for k, term in enumerate(terms, start=1)
-    ]
+    for side, terms in zip(family.labels, family.decompose(f, A, args.n, args.m)):
+        for k, term in enumerate(terms, start=1):
+            yield (f"{side}_term", k, term)
 
 
-def _run_dd(args) -> tuple[str, int]:
+def _auto(args) -> str | None:
+    return None if args.convexity == "auto" else args.convexity
+
+
+def _run_dd(args):
     nodes = _parse_nodes(args.nodes)
     f = _function_for_nodes(args, nodes)
     if args.interpolant:
         form = newton_interpolant(f, nodes)
-        if args.format == "csv":
-            rows = [("node", "coeff")] + list(zip(form.nodes, form.coeffs))
-            return _csv_lines(rows), 0
-        return dumps(form.to_dict()), 0
+        return form.to_dict(), [("node", "coeff")] + list(zip(form.nodes, form.coeffs))
     value = divided_difference(f, nodes)
-    if args.format == "csv":
-        return _csv_lines([("value",), (value,)]), 0
-    return dumps(value), 0
+    return value, [("value",), (value,)]
 
 
-def _run_lr(args) -> tuple[str, int]:
+def _run_lr(args):
     A = _load_functional(args)
     f = make_generator(parse_function_spec(args.function, domain=A.interval))
     value = lr_difference(f, A)
-    if args.format == "csv":
-        return _csv_lines([("value",), (value,)]), 0
-    return dumps(value), 0
+    return value, [("value",), (value,)]
 
 
-def _run_bounds(args) -> tuple[str, int]:
+def _run_bounds(args):
     A = _load_functional(args)
-    f = make_generator(parse_function_spec(args.function, domain=A.interval))
-    report = bound(args.theorem, f, A, args.n, args.m, _resolve_convexity(args, f, args.n))
-    if args.format == "csv":
-        rows: list[tuple] = [("kind", "k", "value")]
-        rows += [(k, None, v) for k, v in report.to_dict().items()]
-        rows += _bound_term_rows(args, f, A)
-        return _csv_lines(rows), 0
-    return dumps(report.to_dict()), 0
+    spec = parse_function_spec(args.function, domain=A.interval)
+    f = make_generator(spec)
+    convexity = _auto(args) or definite_class(spec, args.n)
+    report = bound(args.theorem, f, A, args.n, args.m, convexity).to_dict()
+    # Lazy: the term rows are decomposed only when --format csv writes them.
+    return report, itertools.chain(_report_rows(report), _bound_term_rows(args, f, A))
 
 
-def _run_div(args) -> tuple[str, int]:
+def _run_div(args):
     p = _load_distribution(args.p, args.p_file, "p", "--p")
     q = _load_distribution(args.q, args.q_file, "q", "--q")
     interval = _parse_interval(args.interval, "--interval") if args.interval else None
+    spec = parse_function_spec(args.function, domain=interval)
     if args.theorem is None:
-        spec = parse_function_spec(args.function)
-        if interval is not None:
-            spec = parse_function_spec(args.function, domain=interval)
         value = f_divergence(make_generator(spec), p, q)
-        if args.format == "csv":
-            return _csv_lines([("divergence",), (value,)]), 0
-        return dumps(value), 0
-    rr = ratio_range(p, q)
-    a, b = interval if interval is not None else (rr.a, rr.b)
-    f = make_generator(parse_function_spec(args.function, domain=(a, b)))
-    convexity = _resolve_convexity(args, f, args.n)
+        return value, [("divergence",), (value,)]
     report = divergence_bounds(
-        f, p, q, n=args.n, m=args.m, theorem=args.theorem, convexity=convexity,
-        interval=(a, b),
+        spec, p, q, n=args.n, m=args.m, theorem=args.theorem, convexity=_auto(args),
+        interval=interval,
     )
-    out = {"divergence": f_divergence(f, p, q)}
+    out = {"divergence": f_divergence(make_generator(spec), p, q)}
     out.update(report.to_dict())
-    if args.format == "csv":
-        rows = [("kind", "k", "value")] + [(k, None, v) for k, v in out.items()]
-        return _csv_lines(rows), 0
-    return dumps(out), 0
+    return out, _report_rows(out)
 
 
-def _run_zm(args) -> tuple[str, int]:
+def _run_zm(args):
     laws = [_parse_zm(text) for text in args.zm]
     if args.ratio_range:
         if len(laws) != 2:
             raise ValueError("--ratio-range: needs exactly two --zm laws")
         rr = ratio_extrema(laws[0], laws[1])
-        if args.format == "csv":
-            return _csv_lines([("a", "b"), (rr.a, rr.b)]), 0
-        return dumps({"a": rr.a, "b": rr.b}), 0
+        return {"a": rr.a, "b": rr.b}, [("a", "b"), (rr.a, rr.b)]
     if args.theorem is None:
         if not laws:
             raise ValueError("--zm: at least one law required")
+        if len(laws) > 1 and laws[1].N != laws[0].N:
+            raise ValueError(f"--zm: laws must share N, got {laws[0].N} and {laws[1].N}")
         vectors = [pmf_vector(law) for law in laws]
-        if args.format == "csv":
-            header = ("i", "p") if len(laws) == 1 else ("i", "p", "q")
-            rows = [header]
-            for i in range(laws[0].N):
-                rows.append((i + 1,) + tuple(vec.values[i] for vec in vectors))
-            return _csv_lines(rows), 0
         out = {"i": list(range(1, laws[0].N + 1)), "p": list(vectors[0].values)}
         if len(vectors) > 1:
             out["q"] = list(vectors[1].values)
-        return dumps(out), 0
+        return out, [tuple(out)] + list(zip(*out.values()))
     if len(laws) != 2:
         raise ValueError("--theorem: needs exactly two --zm laws")
-    spec = parse_function_spec(args.function)
     interval = _parse_interval(args.interval, "--interval") if args.interval else None
-    convexity = None if args.convexity == "auto" else args.convexity
     report = zm_divergence_bounds(
-        laws[0], laws[1], spec, n=args.n, m=args.m, theorem=args.theorem,
-        convexity=convexity, interval=interval,
-    )
-    if args.format == "csv":
-        rows = [("kind", "k", "value")] + [(k, None, v) for k, v in report.to_dict().items()]
-        return _csv_lines(rows), 0
-    return dumps(report.to_dict()), 0
+        laws[0], laws[1], parse_function_spec(args.function), n=args.n, m=args.m,
+        theorem=args.theorem, convexity=_auto(args), interval=interval,
+    ).to_dict()
+    return report, _report_rows(report)
 
 
-def _run_verify(args) -> tuple[str, int]:
+def _run_verify(args):
     cfg = AuditConfig(
         cases=args.cases,
         seed=args.seed,
@@ -320,22 +289,12 @@ def _run_verify(args) -> tuple[str, int]:
         out["identities"] = audit_identities(cfg).to_dict()
     if args.suite in ("brackets", "all"):
         out["brackets"] = audit_brackets(cfg).to_dict()
-    failed = any(section["failures"] for section in out.values())
-    if args.format == "csv":
-        rows = [("suite", "cases", "skipped", "tight", "failures", "max_residual")]
-        for name, section in out.items():
-            rows.append(
-                (
-                    name,
-                    section["cases"],
-                    section["skipped"],
-                    section["tight"],
-                    len(section["failures"]),
-                    section["max_residual"],
-                )
-            )
-        return _csv_lines(rows), 2 if failed else 0
-    return dumps(out), 2 if failed else 0
+    rows = [("suite", "cases", "skipped", "tight", "failures", "max_residual")]
+    rows += [
+        (name, s["cases"], s["skipped"], s["tight"], len(s["failures"]), s["max_residual"])
+        for name, s in out.items()
+    ]
+    return out, rows
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +318,7 @@ def _add_common(sub, *, function=True, seed=True):
         )
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     if seed:
-        sub.add_argument("--seed", type=int, default=0, help="RNG seed (ELR_SEED overrides)")
+        sub.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
 
 
 def _add_functional_flags(sub):
@@ -374,7 +333,6 @@ def _add_bound_flags(sub):
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--m", type=int)
     sub.add_argument("--convexity", choices=("auto", CONVEX, CONCAVE), default="auto")
-    sub.add_argument("--samples", type=int, default=200, help="certification samples for auto convexity")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     div.add_argument("--n", type=int)
     div.add_argument("--m", type=int)
     div.add_argument("--convexity", choices=("auto", CONVEX, CONCAVE), default="auto")
-    div.add_argument("--samples", type=int, default=200)
     div.set_defaults(run=_run_div)
 
     zm = subs.add_parser("zm", help="Zipf-Mandelbrot pmf tables, ratio range and bounds")
@@ -423,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     zm.add_argument("--interval", help="a,b widened ratio interval")
     zm.add_argument("--convexity", choices=("auto", CONVEX, CONCAVE), default="auto")
     zm.add_argument("--format", choices=("json", "csv"), default="json")
-    zm.add_argument("--seed", type=int, default=0)
+    zm.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     zm.set_defaults(run=_run_zm)
 
     verify = subs.add_parser("verify", help="run the identity and bracket audit suites")
@@ -454,12 +411,13 @@ def main(argv=None) -> int:
                 raise ValueError("--n: required with --theorem")
             if args.m is None and FAMILIES[args.theorem.upper()].takes_m:
                 raise ValueError(f"--m: required for --theorem {args.theorem}")
-        output, code = args.run(args)
+        value, rows = args.run(args)
+        print(_csv_lines(rows) if args.format == "csv" else dumps(value))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(output)
-    return code
+    failed = args.subcommand == "verify" and any(section["failures"] for section in value.values())
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

@@ -5,10 +5,15 @@ conventions at zero entries: a q_i = 0, p_i = 0 pair contributes nothing,
 q_i = 0 with p_i > 0 contributes p_i times the generator's declared slope at
 infinity, and p_i = 0 uses the generator's declared limit at 0+.
 
-`divergence_bounds` turns a pair of distributions into the weighted-point
-functional with points p_i / q_i and weights q_i (whose mean is exactly 1),
-delegates to the requested bound family, and re-evaluates every bound
-value through the probability-sum form of the moments
+`divergence_bounds` is the one path from a pair of distributions to a bound
+report.  It resolves the enclosing interval [a, b] once (the ratio range, or
+a caller's wider interval), builds a `GeneratorSpec` on it and takes the
+n-convexity class from `generators.classify` unless the caller passes one;
+a ready `FunctionModel` is used as-is and needs an explicit class.  It then
+forms the weighted-point functional with points p_i / q_i and weights q_i
+(whose mean is exactly 1), delegates to the requested bound family, and
+re-evaluates every bound value through the probability-sum form of the
+moments
 
     sum_i (p_i - a q_i)^j (p_i - b q_i)^k / q_i^(j + k - 1)
 
@@ -18,13 +23,14 @@ as an independent transcription check; the two routes must agree to 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family, _terms
 from .divided_diff import FunctionModel
 from .functional import DiscreteFunctional
+from .generators import GeneratorSpec, definite_class, make_generator
 
 __all__ = [
     "ProbabilityVector",
@@ -173,14 +179,14 @@ def direct_bound_values(
 
 
 def divergence_bounds(
-    f: FunctionModel,
+    generator: GeneratorSpec | FunctionModel,
     p: ProbabilityVector,
     q: ProbabilityVector,
     *,
     n: int,
     theorem: str,
     m: int | None = None,
-    convexity: str,
+    convexity: str | None = None,
     interval: tuple[float, float] | None = None,
 ) -> BoundReport:
     """Bound report for the chord gap of the ratio functional.
@@ -189,7 +195,9 @@ def divergence_bounds(
     the reported `lr` equals f_divergence(f, p, q) minus the chord of f
     through (a, f(a)), (b, f(b)) evaluated at 1.  `interval` may widen the
     enclosing [a, b] (it must contain every ratio); identical distributions
-    produce a degenerate range and require it.
+    produce a degenerate range and require it.  A `GeneratorSpec` is rebuilt
+    on [a, b] and, when `convexity` is omitted, classified there; a plain
+    `FunctionModel` needs an explicit convexity class.
     """
     _check_pair(p, q)
     theorem = _family(theorem).tag
@@ -206,6 +214,15 @@ def divergence_bounds(
         raise ValueError(
             f"degenerate ratio interval [{a}, {b}]; supply a wider enclosing interval"
         )
+    if isinstance(generator, GeneratorSpec):
+        spec = replace(generator, domain=(a, b))
+        f = make_generator(spec)
+        if convexity is None:
+            convexity = definite_class(spec, n)
+    else:
+        f = generator
+        if convexity is None:
+            raise ValueError("a plain FunctionModel needs an explicit convexity class")
     A = DiscreteFunctional(
         points=tuple(pi / qi for pi, qi in zip(p, q)),
         weights=q.values,

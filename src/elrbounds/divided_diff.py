@@ -93,10 +93,6 @@ class FunctionModel:
             ),
         )
 
-    def with_domain(self, a: float, b: float) -> "FunctionModel":
-        """Same callables on a different closed interval (caller vouches validity)."""
-        return dataclasses.replace(self, domain=(float(a), float(b)))
-
     @classmethod
     def from_polynomial(
         cls,
@@ -195,9 +191,6 @@ class NodeMultiset:
 
     def flatten(self) -> tuple[float, ...]:
         return tuple(v for v, m in self.entries for _ in range(m))
-
-    def adjoin(self, node: float, multiplicity: int = 1) -> "NodeMultiset":
-        return NodeMultiset(self.entries + ((float(node), multiplicity),))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ Four named generators cover the classical divergences:
 Derivatives are closed forms; the stack is capped at order 12, past which
 double precision gives the formulas little meaning.  `classify` reads the
 n-convexity class off the sign of the n-th derivative sampled on an even
-grid over the declared domain.
+grid over the declared domain; it is the one class source of every bound
+path (`definite_class` is the same verdict with INDEFINITE as an error).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "GeneratorSpec",
     "make_generator",
     "classify",
+    "definite_class",
     "parse_function_spec",
 ]
 
@@ -225,6 +227,18 @@ def classify(spec: GeneratorSpec, n: int) -> str:
     if max(values) <= tol:
         return CONCAVE
     return INDEFINITE
+
+
+def definite_class(spec: GeneratorSpec, n: int) -> str:
+    """`classify`, with an indefinite class raised as a ValueError."""
+    convexity = classify(spec, n)
+    if convexity == INDEFINITE:
+        a, b = spec.domain
+        raise ValueError(
+            f"{spec.name} has indefinite order-{n} convexity on [{a}, {b}]; "
+            "pass an explicit convexity"
+        )
+    return convexity
 
 
 def parse_function_spec(text: str, domain: tuple[float, float] | None = None) -> GeneratorSpec:

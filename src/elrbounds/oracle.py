@@ -13,7 +13,7 @@ the config seed; failures are data in the report, not exceptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,14 +56,7 @@ class ConvexityCertificate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "verdict": self.verdict,
-            "samples": self.samples,
-            "min_dd": self.min_dd,
-            "max_dd": self.max_dd,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _eval_rows(f: FunctionModel, Z: np.ndarray) -> np.ndarray:
@@ -157,15 +150,7 @@ class AuditReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "cases": self.cases,
-            "skipped": self.skipped,
-            "tight": self.tight,
-            "max_residual": self.max_residual,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def _sub_interval(rng: np.random.Generator, lo: float, hi: float, min_width: float) -> tuple[float, float]:

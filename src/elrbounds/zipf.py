@@ -4,20 +4,21 @@ The law with parameters (N, q, s) puts mass proportional to (i + q)^(-s) on
 i = 1..N; q = 0 recovers the plain Zipf law.  `ratio_extrema` scans the
 materialized pmf ratios of two same-N laws (the ratio need not be monotone in
 i for general parameter pairs, and N is small, so the scan is exhaustive),
-and `zm_divergence_bounds` feeds the materialized vectors straight into
-`divergence_bounds`, so its output is bit-identical to calling that function
-on the vectors directly.
+and `zm_divergence_bounds` checks that the laws share N and hands the
+materialized vectors and the generator to `divergence_bounds`, which
+resolves the interval, the generator and the convexity class; its output is
+therefore bit-identical to calling that function on the vectors directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bounds import BoundReport
 from .divergence import ProbabilityVector, RatioRange, divergence_bounds, ratio_range
 from .divided_diff import FunctionModel
-from .generators import INDEFINITE, GeneratorSpec, classify, make_generator
+from .generators import GeneratorSpec
 
 __all__ = [
     "ZipfMandelbrotParams",
@@ -94,39 +95,15 @@ def zm_divergence_bounds(
     convexity: str | None = None,
     interval: tuple[float, float] | None = None,
 ) -> BoundReport:
-    """Materialize both laws, take the ratio extrema as [a, b], and delegate.
+    """Materialize both laws and delegate to `divergence_bounds`.
 
-    A `GeneratorSpec` is rebuilt on the computed interval and, when
-    `convexity` is omitted, classified there; a ready `FunctionModel` is used
-    as-is and requires an explicit convexity class.
+    [a, b] defaults to the ratio extrema; a `GeneratorSpec` is rebuilt on it
+    and, when `convexity` is omitted, classified there; a ready
+    `FunctionModel` is used as-is and requires an explicit convexity class.
     """
     if P.N != Q.N:
         raise ValueError(f"laws must share N, got {P.N} and {Q.N}")
-    p = pmf_vector(P)
-    q = pmf_vector(Q)
-    rr = ratio_range(p, q)
-    if interval is None:
-        if rr.is_degenerate:
-            raise ValueError(
-                "identical laws give a degenerate ratio range; supply a wider interval"
-            )
-        a, b = rr.a, rr.b
-    else:
-        a, b = float(interval[0]), float(interval[1])
-    if isinstance(generator, GeneratorSpec):
-        spec = replace(generator, domain=(a, b))
-        f = make_generator(spec)
-        if convexity is None:
-            convexity = classify(spec, n)
-            if convexity == INDEFINITE:
-                raise ValueError(
-                    f"{spec.name} has indefinite order-{n} convexity on [{a}, {b}]; "
-                    "pass an explicit convexity"
-                )
-    else:
-        f = generator
-        if convexity is None:
-            raise ValueError("a plain FunctionModel needs an explicit convexity class")
     return divergence_bounds(
-        f, p, q, n=n, m=m, theorem=theorem, convexity=convexity, interval=(a, b)
+        generator, pmf_vector(P), pmf_vector(Q), n=n, m=m, theorem=theorem,
+        convexity=convexity, interval=interval,
     )

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from elrbounds import cli
+from elrbounds import CONCAVE, GeneratorSpec, classify, cli
 
 
 def run(capsys, *argv):
@@ -96,6 +96,68 @@ def test_div_with_bound_report(capsys):
     assert report["divergence"] > 0
     assert report["lower"] - 1e-12 <= report["lr"] <= report["upper"] + 1e-12
     assert report["convexity"] == "n-concave"
+
+
+# --- auto convexity: one class source (classify) in every subcommand ----------
+
+
+def test_auto_convexity_orients_wide_hellinger_bracket(capsys):
+    # f^(5) < 0 everywhere on (0, inf): hellinger is 5-concave.  A sampled
+    # divided-difference verdict called it 5-convex here and swapped the sides.
+    code, out, _ = run(
+        capsys, "bounds", "--function", "hellinger",
+        "--points", "1e-6,1,1e6", "--weights", "0.3,0.4,0.3", "--interval", "1e-6,1e6",
+        "--theorem", "cor21", "--n", "5", "--m", "3",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["convexity"] == CONCAVE
+    assert report["direction_valid"] is True
+    assert report["lower"] <= report["lr"] <= report["upper"]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("kl", ("bounds", "--function", "kl", "--points", "1e-6,1,1e6", "--weights", "0.3,0.4,0.3",
+                "--interval", "1e-6,1e6", "--theorem", "tm23", "--n", "5")),
+        # Ratio range [1e-6, 999999]; its COR21 sides cross (ROADMAP 4(b)), so
+        # only the class is asserted.
+        ("hellinger", ("div", "--function", "hellinger", "--p", "0.999999,0.000001",
+                       "--q", "0.000001,0.999999", "--theorem", "cor21", "--n", "5", "--m", "3")),
+        ("kl", ("zm", "--zm", "20,0,0.5", "--zm", "20,3,3", "--function", "kl",
+                "--interval", "1e-6,1e6", "--theorem", "tm23", "--n", "5")),
+    ],
+)
+def test_auto_convexity_is_classify_in_every_subcommand(capsys, name, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    want = classify(GeneratorSpec(name, domain=(1e-6, 1e6)), 5)
+    assert want == CONCAVE
+    assert json.loads(out)["convexity"] == want
+
+
+def test_auto_convexity_indefinite_is_a_validation_error(capsys):
+    # t^3 - t^4 has f''' = 6 - 24t, which changes sign at t = 1/4.
+    code, out, err = run(
+        capsys, "bounds", "--function", "poly:0,0,0,1,-1",
+        "--points", "0.5,1.5", "--weights", "0.5,0.5", "--interval", "0,2",
+        "--theorem", "tm23", "--n", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert "indefinite order-3 convexity" in err
+
+
+def test_samples_is_a_verify_flag_only():
+    parser = cli.build_parser()
+    assert parser.parse_args(["verify", "--samples", "7"]).samples == 7
+    for argv in (
+        ["bounds", "--function", "exp", "--theorem", "tm23", "--n", "3"],
+        ["div", "--function", "kl"],
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--samples", "7"])
 
 
 # --- determinism and round-trips ----------------------------------------------
@@ -243,6 +305,14 @@ def test_missing_m_exits_1(capsys, argv, theorem):
     assert code == 1
     assert out == ""
     assert err == f"error: --m: required for --theorem {theorem}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_zm_table_with_mismatched_N_exits_1(capsys, fmt):
+    code, out, err = run(capsys, "zm", "--zm", "3,0,1", "--zm", "2,1,2", "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --zm: laws must share N, got 3 and 2\n"
 
 
 def test_missing_required_flags_exit_1(capsys):

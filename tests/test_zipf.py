@@ -13,6 +13,7 @@ from elrbounds import (
     GeneratorSpec,
     ProbabilityVector,
     ZipfMandelbrotParams,
+    classify,
     divergence_bounds,
     make_generator,
     normalizer,
@@ -110,12 +111,18 @@ def test_zm_bounds_bit_identical_to_materialized_call():
     spec = GeneratorSpec("poly", coeffs=(0, 0, 0, 1))
     got = zm_divergence_bounds(P, Q, spec, n=3, theorem="tm23")
     rr = ratio_extrema(P, Q)
-    f = make_generator(GeneratorSpec("poly", coeffs=(0, 0, 0, 1), domain=(rr.a, rr.b)))
+    on_range = GeneratorSpec("poly", coeffs=(0, 0, 0, 1), domain=(rr.a, rr.b))
+    assert classify(on_range, 3) == CONVEX
+    f = make_generator(on_range)
     want = divergence_bounds(
         f, pmf_vector(P), pmf_vector(Q), n=3, theorem="tm23",
         convexity=CONVEX, interval=(rr.a, rr.b),
     )
     assert got == want  # dataclass equality compares every float bit-for-bit
+    # divergence_bounds itself builds the generator on the ratio range and
+    # classifies it there: the same bits as the explicit route.
+    p, q = pmf_vector(P), pmf_vector(Q)
+    assert divergence_bounds(spec, p, q, n=3, theorem="tm23", convexity=None) == want
 
 
 def test_zm_worked_bracket_against_hand_vectors():
@@ -158,8 +165,13 @@ def test_zm_plain_function_model_needs_convexity():
     f = make_generator(GeneratorSpec("exp", domain=(0.5, 2.0)))
     with pytest.raises(ValueError, match="explicit convexity"):
         zm_divergence_bounds(P, Q, f, n=3, theorem="tm23")
+    with pytest.raises(ValueError, match="explicit convexity"):
+        divergence_bounds(f, pmf_vector(P), pmf_vector(Q), n=3, theorem="tm23")
     rep = zm_divergence_bounds(P, Q, f, n=3, theorem="tm23", convexity=CONVEX)
     assert rep.lower - 1e-12 <= rep.lr <= rep.upper + 1e-12
+    assert divergence_bounds(
+        f, pmf_vector(P), pmf_vector(Q), n=3, theorem="tm23", convexity=CONVEX
+    ) == rep
 
 
 def test_zm_missing_m_is_a_validation_error():
