@@ -11,10 +11,10 @@ pairing two such sides yields a two-sided bracket.
 
 `FAMILIES` registers the bound families by tag: TM21, TM22 (one-sided,
 m >= 3), COR21 (bracket from the TM21 and TM22 sides, odd n) and TM23, TM24
-(brackets from the m = 1, 2 sides); `bound` evaluates any of them.  Every
-divided difference is computed by the confluent table; no closed forms are
-hard-coded.  Convexity classification is an input - certification lives in
-the oracle module.
+(brackets from the m = 1, 2 sides); `bound` evaluates any of them from the
+terms alone, each side reading its divided differences from one
+`endpoint_table`; only the decompositions evaluate the remainder.  No closed
+forms are hard-coded; convexity classification is an input.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .divided_diff import FunctionModel, NodeMultiset, divided_difference, remainder_R
+from .divided_diff import _check_support, endpoint_table
 from .functional import DiscreteFunctional, lr_difference
 
 __all__ = [
@@ -78,12 +79,12 @@ class _Family:
             raise ValueError(f"{self.tag} requires n >= {self.min_n}, got n={n}")
         return [(x, m if k is None else k) for x, k in self.sides]
 
-    def decompose(
+    def terms(
         self, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None
     ) -> Iterator[list[float]]:
-        """Yield each side's terms in turn, from the decomposition its anchor names."""
+        """Yield each side's terms in turn; the remainders they drop are never evaluated."""
         for x, k in self.resolve(n, m):
-            yield (decompose_lemma21 if x == "a" else decompose_lemma22)(f, A, n, k)[0]
+            yield _side_terms(f, A, n, x, k)
 
     def signs(self, n: int, m: int | None, convexity: str) -> list[int]:
         """Sign of the remainder each side drops: the parity rule.
@@ -222,23 +223,30 @@ def _terms(f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean) -
             k = 2..m-1, then f[x x m; y x k] * A[(g-x)^m (g-y)^(k-1)].
     """
     _check_case(n, m)
-    dd = lambda pairs: divided_difference(f, NodeMultiset(pairs))
+    if m >= 3:  # this layout reads f[x, x] first: its errors come first
+        _check_support(f, (x,), 2)
+    T = endpoint_table(f, x, y, m, n - m)
     if m == 1:
-        return [dd(((x, 1), (y, k))) * moment(1, k - 1) for k in range(2, n)]
+        return [T[1][k] * moment(1, k - 1) for k in range(2, n)]
     if m == 2:
-        return [dd(((x, 2), (y, 1))) * moment(1, 1)] + [
-            dd(((x, 2), (y, k))) * moment(2, k - 1) for k in range(2, n - 1)
-        ]
-    f_xx = dd(((x, 2),))
-    f_xy = dd(((x, 1), (y, 1)))
+        return [T[2][1] * moment(1, 1)] + [T[2][k] * moment(2, k - 1) for k in range(2, n - 1)]
     # Anchored at b the lead reads (b - A(g))(f[a,b] - f[b,b]), which keeps
     # lemma 2.2's signed zero when A(g) == b.
+    f_xx, f_xy = T[2][0], T[1][1]
     lead = (mean() - x) * (f_xx - f_xy) if x < y else (x - mean()) * (f_xy - f_xx)
     return (
         [lead]
-        + [float(f.deriv(k, x)) / math.factorial(k) * moment(k, 0) for k in range(2, m)]
-        + [dd(((x, m), (y, k))) * moment(m, k - 1) for k in range(1, n - m + 1)]
+        + [T[k + 1][0] * moment(k, 0) for k in range(2, m)]
+        + [T[m][k] * moment(m, k - 1) for k in range(1, n - m + 1)]
     )
+
+
+def _side_terms(f: FunctionModel, A: DiscreteFunctional, n: int, anchor: str, m: int) -> list:
+    """`_terms` anchored at A's endpoint `anchor` ("a" or "b"), with A's moments."""
+    a, b = A.interval
+    if anchor == "a":
+        return _terms(f, a, b, n, m, A.moment, lambda: A.mean)
+    return _terms(f, b, a, n, m, lambda i, j: A.moment(j, i), lambda: A.mean)
 
 
 def decompose_lemma21(
@@ -250,8 +258,7 @@ def decompose_lemma21(
     they reproduce lr_difference exactly (up to rounding).
     """
     a, b = A.interval
-    terms = _terms(f, a, b, n, m, A.moment, lambda: A.mean)
-    return terms, A.apply(lambda t: remainder_R(f, a, b, m, n, t))
+    return _side_terms(f, A, n, "a", m), A.apply(lambda t: remainder_R(f, a, b, m, n, t))
 
 
 def decompose_lemma22(
@@ -263,8 +270,7 @@ def decompose_lemma22(
     mirror remainder (g-b)^m (g-a)^(n-m) f[g; b x m; a x (n-m)].
     """
     a, b = A.interval
-    terms = _terms(f, b, a, n, m, lambda i, j: A.moment(j, i), lambda: A.mean)
-    return terms, A.apply(lambda t: remainder_R(f, b, a, m, n, t))
+    return _side_terms(f, A, n, "b", m), A.apply(lambda t: remainder_R(f, b, a, m, n, t))
 
 
 def bound(
@@ -272,12 +278,12 @@ def bound(
 ) -> BoundReport:
     """Bound report of family `tag` (any letter case) for LR(f, A).
 
-    Each side is the sum of its decomposition's terms, placed by the parity
-    rule of `FAMILIES[tag]`.  Families with fixed sides (TM23, TM24) ignore m.
+    Each side is its decomposition's term sum (no remainder), placed by the
+    parity rule of `FAMILIES[tag]`.  Families with fixed sides ignore m.
     """
     family = _family(tag)
     _check_convexity(convexity)
-    values = [math.fsum(terms) for terms in family.decompose(f, A, n, m)]
+    values = [math.fsum(terms) for terms in family.terms(f, A, n, m)]
     lower, upper, valid = family.arrange(n, m, convexity, values)
     return BoundReport(
         lr=lr_difference(f, A),

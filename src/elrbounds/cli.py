@@ -196,7 +196,7 @@ def _report_rows(report: dict) -> list[tuple]:
 def _bound_term_rows(args, f: FunctionModel, A: DiscreteFunctional):
     """One row per displayed summand, mirroring the bound's summation structure."""
     family = FAMILIES[args.theorem.upper()]
-    for side, terms in zip(family.labels, family.decompose(f, A, args.n, args.m)):
+    for side, terms in zip(family.labels, family.terms(f, A, args.n, args.m)):
         for k, term in enumerate(terms, start=1):
             yield (f"{side}_term", k, term)
 
@@ -228,7 +228,7 @@ def _run_bounds(args):
     f = make_generator(spec)
     convexity = _auto(args) or definite_class(spec, args.n)
     report = bound(args.theorem, f, A, args.n, args.m, convexity).to_dict()
-    # Lazy: the term rows are decomposed only when --format csv writes them.
+    # Lazy: the term rows are computed only when --format csv writes them.
     return report, itertools.chain(_report_rows(report), _bound_term_rows(args, f, A))
 
 
@@ -328,9 +328,9 @@ def _add_functional_flags(sub):
     sub.add_argument("--functional-file", help='JSON {"points":[...],"weights":[...],"interval":[a,b]}')
 
 
-def _add_bound_flags(sub):
-    sub.add_argument("--theorem", choices=_THEOREM_CHOICES, required=True)
-    sub.add_argument("--n", type=int, required=True)
+def _add_bound_flags(sub, required=True):
+    sub.add_argument("--theorem", choices=_THEOREM_CHOICES, required=required)
+    sub.add_argument("--n", type=int, required=required)
     sub.add_argument("--m", type=int)
     sub.add_argument("--convexity", choices=("auto", CONVEX, CONCAVE), default="auto")
 
@@ -364,21 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     div.add_argument("--p-file", help='JSON {"p":[...]} / bare array / CSV column 1')
     div.add_argument("--q-file", help='JSON {"q":[...]} / bare array / CSV column 2')
     div.add_argument("--interval", help="a,b widened ratio interval")
-    div.add_argument("--theorem", choices=_THEOREM_CHOICES)
-    div.add_argument("--n", type=int)
-    div.add_argument("--m", type=int)
-    div.add_argument("--convexity", choices=("auto", CONVEX, CONCAVE), default="auto")
+    _add_bound_flags(div, required=False)
     div.set_defaults(run=_run_div)
 
     zm = subs.add_parser("zm", help="Zipf-Mandelbrot pmf tables, ratio range and bounds")
     zm.add_argument("--zm", action="append", default=[], metavar="N,q,s", help="law parameters (repeatable)")
     zm.add_argument("--ratio-range", action="store_true")
     zm.add_argument("--function", help="generator for bound mode")
-    zm.add_argument("--theorem", choices=_THEOREM_CHOICES)
-    zm.add_argument("--n", type=int)
-    zm.add_argument("--m", type=int)
     zm.add_argument("--interval", help="a,b widened ratio interval")
-    zm.add_argument("--convexity", choices=("auto", CONVEX, CONCAVE), default="auto")
+    _add_bound_flags(zm, required=False)
     zm.add_argument("--format", choices=("json", "csv"), default="json")
     zm.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     zm.set_defaults(run=_run_zm)
@@ -407,8 +401,9 @@ def main(argv=None) -> int:
             return 1
     try:
         if getattr(args, "theorem", None) is not None:
-            if args.n is None:
-                raise ValueError("--n: required with --theorem")
+            for flag in ("n", "function"):
+                if getattr(args, flag) is None:
+                    raise ValueError(f"--{flag}: required with --theorem")
             if args.m is None and FAMILIES[args.theorem.upper()].takes_m:
                 raise ValueError(f"--m: required for --theorem {args.theorem}")
         value, rows = args.run(args)

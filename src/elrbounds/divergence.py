@@ -142,9 +142,11 @@ def ratio_range(p: ProbabilityVector, q: ProbabilityVector) -> RatioRange:
 def _pq_moment(
     p: ProbabilityVector, q: ProbabilityVector, a: float, b: float, j: int, k: int
 ) -> float:
-    """sum_i (p_i - a q_i)^j (p_i - b q_i)^k / q_i^(j+k-1)."""
+    """sum_i (p_i - a q_i)^j (p_i - b q_i)^k / q_i^(j+k-1), a summand whose
+    q_i^(j+k-1) underflows to 0 as q_i ((p_i - a q_i)/q_i)^j ((p_i - b q_i)/q_i)^k."""
     return math.fsum(
-        (pi - a * qi) ** j * (pi - b * qi) ** k / qi ** (j + k - 1)
+        (pi - a * qi) ** j * (pi - b * qi) ** k / d if (d := qi ** (j + k - 1))
+        else qi * ((pi - a * qi) / qi) ** j * ((pi - b * qi) / qi) ** k
         for pi, qi in zip(p, q)
     )
 

@@ -3,9 +3,10 @@
 Divided differences over a node multiset are evaluated with the confluent
 Newton table: the multiset is flattened in ascending order with equal nodes
 adjacent, a cell spanning a run of j+1 copies of the same node t equals
-f^(j)(t)/j!, and every other cell uses the quotient recursion.  On top of the
-table sit the Newton form (coefficients are divided differences over node
-prefixes), the two-point form matching m derivative orders at the left
+f^(j)(t)/j!, and every other cell uses the quotient recursion
+(`endpoint_table` fills every f[x x i; y x j] of two nodes at once).  On top
+of the table sit the Newton form (coefficients are divided differences over
+node prefixes), the two-point form matching m derivative orders at the left
 endpoint and n-m at the right one, and the two remainder evaluations that
 make f(t) = P(t) + R(t) an identity.
 
@@ -25,6 +26,7 @@ __all__ = [
     "NodeMultiset",
     "NewtonForm",
     "divided_difference",
+    "endpoint_table",
     "newton_interpolant",
     "hermite_mn",
     "remainder_R",
@@ -139,6 +141,27 @@ def _poly_deriv_coeffs(coeffs: tuple[float, ...], order: int) -> tuple[float, ..
     return tuple(out)
 
 
+def _check_gap(u: float, v: float) -> None:
+    if v - u < _NEAR_NODE_REL * max(1.0, abs(u), abs(v)):
+        raise ValueError(
+            f"nodes {u!r} and {v!r} are distinct but closer than "
+            f"{_NEAR_NODE_REL} relative; merge or separate them explicitly"
+        )
+
+
+def _check_support(f: FunctionModel, nodes: Iterable[float], mult: int) -> None:
+    """Every node inside f's domain, then the derivative order a run of `mult` equal nodes needs."""
+    lo, hi = f.domain
+    for v in nodes:
+        if v < lo or v > hi:
+            raise ValueError(f"node {v!r} outside domain [{lo}, {hi}] of {f.name!r}")
+    if mult - 1 > f.max_order:
+        raise ValueError(
+            f"multiplicity {mult} requires derivative order "
+            f"{mult - 1}, but {f.name!r} declares max_order {f.max_order}"
+        )
+
+
 @dataclass(frozen=True)
 class NodeMultiset:
     """Interpolation nodes with multiplicities, kept sorted and exactly merged.
@@ -164,12 +187,7 @@ class NodeMultiset:
             raise ValueError("node multiset must not be empty")
         items = tuple(sorted(merged.items()))
         for (u, _), (v, _) in zip(items, items[1:]):
-            scale = max(1.0, abs(u), abs(v))
-            if v - u < _NEAR_NODE_REL * scale:
-                raise ValueError(
-                    f"nodes {u!r} and {v!r} are distinct but closer than "
-                    f"{_NEAR_NODE_REL} relative; merge or separate them explicitly"
-                )
+            _check_gap(u, v)
         object.__setattr__(self, "entries", items)
 
     @classmethod
@@ -232,16 +250,7 @@ class NewtonForm:
 
 def _confluent_table(f: FunctionModel, nodes: NodeMultiset) -> list[list[float]]:
     """Columns of the confluent table; cols[j][i] = f over flattened nodes i..i+j."""
-    lo, hi = f.domain
-    for v, _ in nodes.entries:
-        if v < lo or v > hi:
-            raise ValueError(f"node {v!r} outside domain [{lo}, {hi}] of {f.name!r}")
-    need = nodes.max_multiplicity - 1
-    if need > f.max_order:
-        raise ValueError(
-            f"multiplicity {nodes.max_multiplicity} requires derivative order "
-            f"{need}, but {f.name!r} declares max_order {f.max_order}"
-        )
+    _check_support(f, (v for v, _ in nodes.entries), nodes.max_multiplicity)
     z = nodes.flatten()
     cols = [[float(f(v)) for v in z]]
     for j in range(1, len(z)):
@@ -264,6 +273,28 @@ def divided_difference(f: FunctionModel, nodes: NodeMultiset) -> float:
     on the order distinct nodes were supplied in.
     """
     return float(_confluent_table(f, nodes)[-1][0])
+
+
+def endpoint_table(f: FunctionModel, x: float, y: float, rows: int, cols: int) -> list[list[float]]:
+    """Two-point divided differences T[i][j] = f[x x i; y x j], i <= rows, j <= cols (both >= 1).
+
+    Borders f^(k)/k! at x (column 0) and y (row 0), other cells
+    (T[i-1][j] - T[i][j-1]) / (y - x) with the nodes in ascending order: bit
+    for bit the confluent table's cells, with its errors in the order a row of
+    cells meets them (gap, domain, f[x, x], f^(k)(x), then a run of y too long).
+    """
+    u, v = sorted((x, y))
+    _check_gap(u, v)
+    _check_support(f, (u, v), min(rows, 2))
+    fact = math.factorial
+    table = [[0.0], [float(f(x))]] + [[float(f.deriv(k, x)) / fact(k)] for k in range(1, rows)]
+    _check_support(f, (), min(cols, f.max_order + 2))
+    table[0] += [float(f(y))] + [float(f.deriv(k, y)) / fact(k) for k in range(1, cols)]
+    for i in range(1, rows + 1):
+        for j in range(1, cols + 1):
+            up, left = table[i - 1][j], table[i][j - 1]  # drop one x, drop one y
+            table[i].append((up - left) / (v - u) if x < y else (left - up) / (v - u))
+    return table
 
 
 def newton_interpolant(f: FunctionModel, nodes: NodeMultiset) -> NewtonForm:

@@ -50,31 +50,34 @@ class ZipfMandelbrotParams:
         object.__setattr__(self, "s", float(self.s))
 
 
-def _term(i: int, params: ZipfMandelbrotParams) -> float:
+def _weights(params: ZipfMandelbrotParams) -> tuple[list[float], float]:
+    """(i + q)^(-s) for i = 1..N, and their sum H."""
     # i + q >= 1, so (i+q)^(-s) lies in (0, 1]: no overflow is possible and a
     # plain power (which underflows gracefully to 0.0) is the accurate choice.
-    return (i + params.q) ** -params.s
+    terms = [(i + params.q) ** -params.s for i in range(1, params.N + 1)]
+    h = math.fsum(terms)
+    if not h > 0.0:
+        raise ValueError(f"normalizer underflowed to {h} for {params}")
+    return terms, h
 
 
 def normalizer(params: ZipfMandelbrotParams) -> float:
     """H = sum over i = 1..N of (i + q)^(-s)."""
-    h = math.fsum(_term(i, params) for i in range(1, params.N + 1))
-    if not h > 0.0:
-        raise ValueError(f"normalizer underflowed to {h} for {params}")
-    return h
+    return _weights(params)[1]
 
 
 def pmf(i: int, params: ZipfMandelbrotParams) -> float:
     """(i + q)^(-s) / H for 1 <= i <= N."""
     if not 1 <= i <= params.N:
         raise ValueError(f"i = {i} outside support 1..{params.N}")
-    return _term(i, params) / normalizer(params)
+    terms, h = _weights(params)
+    return terms[i - 1] / h
 
 
 def pmf_vector(params: ZipfMandelbrotParams) -> ProbabilityVector:
-    """The full pmf as a probability vector."""
-    h = normalizer(params)
-    return ProbabilityVector(tuple(_term(i, params) / h for i in range(1, params.N + 1)))
+    """The full pmf as a probability vector; each (i + q)^(-s) is computed once."""
+    terms, h = _weights(params)
+    return ProbabilityVector(tuple(t / h for t in terms))
 
 
 def ratio_extrema(P: ZipfMandelbrotParams, Q: ZipfMandelbrotParams) -> RatioRange:

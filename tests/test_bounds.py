@@ -23,7 +23,7 @@ from elrbounds import (
     lr_difference,
     n3_closed_form,
 )
-from elrbounds.bounds import FAMILIES
+from elrbounds.bounds import FAMILIES, bound
 
 from conftest import exp_model, poly_model, random_functional
 
@@ -419,3 +419,91 @@ def test_parity_case_validation():
         ParityCase(3, 5, CONVEX)
     with pytest.raises(ValueError, match="convexity"):
         ParityCase(3, 1, "wiggly")
+
+
+# --- the bound path skips the remainder ---------------------------------------
+#
+# A bound is its decomposition's terms with the remainder dropped, so the
+# bound path never evaluates remainder_R; only the identity audit does.
+
+
+def test_bound_path_never_evaluates_the_remainder(monkeypatch, capsys):
+    from elrbounds import GeneratorSpec, ProbabilityVector, bounds, cli, divergence_bounds, divided_diff
+    from elrbounds.oracle import AuditConfig, audit_brackets, audit_identities
+
+    def forbidden(*args):
+        raise AssertionError("remainder_R reached")
+
+    monkeypatch.setattr(bounds, "remainder_R", forbidden)
+    monkeypatch.setattr(divided_diff, "remainder_R", forbidden)
+    f = exp_model(domain=(0.0, 2.0))
+    A = DiscreteFunctional((0.5, 1.5, 1.9), (0.3, 0.3, 0.4), (0.0, 2.0))
+    p = ProbabilityVector((0.2, 0.5, 0.3))
+    q = ProbabilityVector((0.4, 0.3, 0.3))
+    for tag in FAMILIES:
+        bound(tag, f, A, 5, 3, CONVEX)
+        divergence_bounds(GeneratorSpec("kl"), p, q, n=5, m=3, theorem=tag)
+        argv = ["bounds", "--function", "exp", "--points", "0.5,1.5", "--weights", "0.5,0.5",
+                "--interval", "0,2", "--theorem", tag.lower(), "--n", "5", "--m", "3",
+                "--format", "csv"]
+        assert cli.main(argv) == 0
+        assert "_term," in capsys.readouterr().out
+    audit_brackets(AuditConfig(cases_per_theorem=5, seed=3))
+    with pytest.raises(AssertionError, match="remainder_R reached"):
+        audit_identities(AuditConfig(cases=5, seed=3))
+
+
+@pytest.mark.parametrize("tag", list(FAMILIES))
+def test_bound_sides_are_the_decomposition_term_sums(tag):
+    rng = np.random.default_rng(list(FAMILIES).index(tag))
+    family = FAMILIES[tag]
+    models = {"exp": exp_model(domain=(0.2, 2.2)), "t5": poly_model([0, 0, 0, 0, 0, 1.0], (0.2, 2.2))}
+    for name, f in models.items():
+        for n in range(max(3, family.min_n), 10):
+            m = int(rng.integers(3, n)) if family.takes_m else None
+            A = random_functional(rng, (0.2, 2.2))
+            for convexity in (CONVEX, CONCAVE):
+                report = bound(tag, f, A, n, m, convexity)
+                values = [
+                    math.fsum((decompose_lemma21 if x == "a" else decompose_lemma22)(f, A, n, k)[0])
+                    for x, k in family.resolve(n, m)
+                ]
+                want = family.arrange(n, m, convexity, values)[:2]
+                got = (report.lower, report.upper)
+                assert [None if v is None else v.hex() for v in got] == [
+                    None if v is None else v.hex() for v in want
+                ], (name, n, m, convexity)
+
+
+# The endpoint table raises the errors the per-cell confluent tables raised,
+# in the order the terms used to meet them.
+_T3 = "'poly(0.0,0.0,0.0,1.0)'"
+
+
+@pytest.mark.parametrize(
+    "tag,max_order,points,interval,n,m,message",
+    [
+        ("TM21", 2, (0.5, 1.5), (0.0, 2.0), 5, 4, f"derivative order 3 outside 1..2 declared by {_T3}"),
+        ("TM23", 1, (0.5, 1.5), (0.0, 2.0), 5, None,
+         f"multiplicity 3 requires derivative order 2, but {_T3} declares max_order 1"),
+        ("TM22", 0, (0.5, 1.5), (0.0, 2.0), 5, 3,
+         f"multiplicity 2 requires derivative order 1, but {_T3} declares max_order 0"),
+        ("TM21", 12, (1.0,), (1.0, 1.0 + 1e-14), 5, 3,
+         "nodes 1.0 and 1.00000000000001 are distinct but closer than 1e-13 relative; "
+         "merge or separate them explicitly"),
+        ("TM24", 12, (1.0,), (1.0, 1.0 + 1e-14), 5, None,
+         "nodes 1.0 and 1.00000000000001 are distinct but closer than 1e-13 relative; "
+         "merge or separate them explicitly"),
+        ("TM22", 12, (1.0,), (-1.0, 3.0), 5, 3, f"node 3.0 outside domain [0.0, 2.0] of {_T3}"),
+        ("TM24", 12, (1.0,), (-1.0, 3.0), 5, None, f"node -1.0 outside domain [0.0, 2.0] of {_T3}"),
+        ("TM21", 12, (1.0,), (1.0, 3.0), 5, 3, f"node 3.0 outside domain [0.0, 2.0] of {_T3}"),
+    ],
+)
+def test_bound_error_texts_are_unchanged(tag, max_order, points, interval, n, m, message):
+    from elrbounds import FunctionModel
+
+    f = FunctionModel.from_polynomial([0, 0, 0, 1], (0.0, 2.0), max_order=max_order)
+    A = DiscreteFunctional(points, (1.0 / len(points),) * len(points), interval)
+    with pytest.raises(ValueError) as excinfo:
+        bound(tag, f, A, n, m, CONVEX)
+    assert str(excinfo.value) == message

@@ -307,6 +307,22 @@ def test_missing_m_exits_1(capsys, argv, theorem):
     assert err == f"error: --m: required for --theorem {theorem}\n"
 
 
+def test_div_with_an_underflowing_moment_denominator_exits_0(capsys):
+    code, out, err = run(
+        capsys, "div", "--function", "kl", "--p", "1e-45,0.4,0.6", "--q", "1e-45,0.5,0.5",
+        "--theorem", "tm21", "--n", "12", "--m", "11",
+    )
+    assert (code, err) == (0, "")
+    assert '"theorem":"TM21"' in out
+
+
+def test_zm_missing_function_exits_1(capsys):
+    code, out, err = run(capsys, "zm", "--zm", "5,0,1", "--zm", "5,1,2", "--theorem", "tm23", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --function: required with --theorem\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_zm_table_with_mismatched_N_exits_1(capsys, fmt):
     code, out, err = run(capsys, "zm", "--zm", "3,0,1", "--zm", "2,1,2", "--format", fmt)

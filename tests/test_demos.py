@@ -1,4 +1,10 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Every script under demos/ runs to completion and prints its pinned output.
+
+tests/golden/demos/<name>.txt holds the stdout of demos/<name>.py byte for
+byte.  Regenerate one after an intended output change with
+
+    PYTHONPATH=src python demos/<name>.py > tests/golden/demos/<name>.txt
+"""
 
 from __future__ import annotations
 
@@ -11,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN_DIR = Path(__file__).parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -18,6 +25,7 @@ def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("ELR_SEED", None)
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.returncode == 0, proc.stderr[-2000:].decode(errors="replace")
+    assert proc.stdout == (GOLDEN_DIR / f"{demo.stem}.txt").read_bytes()

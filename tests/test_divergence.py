@@ -289,3 +289,21 @@ def test_moment_slip_in_direct_route_raises(monkeypatch):
     monkeypatch.setattr(divergence, "_pq_moment", slipped)
     with pytest.raises(RuntimeError, match="differ"):
         divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
+
+
+def test_direct_route_survives_an_underflowing_moment_denominator():
+    # q_1^11 underflows to 0.0; the crosscheck used to divide by it.
+    p = ProbabilityVector((1e-45, 0.4, 0.6 - 1e-45))
+    q = ProbabilityVector((1e-45, 0.5 - 1e-45, 0.5))
+    report = divergence_bounds(GeneratorSpec("kl"), p, q, n=12, m=11, theorem="tm21")
+    assert report.lower is None and math.isfinite(report.upper)
+
+
+def test_near_node_ratios_reach_the_bound():
+    # Ratios 1e-17 and 1e-14 are distinct but closer than 1e-13 relative: a
+    # remainder over them has no table, but the bound never forms one.
+    p = ProbabilityVector((3e-18, 3e-15, 1 - 3e-18 - 3e-15))
+    q = ProbabilityVector((0.3, 0.3, 0.4))
+    report = divergence_bounds(GeneratorSpec("hellinger"), p, q, n=5, theorem="TM24")
+    assert report.direction_valid
+    assert report.lower <= report.lr <= report.upper

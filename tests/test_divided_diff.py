@@ -11,13 +11,17 @@ from hypothesis import strategies as st
 
 from elrbounds import (
     FunctionModel,
+    GeneratorSpec,
     NodeMultiset,
     divided_difference,
     hermite_mn,
+    make_generator,
     newton_interpolant,
     remainder_R,
     remainder_Rstar,
 )
+
+from elrbounds.divided_diff import endpoint_table
 
 from conftest import exp_model, lagrange_dd, poly_model
 
@@ -127,6 +131,47 @@ def test_exactly_equal_entries_merge():
     assert ms.entries == ((0.0, 1), (1.0, 3))
     assert ms.total_count == 4
     assert ms.max_multiplicity == 3
+
+
+# --- endpoint_table -----------------------------------------------------------
+
+_KINDS = ("kl", "hellinger", "harmonic", "jeffreys", "exp", "power")
+
+
+def _endpoint_intervals(rng):
+    """Seeded intervals 1e-3 to 1e3 wide, one of each width starting at 1e-6."""
+    for width in (1e-3, 1e-1, 1e1, 1e3):
+        yield 1e-6, 1e-6 + width
+        a = float(rng.uniform(0.1, 2.0))
+        yield a, a + width * float(rng.uniform(1.0, 3.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize("kind", _KINDS)
+def test_endpoint_table_is_the_confluent_table_bit_for_bit(kind):
+    rng = np.random.default_rng(_KINDS.index(kind))
+    for a, b in _endpoint_intervals(rng):
+        f = make_generator(GeneratorSpec(kind, domain=(a, b), exponent=2.5))
+        for n in range(3, 13):
+            for x, y in ((a, b), (b, a)):
+                table = endpoint_table(f, x, y, n, n)
+                for i in range(n + 1):
+                    for j in range(n - i + 1):
+                        if i + j == 0:
+                            continue
+                        nodes = NodeMultiset(tuple((t, c) for t, c in ((x, i), (y, j)) if c))
+                        assert table[i][j].hex() == divided_difference(f, nodes).hex(), (
+                            kind, a, b, n, x, i, j,
+                        )
+
+
+def test_endpoint_table_sub_rectangles_agree():
+    f = exp_model(domain=(0.0, 2.0))
+    full = endpoint_table(f, 2.0, 0.0, 6, 6)
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            part = endpoint_table(f, 2.0, 0.0, rows, cols)
+            assert [r[: cols + 1] for r in full[: rows + 1]] == part
 
 
 # --- newton_interpolant -----------------------------------------------------

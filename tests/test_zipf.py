@@ -51,7 +51,9 @@ def test_pmf_normalization():
         )
         total = math.fsum(pmf(i, params) for i in range(1, params.N + 1))
         assert abs(total - 1.0) <= 1e-12
-        assert isinstance(pmf_vector(params), ProbabilityVector)
+        vector = pmf_vector(params)
+        assert isinstance(vector, ProbabilityVector)
+        assert (vector.values[0], vector.values[-1]) == (pmf(1, params), pmf(params.N, params))
 
 
 def test_pmf_out_of_support_rejected():
