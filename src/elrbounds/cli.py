@@ -4,8 +4,9 @@ Output is byte-stable for fixed inputs and seed: JSON fields appear in a
 fixed order and floats are printed with 17 significant digits, so re-parsing
 reproduces the exact values.  Each subcommand returns its JSON value and its
 CSV rows, and `main` writes the one that --format asks for.  Exit status is
-0 on success, 1 on validation errors (reported with the offending field),
-and 2 when `verify` finds a violated identity or bracket.  `--convexity auto`
+0 on success, 1 on validation errors (reported with the offending field)
+and when a divergence bound fails its dual-route crosscheck, and 2 when
+`verify` finds a violated identity or bracket.  `--convexity auto`
 takes the class from `generators.classify` in bounds, div and zm alike (an
 indefinite class is a validation error); only verify samples, so --samples
 is a verify flag and --seed matters only there.  The ELR_SEED environment
@@ -408,7 +409,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"--m: required for --theorem {args.theorem}")
         value, rows = args.run(args)
         print(_csv_lines(rows) if args.format == "csv" else dumps(value))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     failed = args.subcommand == "verify" and any(section["failures"] for section in value.values())

@@ -18,6 +18,9 @@ moments
     sum_i (p_i - a q_i)^j (p_i - b q_i)^k / q_i^(j + k - 1)
 
 as an independent transcription check; the two routes must agree to 1e-12.
+On large point sets each route reads its moments from its own power table
+(the functional's, freed before the crosscheck starts, and one the crosscheck
+builds per call), bit-identical to the point-by-point sums.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family, _terms
 from .divided_diff import FunctionModel
-from .functional import DiscreteFunctional
+from .functional import _TABLE_MIN_POINTS, DiscreteFunctional, _Powers
 from .generators import GeneratorSpec, definite_class, make_generator
 
 __all__ = [
@@ -128,14 +133,20 @@ def f_divergence(f: FunctionModel, p: ProbabilityVector, q: ProbabilityVector) -
     return math.fsum(terms)
 
 
-def ratio_range(p: ProbabilityVector, q: ProbabilityVector) -> RatioRange:
-    """(min p_i/q_i, max p_i/q_i); every q_i must be positive."""
-    _check_pair(p, q)
+def _ratios(p: ProbabilityVector, q: ProbabilityVector) -> list[float]:
+    """p_i / q_i for each entry; every q_i must be positive."""
     ratios = []
     for i, (pi, qi) in enumerate(zip(p, q)):
         if qi <= 0.0:
             raise ValueError(f"entry {i}: q_i = {qi} must be positive for ratio bounds")
         ratios.append(pi / qi)
+    return ratios
+
+
+def ratio_range(p: ProbabilityVector, q: ProbabilityVector) -> RatioRange:
+    """(min p_i/q_i, max p_i/q_i); every q_i must be positive."""
+    _check_pair(p, q)
+    ratios = _ratios(p, q)
     return RatioRange(min(ratios), max(ratios))
 
 
@@ -149,6 +160,37 @@ def _pq_moment(
         else qi * ((pi - a * qi) / qi) ** j * ((pi - b * qi) / qi) ** k
         for pi, qi in zip(p, q)
     )
+
+
+def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
+    """moment(x, y, j, k) = `_pq_moment(p, q, x, y, j, k)` for x, y in {a, b}.
+
+    From `_TABLE_MIN_POINTS` points on, every moment is read from one power
+    table of p_i - a q_i, p_i - b q_i and q_i, built for these four arguments
+    and bit-identical to `_pq_moment`, errors included.
+    """
+    if len(q) < _TABLE_MIN_POINTS:
+        return lambda x, y, j, k: _pq_moment(p, q, x, y, j, k)
+    pv, qv = np.array(p.values), np.array(q.values)
+    with np.errstate(all="ignore"):
+        U = {x: _Powers(pv - x * qv) for x in (a, b)}
+    D = _Powers(qv)
+
+    def moment(x: float, y: float, j: int, k: int) -> float:
+        try:
+            with np.errstate(all="ignore"):
+                d = D[j + k - 1]
+                terms = U[x][j] * U[y][k] / d
+            for i in np.flatnonzero(d == 0.0).tolist():  # _pq_moment's underflow form
+                pi, qi = p.values[i], q.values[i]
+                terms[i] = qi * ((pi - x * qi) / qi) ** j * ((pi - y * qi) / qi) ** k
+        except ArithmeticError:
+            # As in `DiscreteFunctional.moment`: the point-by-point sum reports
+            # its first error in point order.
+            return _pq_moment(p, q, x, y, j, k)
+        return math.fsum(terms.tolist())
+
+    return moment
 
 
 def direct_bound_values(
@@ -170,11 +212,11 @@ def direct_bound_values(
     audit's job).  Returns (lower, upper) arranged by the same parity rule.
     """
     family = _family(theorem)
+    moment = _pq_moments(p, q, a, b)
 
     def side(anchor: str, k: int) -> float:
         x, y = (a, b) if anchor == "a" else (b, a)
-        moment = lambda i, j: _pq_moment(p, q, x, y, i, j)
-        return math.fsum(_terms(f, x, y, n, k, moment, lambda: 1.0))
+        return math.fsum(_terms(f, x, y, n, k, lambda i, j: moment(x, y, i, j), lambda: 1.0))
 
     values = [side(x, k) for x, k in family.resolve(n, m)]
     return family.arrange(n, m, convexity, values)[:2]
@@ -203,7 +245,8 @@ def divergence_bounds(
     """
     _check_pair(p, q)
     theorem = _family(theorem).tag
-    rr = ratio_range(p, q)
+    ratios = _ratios(p, q)
+    rr = RatioRange(min(ratios), max(ratios))
     if interval is None:
         a, b = rr.a, rr.b
     else:
@@ -225,12 +268,12 @@ def divergence_bounds(
         f = generator
         if convexity is None:
             raise ValueError("a plain FunctionModel needs an explicit convexity class")
-    A = DiscreteFunctional(
-        points=tuple(pi / qi for pi, qi in zip(p, q)),
-        weights=q.values,
-        interval=(a, b),
-    )
+    # The ratios and the functional with its power table are freed before
+    # the crosscheck builds its own table.
+    A = DiscreteFunctional(points=tuple(ratios), weights=q.values, interval=(a, b))
+    del ratios
     report = _bounds.bound(theorem, f, A, n, m, convexity)
+    del A
     direct = direct_bound_values(f, p, q, a, b, n=n, m=m, theorem=theorem, convexity=convexity)
     for side, delegated, direct_v in zip(("lower", "upper"), (report.lower, report.upper), direct):
         if (delegated is None) != (direct_v is None):

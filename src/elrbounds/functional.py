@@ -5,19 +5,55 @@ to one and points inside a stored closed interval [a, b].  It realizes a
 positive linear functional A with A(1) = 1 applied to point values.
 `lr_difference` evaluates A(f(g)) minus the chord of f through (a, f(a)) and
 (b, f(b)) taken at A(g) - the quantity every bound in this package brackets.
+
+Moments of large point sets are read from a power table (`_Powers`) that
+raises each base to each exponent once; it reproduces the point-by-point sums
+bit for bit, so results never depend on which path ran.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Callable
+
+import numpy as np
 
 from .divided_diff import FunctionModel
 
 __all__ = ["DiscreteFunctional", "lr_difference"]
 
 _WEIGHT_SUM_TOL = 1e-12
+
+# Smallest point set whose moments come from a power table.  Below it the
+# point-by-point sums are faster, because numpy's per-call overhead outweighs
+# the powers the table saves.  Measured on `divergence_bounds` (kl, TM23 n=9
+# and COR21 n=7, Dirichlet pairs; 2 vCPU x86-64, Python 3.11, numpy 2.4), an
+# op with tables took 1.40x the scalar time at 8 points, 1.02x at 32, 0.90x
+# at 48 and 64 and 0.72x at 128; the gate sits at twice the break-even.
+_TABLE_MIN_POINTS = 64
+
+
+class _Powers:
+    """base ** e as float64 arrays, each integer exponent raised once, on first use.
+
+    Every power is Python's float `**`, the libm `pow` the scalar sums call:
+    `np.power` and repeated products round differently in the last bit.
+    Exponent 0 is 1.0 and exponent 1 the base itself, as `**` gives them.
+    """
+
+    def __init__(self, base: np.ndarray):
+        self._arrays = {1: base}
+
+    def __getitem__(self, e: int):
+        if e == 0:
+            return 1.0
+        if e not in self._arrays:
+            base = self._arrays[1]
+            self._arrays[e] = np.fromiter(map(pow, base.tolist(), repeat(e)), float, len(base))
+        return self._arrays[e]
 
 
 @dataclass(frozen=True)
@@ -27,7 +63,9 @@ class DiscreteFunctional:
     The interval is stored, not inferred: the bounds depend on the chosen
     enclosing [a, b], which may be strictly wider than the point range.
     Weight sums within 1e-12 of one are renormalized exactly; zero-weight
-    points are kept.
+    points are kept.  From `_TABLE_MIN_POINTS` points on, `moment` keeps a
+    power table of g - a and g - b for the functional's lifetime: 8 bytes per
+    point for each exponent raised.
     """
 
     points: tuple[float, ...]
@@ -75,10 +113,25 @@ class DiscreteFunctional:
         """A[(g - a)^j (g - b)^k] for the stored interval endpoints."""
         if j < 0 or k < 0:
             raise ValueError(f"moment orders must be nonnegative, got ({j}, {k})")
+        if len(self.points) < _TABLE_MIN_POINTS:
+            return _moment_sum(self.weights, self.points, *self.interval, j, k)
+        w, P, Q = self._powers
+        try:
+            with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
+                terms = w * P[j] * Q[k]
+        except OverflowError:
+            # The table raises every power before summing; the point-by-point
+            # sum reports its first error in point order (maybe fsum's own).
+            return _moment_sum(self.weights, self.points, *self.interval, j, k)
+        return math.fsum(terms.tolist())
+
+    @cached_property
+    def _powers(self) -> tuple[np.ndarray, _Powers, _Powers]:
+        """The weights and the power tables of g - a and g - b."""
         a, b = self.interval
-        return math.fsum(
-            w * (x - a) ** j * (x - b) ** k for w, x in zip(self.weights, self.points)
-        )
+        x = np.array(self.points)
+        with np.errstate(all="ignore"):
+            return np.array(self.weights), _Powers(x - a), _Powers(x - b)
 
     def to_dict(self) -> dict:
         return {
@@ -97,6 +150,11 @@ class DiscreteFunctional:
             )
         except (KeyError, IndexError, TypeError) as exc:
             raise ValueError(f"functional JSON needs points/weights/interval: {exc}") from exc
+
+
+def _moment_sum(weights, points, a: float, b: float, j: int, k: int) -> float:
+    """sum of w_i (x_i - a)^j (x_i - b)^k point by point: the power table's reference."""
+    return math.fsum(w * (x - a) ** j * (x - b) ** k for w, x in zip(weights, points))
 
 
 def lr_difference(f: FunctionModel, A: DiscreteFunctional) -> float:

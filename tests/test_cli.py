@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +378,29 @@ def test_dd_interpolant_debug_output(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"nodes": [0.0, 1.0, 2.0], "coeffs": [0.0, 1.0, 1.0]}
+
+
+def test_div_crosscheck_failure_exits_1(capsys):
+    code, out, err = run(
+        capsys, "div", "--function", "kl",
+        "--p", "0.778139032993772,0.219459595845111,0.002401371161117027",
+        "--q", "0.0012753655699430458,0.10148967407791686,0.8972349603521401",
+        "--theorem", "tm24", "--n", "8",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: TM24 lower: delegated value ")
+    assert err.endswith(" differ by more than 1e-12\n")
+
+
+def test_zm_above_the_moment_table_gate_writes_no_stderr():
+    # 100 points reach both power tables; q_i ~ i^-40 makes q_i^5 underflow,
+    # so numpy would warn about the divisions the fallback replaces.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = ["zm", "--zm", "100,0,1", "--zm", "100,0,40", "--function", "kl",
+            "--theorem", "tm21", "--n", "7", "--m", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "elrbounds.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert '"theorem":"TM21"' in proc.stdout

@@ -291,6 +291,29 @@ def test_moment_slip_in_direct_route_raises(monkeypatch):
         divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
 
 
+def test_moment_slip_in_the_direct_route_table_raises(monkeypatch):
+    # The same negative control above the power-table gate, where the
+    # crosscheck reads its moments from `_pq_moments` instead of `_pq_moment`.
+    from elrbounds import ZipfMandelbrotParams, divergence, pmf_vector
+    from elrbounds.functional import _TABLE_MIN_POINTS
+
+    N = 2 * _TABLE_MIN_POINTS
+    p = pmf_vector(ZipfMandelbrotParams(N, 1.0, 1.2))
+    q = pmf_vector(ZipfMandelbrotParams(N, 2.0, 1.5))
+    honest = divergence._pq_moments
+
+    def slipped(p, q, a, b):
+        moment = honest(p, q, a, b)
+        return lambda x, y, j, k: moment(x, y, j, k) * (1.0 + 1e-6 * (j == 1 and k == 1))
+
+    divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+    monkeypatch.setattr(divergence, "_pq_moment", None)  # the table path never calls it
+    divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+    monkeypatch.setattr(divergence, "_pq_moments", slipped)
+    with pytest.raises(RuntimeError, match="differ"):
+        divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+
+
 def test_direct_route_survives_an_underflowing_moment_denominator():
     # q_1^11 underflows to 0.0; the crosscheck used to divide by it.
     p = ProbabilityVector((1e-45, 0.4, 0.6 - 1e-45))
