@@ -5,7 +5,7 @@ fixed order and floats are printed with 17 significant digits, so re-parsing
 reproduces the exact values.  Each subcommand returns its JSON value and its
 CSV rows, and `main` writes the one that --format asks for.  Exit status is
 0 on success, 1 on validation errors (reported with the offending field)
-and when a divergence bound fails its dual-route crosscheck, and 2 when
+and when a div or zm bound fails its dual-route crosscheck, and 2 when
 `verify` finds a violated identity or bracket.  `--convexity auto`
 takes the class from `generators.classify` in bounds, div and zm alike (an
 indefinite class is a validation error); only verify samples, so --samples
@@ -233,6 +233,17 @@ def _run_bounds(args):
     return report, itertools.chain(_report_rows(report), _bound_term_rows(args, f, A))
 
 
+def _crosschecked(bounds, *args, **kwargs):
+    """`bounds(*args, **kwargs)`, with the crosscheck's refusal (a plain
+    RuntimeError; subclasses such as RecursionError propagate) as a ValueError."""
+    try:
+        return bounds(*args, **kwargs)
+    except RuntimeError as exc:
+        if type(exc) is not RuntimeError:
+            raise
+        raise ValueError(str(exc)) from exc
+
+
 def _run_div(args):
     p = _load_distribution(args.p, args.p_file, "p", "--p")
     q = _load_distribution(args.q, args.q_file, "q", "--q")
@@ -241,9 +252,9 @@ def _run_div(args):
     if args.theorem is None:
         value = f_divergence(make_generator(spec), p, q)
         return value, [("divergence",), (value,)]
-    report = divergence_bounds(
-        spec, p, q, n=args.n, m=args.m, theorem=args.theorem, convexity=_auto(args),
-        interval=interval,
+    report = _crosschecked(
+        divergence_bounds, spec, p, q, n=args.n, m=args.m, theorem=args.theorem,
+        convexity=_auto(args), interval=interval,
     )
     out = {"divergence": f_divergence(make_generator(spec), p, q)}
     out.update(report.to_dict())
@@ -270,9 +281,9 @@ def _run_zm(args):
     if len(laws) != 2:
         raise ValueError("--theorem: needs exactly two --zm laws")
     interval = _parse_interval(args.interval, "--interval") if args.interval else None
-    report = zm_divergence_bounds(
-        laws[0], laws[1], parse_function_spec(args.function), n=args.n, m=args.m,
-        theorem=args.theorem, convexity=_auto(args), interval=interval,
+    report = _crosschecked(
+        zm_divergence_bounds, laws[0], laws[1], parse_function_spec(args.function),
+        n=args.n, m=args.m, theorem=args.theorem, convexity=_auto(args), interval=interval,
     ).to_dict()
     return report, _report_rows(report)
 
@@ -409,7 +420,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"--m: required for --theorem {args.theorem}")
         value, rows = args.run(args)
         print(_csv_lines(rows) if args.format == "csv" else dumps(value))
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     failed = args.subcommand == "verify" and any(section["failures"] for section in value.values())

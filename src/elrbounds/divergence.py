@@ -178,12 +178,11 @@ def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
 
     def moment(x: float, y: float, j: int, k: int) -> float:
         try:
+            d = D[j + k - 1]
+            if not np.all(d):  # an underflowing q_i^(j+k-1) takes _pq_moment's form
+                return _pq_moment(p, q, x, y, j, k)
             with np.errstate(all="ignore"):
-                d = D[j + k - 1]
                 terms = U[x][j] * U[y][k] / d
-            for i in np.flatnonzero(d == 0.0).tolist():  # _pq_moment's underflow form
-                pi, qi = p.values[i], q.values[i]
-                terms[i] = qi * ((pi - x * qi) / qi) ** j * ((pi - y * qi) / qi) ** k
         except ArithmeticError:
             # As in `DiscreteFunctional.moment`: the point-by-point sum reports
             # its first error in point order.

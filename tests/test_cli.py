@@ -392,6 +392,24 @@ def test_div_crosscheck_failure_exits_1(capsys):
     assert err.endswith(" differ by more than 1e-12\n")
 
 
+def test_other_runtime_errors_are_not_reported_as_validation_errors(monkeypatch):
+    # Only the crosscheck's plain RuntimeError from div/zm exits 1 with
+    # "error:"; an oracle RuntimeError or a RuntimeError subclass is a fault.
+    def refuse(*args, **kwargs):
+        raise RuntimeError("could not draw well-separated sample points")
+
+    def recurse(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "audit_identities", refuse)
+    with pytest.raises(RuntimeError, match="well-separated"):
+        cli.main(["verify", "--suite", "identities"])
+    monkeypatch.setattr(cli, "divergence_bounds", recurse)
+    with pytest.raises(RecursionError):
+        cli.main(["div", "--function", "kl", "--p", "0.5,0.5", "--q", "0.25,0.75",
+                  "--theorem", "tm24", "--n", "8"])
+
+
 def test_zm_above_the_moment_table_gate_writes_no_stderr():
     # 100 points reach both power tables; q_i ~ i^-40 makes q_i^5 underflow,
     # so numpy would warn about the divisions the fallback replaces.
