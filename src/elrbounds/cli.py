@@ -235,9 +235,12 @@ def _run_bounds(args):
 
 def _crosschecked(bounds, *args, **kwargs):
     """`bounds(*args, **kwargs)`, with the crosscheck's refusal (a plain
-    RuntimeError; subclasses such as RecursionError propagate) as a ValueError."""
+    RuntimeError; subclasses such as RecursionError propagate) and a moment's
+    OverflowError (too wide a ratio range) as a ValueError."""
     try:
         return bounds(*args, **kwargs)
+    except OverflowError as exc:
+        raise ValueError(f"{kwargs['theorem'].upper()} moment overflow: {exc}") from exc
     except RuntimeError as exc:
         if type(exc) is not RuntimeError:
             raise

@@ -34,7 +34,9 @@ import numpy as np
 from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family, _terms
 from .divided_diff import FunctionModel
-from .functional import _TABLE_MIN_POINTS, DiscreteFunctional, _Powers
+from .functional import (
+    _TABLE_MIN_POINTS, DiscreteFunctional, _first_outside, _float_array, _Powers,
+)
 from .generators import GeneratorSpec, definite_class, make_generator
 
 __all__ = [
@@ -52,21 +54,26 @@ _CROSSCHECK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """Finite probability distribution: entries in [0, 1] summing to 1."""
+    """Finite probability distribution: entries in [0, 1] summing to 1.
+
+    `values` is a tuple; the same entries are kept as a float64 array for the
+    array passes (ratios, power tables).
+    """
 
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
+        v = _float_array(self.values)
+        if not len(v):
             raise ValueError("probability vector must not be empty")
-        for i, v in enumerate(vals):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"values[{i}] = {v} outside [0, 1]")
+        if (i := _first_outside(v, 0.0, 1.0)) is not None:
+            raise ValueError(f"values[{i}] = {float(v[i])} outside [0, 1]")
+        vals = v.tolist()
         total = math.fsum(vals)
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, more than 1e-12 away from 1")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(vals))
+        object.__setattr__(self, "_v", v)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -133,21 +140,20 @@ def f_divergence(f: FunctionModel, p: ProbabilityVector, q: ProbabilityVector) -
     return math.fsum(terms)
 
 
-def _ratios(p: ProbabilityVector, q: ProbabilityVector) -> list[float]:
+def _ratios(p: ProbabilityVector, q: ProbabilityVector) -> np.ndarray:
     """p_i / q_i for each entry; every q_i must be positive."""
-    ratios = []
-    for i, (pi, qi) in enumerate(zip(p, q)):
-        if qi <= 0.0:
-            raise ValueError(f"entry {i}: q_i = {qi} must be positive for ratio bounds")
-        ratios.append(pi / qi)
-    return ratios
+    if not np.minimum.reduce(q._v) > 0.0:
+        i = int((q._v > 0.0).argmin())
+        raise ValueError(f"entry {i}: q_i = {q.values[i]} must be positive for ratio bounds")
+    with np.errstate(over="ignore"):  # p_i / q_i overflows to inf, as in float division
+        return p._v / q._v
 
 
 def ratio_range(p: ProbabilityVector, q: ProbabilityVector) -> RatioRange:
     """(min p_i/q_i, max p_i/q_i); every q_i must be positive."""
     _check_pair(p, q)
     ratios = _ratios(p, q)
-    return RatioRange(min(ratios), max(ratios))
+    return RatioRange(float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios)))
 
 
 def _pq_moment(
@@ -171,10 +177,9 @@ def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
     """
     if len(q) < _TABLE_MIN_POINTS:
         return lambda x, y, j, k: _pq_moment(p, q, x, y, j, k)
-    pv, qv = np.array(p.values), np.array(q.values)
     with np.errstate(all="ignore"):
-        U = {x: _Powers(pv - x * qv) for x in (a, b)}
-    D = _Powers(qv)
+        U = {x: _Powers(p._v - x * q._v) for x in (a, b)}
+    D = _Powers(q._v)
 
     def moment(x: float, y: float, j: int, k: int) -> float:
         try:
@@ -187,7 +192,7 @@ def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
             # As in `DiscreteFunctional.moment`: the point-by-point sum reports
             # its first error in point order.
             return _pq_moment(p, q, x, y, j, k)
-        return math.fsum(terms.tolist())
+        return math.fsum(memoryview(terms))
 
     return moment
 
@@ -245,7 +250,7 @@ def divergence_bounds(
     _check_pair(p, q)
     theorem = _family(theorem).tag
     ratios = _ratios(p, q)
-    rr = RatioRange(min(ratios), max(ratios))
+    rr = RatioRange(float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios)))
     if interval is None:
         a, b = rr.a, rr.b
     else:
@@ -269,7 +274,7 @@ def divergence_bounds(
             raise ValueError("a plain FunctionModel needs an explicit convexity class")
     # The ratios and the functional with its power table are freed before
     # the crosscheck builds its own table.
-    A = DiscreteFunctional(points=tuple(ratios), weights=q.values, interval=(a, b))
+    A = DiscreteFunctional(points=ratios, weights=q._v, interval=(a, b))
     del ratios
     report = _bounds.bound(theorem, f, A, n, m, convexity)
     del A

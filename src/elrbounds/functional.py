@@ -6,9 +6,12 @@ positive linear functional A with A(1) = 1 applied to point values.
 `lr_difference` evaluates A(f(g)) minus the chord of f through (a, f(a)) and
 (b, f(b)) taken at A(g) - the quantity every bound in this package brackets.
 
-Moments of large point sets are read from a power table (`_Powers`) that
-raises each base to each exponent once; it reproduces the point-by-point sums
-bit for bit, so results never depend on which path ran.
+Points and weights are validated and kept as float64 arrays (their public
+`points`/`weights` stay tuples).  Moments of large point sets are read from a
+power table (`_Powers`) that raises each base to each exponent once, and a
+generator from `make_generator` is evaluated on all points in one call; both
+reproduce the point-by-point sums bit for bit, so results never depend on
+which path ran.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -36,12 +38,26 @@ _WEIGHT_SUM_TOL = 1e-12
 _TABLE_MIN_POINTS = 64
 
 
+def _float_power(base, e: float):
+    """base ** e per element, bit for bit as Python's float `**`: both call libm
+    `pow`, while `np.power` may take a SIMD pow that differs in the last bit.
+    As with `**`, a finite base whose power overflows raises OverflowError."""
+    with np.errstate(all="ignore"):
+        out = np.float_power(base, e)
+    if not np.isfinite(out).all() and (np.isinf(out) & np.isfinite(base)).any():
+        raise OverflowError(34, "Numerical result out of range")
+    return out
+
+
 class _Powers:
     """base ** e as float64 arrays, each integer exponent raised once, on first use.
 
-    Every power is Python's float `**`, the libm `pow` the scalar sums call:
-    `np.power` and repeated products round differently in the last bit.
-    Exponent 0 is 1.0 and exponent 1 the base itself, as `**` gives them.
+    Every power comes from `np.float_power`, which calls libm `pow` just as
+    Python's float `**` in the scalar sums does, so both agree bit for bit
+    (a finite power that overflows raises OverflowError in both).  `np.power`
+    may take a SIMD pow and repeated products round on their own; either
+    moves the last bit.  Exponent 0 is 1.0 and exponent 1 the base itself, as
+    `**` gives them.
     """
 
     def __init__(self, base: np.ndarray):
@@ -51,9 +67,29 @@ class _Powers:
         if e == 0:
             return 1.0
         if e not in self._arrays:
-            base = self._arrays[1]
-            self._arrays[e] = np.fromiter(map(pow, base.tolist(), repeat(e)), float, len(base))
+            self._arrays[e] = _float_power(self._arrays[1], float(e))
         return self._arrays[e]
+
+
+def _float_array(values) -> np.ndarray:
+    """`values` (any iterable of numbers) as a new 1-D float64 array."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1:
+        raise TypeError(f"expected a flat sequence of numbers, got shape {arr.shape}")
+    return arr
+
+
+def _first_outside(v: np.ndarray, lo: float, hi: float) -> int | None:
+    """Index of the first entry of `v` outside [lo, hi] or NaN, or None.
+
+    Two reductions (NaN propagates through both) settle the common case; only
+    a failing array pays for the elementwise mask.
+    """
+    if np.minimum.reduce(v) >= lo and np.maximum.reduce(v) <= hi:
+        return None
+    return int(((v >= lo) & (v <= hi)).argmin())
 
 
 @dataclass(frozen=True)
@@ -73,29 +109,32 @@ class DiscreteFunctional:
     interval: tuple[float, float]
 
     def __post_init__(self) -> None:
-        pts = tuple(float(x) for x in self.points)
-        wts = tuple(float(w) for w in self.weights)
-        if len(pts) != len(wts) or not pts:
+        x = _float_array(self.points)
+        w = _float_array(self.weights)
+        if len(x) != len(w) or not len(x):
             raise ValueError(
-                f"points ({len(pts)}) and weights ({len(wts)}) must have equal length >= 1"
+                f"points ({len(x)}) and weights ({len(w)}) must have equal length >= 1"
             )
         a, b = (float(self.interval[0]), float(self.interval[1]))
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError(f"interval must be finite with a < b, got [{a}, {b}]")
-        for i, w in enumerate(wts):
-            if not w >= 0.0:
-                raise ValueError(f"weights[{i}] = {w} is negative")
+        if not np.minimum.reduce(w) >= 0.0:
+            i = int((w >= 0.0).argmin())
+            raise ValueError(f"weights[{i}] = {float(w[i])} is negative")
+        wts = w.tolist()
         total = math.fsum(wts)
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, more than 1e-12 away from 1")
         if total != 1.0:
-            wts = tuple(w / total for w in wts)
-        for i, x in enumerate(pts):
-            if x < a or x > b:
-                raise ValueError(f"points[{i}] = {x} outside interval [{a}, {b}]")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
+            w = w / total
+            wts = w.tolist()
+        if (i := _first_outside(x, a, b)) is not None:
+            raise ValueError(f"points[{i}] = {float(x[i])} outside interval [{a}, {b}]")
+        object.__setattr__(self, "points", tuple(x.tolist()))
+        object.__setattr__(self, "weights", tuple(wts))
         object.__setattr__(self, "interval", (a, b))
+        object.__setattr__(self, "_x", x)
+        object.__setattr__(self, "_w", w)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -103,11 +142,19 @@ class DiscreteFunctional:
     @property
     def mean(self) -> float:
         """A(g) = sum of w_i x_i."""
-        return math.fsum(w * x for w, x in zip(self.weights, self.points))
+        return math.fsum(memoryview(self._w * self._x))
 
     def apply(self, h: Callable[[float], float]) -> float:
-        """A(h(g)) = sum of w_i h(x_i)."""
-        return math.fsum(w * float(h(x)) for w, x in zip(self.weights, self.points))
+        """A(h(g)) = sum of w_i h(x_i).
+
+        A generator from `make_generator` is called once on the point array
+        (its values are the point-by-point ones, bit for bit); any other
+        callable is called once per point, in point order.
+        """
+        if not getattr(h, "_elementwise", False):
+            return math.fsum(w * float(h(x)) for w, x in zip(self.weights, self.points))
+        with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
+            return math.fsum(memoryview(self._w * h(self._x)))
 
     def moment(self, j: int, k: int) -> float:
         """A[(g - a)^j (g - b)^k] for the stored interval endpoints."""
@@ -123,15 +170,14 @@ class DiscreteFunctional:
             # The table raises every power before summing; the point-by-point
             # sum reports its first error in point order (maybe fsum's own).
             return _moment_sum(self.weights, self.points, *self.interval, j, k)
-        return math.fsum(terms.tolist())
+        return math.fsum(memoryview(terms))
 
     @cached_property
     def _powers(self) -> tuple[np.ndarray, _Powers, _Powers]:
         """The weights and the power tables of g - a and g - b."""
         a, b = self.interval
-        x = np.array(self.points)
         with np.errstate(all="ignore"):
-            return np.array(self.weights), _Powers(x - a), _Powers(x - b)
+            return self._w, _Powers(self._x - a), _Powers(self._x - b)
 
     def to_dict(self) -> dict:
         return {

@@ -8,6 +8,10 @@ Four named generators cover the classical divergences:
   jeffreys   (t - 1)*log(t)      even orders convex, odd orders concave
 
 `exp`, `poly` and `power` are included as test fodder for arbitrary orders.
+Every generator evaluates a float64 array elementwise with the same bits as
+point by point (squares and `power` go through `np.float_power`, libm `pow`
+like float `**`), and `make_generator` marks its models so that the chord gap
+evaluates all points in one call.
 Derivatives are closed forms; the stack is capped at order 12, past which
 double precision gives the formulas little meaning.  `classify` reads the
 n-convexity class off the sign of the n-th derivative sampled on an even
@@ -24,6 +28,7 @@ import numpy as np
 
 from .bounds import CONCAVE, CONVEX
 from .divided_diff import FunctionModel
+from .functional import _float_power
 
 __all__ = [
     "INDEFINITE",
@@ -96,7 +101,7 @@ def _kl() -> tuple:
 
 def _hellinger() -> tuple:
     def fn(t):
-        return 0.5 * (1.0 - np.sqrt(t)) ** 2
+        return 0.5 * np.float_power(1.0 - np.sqrt(t), 2.0)
 
     def dfn(k, t):
         if k == 1:
@@ -137,7 +142,7 @@ def _exp() -> tuple:
 
 def _power(p: float) -> tuple:
     def fn(t):
-        return t**p
+        return _float_power(t, p)
 
     def dfn(k, t):
         coef = 1.0
@@ -183,7 +188,7 @@ def make_generator(spec: GeneratorSpec) -> FunctionModel:
         base = FunctionModel.from_polynomial(
             spec.coeffs, spec.domain, name="poly", max_order=_DERIV_CAP
         )
-        return replace(base, zero_limit=zero, slope_at_infinity=slope)
+        return _elementwise(replace(base, zero_limit=zero, slope_at_infinity=slope))
     if spec.name == "power":
         fn, dfn, zero, slope = _power(spec.exponent)
         name = f"power({spec.exponent:g})"
@@ -196,7 +201,7 @@ def make_generator(spec: GeneratorSpec) -> FunctionModel:
             "exp": _exp,
         }[spec.name]()
         name = spec.name
-    return FunctionModel(
+    return _elementwise(FunctionModel(
         fn=fn,
         deriv_fn=dfn,
         domain=spec.domain,
@@ -204,7 +209,15 @@ def make_generator(spec: GeneratorSpec) -> FunctionModel:
         name=name,
         zero_limit=zero,
         slope_at_infinity=slope,
-    )
+    ))
+
+
+def _elementwise(f: FunctionModel) -> FunctionModel:
+    """Mark `f` as evaluating a float64 array in one call, elementwise and bit
+    for bit as it evaluates each point; `DiscreteFunctional.apply` then takes
+    the array path.  Copies (`dataclasses.replace`, negation) are unmarked."""
+    object.__setattr__(f, "_elementwise", True)
+    return f
 
 
 def classify(spec: GeneratorSpec, n: int) -> str:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import BoundReport
 from .divergence import ProbabilityVector, RatioRange, divergence_bounds, ratio_range
 from .divided_diff import FunctionModel
@@ -50,12 +52,13 @@ class ZipfMandelbrotParams:
         object.__setattr__(self, "s", float(self.s))
 
 
-def _weights(params: ZipfMandelbrotParams) -> tuple[list[float], float]:
+def _weights(params: ZipfMandelbrotParams) -> tuple[np.ndarray, float]:
     """(i + q)^(-s) for i = 1..N, and their sum H."""
     # i + q >= 1, so (i+q)^(-s) lies in (0, 1]: no overflow is possible and a
     # plain power (which underflows gracefully to 0.0) is the accurate choice.
-    terms = [(i + params.q) ** -params.s for i in range(1, params.N + 1)]
-    h = math.fsum(terms)
+    # `np.float_power` is libm `pow`, the same bits as float `**` per term.
+    terms = np.float_power(np.arange(1, params.N + 1, dtype=float) + params.q, -params.s)
+    h = math.fsum(memoryview(terms))
     if not h > 0.0:
         raise ValueError(f"normalizer underflowed to {h} for {params}")
     return terms, h
@@ -71,13 +74,13 @@ def pmf(i: int, params: ZipfMandelbrotParams) -> float:
     if not 1 <= i <= params.N:
         raise ValueError(f"i = {i} outside support 1..{params.N}")
     terms, h = _weights(params)
-    return terms[i - 1] / h
+    return float(terms[i - 1]) / h
 
 
 def pmf_vector(params: ZipfMandelbrotParams) -> ProbabilityVector:
     """The full pmf as a probability vector; each (i + q)^(-s) is computed once."""
     terms, h = _weights(params)
-    return ProbabilityVector(tuple(t / h for t in terms))
+    return ProbabilityVector(terms / h)
 
 
 def ratio_extrema(P: ZipfMandelbrotParams, Q: ZipfMandelbrotParams) -> RatioRange:

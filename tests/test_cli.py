@@ -392,6 +392,25 @@ def test_div_crosscheck_failure_exits_1(capsys):
     assert err.endswith(" differ by more than 1e-12\n")
 
 
+def test_zm_moment_overflow_exits_1(capsys):
+    code, out, err = run(
+        capsys, "zm", "--zm", "100,0,1", "--zm", "100,0,60", "--function", "kl",
+        "--theorem", "tm23", "--n", "5",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: TM23 moment overflow: (34, 'Numerical result out of range')\n"
+
+
+@pytest.mark.parametrize("subcommand", [["bounds", "--theorem", "tm23", "--n", "3"], ["lr"]])
+def test_nan_point_exits_1(capsys, subcommand):
+    code, out, err = run(
+        capsys, subcommand[0], "--function", "kl", "--points", "0.5,nan,2",
+        "--weights", "0.3,0.4,0.3", "--interval", "0.5,2", *subcommand[1:],
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: points[1] = nan outside interval [0.5, 2.0]\n"
+
+
 def test_other_runtime_errors_are_not_reported_as_validation_errors(monkeypatch):
     # Only the crosscheck's plain RuntimeError from div/zm exits 1 with
     # "error:"; an oracle RuntimeError or a RuntimeError subclass is a fault.

@@ -118,6 +118,27 @@ def test_probability_vector_validation():
         ProbabilityVector(())
 
 
+@pytest.mark.parametrize("N", [10, 100])
+@pytest.mark.parametrize(
+    "first,second,text",
+    [(-0.25, 1.5, "-0.25"), (1.5, float("nan"), "1.5"), (float("nan"), -0.25, "nan")],
+)
+def test_first_entry_outside_unit_interval_is_reported(N, first, second, text):
+    i, j = N // 3, N - 2
+    values = [1.0 / N] * N
+    values[i], values[j] = first, second
+    with pytest.raises(ValueError, match=rf"^values\[{i}\] = {text} outside \[0, 1\]$"):
+        ProbabilityVector(values)
+
+
+def test_tuple_list_and_array_inputs_build_equal_vectors():
+    values = (0.2, 0.5, 0.3)
+    built = [ProbabilityVector(make(values)) for make in (tuple, list, np.array)]
+    assert built[0] == built[1] == built[2] == ProbabilityVector.of(iter(values))
+    assert all(type(v.values) is tuple for v in built)
+    assert all(type(x) is float for v in built for x in v.values)
+
+
 # --- ratio ranges -----------------------------------------------------------------
 
 
@@ -137,6 +158,16 @@ def test_ratio_range_degenerate_for_identical_distributions():
 def test_ratio_range_requires_positive_q():
     with pytest.raises(ValueError, match="positive"):
         ratio_range(P, ProbabilityVector((0.0, 1.0)))
+    for N in (10, 100):
+        i, j = N // 3, N - 2
+        q = [1.0 / (N - 2)] * N
+        q[i] = q[j] = 0.0
+        p = ProbabilityVector([1.0 / N] * N)
+        message = rf"^entry {i}: q_i = 0.0 must be positive for ratio bounds$"
+        with pytest.raises(ValueError, match=message):
+            ratio_range(p, ProbabilityVector(q))
+        with pytest.raises(ValueError, match=message):
+            divergence_bounds(GeneratorSpec("kl"), p, ProbabilityVector(q), n=3, theorem="tm23")
 
 
 def test_ratio_range_must_straddle_one():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,11 +130,70 @@ def test_weight_sum_too_far_from_one_rejected():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError, match="negative"):
         DiscreteFunctional((0.5, 1.5), (1.1, -0.1), (0.0, 2.0))
+    with pytest.raises(ValueError, match=r"^weights\[1\] = nan is negative$"):
+        DiscreteFunctional((0.5, 1.5), (1.0, float("nan")), (0.0, 2.0))
 
 
 def test_point_outside_interval_rejected():
     with pytest.raises(ValueError, match="outside interval"):
         DiscreteFunctional((0.5, 2.5), (0.5, 0.5), (0.0, 2.0))
+    with pytest.raises(ValueError, match=r"^points\[0\] = -inf outside interval \[0.0, 2.0\]$"):
+        DiscreteFunctional((-np.inf, 1.5), (0.5, 0.5), (0.0, 2.0))
+
+
+def test_nan_point_rejected():
+    with pytest.raises(ValueError, match=r"^points\[1\] = nan outside interval \[0.5, 2.0\]$"):
+        DiscreteFunctional((0.5, float("nan"), 2.0), (0.3, 0.4, 0.3), (0.5, 2.0))
+
+
+def _offenders(N, first, second, i, j, fill):
+    values = [fill] * N
+    values[i], values[j] = first, second
+    return values
+
+
+@pytest.mark.parametrize("N", [10, 100])
+@pytest.mark.parametrize(
+    "first,second,text",
+    [(-0.25, float("nan"), "-0.25"), (float("nan"), -1.0, "nan"), (-1e-300, -0.5, "-1e-300")],
+)
+def test_first_bad_weight_is_reported(N, first, second, text):
+    i, j = N // 3, N - 2
+    weights = _offenders(N, first, second, i, j, 1.0 / N)
+    with pytest.raises(ValueError, match=rf"^weights\[{i}\] = {text} is negative$"):
+        DiscreteFunctional([1.0] * N, weights, (0.0, 2.0))
+
+
+@pytest.mark.parametrize("N", [10, 100])
+@pytest.mark.parametrize(
+    "first,second,text",
+    [(2.5, float("nan"), "2.5"), (float("nan"), -1.0, "nan"), (-0.5, 3.0, "-0.5")],
+)
+def test_first_point_outside_interval_is_reported(N, first, second, text):
+    i, j = N // 3, N - 2
+    points = _offenders(N, first, second, i, j, 1.0)
+    with pytest.raises(ValueError, match=rf"^points\[{i}\] = {text} outside interval"):
+        DiscreteFunctional(points, [1.0 / N] * N, (0.0, 2.0))
+
+
+def test_tuple_list_and_array_inputs_build_equal_functionals():
+    points, weights = (0.25, 1.0, 1.75), (0.2, 0.5, 0.3)
+    built = [
+        DiscreteFunctional(make(points), make(weights), (0.0, 2.0))
+        for make in (tuple, list, np.array, iter)
+    ]
+    assert all(A == built[0] for A in built)
+    for A in built:
+        assert type(A.points) is tuple and type(A.weights) is tuple
+        assert all(type(x) is float for x in A.points + A.weights)
+
+
+def test_functional_keeps_its_own_copy_of_array_inputs():
+    points = np.array([0.25, 1.0, 1.75])
+    A = DiscreteFunctional(points, np.array([0.2, 0.5, 0.3]), (0.0, 2.0))
+    points[0] = 5.0
+    assert A.points[0] == 0.25
+    assert A.mean == math.fsum([0.2 * 0.25, 0.5 * 1.0, 0.3 * 1.75])
 
 
 def test_endpoints_are_allowed():
