@@ -147,14 +147,16 @@ class DiscreteFunctional:
     def apply(self, h: Callable[[float], float]) -> float:
         """A(h(g)) = sum of w_i h(x_i).
 
-        A generator from `make_generator` is called once on the point array
-        (its values are the point-by-point ones, bit for bit); any other
-        callable is called once per point, in point order.
+        A generator from `make_generator` is evaluated once, by its array form,
+        on the point array (its values are the point-by-point ones, bit for
+        bit); any other callable is called once per point, in point order.
         """
-        if not getattr(h, "_elementwise", False):
+        array_fn = getattr(h, "_array_fn", None)
+        if array_fn is None:
             return math.fsum(w * float(h(x)) for w, x in zip(self.weights, self.points))
-        with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
-            return math.fsum(memoryview(self._w * h(self._x)))
+        y = array_fn(self._x)
+        with np.errstate(invalid="ignore"):  # 0 * inf is nan silently, as in float arithmetic
+            return math.fsum(memoryview(self._w * y))
 
     def moment(self, j: int, k: int) -> float:
         """A[(g - a)^j (g - b)^k] for the stored interval endpoints."""

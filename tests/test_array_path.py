@@ -2,7 +2,7 @@
 
 Point sets are float64 arrays; power tables and Zipf-Mandelbrot weights come
 from `np.float_power`, and generators built by `make_generator` evaluate all
-points in one call.  These tests pin the host property that makes that exact
+points in one call of their array form.  These tests pin the host property that makes that exact
 (`np.float_power` is Python's float `**`, libm `pow`), then compare every
 built-in generator's chord gap and one full `zm_divergence_bounds` per
 generator with a forced scalar reference: power tables gated off and
@@ -105,9 +105,9 @@ def _functional(N):
 
 
 def _per_point(f):
-    """An unmarked copy: `apply` calls it once per point."""
+    """A copy without the array form: `apply` calls it once per point."""
     g = dataclasses.replace(f)
-    assert not getattr(g, "_elementwise", False)
+    assert not hasattr(g, "_array_fn")
     return g
 
 
@@ -116,10 +116,9 @@ def _per_point(f):
 def test_lr_difference_array_path_is_the_per_point_path(name, N):
     A = _functional(N)
     f = make_generator(_spec(name, A.interval))
-    assert f._elementwise
     assert lr_difference(f, A).hex() == lr_difference(_per_point(f), A).hex()
     x = np.asarray(A.points)
-    assert (_bits(f(x)) == _bits([float(f(t)) for t in A.points])).all()
+    assert (_bits(f._array_fn(x)) == _bits([float(f(t)) for t in A.points])).all()
 
 
 def test_user_callables_are_called_once_per_point_in_order():
@@ -140,20 +139,20 @@ def test_user_callables_are_called_once_per_point_in_order():
     assert calls == [*A.points, *A.interval]
 
 
-def test_built_in_generators_are_called_once_on_the_point_array():
+def test_array_form_is_called_once_on_the_point_array():
     A = _functional(65)
     f = make_generator(_spec("kl", A.interval))
     calls = []
-    g = generators._elementwise(dataclasses.replace(f, fn=lambda t: calls.append(t) or f.fn(t)))
-    assert lr_difference(g, A) == lr_difference(f, A)
-    assert len(calls) == 3 and isinstance(calls[0], np.ndarray)
-    assert calls[0].tolist() == list(A.points) and calls[1:] == list(A.interval)
+    g = generators._with_array_form(f, lambda t: calls.append(t) or f.fn(t))
+    assert lr_difference(g, A) == lr_difference(make_generator(_spec("kl", A.interval)), A)
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+    assert calls[0].tolist() == list(A.points)
 
 
 def test_negated_generator_is_evaluated_per_point():
     A = _functional(65)
     f = make_generator(_spec("harmonic", A.interval))
-    assert not getattr(-f, "_elementwise", False)
+    assert not hasattr(-f, "_array_fn")
     assert lr_difference(-f, A) == -lr_difference(f, A)
 
 
