@@ -39,9 +39,10 @@ _TABLE_MIN_POINTS = 64
 
 
 def _float_power(base, e: float):
-    """base ** e per element, bit for bit as Python's float `**`: both call libm
-    `pow`, while `np.power` may take a SIMD pow that differs in the last bit.
-    As with `**`, a finite base whose power overflows raises OverflowError."""
+    """base ** e per element, bit for bit as Python's float `**`: `np.float_power`
+    calls libm `pow` as `**` does, while `np.power` may take a SIMD pow that
+    differs in the last bit.  As with `**`, a finite base whose power
+    overflows raises OverflowError."""
     with np.errstate(all="ignore"):
         out = np.float_power(base, e)
     if not np.isfinite(out).all() and (np.isinf(out) & np.isfinite(base)).any():
@@ -52,12 +53,10 @@ def _float_power(base, e: float):
 class _Powers:
     """base ** e as float64 arrays, each integer exponent raised once, on first use.
 
-    Every power comes from `np.float_power`, which calls libm `pow` just as
-    Python's float `**` in the scalar sums does, so both agree bit for bit
-    (a finite power that overflows raises OverflowError in both).  `np.power`
-    may take a SIMD pow and repeated products round on their own; either
-    moves the last bit.  Exponent 0 is 1.0 and exponent 1 the base itself, as
-    `**` gives them.
+    Every power is `_float_power`, bit for bit (errors included) the float
+    `**` of the scalar sums; `np.power` and repeated products round
+    differently in the last bit.  Exponent 0 is 1.0 and exponent 1 the base
+    itself, as `**` gives them.
     """
 
     def __init__(self, base: np.ndarray):
