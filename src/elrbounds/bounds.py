@@ -80,11 +80,11 @@ class _Family:
         return [(x, m if k is None else k) for x, k in self.sides]
 
     def terms(
-        self, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None
+        self, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None, tables=None
     ) -> Iterator[list[float]]:
         """Yield each side's terms in turn; the remainders they drop are never evaluated."""
         for x, k in self.resolve(n, m):
-            yield _side_terms(f, A, n, x, k)
+            yield _side_terms(f, A, n, x, k, tables)
 
     def signs(self, n: int, m: int | None, convexity: str) -> list[int]:
         """Sign of the remainder each side drops: the parity rule.
@@ -210,11 +210,14 @@ def _family(tag: str) -> _Family:
     return FAMILIES[tag.upper()]
 
 
-def _terms(f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean) -> list[float]:
+def _terms(
+    f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean, tables=None
+) -> list[float]:
     """Endpoint terms of the decomposition anchored at x, the other endpoint being y.
 
     `moment(i, j)` returns A[(g-x)^i (g-y)^j] and `mean()` returns A(g), which
-    only m >= 3 reads.
+    only m >= 3 reads.  `tables`, a dict local to one f, n and [a, b], holds
+    the endpoint table by (x, m): a side found there is not built again.
 
     m = 1:  f[x; y x k] * A[(g-x)(g-y)^(k-1)], k = 2..n-1 (a k = 1 term would
             break the polynomial-equality property, see tests).
@@ -225,7 +228,9 @@ def _terms(f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean) -
     _check_case(n, m)
     if m >= 3:  # this layout reads f[x, x] first: its errors come first
         _check_support(f, (x,), 2)
-    T = endpoint_table(f, x, y, m, n - m)
+    T = (tables or {}).get((x, m)) or endpoint_table(f, x, y, m, n - m)
+    if tables is not None:
+        tables[x, m] = T
     if m == 1:
         return [T[1][k] * moment(1, k - 1) for k in range(2, n)]
     if m == 2:
@@ -241,12 +246,14 @@ def _terms(f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean) -
     )
 
 
-def _side_terms(f: FunctionModel, A: DiscreteFunctional, n: int, anchor: str, m: int) -> list:
+def _side_terms(
+    f: FunctionModel, A: DiscreteFunctional, n: int, anchor: str, m: int, tables=None
+) -> list:
     """`_terms` anchored at A's endpoint `anchor` ("a" or "b"), with A's moments."""
     a, b = A.interval
     if anchor == "a":
-        return _terms(f, a, b, n, m, A.moment, lambda: A.mean)
-    return _terms(f, b, a, n, m, lambda i, j: A.moment(j, i), lambda: A.mean)
+        return _terms(f, a, b, n, m, A.moment, lambda: A.mean, tables)
+    return _terms(f, b, a, n, m, lambda i, j: A.moment(j, i), lambda: A.mean, tables)
 
 
 def decompose_lemma21(
@@ -274,16 +281,18 @@ def decompose_lemma22(
 
 
 def bound(
-    tag: str, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None, convexity: str
+    tag: str, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None, convexity: str,
+    *, _tables: dict | None = None,
 ) -> BoundReport:
     """Bound report of family `tag` (any letter case) for LR(f, A).
 
     Each side is its decomposition's term sum (no remainder), placed by the
     parity rule of `FAMILIES[tag]`.  Families with fixed sides ignore m.
+    The private `_tables` dict collects each side's endpoint table (`_terms`).
     """
     family = _family(tag)
     _check_convexity(convexity)
-    values = [math.fsum(terms) for terms in family.terms(f, A, n, m)]
+    values = [math.fsum(terms) for terms in family.terms(f, A, n, m, _tables)]
     lower, upper, valid = family.arrange(n, m, convexity, values)
     return BoundReport(
         lr=lr_difference(f, A),

@@ -227,8 +227,13 @@ def _run_bounds(args):
     A = _load_functional(args)
     spec = parse_function_spec(args.function, domain=A.interval)
     f = make_generator(spec)
-    convexity = _auto(args) or definite_class(spec, args.n)
-    report = bound(args.theorem, f, A, args.n, args.m, convexity).to_dict()
+    try:
+        convexity = _auto(args) or definite_class(spec, args.n)
+    except OverflowError as exc:
+        raise ValueError(f"order-{args.n} derivative overflow in classify: {exc}") from exc
+    report = _crosschecked(
+        lambda theorem: bound(theorem, f, A, args.n, args.m, convexity), theorem=args.theorem
+    ).to_dict()
     # Lazy: the term rows are computed only when --format csv writes them.
     return report, itertools.chain(_report_rows(report), _bound_term_rows(args, f, A))
 

@@ -17,7 +17,8 @@ moments
 
     sum_i (p_i - a q_i)^j (p_i - b q_i)^k / q_i^(j + k - 1)
 
-as an independent transcription check; the two routes must agree to 1e-12.
+as an independent transcription check; the two routes must agree to 1e-12
+and share each side's endpoint table, built once.
 On large point sets each route reads its moments from its own power table
 (the functional's, freed before the crosscheck starts, and one the crosscheck
 builds per call), bit-identical to the point-by-point sums.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -207,6 +209,7 @@ def direct_bound_values(
     theorem: str,
     m: int | None = None,
     convexity: str = CONVEX,
+    *, _tables: dict | None = None,
 ) -> tuple[float | None, float | None]:
     """Bound sides evaluated through probability sums instead of functional moments.
 
@@ -214,13 +217,14 @@ def direct_bound_values(
     delegated route but none of the moment arithmetic, so a slip in either
     route's moments shows up as disagreement (layout slips are the identity
     audit's job).  Returns (lower, upper) arranged by the same parity rule.
+    The private `_tables` holds the delegated route's endpoint tables, if any.
     """
     family = _family(theorem)
     moment = _pq_moments(p, q, a, b)
 
     def side(anchor: str, k: int) -> float:
         x, y = (a, b) if anchor == "a" else (b, a)
-        return math.fsum(_terms(f, x, y, n, k, lambda i, j: moment(x, y, i, j), lambda: 1.0))
+        return math.fsum(_terms(f, x, y, n, k, partial(moment, x, y), lambda: 1.0, _tables))
 
     values = [side(x, k) for x, k in family.resolve(n, m)]
     return family.arrange(n, m, convexity, values)[:2]
@@ -273,12 +277,13 @@ def divergence_bounds(
         if convexity is None:
             raise ValueError("a plain FunctionModel needs an explicit convexity class")
     # The ratios and the functional with its power table are freed before
-    # the crosscheck builds its own table.
+    # the crosscheck builds its own; it reuses the delegated endpoint tables.
     A = DiscreteFunctional(points=ratios, weights=q._v, interval=(a, b))
     del ratios
-    report = _bounds.bound(theorem, f, A, n, m, convexity)
+    tables: dict = {}
+    report = _bounds.bound(theorem, f, A, n, m, convexity, _tables=tables)
     del A
-    direct = direct_bound_values(f, p, q, a, b, n=n, m=m, theorem=theorem, convexity=convexity)
+    direct = direct_bound_values(f, p, q, a, b, n, theorem, m, convexity, _tables=tables)
     for side, delegated, direct_v in zip(("lower", "upper"), (report.lower, report.upper), direct):
         if (delegated is None) != (direct_v is None):
             raise RuntimeError(f"{theorem} {side}: delegated and direct sides disagree in shape")

@@ -232,20 +232,27 @@ def classify(spec: GeneratorSpec, n: int) -> str:
     """n-convexity class from the sign of the n-th derivative on the domain.
 
     Returns CONVEX when the sampled derivative is nonnegative everywhere,
-    CONCAVE when nonpositive, INDEFINITE when it changes sign.
+    CONCAVE when nonpositive, INDEFINITE when it changes sign, up to 1e-12 of
+    the largest finite |sample|.  A non-finite sample of the array call re-runs
+    the grid point by point, where float `**` raises its OverflowError.
     """
     f = make_generator(spec)
     if not 1 <= n <= f.max_order:
         raise ValueError(f"n must be in 1..{f.max_order}, got {n}")
     a, b = spec.domain
-    values = [
-        float(f.deriv(n, a + (b - a) * i / (_CLASSIFY_GRID - 1)))
-        for i in range(_CLASSIFY_GRID)
-    ]
-    tol = 1e-12 * (1.0 + max(abs(v) for v in values))
-    if min(values) >= -tol:
+    grid = a + (b - a) * np.arange(_CLASSIFY_GRID) / (_CLASSIFY_GRID - 1)
+    with np.errstate(all="ignore"):
+        values = f.deriv(n, grid)
+        lo, hi = float(np.minimum.reduce(values)), float(np.maximum.reduce(values))
+    if math.isfinite(lo) and math.isfinite(hi):
+        tol = 1e-12 * max(-lo, hi)
+    else:
+        values = [float(f.deriv(n, t)) for t in grid.tolist()]
+        lo, hi = min(values), max(values)
+        tol = 1e-12 * max((abs(v) for v in values if math.isfinite(v)), default=0.0)
+    if lo >= -tol:
         return CONVEX
-    if max(values) <= tol:
+    if hi <= tol:
         return CONCAVE
     return INDEFINITE
 

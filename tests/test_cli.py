@@ -401,6 +401,41 @@ def test_zm_moment_overflow_exits_1(capsys):
     assert err == "error: TM23 moment overflow: (34, 'Numerical result out of range')\n"
 
 
+def test_bounds_moment_overflow_exits_1(capsys):
+    code, out, err = run(
+        capsys, "bounds", "--function", "kl", "--points", "1,1e200", "--weights", "0.5,0.5",
+        "--interval", "1,1e200", "--theorem", "tm23", "--n", "5",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: TM23 moment overflow: (34, 'Numerical result out of range')\n"
+
+
+def test_bounds_classify_overflow_exits_1(capsys):
+    code, out, err = run(
+        capsys, "bounds", "--function", "kl", "--points", "1e-30,1", "--weights", "0.5,0.5",
+        "--interval", "1e-30,1", "--theorem", "tm23", "--n", "12", "--convexity", "auto",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: order-12 derivative overflow in classify: "
+        "(34, 'Numerical result out of range')\n"
+    )
+
+
+def test_auto_convexity_reads_a_tiny_negative_derivative_as_concave(capsys):
+    # kl's f^(9) is about -1e-14 on [100, 200]; an absolute tolerance floor
+    # once called it n-convex and printed crossed sides.
+    code, out, _ = run(
+        capsys, "bounds", "--function", "kl", "--points", "120,150,180",
+        "--weights", "0.3,0.4,0.3", "--interval", "100,200", "--theorem", "tm23",
+        "--n", "9", "--convexity", "auto",
+    )
+    report = json.loads(out)
+    assert code == 0
+    assert (report["convexity"], report["direction_valid"]) == (CONCAVE, True)
+    assert report["lower"] <= report["lr"] <= report["upper"]
+
+
 @pytest.mark.parametrize("subcommand", [["bounds", "--theorem", "tm23", "--n", "3"], ["lr"]])
 def test_nan_point_exits_1(capsys, subcommand):
     code, out, err = run(

@@ -345,6 +345,38 @@ def test_moment_slip_in_the_direct_route_table_raises(monkeypatch):
         divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
 
 
+@pytest.mark.parametrize(
+    "theorem,n,m,sides", [("tm21", 5, 3, 1), ("tm22", 6, 4, 1), ("tm23", 5, None, 2),
+                          ("tm24", 6, None, 2), ("cor21", 5, 3, 2)],
+)
+def test_both_routes_share_one_endpoint_table_per_side(monkeypatch, theorem, n, m, sides):
+    from elrbounds import bounds, divergence
+
+    calls, crosschecked = [], []
+    honest_table, honest_direct = bounds.endpoint_table, divergence.direct_bound_values
+
+    def counted(*args):
+        calls.append(args[1:])
+        return honest_table(*args)
+
+    def recorded(*args, **kwargs):
+        crosschecked.append(honest_direct(*args, **kwargs))
+        return crosschecked[-1]
+
+    monkeypatch.setattr(bounds, "endpoint_table", counted)
+    monkeypatch.setattr(divergence, "direct_bound_values", recorded)
+    rr = ratio_range(P, Q)
+    f = _gen("kl", domain=(rr.a, rr.b))
+    divergence_bounds(f, P, Q, n=n, m=m, theorem=theorem, convexity=CONVEX)
+    assert len(calls) == len(set(calls)) == sides
+    # Called on its own, the direct route builds its own tables, and they
+    # give the crosscheck's values bit for bit.
+    calls.clear()
+    direct = direct_bound_values(f, P, Q, rr.a, rr.b, n=n, m=m, theorem=theorem, convexity=CONVEX)
+    assert len(calls) == sides
+    assert crosschecked == [direct]
+
+
 def test_direct_route_survives_an_underflowing_moment_denominator():
     # q_1^11 underflows to 0.0; the crosscheck used to divide by it.
     p = ProbabilityVector((1e-45, 0.4, 0.6 - 1e-45))

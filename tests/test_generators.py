@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from elrbounds import (
@@ -192,6 +193,82 @@ def test_classification_agrees_with_derivative_sign_on_grid():
             }
             verdict = classify(spec, n)
             assert verdict == (CONVEX if signs == {True} else CONCAVE)
+
+
+def _classify_per_point(spec, n):
+    """Reference verdict: the 101-point grid one float at a time, tolerance
+    1e-12 of the largest finite |sample| (no absolute floor)."""
+    f = make_generator(spec)
+    a, b = spec.domain
+    values = [float(f.deriv(n, a + (b - a) * i / 100)) for i in range(101)]
+    tol = 1e-12 * max((abs(v) for v in values if math.isfinite(v)), default=0.0)
+    if min(values) >= -tol:
+        return CONVEX
+    if max(values) <= tol:
+        return CONCAVE
+    return INDEFINITE
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and text
+        return type(exc).__name__, str(exc)
+
+
+def _random_specs(rng):
+    """(name, domain family, spec) draws over every built-in generator."""
+    for name in ("kl", "hellinger", "harmonic", "jeffreys", "exp", "poly", "power"):
+        kw = {}
+        if name == "poly":
+            kw["coeffs"] = tuple(rng.normal(0.0, 10.0 ** rng.uniform(-20, 3), rng.integers(1, 14)))
+        if name == "power":
+            kw["exponent"] = float(rng.choice([rng.uniform(-4.0, 4.0), rng.integers(-3, 12)]))
+        a = float(rng.uniform(0.05, 5.0))
+        domains = {
+            "narrow": (a, a * (1.0 + 10.0 ** rng.uniform(-9, -1))),
+            "wide": (float(10.0 ** rng.uniform(-4, 0)), float(10.0 ** rng.uniform(1, 8))),
+            "tiny-start": (float(10.0 ** rng.uniform(-320, -8)), float(rng.uniform(0.01, 3.0))),
+        }
+        if name in ("harmonic", "exp", "poly"):
+            low = -float(rng.uniform(0.0, 1.0 if name == "harmonic" else 900.0))
+            domains["negative"] = (low, float(rng.uniform(low / 2, 900.0)))
+        for family, domain in domains.items():
+            yield name, family, GeneratorSpec(name, domain=domain, **kw)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_array_grid_classify_matches_the_per_point_reference():
+    # One array call of the derivative per verdict; a non-finite sample
+    # re-runs the grid point by point, so the scalar `**` errors stay as
+    # they are.  Verdicts and errors (type and text) must match the reference.
+    rng = np.random.default_rng(20261018)
+    seen = set()
+    for _ in range(6):
+        for name, family, spec in _random_specs(rng):
+            for n in range(1, 13):
+                got = _outcome(classify, spec, n)
+                assert got == _outcome(_classify_per_point, spec, n), (spec, n)
+                seen.add((family, got if isinstance(got, str) else got[0]))
+    kinds = {kind for _, kind in seen}
+    assert {CONVEX, CONCAVE, INDEFINITE, "OverflowError"} <= kinds
+    assert {family for family, _ in seen} == {"narrow", "wide", "tiny-start", "negative"}
+
+
+def test_tiny_negative_derivative_is_concave():
+    # f^(9) of kl is -7! t^-8, about -1e-14 on [100, 200]: nonpositive
+    # everywhere, however small.  An absolute tolerance floor called it convex.
+    assert classify(GeneratorSpec("kl", domain=(100.0, 200.0)), 9) == CONCAVE
+    tiny_cubic = GeneratorSpec("poly", domain=(0.5, 2.0), coeffs=(0, 0, 0, -1e-20))
+    assert classify(tiny_cubic, 3) == CONCAVE
+
+
+def test_infinite_sample_leaves_the_tolerance_finite():
+    # f^(11) of kl is -9! t^-10 < 0; at t = 3e-31 the product overflows to
+    # -inf without an error, which once made the tolerance infinite.
+    spec = GeneratorSpec("kl", domain=(3e-31, 1.0))
+    assert float(make_generator(spec).deriv(11, 3e-31)) == -math.inf
+    assert classify(spec, 11) == CONCAVE
 
 
 # --- spec validation and parsing --------------------------------------------------
