@@ -15,11 +15,7 @@ from elrbounds import (
     CONVEX,
     DiscreteFunctional,
     FunctionModel,
-    bound_tm21,
-    bound_tm22,
-    bracket_cor21,
-    bracket_tm23,
-    bracket_tm24,
+    bound,
     decompose_lemma21,
     decompose_lemma22,
     lr_difference,
@@ -42,8 +38,8 @@ for label, decompose in (("left-anchored", decompose_lemma21), ("right-anchored"
 
 print()
 print("== the n=3 bracket: -3 <= lr <= -1.5 ==")
-r23 = bracket_tm23(cube, A, 3, CONVEX)
-r24 = bracket_tm24(cube, A, 3, CONVEX)
+r23 = bound("TM23", cube, A, 3, None, CONVEX)
+r24 = bound("TM24", cube, A, 3, None, CONVEX)
 print("TM23:", r23.to_dict())
 print("TM24 agrees bit for bit:", (r23.lower, r23.upper) == (r24.lower, r24.upper))
 print("closed form at n=3:", n3_closed_form(cube, A))
@@ -51,19 +47,19 @@ print("closed form at n=3:", n3_closed_form(cube, A))
 print()
 print("== parity drives the direction: f(t)=t^5 is 5-convex on [0, 2] ==")
 quintic = FunctionModel.from_polynomial([0, 0, 0, 0, 0, 1], (0.0, 2.0), name="t^5")
-up = bound_tm21(quintic, A, 5, 4, CONVEX)   # n, m of different parity: upper
-low = bound_tm21(quintic, A, 5, 3, CONVEX)  # equal parity: lower
+up = bound("TM21", quintic, A, 5, 4, CONVEX)   # n, m of different parity: upper
+low = bound("TM21", quintic, A, 5, 3, CONVEX)  # equal parity: lower
 print(f"  n=5, m=4: lr={up.lr:+.4f} <= upper={up.upper:+.4f}")
 print(f"  n=5, m=3: lower={low.lower:+.4f} <= lr={low.lr:+.4f}")
-right = bound_tm22(quintic, A, 5, 3, CONVEX)  # odd m: upper
+right = bound("TM22", quintic, A, 5, 3, CONVEX)  # odd m: upper
 print(f"  right-anchored, m=3 odd: lr={right.lr:+.4f} <= upper={right.upper:+.4f}")
 
 print()
 print("== pairing the two one-sided bounds gives the odd-n bracket ==")
-rep = bracket_cor21(quintic, A, 5, 3, CONVEX)
+rep = bound("COR21", quintic, A, 5, 3, CONVEX)
 print(f"  {rep.lower:+.4f} <= {rep.lr:+.4f} <= {rep.upper:+.4f}   valid={rep.direction_valid}")
 
 print()
 print("== negating f flips every direction and negates every value exactly ==")
-neg = bracket_tm23(-cube, A, 3, CONCAVE)
+neg = bound("TM23", -cube, A, 3, None, CONCAVE)
 print("  -f bracket:", (neg.lower, neg.upper), "  lr:", neg.lr)

@@ -17,7 +17,7 @@ from elrbounds import (
     make_generator,
     normalizer,
     pmf_vector,
-    ratio_extrema,
+    ratio_range,
     zm_divergence_bounds,
 )
 
@@ -34,7 +34,7 @@ print(" i    pmf_P       pmf_Q       ratio")
 for i, (pi, qi) in enumerate(zip(p.values, q.values), start=1):
     print(f"{i:2d}   {pi:.6f}    {qi:.6f}    {pi / qi:.4f}")
 
-rr = ratio_extrema(P, Q)
+rr = ratio_range(p, q)
 print(f"ratio extrema: [{rr.a:.6f}, {rr.b:.6f}]")
 
 print()
@@ -61,4 +61,4 @@ Z1 = ZipfMandelbrotParams(N=5, q=0.0, s=1.0)
 Z2 = ZipfMandelbrotParams(N=5, q=0.0, s=2.0)
 print("  Zipf s=1 pmf:", tuple(round(v, 4) for v in pmf_vector(Z1).values))
 print("  Zipf s=2 pmf:", tuple(round(v, 4) for v in pmf_vector(Z2).values))
-print("  ratio extrema:", ratio_extrema(Z1, Z2))
+print("  ratio extrema:", ratio_range(pmf_vector(Z1), pmf_vector(Z2)))

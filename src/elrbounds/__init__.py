@@ -6,116 +6,17 @@ confluent divided differences and two-point Hermite interpolation, certifies
 one- and two-sided bounds keyed on n-convexity and parity, and applies the
 machinery to generalized f-divergences and Zipf-Mandelbrot laws.  A built-in
 oracle re-verifies every identity and bracket numerically.
+
+The package namespace is every name in the `__all__` of its seven library
+modules; the command line (`elrbounds.cli`) is not imported with it.
 """
 
-from .bounds import (
-    CONCAVE,
-    CONVEX,
-    THEOREMS,
-    BoundReport,
-    ParityCase,
-    bound_tm21,
-    bound_tm22,
-    bracket_cor21,
-    bracket_tm23,
-    bracket_tm24,
-    decompose_lemma21,
-    decompose_lemma22,
-    n3_closed_form,
-)
-from .divergence import (
-    ProbabilityVector,
-    RatioRange,
-    direct_bound_values,
-    divergence_bounds,
-    f_divergence,
-    ratio_range,
-)
-from .divided_diff import (
-    FunctionModel,
-    NewtonForm,
-    NodeMultiset,
-    divided_difference,
-    hermite_mn,
-    newton_interpolant,
-    remainder_R,
-    remainder_Rstar,
-)
-from .functional import DiscreteFunctional, lr_difference
-from .generators import (
-    BUILTIN_NAMES,
-    INDEFINITE,
-    GeneratorSpec,
-    classify,
-    make_generator,
-    parse_function_spec,
-)
-from .oracle import (
-    AuditConfig,
-    AuditReport,
-    ConvexityCertificate,
-    audit_brackets,
-    audit_identities,
-    certify_convexity,
-)
-from .zipf import (
-    ZipfMandelbrotParams,
-    normalizer,
-    pmf,
-    pmf_vector,
-    ratio_extrema,
-    zm_divergence_bounds,
-)
+from . import bounds, divergence, divided_diff, functional, generators, oracle, zipf
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONVEX",
-    "CONCAVE",
-    "INDEFINITE",
-    "THEOREMS",
-    "BUILTIN_NAMES",
-    "FunctionModel",
-    "NodeMultiset",
-    "NewtonForm",
-    "divided_difference",
-    "newton_interpolant",
-    "hermite_mn",
-    "remainder_R",
-    "remainder_Rstar",
-    "DiscreteFunctional",
-    "lr_difference",
-    "ParityCase",
-    "BoundReport",
-    "decompose_lemma21",
-    "decompose_lemma22",
-    "bound_tm21",
-    "bound_tm22",
-    "bracket_cor21",
-    "bracket_tm23",
-    "bracket_tm24",
-    "n3_closed_form",
-    "ProbabilityVector",
-    "RatioRange",
-    "f_divergence",
-    "ratio_range",
-    "divergence_bounds",
-    "direct_bound_values",
-    "GeneratorSpec",
-    "make_generator",
-    "classify",
-    "parse_function_spec",
-    "ZipfMandelbrotParams",
-    "normalizer",
-    "pmf",
-    "pmf_vector",
-    "ratio_extrema",
-    "zm_divergence_bounds",
-    "ConvexityCertificate",
-    "AuditConfig",
-    "AuditReport",
-    "certify_convexity",
-    "audit_identities",
-    "audit_brackets",
-    "__version__",
-]
+_MODULES = (divided_diff, functional, bounds, divergence, generators, zipf, oracle)
+
+globals().update({name: getattr(module, name) for module in _MODULES for name in module.__all__})
+
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
-from .divided_diff import FunctionModel, NodeMultiset, divided_difference, remainder_R
-from .divided_diff import _check_support, endpoint_table
+from .divided_diff import FunctionModel, _check_support, endpoint_table, remainder_R
 from .functional import DiscreteFunctional, lr_difference
 
 __all__ = [
@@ -37,11 +37,6 @@ __all__ = [
     "decompose_lemma21",
     "decompose_lemma22",
     "bound",
-    "bound_tm21",
-    "bound_tm22",
-    "bracket_cor21",
-    "bracket_tm23",
-    "bracket_tm24",
     "n3_closed_form",
 ]
 
@@ -79,12 +74,28 @@ class _Family:
             raise ValueError(f"{self.tag} requires n >= {self.min_n}, got n={n}")
         return [(x, m if k is None else k) for x, k in self.sides]
 
+    @staticmethod
+    def side(
+        f: FunctionModel, interval: tuple[float, float], anchor: str, n: int, m: int,
+        moment, mean, tables=None,
+    ) -> tuple[tuple[float, float], list[float]]:
+        """((x, y), terms) of side (anchor, m): x is the anchor endpoint of
+        `interval`, y the other one, and the terms are `_terms` at (x, y).
+
+        `moment(x, y, j, k)` returns A[(g-x)^j (g-y)^k] for either order of
+        the endpoints; every route to a side's terms passes through here.
+        """
+        a, b = interval
+        x, y = (a, b) if anchor == "a" else (b, a)
+        return (x, y), _terms(f, x, y, n, m, partial(moment, x, y), mean, tables)
+
     def terms(
         self, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None, tables=None
     ) -> Iterator[list[float]]:
-        """Yield each side's terms in turn; the remainders they drop are never evaluated."""
-        for x, k in self.resolve(n, m):
-            yield _side_terms(f, A, n, x, k, tables)
+        """Yield each side's terms from A's moments in turn; the remainders
+        they drop are never evaluated."""
+        for anchor, k in self.resolve(n, m):
+            yield self.side(f, A.interval, anchor, n, k, _moments(A), lambda: A.mean, tables)[1]
 
     def signs(self, n: int, m: int | None, convexity: str) -> list[int]:
         """Sign of the remainder each side drops: the parity rule.
@@ -136,14 +147,19 @@ class ParityCase:
     convexity: str
 
     def __post_init__(self) -> None:
-        if int(self.n) < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+        self._check(self.n, self.m)
         object.__setattr__(self, "n", int(self.n))
         if self.m is not None:
-            if not 1 <= int(self.m) <= self.n - 1:
-                raise ValueError(f"m must be in 1..{self.n - 1}, got {self.m}")
             object.__setattr__(self, "m", int(self.m))
         _check_convexity(self.convexity)
+
+    @staticmethod
+    def _check(n: int, m: int | None) -> None:
+        """The n/m rule: n an integer >= 2 and m, unless None, an integer in 1..n-1."""
+        if int(n) != n or n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {n}")
+        if m is not None and (int(m) != m or not 1 <= m <= n - 1):
+            raise ValueError(f"m must be an integer in 1..{n - 1}, got {m}")
 
 
 @dataclass(frozen=True)
@@ -160,15 +176,6 @@ class BoundReport:
     theorem: str
     case: ParityCase
     direction_valid: bool
-
-    def contains(self, rel_tol: float = 1e-9) -> bool:
-        """lower <= lr <= upper up to rel_tol * (1 + |lr|), missing sides ignored."""
-        tol = rel_tol * (1.0 + abs(self.lr))
-        if self.lower is not None and self.lr < self.lower - tol:
-            return False
-        if self.upper is not None and self.lr > self.upper + tol:
-            return False
-        return True
 
     def violation(self) -> float:
         """Largest amount by which lr escapes the certified side(s); 0 if contained."""
@@ -197,13 +204,6 @@ def _check_convexity(convexity: str) -> None:
         raise ValueError(f"convexity must be {CONVEX!r} or {CONCAVE!r}, got {convexity!r}")
 
 
-def _check_case(n: int, m: int) -> None:
-    if int(n) != n or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
-    if int(m) != m or not 1 <= m <= n - 1:
-        raise ValueError(f"m must be an integer in 1..{n - 1}, got {m}")
-
-
 def _family(tag: str) -> _Family:
     if tag.upper() not in FAMILIES:
         raise ValueError(f"unknown theorem tag {tag.upper()!r}; choose from {THEOREMS}")
@@ -225,7 +225,7 @@ def _terms(
     m >= 3: (A(g)-x)(f[x,x] - f[x,y]), then f^(k)(x)/k! * A[(g-x)^k] for
             k = 2..m-1, then f[x x m; y x k] * A[(g-x)^m (g-y)^(k-1)].
     """
-    _check_case(n, m)
+    ParityCase._check(n, m)
     if m >= 3:  # this layout reads f[x, x] first: its errors come first
         _check_support(f, (x,), 2)
     T = (tables or {}).get((x, m)) or endpoint_table(f, x, y, m, n - m)
@@ -246,14 +246,18 @@ def _terms(
     )
 
 
-def _side_terms(
-    f: FunctionModel, A: DiscreteFunctional, n: int, anchor: str, m: int, tables=None
-) -> list:
-    """`_terms` anchored at A's endpoint `anchor` ("a" or "b"), with A's moments."""
-    a, b = A.interval
-    if anchor == "a":
-        return _terms(f, a, b, n, m, A.moment, lambda: A.mean, tables)
-    return _terms(f, b, a, n, m, lambda i, j: A.moment(j, i), lambda: A.mean, tables)
+def _moments(A: DiscreteFunctional):
+    """A's moments as the `moment(x, y, j, k)` = A[(g-x)^j (g-y)^k] of `_Family.side`."""
+    a = A.interval[0]
+    return lambda x, y, j, k: A.moment(j, k) if x == a else A.moment(k, j)
+
+
+def _decompose(
+    f: FunctionModel, A: DiscreteFunctional, n: int, anchor: str, m: int
+) -> tuple[list[float], float]:
+    """Side (anchor, m)'s terms and the remainder A(R(g)) they leave out."""
+    (x, y), terms = _Family.side(f, A.interval, anchor, n, m, _moments(A), lambda: A.mean)
+    return terms, A.apply(lambda t: remainder_R(f, x, y, m, n, t))
 
 
 def decompose_lemma21(
@@ -264,8 +268,7 @@ def decompose_lemma21(
     The terms are those of `_terms` with x = a, y = b; with A(R_m(g)) added
     they reproduce lr_difference exactly (up to rounding).
     """
-    a, b = A.interval
-    return _side_terms(f, A, n, "a", m), A.apply(lambda t: remainder_R(f, a, b, m, n, t))
+    return _decompose(f, A, n, "a", m)
 
 
 def decompose_lemma22(
@@ -276,8 +279,7 @@ def decompose_lemma22(
     The terms are those of `_terms` with x = b, y = a; the remainder is the
     mirror remainder (g-b)^m (g-a)^(n-m) f[g; b x m; a x (n-m)].
     """
-    a, b = A.interval
-    return _side_terms(f, A, n, "b", m), A.apply(lambda t: remainder_R(f, b, a, m, n, t))
+    return _decompose(f, A, n, "b", m)
 
 
 def bound(
@@ -304,37 +306,6 @@ def bound(
     )
 
 
-def bound_tm21(
-    f: FunctionModel, A: DiscreteFunctional, n: int, m: int, convexity: str
-) -> BoundReport:
-    """One-sided bound from the left-anchored terms at m >= 3."""
-    return bound("TM21", f, A, n, m, convexity)
-
-
-def bound_tm22(
-    f: FunctionModel, A: DiscreteFunctional, n: int, m: int, convexity: str
-) -> BoundReport:
-    """One-sided bound from the right-anchored terms at m >= 3."""
-    return bound("TM22", f, A, n, m, convexity)
-
-
-def bracket_cor21(
-    f: FunctionModel, A: DiscreteFunctional, n: int, m: int, convexity: str
-) -> BoundReport:
-    """Bracket pairing the TM21 and TM22 sides; certified only for odd n."""
-    return bound("COR21", f, A, n, m, convexity)
-
-
-def bracket_tm23(f: FunctionModel, A: DiscreteFunctional, n: int, convexity: str) -> BoundReport:
-    """Bracket from the m = 1 and m = 2 left-anchored term sums, n >= 3."""
-    return bound("TM23", f, A, n, None, convexity)
-
-
-def bracket_tm24(f: FunctionModel, A: DiscreteFunctional, n: int, convexity: str) -> BoundReport:
-    """Bracket from the m = 1 and m = 2 right-anchored term sums, n >= 3."""
-    return bound("TM24", f, A, n, None, convexity)
-
-
 def n3_closed_form(f: FunctionModel, A: DiscreteFunctional) -> tuple[float, float]:
     """Order-3 bracket with the lower side in closed form.
 
@@ -343,7 +314,7 @@ def n3_closed_form(f: FunctionModel, A: DiscreteFunctional) -> tuple[float, floa
     identical to the TM23 upper side at n = 3.
     """
     a, b = A.interval
-    f_ab = divided_difference(f, NodeMultiset(((a, 1), (b, 1))))
-    lower = A.moment(1, 1) / (b - a) * (float(f.deriv(1, b)) - f_ab)
-    upper = divided_difference(f, NodeMultiset(((a, 2), (b, 1)))) * A.moment(1, 1)
+    T = endpoint_table(f, a, b, 2, 1)
+    lower = A.moment(1, 1) / (b - a) * (float(f.deriv(1, b)) - T[1][1])
+    upper = T[2][1] * A.moment(1, 1)
     return lower, upper

@@ -28,16 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import bounds as _bounds
-from .bounds import CONVEX, BoundReport, _family, _terms
+from .bounds import CONVEX, BoundReport, _family
 from .divided_diff import FunctionModel
 from .functional import (
-    _TABLE_MIN_POINTS, DiscreteFunctional, _first_outside, _float_array, _Powers,
+    _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _first_outside, _float_array, _Powers,
+    _unit_sum,
 )
 from .generators import GeneratorSpec, definite_class, make_generator
 
@@ -50,7 +49,6 @@ __all__ = [
     "direct_bound_values",
 ]
 
-_PROB_SUM_TOL = 1e-12
 _CROSSCHECK_TOL = 1e-12
 
 
@@ -71,9 +69,7 @@ class ProbabilityVector:
         if (i := _first_outside(v, 0.0, 1.0)) is not None:
             raise ValueError(f"values[{i}] = {float(v[i])} outside [0, 1]")
         vals = v.tolist()
-        total = math.fsum(vals)
-        if abs(total - 1.0) > _PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, more than 1e-12 away from 1")
+        _unit_sum(vals, "probabilities")
         object.__setattr__(self, "values", tuple(vals))
         object.__setattr__(self, "_v", v)
 
@@ -82,10 +78,6 @@ class ProbabilityVector:
 
     def __iter__(self):
         return iter(self.values)
-
-    @classmethod
-    def of(cls, values: Iterable[float]) -> "ProbabilityVector":
-        return cls(tuple(values))
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,7 @@ class RatioRange:
         a, b = float(self.a), float(self.b)
         if not a <= b:
             raise ValueError(f"ratio range needs a <= b, got ({a}, {b})")
-        if a > 1.0 + _PROB_SUM_TOL or b < 1.0 - _PROB_SUM_TOL:
+        if a > 1.0 + _SUM_TOL or b < 1.0 - _SUM_TOL:
             raise ValueError(f"ratio range ({a}, {b}) does not straddle 1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -221,12 +213,10 @@ def direct_bound_values(
     """
     family = _family(theorem)
     moment = _pq_moments(p, q, a, b)
-
-    def side(anchor: str, k: int) -> float:
-        x, y = (a, b) if anchor == "a" else (b, a)
-        return math.fsum(_terms(f, x, y, n, k, partial(moment, x, y), lambda: 1.0, _tables))
-
-    values = [side(x, k) for x, k in family.resolve(n, m)]
+    values = [
+        math.fsum(family.side(f, (a, b), anchor, n, k, moment, lambda: 1.0, _tables)[1])
+        for anchor, k in family.resolve(n, m)
+    ]
     return family.arrange(n, m, convexity, values)[:2]
 
 

@@ -7,8 +7,8 @@ f^(j)(t)/j!, and every other cell uses the quotient recursion
 (`endpoint_table` fills every f[x x i; y x j] of two nodes at once).  On top
 of the table sit the Newton form (coefficients are divided differences over
 node prefixes), the two-point form matching m derivative orders at the left
-endpoint and n-m at the right one, and the two remainder evaluations that
-make f(t) = P(t) + R(t) an identity.
+endpoint and n-m at the right one, and the remainder evaluation that makes
+f(t) = P(t) + R(t) an identity.
 
 Derivatives are always supplied analytically through `FunctionModel`; nothing
 in this module differentiates numerically.
@@ -30,7 +30,6 @@ __all__ = [
     "newton_interpolant",
     "hermite_mn",
     "remainder_R",
-    "remainder_Rstar",
 ]
 
 # Distinct nodes closer than this (relative to node scale) are rejected:
@@ -200,10 +199,6 @@ class NodeMultiset:
         return cls(tuple(counts.items()))
 
     @property
-    def total_count(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    @property
     def max_multiplicity(self) -> int:
         return max(m for _, m in self.entries)
 
@@ -321,8 +316,10 @@ def hermite_mn(f: FunctionModel, a: float, b: float, m: int, n: int) -> NewtonFo
 def remainder_R(f: FunctionModel, a: float, b: float, m: int, n: int, t: float) -> float:
     """Interpolation remainder (t-a)^m (t-b)^(n-m) * f[t; a x m; b x (n-m)].
 
-    Exactly zero when t coincides with a or b (the prefactor vanishes, so the
-    confluent table is never formed there).
+    With a and b swapped it is the mirror remainder of lemma 2.2,
+    (t-b)^m (t-a)^(n-m) * f[t; b x m; a x (n-m)].  Exactly zero when t
+    coincides with a or b (the prefactor vanishes, so the confluent table is
+    never formed there).
     """
     if not 1 <= m <= n - 1:
         raise ValueError(f"m must satisfy 1 <= m <= n-1, got m={m}, n={n}")
@@ -333,7 +330,3 @@ def remainder_R(f: FunctionModel, a: float, b: float, m: int, n: int, t: float) 
     nodes = NodeMultiset(((t, 1), (float(a), m), (float(b), n - m)))
     return float(w * divided_difference(f, nodes))
 
-
-def remainder_Rstar(f: FunctionModel, a: float, b: float, m: int, n: int, t: float) -> float:
-    """Mirror remainder (t-b)^m (t-a)^(n-m) * f[t; b x m; a x (n-m)]: remainder_R with a, b swapped."""
-    return remainder_R(f, b, a, m, n, t)

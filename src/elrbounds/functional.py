@@ -27,7 +27,7 @@ from .divided_diff import FunctionModel
 
 __all__ = ["DiscreteFunctional", "lr_difference"]
 
-_WEIGHT_SUM_TOL = 1e-12
+_SUM_TOL = 1e-12
 
 # Smallest point set whose moments come from a power table.  Below it the
 # point-by-point sums are faster, because numpy's per-call overhead outweighs
@@ -80,6 +80,14 @@ def _float_array(values) -> np.ndarray:
     return arr
 
 
+def _unit_sum(values: list[float], what: str) -> float:
+    """fsum of `values`, which must lie within `_SUM_TOL` of 1 (`what` names them)."""
+    total = math.fsum(values)
+    if abs(total - 1.0) > _SUM_TOL:
+        raise ValueError(f"{what} sum to {total!r}, more than {_SUM_TOL} away from 1")
+    return total
+
+
 def _first_outside(v: np.ndarray, lo: float, hi: float) -> int | None:
     """Index of the first entry of `v` outside [lo, hi] or NaN, or None.
 
@@ -121,9 +129,7 @@ class DiscreteFunctional:
             i = int((w >= 0.0).argmin())
             raise ValueError(f"weights[{i}] = {float(w[i])} is negative")
         wts = w.tolist()
-        total = math.fsum(wts)
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, more than 1e-12 away from 1")
+        total = _unit_sum(wts, "weights")
         if total != 1.0:
             w = w / total
             wts = w.tolist()

@@ -16,7 +16,8 @@ Derivatives are closed forms; the stack is capped at order 12, past which
 double precision gives the formulas little meaning.  `classify` reads the
 n-convexity class off the sign of the n-th derivative sampled on an even
 grid over the declared domain; it is the one class source of every bound
-path (`definite_class` is the same verdict with INDEFINITE as an error).
+path (`definite_class` is the same verdict with INDEFINITE, or an
+overflowing sample, as a ValueError).
 """
 
 from __future__ import annotations
@@ -258,8 +259,11 @@ def classify(spec: GeneratorSpec, n: int) -> str:
 
 
 def definite_class(spec: GeneratorSpec, n: int) -> str:
-    """`classify`, with an indefinite class raised as a ValueError."""
-    convexity = classify(spec, n)
+    """`classify`, with an indefinite class or an overflowing sample raised as a ValueError."""
+    try:
+        convexity = classify(spec, n)
+    except OverflowError as exc:
+        raise ValueError(f"order-{n} derivative overflow in classify: {exc}") from exc
     if convexity == INDEFINITE:
         a, b = spec.domain
         raise ValueError(

@@ -1,13 +1,13 @@
 """Zipf and Zipf-Mandelbrot laws and their divergence-bound pipeline.
 
 The law with parameters (N, q, s) puts mass proportional to (i + q)^(-s) on
-i = 1..N; q = 0 recovers the plain Zipf law.  `ratio_extrema` scans the
-materialized pmf ratios of two same-N laws (the ratio need not be monotone in
-i for general parameter pairs, and N is small, so the scan is exhaustive),
-and `zm_divergence_bounds` checks that the laws share N and hands the
-materialized vectors and the generator to `divergence_bounds`, which
-resolves the interval, the generator and the convexity class; its output is
-therefore bit-identical to calling that function on the vectors directly.
+i = 1..N; q = 0 recovers the plain Zipf law.  `zm_divergence_bounds` checks
+that the laws share N and hands the materialized vectors (`pmf_vector`) and
+the generator to `divergence_bounds`, which resolves the interval, the
+generator and the convexity class; its output is therefore bit-identical to
+calling that function on the vectors directly.  The interval defaults to the
+`ratio_range` of the two vectors, a scan of every ratio: the ratio need not
+be monotone in i for general parameter pairs.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .divergence import ProbabilityVector, RatioRange, divergence_bounds, ratio_range
+from .divergence import ProbabilityVector, divergence_bounds
 from .divided_diff import FunctionModel
 from .generators import GeneratorSpec
 
 __all__ = [
     "ZipfMandelbrotParams",
     "normalizer",
-    "pmf",
     "pmf_vector",
-    "ratio_extrema",
     "zm_divergence_bounds",
 ]
 
@@ -69,25 +67,10 @@ def normalizer(params: ZipfMandelbrotParams) -> float:
     return _weights(params)[1]
 
 
-def pmf(i: int, params: ZipfMandelbrotParams) -> float:
-    """(i + q)^(-s) / H for 1 <= i <= N."""
-    if not 1 <= i <= params.N:
-        raise ValueError(f"i = {i} outside support 1..{params.N}")
-    terms, h = _weights(params)
-    return float(terms[i - 1]) / h
-
-
 def pmf_vector(params: ZipfMandelbrotParams) -> ProbabilityVector:
     """The full pmf as a probability vector; each (i + q)^(-s) is computed once."""
     terms, h = _weights(params)
     return ProbabilityVector(terms / h)
-
-
-def ratio_extrema(P: ZipfMandelbrotParams, Q: ZipfMandelbrotParams) -> RatioRange:
-    """Extremes of pmf_P(i) / pmf_Q(i) over the shared support."""
-    if P.N != Q.N:
-        raise ValueError(f"laws must share N, got {P.N} and {Q.N}")
-    return ratio_range(pmf_vector(P), pmf_vector(Q))
 
 
 def zm_divergence_bounds(
@@ -103,8 +86,8 @@ def zm_divergence_bounds(
 ) -> BoundReport:
     """Materialize both laws and delegate to `divergence_bounds`.
 
-    [a, b] defaults to the ratio extrema; a `GeneratorSpec` is rebuilt on it
-    and, when `convexity` is omitted, classified there; a ready
+    [a, b] defaults to the ratio range of the two pmfs; a `GeneratorSpec` is
+    rebuilt on it and, when `convexity` is omitted, classified there; a ready
     `FunctionModel` is used as-is and requires an explicit convexity class.
     """
     if P.N != Q.N:

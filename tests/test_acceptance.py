@@ -23,11 +23,7 @@ from elrbounds import (
     ZipfMandelbrotParams,
     audit_brackets,
     audit_identities,
-    bound_tm21,
-    bound_tm22,
-    bracket_cor21,
-    bracket_tm23,
-    bracket_tm24,
+    bound,
     certify_convexity,
     classify,
     direct_bound_values,
@@ -37,7 +33,6 @@ from elrbounds import (
     make_generator,
     n3_closed_form,
     pmf_vector,
-    ratio_extrema,
     ratio_range,
     zm_divergence_bounds,
 )
@@ -89,11 +84,11 @@ def test_criterion_2_polynomial_tightness():
         tol = 1e-9 * (1.0 + abs(lr))
         values = []
         for rep in (
-            bound_tm21(f, A, n21, m21, CONVEX),
-            bound_tm22(f, A, n21, m21, CONVEX),
-            bracket_cor21(f, A, ncor, mcor, CONVEX),
-            bracket_tm23(f, A, n23, CONVEX),
-            bracket_tm24(f, A, n23, CONVEX),
+            bound("TM21", f, A, n21, m21, CONVEX),
+            bound("TM22", f, A, n21, m21, CONVEX),
+            bound("COR21", f, A, ncor, mcor, CONVEX),
+            bound("TM23", f, A, n23, None, CONVEX),
+            bound("TM24", f, A, n23, None, CONVEX),
         ):
             values += [v for v in (rep.lower, rep.upper) if v is not None]
         worst = max(worst, max(abs(v - lr) for v in values))
@@ -117,8 +112,8 @@ def test_criterion_4_worked_bracket():
     outcome = _report(4, "worked bracket")
     f = FunctionModel.from_polynomial([0, 0, 0, 1], (0.0, 2.0))
     A = DiscreteFunctional((0.5, 1.5), (0.5, 0.5), (0.0, 2.0))
-    r23 = bracket_tm23(f, A, 3, CONVEX)
-    r24 = bracket_tm24(f, A, 3, CONVEX)
+    r23 = bound("TM23", f, A, 3, None, CONVEX)
+    r24 = bound("TM24", f, A, 3, None, CONVEX)
     closed_lower, closed_upper = n3_closed_form(f, A)
     checks = [
         abs(r23.lr + 2.25) <= 1e-12,
@@ -191,7 +186,9 @@ def test_criterion_7_zipf_mandelbrot():
         total = math.fsum(pmf_vector(params).values)
         worst = max(worst, abs(total - 1.0))
     assert worst <= 1e-12
-    rr = ratio_extrema(ZipfMandelbrotParams(2, 0, 1), ZipfMandelbrotParams(2, 0, 2))
+    rr = ratio_range(
+        pmf_vector(ZipfMandelbrotParams(2, 0, 1)), pmf_vector(ZipfMandelbrotParams(2, 0, 2))
+    )
     assert abs(rr.a - 5.0 / 6.0) <= 1e-12
     assert abs(rr.b - 5.0 / 3.0) <= 1e-12
     # Bit-exact delegation to the materialized-vector path.
@@ -199,7 +196,7 @@ def test_criterion_7_zipf_mandelbrot():
     Q = ZipfMandelbrotParams(20, 1.1, 1.1)
     spec = GeneratorSpec("jeffreys")
     got = zm_divergence_bounds(P, Q, spec, n=4, theorem="tm24")
-    rr2 = ratio_extrema(P, Q)
+    rr2 = ratio_range(pmf_vector(P), pmf_vector(Q))
     f = make_generator(GeneratorSpec("jeffreys", domain=(rr2.a, rr2.b)))
     want = divergence_bounds(
         f, pmf_vector(P), pmf_vector(Q), n=4, theorem="tm24",

@@ -13,11 +13,6 @@ from elrbounds import (
     BoundReport,
     DiscreteFunctional,
     ParityCase,
-    bound_tm21,
-    bound_tm22,
-    bracket_cor21,
-    bracket_tm23,
-    bracket_tm24,
     decompose_lemma21,
     decompose_lemma22,
     lr_difference,
@@ -187,21 +182,21 @@ def test_bracket_orientation_tables():
 def test_tm21_directions_with_t5(worked_functional):
     f = t5_model()
     # n=5, m=4: different parity, 5-convex: upper bound.
-    rep = bound_tm21(f, worked_functional, 5, 4, CONVEX)
+    rep = bound("TM21", f, worked_functional, 5, 4, CONVEX)
     assert rep.upper is not None and rep.lower is None
     assert rep.lr <= rep.upper + 1e-12
     # n=5, m=3: equal parity: lower bound.
-    rep = bound_tm21(f, worked_functional, 5, 3, CONVEX)
+    rep = bound("TM21", f, worked_functional, 5, 3, CONVEX)
     assert rep.lower is not None and rep.upper is None
     assert rep.lower - 1e-12 <= rep.lr
 
 
 def test_tm22_directions_with_t5(worked_functional):
     f = t5_model()
-    rep = bound_tm22(f, worked_functional, 5, 3, CONVEX)
+    rep = bound("TM22", f, worked_functional, 5, 3, CONVEX)
     assert rep.upper is not None
     assert rep.lr <= rep.upper + 1e-12
-    rep = bound_tm22(f, worked_functional, 5, 4, CONVEX)
+    rep = bound("TM22", f, worked_functional, 5, 4, CONVEX)
     assert rep.lower is not None
     assert rep.lower - 1e-12 <= rep.lr
 
@@ -210,15 +205,15 @@ def test_negating_f_flips_direction_and_negates_values_exactly(worked_functional
     f = t5_model()
     neg = -f
     for n, m in ((5, 3), (5, 4), (6, 3)):
-        rep = bound_tm21(f, worked_functional, n, m, CONVEX)
-        mirrored = bound_tm21(neg, worked_functional, n, m, CONCAVE)
+        rep = bound("TM21", f, worked_functional, n, m, CONVEX)
+        mirrored = bound("TM21", neg, worked_functional, n, m, CONCAVE)
         assert mirrored.lr == -rep.lr
         if rep.upper is not None:
             assert mirrored.lower == -rep.upper
         if rep.lower is not None:
             assert mirrored.upper == -rep.lower
-        rep = bound_tm22(f, worked_functional, n, m, CONVEX)
-        mirrored = bound_tm22(neg, worked_functional, n, m, CONCAVE)
+        rep = bound("TM22", f, worked_functional, n, m, CONVEX)
+        mirrored = bound("TM22", neg, worked_functional, n, m, CONCAVE)
         assert mirrored.lr == -rep.lr
         if rep.upper is not None:
             assert mirrored.lower == -rep.upper
@@ -229,8 +224,8 @@ def test_negating_f_flips_direction_and_negates_values_exactly(worked_functional
 def test_polynomial_degree_below_n_gives_equality(worked_functional):
     f = poly_model([2.0, -1.0, 0.5, 0.25])  # degree 3
     lr = lr_difference(f, worked_functional)
-    rep21 = bound_tm21(f, worked_functional, 5, 3, CONVEX)
-    rep22 = bound_tm22(f, worked_functional, 5, 3, CONVEX)
+    rep21 = bound("TM21", f, worked_functional, 5, 3, CONVEX)
+    rep22 = bound("TM22", f, worked_functional, 5, 3, CONVEX)
     value21 = rep21.lower if rep21.lower is not None else rep21.upper
     value22 = rep22.lower if rep22.lower is not None else rep22.upper
     assert value21 == pytest.approx(lr, abs=1e-9)
@@ -238,15 +233,15 @@ def test_polynomial_degree_below_n_gives_equality(worked_functional):
 
 
 def test_m_below_three_rejected(cube, worked_functional):
-    for fn in (bound_tm21, bound_tm22, bracket_cor21):
+    for tag in ("TM21", "TM22", "COR21"):
         for m in (2, None):
             with pytest.raises(ValueError, match="m >= 3"):
-                fn(cube, worked_functional, 5, m, CONVEX)
+                bound(tag, cube, worked_functional, 5, m, CONVEX)
 
 
 def test_bad_convexity_string_rejected(cube, worked_functional):
     with pytest.raises(ValueError, match="convexity"):
-        bracket_tm23(cube, worked_functional, 3, "convex")
+        bound("TM23", cube, worked_functional, 3, None, "convex")
 
 
 # --- brackets --------------------------------------------------------------------
@@ -254,7 +249,7 @@ def test_bad_convexity_string_rejected(cube, worked_functional):
 
 def test_cor21_bracket_with_t5(worked_functional):
     f = t5_model()
-    rep = bracket_cor21(f, worked_functional, 5, 3, CONVEX)
+    rep = bound("COR21", f, worked_functional, 5, 3, CONVEX)
     assert rep.direction_valid
     assert rep.lower - 1e-12 <= rep.lr <= rep.upper + 1e-12
 
@@ -262,23 +257,23 @@ def test_cor21_bracket_with_t5(worked_functional):
 def test_cor21_reversed_cases(worked_functional):
     f = t5_model()
     # 5-concave (-t^5) with even m keeps the same orientation.
-    rep = bracket_cor21(-f, worked_functional, 5, 4, CONCAVE)
+    rep = bound("COR21", -f, worked_functional, 5, 4, CONCAVE)
     assert rep.direction_valid
     assert rep.lower - 1e-12 <= rep.lr <= rep.upper + 1e-12
     # 5-convex with even m swaps the sides.
-    rep = bracket_cor21(f, worked_functional, 5, 4, CONVEX)
+    rep = bound("COR21", f, worked_functional, 5, 4, CONVEX)
     assert rep.direction_valid
     assert rep.lower - 1e-12 <= rep.lr <= rep.upper + 1e-12
 
 
 def test_cor21_even_n_reports_invalid_direction(worked_functional):
     f = poly_model([0, 0, 0, 0, 0, 0, 1.0])  # t^6
-    rep = bracket_cor21(f, worked_functional, 6, 3, CONVEX)
+    rep = bound("COR21", f, worked_functional, 6, 3, CONVEX)
     assert not rep.direction_valid
 
 
 def test_tm23_worked_bracket(cube, worked_functional):
-    rep = bracket_tm23(cube, worked_functional, 3, CONVEX)
+    rep = bound("TM23", cube, worked_functional, 3, None, CONVEX)
     assert rep.lr == pytest.approx(-2.25, abs=1e-12)
     assert rep.lower == pytest.approx(-3.0, abs=1e-12)
     assert rep.upper == pytest.approx(-1.5, abs=1e-12)
@@ -287,14 +282,14 @@ def test_tm23_worked_bracket(cube, worked_functional):
 
 def test_tm23_linear_function_collapses(worked_functional):
     f = poly_model([1.0, 2.0])
-    rep = bracket_tm23(f, worked_functional, 3, CONVEX)
+    rep = bound("TM23", f, worked_functional, 3, None, CONVEX)
     assert rep.lr == pytest.approx(0.0, abs=1e-12)
     assert rep.lower == pytest.approx(0.0, abs=1e-12)
     assert rep.upper == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tm23_negation_reverses_bracket(cube, worked_functional):
-    rep = bracket_tm23(-cube, worked_functional, 3, CONCAVE)
+    rep = bound("TM23", -cube, worked_functional, 3, None, CONCAVE)
     assert rep.lr == pytest.approx(2.25, abs=1e-12)
     # Reversed orientation: the formerly-upper expression is now the lower side.
     assert rep.lower == pytest.approx(1.5, abs=1e-12)
@@ -303,7 +298,7 @@ def test_tm23_negation_reverses_bracket(cube, worked_functional):
 
 
 def test_tm24_worked_bracket(cube, worked_functional):
-    rep = bracket_tm24(cube, worked_functional, 3, CONVEX)
+    rep = bound("TM24", cube, worked_functional, 3, None, CONVEX)
     assert rep.lower == pytest.approx(-3.0, abs=1e-12)
     assert rep.upper == pytest.approx(-1.5, abs=1e-12)
     assert rep.lr == pytest.approx(-2.25, abs=1e-12)
@@ -314,7 +309,7 @@ def test_tm24_exp_bracket_random_functionals():
     f = exp_model(domain=(-1.0, 2.0))
     for _ in range(10):
         A = random_functional(rng, (-1.0, 2.0))
-        rep = bracket_tm24(f, A, 4, CONVEX)
+        rep = bound("TM24", f, A, 4, None, CONVEX)
         tol = 1e-9 * (1.0 + abs(rep.lr))
         assert rep.lower - tol <= rep.lr <= rep.upper + tol
 
@@ -324,16 +319,16 @@ def test_tm24_holds_for_every_n(n):
     rng = np.random.default_rng(n)
     f = exp_model(domain=(0.0, 2.0))
     A = random_functional(rng, (0.0, 2.0))
-    rep = bracket_tm24(f, A, n, CONVEX)
+    rep = bound("TM24", f, A, n, None, CONVEX)
     tol = 1e-9 * (1.0 + abs(rep.lr))
     assert rep.lower - tol <= rep.lr <= rep.upper + tol
 
 
 def test_brackets_require_n_at_least_3(cube, worked_functional):
     with pytest.raises(ValueError, match="n >= 3"):
-        bracket_tm23(cube, worked_functional, 2, CONVEX)
+        bound("TM23", cube, worked_functional, 2, None, CONVEX)
     with pytest.raises(ValueError, match="n >= 3"):
-        bracket_tm24(cube, worked_functional, 2, CONVEX)
+        bound("TM24", cube, worked_functional, 2, None, CONVEX)
 
 
 def test_tm23_tm24_agree_bitwise_at_n3():
@@ -341,8 +336,8 @@ def test_tm23_tm24_agree_bitwise_at_n3():
     f = exp_model(domain=(0.2, 2.2))
     for _ in range(10):
         A = random_functional(rng, (0.2, 2.2))
-        r23 = bracket_tm23(f, A, 3, CONVEX)
-        r24 = bracket_tm24(f, A, 3, CONVEX)
+        r23 = bound("TM23", f, A, 3, None, CONVEX)
+        r24 = bound("TM24", f, A, 3, None, CONVEX)
         assert r23.lower == r24.lower
         assert r23.upper == r24.upper
 
@@ -351,7 +346,7 @@ def test_n3_closed_form_matches_bracket(cube, worked_functional):
     lower, upper = n3_closed_form(cube, worked_functional)
     assert lower == pytest.approx(-3.0, abs=1e-12)
     assert upper == pytest.approx(-1.5, abs=1e-12)
-    rep = bracket_tm23(cube, worked_functional, 3, CONVEX)
+    rep = bound("TM23", cube, worked_functional, 3, None, CONVEX)
     assert lower == pytest.approx(rep.lower, abs=1e-12)
     assert upper == rep.upper
 
@@ -378,7 +373,7 @@ def test_tm24_upper_sum_must_start_at_k2(worked_functional):
     # polynomial-equality property; the implemented sum keeps it exact.
     f = poly_model([0.0, 0.0, 1.0])  # t^2, degree <= n-1 for n=3
     lr = lr_difference(f, worked_functional)
-    rep = bracket_tm24(f, worked_functional, 3, CONVEX)
+    rep = bound("TM24", f, worked_functional, 3, None, CONVEX)
     assert rep.upper == pytest.approx(lr, abs=1e-12)
     from elrbounds import NodeMultiset, divided_difference
 
@@ -392,7 +387,7 @@ def test_tm24_upper_sum_must_start_at_k2(worked_functional):
 
 
 def test_report_serialization(cube, worked_functional):
-    rep = bracket_tm23(cube, worked_functional, 3, CONVEX)
+    rep = bound("TM23", cube, worked_functional, 3, None, CONVEX)
     assert rep.to_dict() == {
         "lr": rep.lr,
         "lower": rep.lower,
@@ -408,9 +403,8 @@ def test_report_serialization(cube, worked_functional):
 def test_report_contains_and_violation():
     case = ParityCase(3, None, CONVEX)
     good = BoundReport(lr=0.5, lower=0.0, upper=1.0, theorem="TM23", case=case, direction_valid=True)
-    assert good.contains() and good.violation() == 0.0
+    assert good.violation() == 0.0
     bad = BoundReport(lr=2.0, lower=0.0, upper=1.0, theorem="TM23", case=case, direction_valid=True)
-    assert not bad.contains()
     assert bad.violation() == pytest.approx(1.0)
 
 

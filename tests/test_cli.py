@@ -327,9 +327,13 @@ def test_zm_missing_function_exits_1(capsys):
     assert err == "error: --function: required with --theorem\n"
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_zm_table_with_mismatched_N_exits_1(capsys, fmt):
-    code, out, err = run(capsys, "zm", "--zm", "3,0,1", "--zm", "2,1,2", "--format", fmt)
+@pytest.mark.parametrize(
+    "mode",
+    [("--format", "json"), ("--format", "csv"), ("--ratio-range",)],
+    ids=lambda m: m[-1].lstrip("-"),
+)
+def test_zm_table_with_mismatched_N_exits_1(capsys, mode):
+    code, out, err = run(capsys, "zm", "--zm", "3,0,1", "--zm", "2,1,2", *mode)
     assert code == 1
     assert out == ""
     assert err == "error: --zm: laws must share N, got 3 and 2\n"
@@ -411,15 +415,21 @@ def test_bounds_moment_overflow_exits_1(capsys):
 
 
 def test_bounds_classify_overflow_exits_1(capsys):
-    code, out, err = run(
-        capsys, "bounds", "--function", "kl", "--points", "1e-30,1", "--weights", "0.5,0.5",
-        "--interval", "1e-30,1", "--theorem", "tm23", "--n", "12", "--convexity", "auto",
-    )
-    assert (code, out) == (1, "")
-    assert err == (
-        "error: order-12 derivative overflow in classify: "
-        "(34, 'Numerical result out of range')\n"
-    )
+    # f^(12) of kl overflows near 1e-30: the class fails, not a moment, in
+    # each subcommand that takes its class from classify.
+    for argv in (
+        ("bounds", "--function", "kl", "--points", "1e-30,1", "--weights", "0.5,0.5",
+         "--interval", "1e-30,1", "--convexity", "auto"),
+        ("div", "--function", "kl", "--p", "0.5,0.5", "--q", "0.25,0.75", "--interval", "1e-30,10"),
+        ("zm", "--zm", "100,0,1", "--zm", "100,0,1.2", "--interval", "1e-30,10",
+         "--function", "kl"),
+    ):
+        code, out, err = run(capsys, *argv, "--theorem", "tm23", "--n", "12")
+        assert (code, out) == (1, ""), argv
+        assert err == (
+            "error: order-12 derivative overflow in classify: "
+            "(34, 'Numerical result out of range')\n"
+        ), argv
 
 
 def test_auto_convexity_reads_a_tiny_negative_derivative_as_concave(capsys):

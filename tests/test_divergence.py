@@ -134,7 +134,7 @@ def test_first_entry_outside_unit_interval_is_reported(N, first, second, text):
 def test_tuple_list_and_array_inputs_build_equal_vectors():
     values = (0.2, 0.5, 0.3)
     built = [ProbabilityVector(make(values)) for make in (tuple, list, np.array)]
-    assert built[0] == built[1] == built[2] == ProbabilityVector.of(iter(values))
+    assert built[0] == built[1] == built[2] == ProbabilityVector(iter(values))
     assert all(type(v.values) is tuple for v in built)
     assert all(type(x) is float for v in built for x in v.values)
 

@@ -17,9 +17,8 @@ from elrbounds import (
     divergence_bounds,
     make_generator,
     normalizer,
-    pmf,
     pmf_vector,
-    ratio_extrema,
+    ratio_range,
     zm_divergence_bounds,
 )
 
@@ -38,9 +37,9 @@ def test_normalizer_worked_values():
 
 
 def test_pmf_worked_values():
-    assert pmf(1, ZipfMandelbrotParams(2, 0, 1)) == pytest.approx(2.0 / 3.0)
+    assert pmf_vector(ZipfMandelbrotParams(2, 0, 1)).values[0] == pytest.approx(2.0 / 3.0)
     h = 1 / 4 + 1 / 9 + 1 / 16
-    assert pmf(2, ZipfMandelbrotParams(3, 1, 2)) == pytest.approx((1 / 9) / h)
+    assert pmf_vector(ZipfMandelbrotParams(3, 1, 2)).values[1] == pytest.approx((1 / 9) / h)
 
 
 def test_pmf_normalization():
@@ -49,18 +48,13 @@ def test_pmf_normalization():
         params = ZipfMandelbrotParams(
             int(rng.integers(1, 500)), float(rng.uniform(0, 4)), float(rng.uniform(0.3, 3))
         )
-        total = math.fsum(pmf(i, params) for i in range(1, params.N + 1))
-        assert abs(total - 1.0) <= 1e-12
         vector = pmf_vector(params)
         assert isinstance(vector, ProbabilityVector)
-        assert (vector.values[0], vector.values[-1]) == (pmf(1, params), pmf(params.N, params))
-
-
-def test_pmf_out_of_support_rejected():
-    with pytest.raises(ValueError, match="support"):
-        pmf(0, ZipfMandelbrotParams(3, 0, 1))
-    with pytest.raises(ValueError, match="support"):
-        pmf(4, ZipfMandelbrotParams(3, 0, 1))
+        assert abs(math.fsum(vector.values) - 1.0) <= 1e-12
+        # Each entry is the scalar (i + q)^(-s) / H, bit for bit.
+        h = normalizer(params)
+        ends = ((1 + params.q) ** -params.s / h, (params.N + params.q) ** -params.s / h)
+        assert (vector.values[0], vector.values[-1]) == ends
 
 
 def test_parameter_validation():
@@ -76,14 +70,16 @@ def test_parameter_validation():
 
 
 def test_ratio_extrema_worked_value():
-    rr = ratio_extrema(ZipfMandelbrotParams(2, 0, 1), ZipfMandelbrotParams(2, 0, 2))
+    rr = ratio_range(
+        pmf_vector(ZipfMandelbrotParams(2, 0, 1)), pmf_vector(ZipfMandelbrotParams(2, 0, 2))
+    )
     assert rr.a == pytest.approx(5.0 / 6.0, abs=1e-12)
     assert rr.b == pytest.approx(5.0 / 3.0, abs=1e-12)
 
 
 def test_ratio_extrema_identical_laws():
     params = ZipfMandelbrotParams(5, 1.2, 1.4)
-    rr = ratio_extrema(params, params)
+    rr = ratio_range(pmf_vector(params), pmf_vector(params))
     assert rr.a == pytest.approx(1.0, abs=1e-15)
     assert rr.b == pytest.approx(1.0, abs=1e-15)
     assert rr.is_degenerate
@@ -95,13 +91,16 @@ def test_ratio_extrema_always_straddles_one():
         N = int(rng.integers(2, 200))
         P = ZipfMandelbrotParams(N, float(rng.uniform(0, 3)), float(rng.uniform(0.3, 2.5)))
         Q = ZipfMandelbrotParams(N, float(rng.uniform(0, 3)), float(rng.uniform(0.3, 2.5)))
-        rr = ratio_extrema(P, Q)
+        rr = ratio_range(pmf_vector(P), pmf_vector(Q))
         assert rr.a <= 1.0 + 1e-12 <= rr.b + 2e-12
 
 
 def test_ratio_extrema_requires_matching_N():
+    P, Q = ZipfMandelbrotParams(2, 0, 1), ZipfMandelbrotParams(3, 0, 1)
     with pytest.raises(ValueError, match="share N"):
-        ratio_extrema(ZipfMandelbrotParams(2, 0, 1), ZipfMandelbrotParams(3, 0, 1))
+        zm_divergence_bounds(P, Q, GeneratorSpec("kl"), n=3, theorem="tm23")
+    with pytest.raises(ValueError, match="p has 2 entries but q has 3"):
+        ratio_range(pmf_vector(P), pmf_vector(Q))
 
 
 # --- bound pipeline ---------------------------------------------------------------
@@ -112,7 +111,7 @@ def test_zm_bounds_bit_identical_to_materialized_call():
     Q = ZipfMandelbrotParams(2, 0, 2)
     spec = GeneratorSpec("poly", coeffs=(0, 0, 0, 1))
     got = zm_divergence_bounds(P, Q, spec, n=3, theorem="tm23")
-    rr = ratio_extrema(P, Q)
+    rr = ratio_range(pmf_vector(P), pmf_vector(Q))
     on_range = GeneratorSpec("poly", coeffs=(0, 0, 0, 1), domain=(rr.a, rr.b))
     assert classify(on_range, 3) == CONVEX
     f = make_generator(on_range)
