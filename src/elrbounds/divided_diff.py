@@ -8,7 +8,8 @@ f^(j)(t)/j!, and every other cell uses the quotient recursion
 of the table sit the Newton form (coefficients are divided differences over
 node prefixes), the two-point form matching m derivative orders at the left
 endpoint and n-m at the right one, and the remainder evaluation that makes
-f(t) = P(t) + R(t) an identity.
+f(t) = P(t) + R(t) an identity, at one point or, bit for bit the same, at
+every point of an array in one pass over the table cells that hold t.
 
 Derivatives are always supplied analytically through `FunctionModel`; nothing
 in this module differentiates numerically.
@@ -20,6 +21,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "FunctionModel",
@@ -36,6 +39,18 @@ __all__ = [
 # merging them silently would change the interpolation problem, and keeping
 # them makes the quotient table ill-conditioned.
 _NEAR_NODE_REL = 1e-13
+
+
+def _float_power(base, e: float):
+    """base ** e per element, bit for bit as Python's float `**`: `np.float_power`
+    calls libm `pow` as `**` does, while `np.power` may take a SIMD pow that
+    differs in the last bit.  As with `**`, a finite base whose power
+    overflows raises OverflowError."""
+    with np.errstate(all="ignore"):
+        out = np.float_power(base, e)
+    if not np.isfinite(out).all() and (np.isinf(out) & np.isfinite(base)).any():
+        raise OverflowError(34, "Numerical result out of range")
+    return out
 
 
 @dataclass(frozen=True)
@@ -313,20 +328,93 @@ def hermite_mn(f: FunctionModel, a: float, b: float, m: int, n: int) -> NewtonFo
     return newton_interpolant(f, NodeMultiset(((float(a), m), (float(b), n - m))))
 
 
-def remainder_R(f: FunctionModel, a: float, b: float, m: int, n: int, t: float) -> float:
+def remainder_R(
+    f: FunctionModel, a: float, b: float, m: int, n: int, t: float | np.ndarray
+) -> float | np.ndarray:
     """Interpolation remainder (t-a)^m (t-b)^(n-m) * f[t; a x m; b x (n-m)].
 
     With a and b swapped it is the mirror remainder of lemma 2.2,
     (t-b)^m (t-a)^(n-m) * f[t; b x m; a x (n-m)].  Exactly zero when t
     coincides with a or b (the prefactor vanishes, so the confluent table is
     never formed there).
+
+    `t` may also be a 1-D float64 array: the result is then the array whose
+    element i is bit for bit `remainder_R(f, a, b, m, n, t[i])`, from one
+    endpoint table and one pass of the table's cells over all points
+    (`_remainder_cells`).  Errors are the scalar calls' own, raised at the
+    first point that raises.
     """
     if not 1 <= m <= n - 1:
         raise ValueError(f"m must satisfy 1 <= m <= n-1, got m={m}, n={n}")
-    t = float(t)
+    if not (isinstance(t, np.ndarray) and t.ndim == 1):
+        return _remainder_at(f, a, b, m, n, float(t))
+    # An error of the array pass (the prefactor's, the table's or f's) is the
+    # scalar calls' to raise: the rerun raises it at its first point.
+    try:
+        out = _remainder_cells(f, float(a), float(b), m, n, t)
+    except Exception:
+        out = None
+    if out is None:
+        out = np.array([_remainder_at(f, a, b, m, n, s) for s in t.tolist()], dtype=float)
+    return out
+
+
+def _remainder_at(f: FunctionModel, a: float, b: float, m: int, n: int, t: float) -> float:
     w = (t - a) ** m * (t - b) ** (n - m)
     if w == 0.0:
         return 0.0
     nodes = NodeMultiset(((t, 1), (float(a), m), (float(b), n - m)))
     return float(w * divided_difference(f, nodes))
 
+
+def _remainder_cells(
+    f: FunctionModel, a: float, b: float, m: int, n: int, t: np.ndarray
+) -> np.ndarray | None:
+    """The remainder at all points of t at once, or None where a point needs the scalar path.
+
+    With u < v the sorted endpoints, a point strictly between them has the
+    flattened nodes [u x p, t, v x q].  Cells without t are the borders
+    f[u x alpha] and f[v x beta] of one `endpoint_table`; the cell over
+    u x alpha, t, v x beta is
+        D[alpha][0]    = (D[alpha-1][0] - f[u x alpha]) / (t - u)
+        D[0][beta]     = (f[v x beta] - D[0][beta-1]) / (v - t)
+        D[alpha][beta] = (D[alpha-1][beta] - D[alpha][beta-1]) / (v - u),
+    the confluent table's operands and IEEE operations, so every element has
+    the scalar call's bits.  Points whose prefactor is 0.0 are 0.0 without a
+    table, as in the scalar call.  None when a point with a nonzero prefactor
+    lies outside (u, v) or within `_NEAR_NODE_REL` of an endpoint, or an f
+    value or result is not finite; a prefactor overflow raises OverflowError.
+    """
+    with np.errstate(all="ignore"):
+        w = _float_power(t - a, float(m)) * _float_power(t - b, float(n - m))
+        live = w != 0.0
+        out = np.zeros(len(t))
+        if not live.any():
+            return out
+        s = t[live]
+        (u, p), (v, q) = sorted(((a, m), (b, n - m)))
+        su, vs = s - u, v - s
+        # Inside (u, v), and as far from both ends as `_check_gap` asks (NaN fails).
+        scale = np.maximum(1.0, np.abs(s))
+        near_u, near_v = (_NEAR_NODE_REL * np.maximum(scale, abs(e)) for e in (u, v))
+        if not ((su >= near_u) & (vs >= near_v)).all():
+            return None
+        T = endpoint_table(f, a, b, m, n - m)
+        fu, fv = ([row[0] for row in T], T[0]) if a < b else (T[0], [row[0] for row in T])
+        array_fn = getattr(f, "_array_fn", None)
+        ft = array_fn(s) if array_fn is not None else np.array([float(f(x)) for x in s.tolist()])
+        if not np.isfinite(ft).all():
+            return None
+        row = [ft]
+        for beta in range(1, q + 1):
+            row.append((fv[beta] - row[-1]) / vs)
+        for alpha in range(1, p + 1):
+            nxt = [(row[0] - fu[alpha]) / su]
+            for beta in range(1, q + 1):
+                nxt.append((row[beta] - nxt[-1]) / (v - u))
+            row = nxt
+        r = w[live] * row[q]
+        if not np.isfinite(r).all():
+            return None
+    out[live] = r
+    return out

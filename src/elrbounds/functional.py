@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divided_diff import FunctionModel
+from .divided_diff import FunctionModel, _float_power
 
 __all__ = ["DiscreteFunctional", "lr_difference"]
 
@@ -36,18 +36,6 @@ _SUM_TOL = 1e-12
 # op with tables took 1.40x the scalar time at 8 points, 1.02x at 32, 0.90x
 # at 48 and 64 and 0.72x at 128; the gate sits at twice the break-even.
 _TABLE_MIN_POINTS = 64
-
-
-def _float_power(base, e: float):
-    """base ** e per element, bit for bit as Python's float `**`: `np.float_power`
-    calls libm `pow` as `**` does, while `np.power` may take a SIMD pow that
-    differs in the last bit.  As with `**`, a finite base whose power
-    overflows raises OverflowError."""
-    with np.errstate(all="ignore"):
-        out = np.float_power(base, e)
-    if not np.isfinite(out).all() and (np.isinf(out) & np.isfinite(base)).any():
-        raise OverflowError(34, "Numerical result out of range")
-    return out
 
 
 class _Powers:
@@ -159,7 +147,15 @@ class DiscreteFunctional:
         array_fn = getattr(h, "_array_fn", None)
         if array_fn is None:
             return math.fsum(w * float(h(x)) for w, x in zip(self.weights, self.points))
-        y = array_fn(self._x)
+        return self.apply_array(array_fn)
+
+    def apply_array(self, h: Callable[[np.ndarray], np.ndarray]) -> float:
+        """A(h(g)) from one call h(points) on the float64 point array.
+
+        The fsum of w_i h_i, in point order: when element i of h(points) is
+        h(x_i) bit for bit, this is `apply` point by point, bit for bit.
+        """
+        y = h(self._x)
         with np.errstate(invalid="ignore"):  # 0 * inf is nan silently, as in float arithmetic
             return math.fsum(memoryview(self._w * y))
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import CONCAVE, CONVEX
-from .divided_diff import FunctionModel
-from .functional import _float_power
+from .divided_diff import FunctionModel, _float_power
 
 __all__ = [
     "INDEFINITE",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -38,6 +39,9 @@ _SIGN_TOL = 1e-12
 _MIN_SEPARATION_FRAC = 1e-6
 _IDENTITY_REL_TOL = 1e-9
 _BRACKET_REL_TOL = 1e-9
+# Function kinds an audit draws from: an exp generator, a random polynomial,
+# or a divergence generator.
+_FUNCTION_KINDS = ("exp", "poly", "generator")
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,12 @@ def certify_convexity(
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Random-suite parameters shared by both audits."""
+    """Random-suite parameters shared by both audits.
+
+    Checked on construction: a field outside its range raises a ValueError
+    that names it.  `n_range` bounds the order n (2 <= lo <= hi), and
+    `function_pool` draws from "exp", "poly" and "generator".
+    """
 
     cases: int = 200
     seed: int = 42
@@ -129,8 +138,27 @@ class AuditConfig:
     cases_per_theorem: int = 100
     certify_samples: int = 120
     theorems: tuple[str, ...] = THEOREMS
-    function_pool: tuple[str, ...] = ("exp", "poly", "generator")
+    function_pool: tuple[str, ...] = _FUNCTION_KINDS
     inject_wrong_parity: bool = False
+
+    def __post_init__(self) -> None:
+        for name, low in (
+            ("cases", 0), ("seed", 0), ("max_points", 1), ("cases_per_theorem", 0), ("certify_samples", 1),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        try:
+            lo, hi = self.n_range
+            ok = isinstance(lo, Integral) and isinstance(hi, Integral) and 2 <= lo <= hi
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"n_range must be (lo, hi) with integers 2 <= lo <= hi, got {self.n_range!r}")
+        for name, allowed in (("theorems", THEOREMS), ("function_pool", _FUNCTION_KINDS)):
+            values = getattr(self, name)
+            if not values or isinstance(values, str) or any(v not in allowed for v in values):
+                raise ValueError(f"{name} must be a non-empty tuple drawn from {allowed}, got {values!r}")
 
 
 @dataclass
@@ -257,6 +285,7 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
     tight = 0
     total = 0
     worst = 0.0
+    plan = []
     for theorem in cfg.theorems:
         family = _bounds.FAMILIES[theorem]
         # Orders at which the family's direction is certified; that depends on
@@ -265,6 +294,10 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
             k for k in range(max(family.min_n, cfg.n_range[0]), cfg.n_range[1] + 1)
             if len(set(family.signs(k, 3, CONVEX))) == len(family.sides)
         ]
+        if not orders:
+            raise ValueError(f"n_range {cfg.n_range} holds no order at which {theorem} is certified")
+        plan.append((theorem, family, orders))
+    for theorem, family, orders in plan:
         collected = 0
         attempts = 0
         while collected < cfg.cases_per_theorem:

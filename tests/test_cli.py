@@ -367,6 +367,18 @@ def test_verify_ok_exit_0(capsys):
     assert report["brackets"]["failures"] == []
 
 
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [("--cases", "-3", "cases"), ("--cases-per-theorem", "-2", "cases_per_theorem"),
+     ("--samples", "0", "certify_samples"), ("--seed", "-1", "seed")],
+)
+def test_verify_rejects_out_of_range_flags(capsys, flag, value, field):
+    code, out, err = run(capsys, "verify", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field} must be an integer >= ")
+
+
 def test_verify_injected_violation_exit_2(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "brackets", "--cases-per-theorem", "5",

@@ -153,6 +153,33 @@ def test_layout_slip_fails_identity_audit(monkeypatch):
     assert {failure["identity"] for failure in report.failures} == {"lemma21", "lemma22"}
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("cases", -3),
+        ("cases_per_theorem", -2),
+        ("n_range", (7, 3)),
+        ("n_range", (1, 4)),
+        ("n_range", (3,)),
+        ("max_points", 0),
+        ("certify_samples", 0),
+        ("seed", -1),
+        ("cases", 2.5),
+        ("theorems", ("TM99",)),
+        ("theorems", "TM21"),
+        ("function_pool", ("sin",)),
+        ("function_pool", ()),
+    ],
+)
+def test_audit_config_rejects_nonsense_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        AuditConfig(**{field: value})
+
+
+def test_audit_config_accepts_its_defaults_and_numpy_integers():
+    assert AuditConfig() == AuditConfig(cases=np.int64(200), n_range=(np.int64(3), 7))
+
+
 # --- audit_brackets -----------------------------------------------------------------
 
 
@@ -161,6 +188,13 @@ def test_default_bracket_suite_has_zero_violations():
     assert report.ok
     assert report.cases == 150
     assert report.tight > 0  # low-degree polynomials hit their bounds exactly
+
+
+def test_bracket_audit_rejects_an_order_range_a_family_cannot_use():
+    # TM21 needs n >= 4; the check runs before any family is audited.
+    with pytest.raises(ValueError, match=r"^n_range \(2, 3\) holds no order at which TM21"):
+        audit_brackets(AuditConfig(n_range=(2, 3), theorems=("TM23", "TM21")))
+    assert audit_brackets(AuditConfig(n_range=(2, 3), theorems=("TM23",), cases_per_theorem=3)).ok
 
 
 def test_wrong_parity_injection_is_caught():
