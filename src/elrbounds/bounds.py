@@ -256,9 +256,11 @@ def _decompose(
     f: FunctionModel, A: DiscreteFunctional, n: int, anchor: str, m: int
 ) -> tuple[list[float], float]:
     """Side (anchor, m)'s terms and the remainder A(R(g)) they leave out,
-    R evaluated on all of A's points in one array call."""
-    (x, y), terms = _Family.side(f, A.interval, anchor, n, m, _moments(A), lambda: A.mean)
-    return terms, A.apply_array(partial(remainder_R, f, x, y, m, n))
+    R evaluated on all of A's points in one array call that reads the
+    terms' endpoint table."""
+    tables: dict = {}
+    (x, y), terms = _Family.side(f, A.interval, anchor, n, m, _moments(A), lambda: A.mean, tables)
+    return terms, A.apply_array(partial(remainder_R, f, x, y, m, n, _table=tables[x, m]))
 
 
 def decompose_lemma21(

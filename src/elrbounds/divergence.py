@@ -33,7 +33,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family
-from .divided_diff import FunctionModel
+from .divided_diff import FunctionModel, _sum
 from .functional import (
     _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _first_outside, _float_array, _Powers,
     _unit_sum,
@@ -68,9 +68,8 @@ class ProbabilityVector:
             raise ValueError("probability vector must not be empty")
         if (i := _first_outside(v, 0.0, 1.0)) is not None:
             raise ValueError(f"values[{i}] = {float(v[i])} outside [0, 1]")
-        vals = v.tolist()
-        _unit_sum(vals, "probabilities")
-        object.__setattr__(self, "values", tuple(vals))
+        _unit_sum(v, "probabilities")
+        object.__setattr__(self, "values", tuple(v.tolist()))
         object.__setattr__(self, "_v", v)
 
     def __len__(self) -> int:
@@ -186,7 +185,7 @@ def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
             # As in `DiscreteFunctional.moment`: the point-by-point sum reports
             # its first error in point order.
             return _pq_moment(p, q, x, y, j, k)
-        return math.fsum(memoryview(terms))
+        return _sum(terms)
 
     return moment
 

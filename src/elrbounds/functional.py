@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divided_diff import FunctionModel, _float_power
+from .divided_diff import FunctionModel, _float_power, _sum
 
 __all__ = ["DiscreteFunctional", "lr_difference"]
 
@@ -68,9 +68,10 @@ def _float_array(values) -> np.ndarray:
     return arr
 
 
-def _unit_sum(values: list[float], what: str) -> float:
-    """fsum of `values`, which must lie within `_SUM_TOL` of 1 (`what` names them)."""
-    total = math.fsum(values)
+def _unit_sum(values: np.ndarray, what: str) -> float:
+    """fsum of the float64 array `values`, which must lie within `_SUM_TOL` of 1
+    (`what` names them)."""
+    total = _sum(values)
     if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"{what} sum to {total!r}, more than {_SUM_TOL} away from 1")
     return total
@@ -116,15 +117,13 @@ class DiscreteFunctional:
         if not np.minimum.reduce(w) >= 0.0:
             i = int((w >= 0.0).argmin())
             raise ValueError(f"weights[{i}] = {float(w[i])} is negative")
-        wts = w.tolist()
-        total = _unit_sum(wts, "weights")
+        total = _unit_sum(w, "weights")
         if total != 1.0:
             w = w / total
-            wts = w.tolist()
         if (i := _first_outside(x, a, b)) is not None:
             raise ValueError(f"points[{i}] = {float(x[i])} outside interval [{a}, {b}]")
         object.__setattr__(self, "points", tuple(x.tolist()))
-        object.__setattr__(self, "weights", tuple(wts))
+        object.__setattr__(self, "weights", tuple(w.tolist()))
         object.__setattr__(self, "interval", (a, b))
         object.__setattr__(self, "_x", x)
         object.__setattr__(self, "_w", w)
@@ -132,10 +131,10 @@ class DiscreteFunctional:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def mean(self) -> float:
-        """A(g) = sum of w_i x_i."""
-        return math.fsum(memoryview(self._w * self._x))
+        """A(g) = sum of w_i x_i, evaluated once."""
+        return _sum(self._w * self._x)
 
     def apply(self, h: Callable[[float], float]) -> float:
         """A(h(g)) = sum of w_i h(x_i).
@@ -157,7 +156,7 @@ class DiscreteFunctional:
         """
         y = h(self._x)
         with np.errstate(invalid="ignore"):  # 0 * inf is nan silently, as in float arithmetic
-            return math.fsum(memoryview(self._w * y))
+            return _sum(self._w * y)
 
     def moment(self, j: int, k: int) -> float:
         """A[(g - a)^j (g - b)^k] for the stored interval endpoints."""
@@ -173,7 +172,7 @@ class DiscreteFunctional:
             # The table raises every power before summing; the point-by-point
             # sum reports its first error in point order (maybe fsum's own).
             return _moment_sum(self.weights, self.points, *self.interval, j, k)
-        return math.fsum(memoryview(terms))
+        return _sum(terms)
 
     @cached_property
     def _powers(self) -> tuple[np.ndarray, _Powers, _Powers]:

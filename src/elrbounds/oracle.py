@@ -74,12 +74,17 @@ def _eval_rows(f: FunctionModel, Z: np.ndarray) -> np.ndarray:
 
 
 def _distinct_dd_rows(F: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Top-order divided difference of each row of distinct nodes."""
-    T = F.copy()
-    n = Z.shape[1] - 1
+    """Top-order divided difference of each row of distinct nodes.
+
+    The table runs on contiguous transposed copies, one row per node index,
+    so each step is a few ufunc calls over long contiguous rows; every
+    element sees the same IEEE operations as in a row-by-row table.
+    """
+    T, Z = np.ascontiguousarray(F.T), np.ascontiguousarray(Z.T)
+    n = len(Z) - 1
     for j in range(1, n + 1):
-        T = (T[:, 1:] - T[:, :-1]) / (Z[:, j:] - Z[:, : Z.shape[1] - j])
-    return T[:, 0]
+        T = (T[1:] - T[:-1]) / (Z[j:] - Z[: n + 1 - j])
+    return T[0]
 
 
 def certify_convexity(

@@ -12,14 +12,13 @@ be monotone in i for general parameter pairs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundReport
 from .divergence import ProbabilityVector, divergence_bounds
-from .divided_diff import FunctionModel
+from .divided_diff import FunctionModel, _sum
 from .generators import GeneratorSpec
 
 __all__ = [
@@ -56,7 +55,7 @@ def _weights(params: ZipfMandelbrotParams) -> tuple[np.ndarray, float]:
     # plain power (which underflows gracefully to 0.0) is the accurate choice.
     # `np.float_power` is libm `pow`, the same bits as float `**` per term.
     terms = np.float_power(np.arange(1, params.N + 1, dtype=float) + params.q, -params.s)
-    h = math.fsum(memoryview(terms))
+    h = _sum(terms)
     if not h > 0.0:
         raise ValueError(f"normalizer underflowed to {h} for {params}")
     return terms, h

@@ -425,7 +425,7 @@ def test_bound_path_never_evaluates_the_remainder(monkeypatch, capsys):
     from elrbounds import GeneratorSpec, ProbabilityVector, bounds, cli, divergence_bounds, divided_diff
     from elrbounds.oracle import AuditConfig, audit_brackets, audit_identities
 
-    def forbidden(*args):
+    def forbidden(*args, **kwargs):
         raise AssertionError("remainder_R reached")
 
     monkeypatch.setattr(bounds, "remainder_R", forbidden)

@@ -27,6 +27,29 @@ def test_mean(worked_functional):
     assert worked_functional.mean == pytest.approx(1.0)
 
 
+def test_mean_is_evaluated_once_per_functional(monkeypatch):
+    from elrbounds import bound, functional
+
+    rng = np.random.default_rng(3)
+    A = DiscreteFunctional(rng.uniform(0.1, 2.0, 5000), rng.dirichlet(np.ones(5000)), (0.1, 2.0))
+    calls = []
+    honest = functional._sum
+
+    def counting(x):
+        calls.append(len(x))
+        return honest(x)
+
+    monkeypatch.setattr(functional, "_sum", counting)
+    expected = math.fsum((np.asarray(A.weights) * np.asarray(A.points)).tolist())
+    assert A.mean.hex() == expected.hex()
+    assert calls == [5000]
+    calls.clear()
+    # COR21 reads A(g) in lr_difference and in each side's lead term.
+    bound("COR21", exp_model(domain=(0.1, 2.0)), A, 7, 4, "n-convex")
+    assert A.mean.hex() == expected.hex()
+    assert len(calls) == 2 * 5 + 1  # five moments a side and A(f); no mean
+
+
 def test_second_moment(worked_functional):
     assert worked_functional.apply(lambda t: t * t) == pytest.approx(1.25)
 

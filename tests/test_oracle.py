@@ -19,7 +19,9 @@ from elrbounds import (
     divided_difference,
     make_generator,
 )
-from elrbounds.oracle import _distinct_dd_rows, _eval_rows
+from elrbounds.oracle import (
+    _FUNCTION_KINDS, _MIN_SEPARATION_FRAC, _distinct_dd_rows, _eval_rows, _random_function,
+)
 
 from conftest import poly_model
 
@@ -95,6 +97,36 @@ def test_vectorized_rows_match_divided_difference():
     for row, z in zip(rows, Z):
         expected = divided_difference(f, NodeMultiset.from_points([float(v) for v in z]))
         assert float(row) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def _row_form(F, Z):
+    """Top-order divided difference of each row, stepping along the rows: the
+    bitwise reference for the transposed pass of `_distinct_dd_rows`."""
+    T = F.copy()
+    n = Z.shape[1] - 1
+    for j in range(1, n + 1):
+        T = (T[:, 1:] - T[:, :-1]) / (Z[:, j:] - Z[:, : Z.shape[1] - j])
+    return T[:, 0]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("kind", _FUNCTION_KINDS)
+def test_transposed_pass_is_the_row_form_bit_for_bit(kind, n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        f = _random_function(rng, (kind,))
+        a, b = f.domain
+        Z = np.sort(rng.uniform(a, b, size=(120, n + 1)), axis=1)
+        F = _eval_rows(f, Z)
+        expected = _row_form(F, Z)
+        assert _distinct_dd_rows(F, Z).tobytes() == expected.tobytes()
+        # certify_convexity's extremes are the row form's, on its own draws.
+        cert = certify_convexity(f, n, samples=120, seed=n)
+        gap = _MIN_SEPARATION_FRAC * (b - a)
+        Zc = np.sort(np.random.default_rng(n).uniform(a, b, size=(120, n + 1)), axis=1)
+        if np.diff(Zc, axis=1).min() >= gap:
+            rows = _row_form(_eval_rows(f, Zc), Zc)
+            assert (cert.min_dd, cert.max_dd) == (float(rows.min()), float(rows.max()))
 
 
 def test_scalar_only_functions_fall_back_to_loops():

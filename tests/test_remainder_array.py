@@ -182,9 +182,9 @@ def test_identity_audit_calls_the_remainder_once_per_decomposition(monkeypatch):
     calls = []
     honest = divided_diff.remainder_R
 
-    def counting(f, a, b, m, n, t):
+    def counting(f, a, b, m, n, t, **private):
         calls.append(type(t))
-        return honest(f, a, b, m, n, t)
+        return honest(f, a, b, m, n, t, **private)
 
     monkeypatch.setattr(bounds, "remainder_R", counting)
     monkeypatch.setattr(divided_diff, "remainder_R", counting)
@@ -202,3 +202,30 @@ def test_identity_audit_calls_the_remainder_once_per_decomposition(monkeypatch):
     assert len(calls) == 2 * (report.cases - report.skipped)
     assert set(calls) == {np.ndarray}
     assert built == []
+
+
+def test_each_decomposition_builds_its_endpoint_table_once(monkeypatch):
+    # The terms and the remainder pass share one table; a change that builds
+    # it again for the remainder fails here.
+    from elrbounds import bounds, divided_diff
+
+    calls = []
+    honest = divided_diff.endpoint_table
+
+    def counting(*args):
+        calls.append(args[1:])
+        return honest(*args)
+
+    monkeypatch.setattr(bounds, "endpoint_table", counting)
+    monkeypatch.setattr(divided_diff, "endpoint_table", counting)
+    f = MODELS["kl"]
+    A = DiscreteFunctional(np.linspace(0.3, 2.9, 40), np.full(40, 1 / 40), DOMAIN)
+    for decompose, x, y in ((decompose_lemma21, *DOMAIN), (decompose_lemma22, *DOMAIN[::-1])):
+        for n, m in ((3, 1), (5, 2), (7, 4)):
+            calls.clear()
+            decompose(f, A, n, m)
+            assert calls == [(x, y, m, n - m)]
+    calls.clear()
+    report = audit_identities(AuditConfig(cases=20, seed=3))
+    assert report.ok and report.cases - report.skipped > 0
+    assert len(calls) == 2 * (report.cases - report.skipped)

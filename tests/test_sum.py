@@ -1,0 +1,215 @@
+"""`_sum`, the numpy fold behind the large sums, against `math.fsum`, bit for bit.
+
+`_sum(x)` must return `math.fsum(x)` exactly: the same value through
+`float.hex` (so the sign of a zero too) and, where fsum raises, the same
+exception type and text.  Hypothesis draws arrays with the fold's gate
+lowered to 2, so every draw of two or more elements meets the fold; the
+adversarial inputs are built at full length around the gate.  A seeded
+Zipf-Mandelbrot sweep counts how often the fold's certificate refuses, so a
+certificate that always refuses (and quietly hands every sum to fsum) fails.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from elrbounds import GeneratorSpec, divided_diff
+from elrbounds.divided_diff import _SUM_MIN_LEN, _sum
+from elrbounds.zipf import ZipfMandelbrotParams, zm_divergence_bounds
+
+GATE = _SUM_MIN_LEN
+LENGTHS = sorted({GATE - 1, GATE, GATE + 1, 2**13, 2**13 + 1, 2**14, 2**14 + 1, 20_000})
+
+
+def _outcome(fn, x):
+    """('ok', hex of the value) or (exception type, text)."""
+    try:
+        return "ok", fn(x).hex()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def _same_as_fsum(x):
+    x = np.ascontiguousarray(x, dtype=float)
+    assert _outcome(_sum, x) == _outcome(math.fsum, x.tolist())
+
+
+def _folded(monkeypatch):
+    """Record each fold attempt; the list holds True where it certified."""
+    seen = []
+    honest = divided_diff._folded_sum
+
+    def recording(x):
+        r = honest(x)
+        seen.append(r is not None)
+        return r
+
+    monkeypatch.setattr(divided_diff, "_folded_sum", recording)
+    return seen
+
+
+# --- property -------------------------------------------------------------------
+
+_WIDE = st.floats(allow_nan=True, allow_infinity=True, width=64)
+_FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, width=64)
+_SMALL_INTS = st.integers(-(2**60), 2**60).map(lambda k: k * 2.0**-60)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(
+    *(st.lists(elements, min_size=2, max_size=200) for elements in (_WIDE, _FINITE, _SMALL_INTS))
+).map(np.array))
+def test_sum_is_fsum_bit_for_bit(x):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divided_diff, "_SUM_MIN_LEN", 2)
+        _same_as_fsum(x)
+        # The same values with their negatives appended cancel to fsum's 0.0.
+        _same_as_fsum(np.concatenate([x, -x[::-1]]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(_FINITE, min_size=1, max_size=8),
+    st.integers(GATE - 2, GATE + 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_sum_is_fsum_at_full_length(values, length, seed):
+    # A few drawn values scattered over a gate-sized array of small terms.
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, length) * 2.0 ** rng.integers(-60, 1, length)
+    x[rng.integers(0, length, len(values))] = values
+    _same_as_fsum(x)
+
+
+# --- adversarial inputs ---------------------------------------------------------
+
+
+def _spread(length, values, rng):
+    """A zero array of `length` with `values` at random distinct places."""
+    x = np.zeros(length)
+    x[rng.choice(length, size=len(values), replace=False)] = values
+    return x
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_exact_cancellation_and_negative_zeros(length):
+    rng = np.random.default_rng(length)
+    v = rng.standard_normal(length // 2) * 10.0 ** rng.uniform(-20, 20, length // 2)
+    x = np.concatenate([v, -v[rng.permutation(len(v))], [-0.0] * (length % 2)])
+    _same_as_fsum(x)  # 0.0
+    _same_as_fsum(np.full(length, -0.0))  # fsum gives 0.0, not -0.0
+    _same_as_fsum(np.concatenate([x[:-1], [2.0**-1074]]) if length % 2 else x)
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sums_at_and_near_rounding_midpoints(length, sign):
+    rng = np.random.default_rng(length)
+    for top in (1.0, 1.5, 2.0**700, 3.0 * 2.0**-900):
+        half = math.ulp(top) / 2.0
+        for extra in ([], [2.0**-200 * top], [-(2.0**-200) * top], [half / 2**40, -half / 2**41]):
+            # top + half ulp is a tie; the extra terms push it either way.
+            x = _spread(length, [top, half, *extra], rng) * sign
+            _same_as_fsum(x)
+            # The tie split into many small pieces.
+            pieces = np.full(64, half / 64)
+            _same_as_fsum(_spread(length, [top, *pieces, *extra], rng) * sign)
+    # Just below a power of two the spacing halves: ties on both sides of 1.0.
+    for tail in ([-(2.0**-54)], [-(2.0**-54), -(2.0**-300)], [-(2.0**-54), 2.0**-300], [2.0**-53]):
+        _same_as_fsum(_spread(length, [1.0, *tail], rng) * sign)
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_subnormals_only(length):
+    rng = np.random.default_rng(length)
+    x = rng.integers(-(2**40), 2**40, length) * 2.0**-1074
+    _same_as_fsum(x)
+    _same_as_fsum(np.abs(x))
+    _same_as_fsum(rng.integers(0, 5, length) * 2.0**-1074)
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_magnitudes_from_1e_minus_300_to_1e300(length):
+    rng = np.random.default_rng(length)
+    x = rng.choice([-1.0, 1.0], length) * 10.0 ** rng.uniform(-300, 300, length)
+    _same_as_fsum(x)
+    _same_as_fsum(np.abs(x))
+    _same_as_fsum(10.0 ** rng.uniform(-300, -290, length))
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_overflow_in_one_order_only(length):
+    big, h = 1e308, length - length // 2  # h: where the fold's second half starts
+    # fsum's running sum stays finite; the fold's first level adds big + big.
+    x = np.zeros(length)
+    x[[0, 1, h, h + 1]] = [big, -big, big, -big]
+    _same_as_fsum(x)
+    # fsum's running sum overflows (OverflowError); the fold's first level cancels.
+    x[[0, 1, h, h + 1]] = [big, big, -big, -big]
+    _same_as_fsum(x)
+    # Large but representable sums at and above the fold's 2^1000 limit.
+    _same_as_fsum(np.full(length, 2.0**1000 / length))
+    _same_as_fsum(np.full(length, 2.0**1023 / length * 1.5))
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_inf_nan_and_inf_minus_inf(length):
+    rng = np.random.default_rng(length)
+    inf, nan = math.inf, math.nan
+    for specials in ([inf], [-inf], [nan], [inf, inf], [inf, -inf], [nan, inf, -inf], [1e308, 1e308]):
+        x = rng.standard_normal(length)
+        x[rng.choice(length, size=len(specials), replace=False)] = specials
+        _same_as_fsum(x)
+
+
+# --- the certificate does certify ---------------------------------------------------
+
+
+def test_smooth_and_wide_arrays_take_the_fold(monkeypatch):
+    seen = _folded(monkeypatch)
+    rng = np.random.default_rng(1)
+    for length in LENGTHS:
+        for x in (
+            np.float_power(np.arange(1.0, length + 1) + 2.5, -1.3),
+            rng.standard_normal(length) * np.exp(rng.uniform(-200, 200, length)),
+        ):
+            _same_as_fsum(x)
+    assert seen.count(True) == 2 * (len(LENGTHS) - 1)  # all but gate - 1 fold
+
+
+def test_zipf_mandelbrot_sweep_is_certified(monkeypatch):
+    # Every tag on laws with s from 0.6 to 2.5 at N = 20,000: nearly every
+    # large sum (moments, means, A(f), normalizers, unit sums) must take the
+    # fold, and the reports are those of fsum alone.
+    rng = np.random.default_rng(2024)
+    laws = [
+        (ZipfMandelbrotParams(20_000, float(rng.uniform(0, 5)), float(s)),
+         ZipfMandelbrotParams(20_000, float(rng.uniform(0, 5)), float(rng.uniform(0.6, 2.5))))
+        for s in np.linspace(0.6, 2.5, 4)
+    ]
+    runs = [("TM21", 6, 4, "kl"), ("TM22", 7, 3, "hellinger"), ("COR21", 7, 5, "jeffreys"),
+            ("TM23", 9, None, "harmonic"), ("TM24", 5, None, "kl")]
+
+    def sweep():
+        return [_report(P, Q, *run) for P, Q in laws for run in runs]
+
+    seen = _folded(monkeypatch)
+    reports = sweep()
+    assert len(seen) >= 400
+    assert seen.count(False) <= len(seen) // 100
+    monkeypatch.setattr(divided_diff, "_SUM_MIN_LEN", math.inf)
+    assert reports == sweep()
+
+
+def _report(P, Q, tag, n, m, g):
+    """The report's values as hex, or the exception's type and text."""
+    try:
+        r = zm_divergence_bounds(P, Q, GeneratorSpec(g), n=n, m=m, theorem=tag)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return tuple(v if v is None else v.hex() for v in (r.lr, r.lower, r.upper))
