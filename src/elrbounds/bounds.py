@@ -260,7 +260,7 @@ def _decompose(
     terms' endpoint table."""
     tables: dict = {}
     (x, y), terms = _Family.side(f, A.interval, anchor, n, m, _moments(A), lambda: A.mean, tables)
-    return terms, A.apply_array(partial(remainder_R, f, x, y, m, n, _table=tables[x, m]))
+    return terms, A.apply(partial(remainder_R, f, x, y, m, n, _table=tables[x, m]))
 
 
 def decompose_lemma21(

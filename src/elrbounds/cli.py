@@ -174,14 +174,18 @@ def _load_distribution(inline: str | None, path: str | None, key: str, flag: str
         if key not in data:
             raise ValueError(f"{flag}-file: JSON object lacks key {key!r}")
         data = data[key]
-    return ProbabilityVector(tuple(float(v) for v in data))
+    try:
+        values = tuple(float(v) for v in data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{flag}-file: expected a flat list of numbers ({exc})") from exc
+    return ProbabilityVector(values)
 
 
 def _parse_zm(text: str) -> ZipfMandelbrotParams:
     vals = _parse_floats(text, "--zm")
     if len(vals) != 3:
         raise ValueError(f"--zm: expected N,q,s, got {text!r}")
-    if vals[0] != int(vals[0]):
+    if not vals[0].is_integer():
         raise ValueError(f"--zm: N must be an integer, got {vals[0]!r}")
     return ZipfMandelbrotParams(N=int(vals[0]), q=vals[1], s=vals[2])
 

@@ -142,12 +142,27 @@ def _folded_sum(x: np.ndarray) -> float | None:
     return r if away + delta < half and delta - away < toward else None
 
 
+def _values(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f at each element of the float64 array x: the one call f(x) if it returns
+    a float64 array of x's shape, else (also when it raises) one call per
+    element, in order, on Python floats, with that call's errors."""
+    try:
+        y = f(x)
+        if isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.shape:
+            return y
+    except Exception:
+        pass
+    return np.array([float(f(t)) for t in x.ravel().tolist()]).reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class FunctionModel:
     """A scalar function with an analytic derivative stack on a closed interval.
 
     `fn(t)` evaluates the function and `deriv_fn(k, t)` its k-th derivative,
-    1 <= k <= `max_order`.  Both must be defined everywhere on `domain`.
+    1 <= k <= `max_order`.  Both must be defined everywhere on `domain`.  An
+    `fn` that accepts a float64 array must return f at each element (the
+    package's own models do, bit for bit).
     `zero_limit` and `slope_at_infinity` are optional declared limits
     (lim f(t) as t -> 0+ and lim f(t)/t as t -> inf) consumed by the
     divergence conventions; they play no role in interpolation.
@@ -493,8 +508,7 @@ def _remainder_cells(
         if T is None:
             T = endpoint_table(f, a, b, m, n - m)
         fu, fv = ([row[0] for row in T], T[0]) if a < b else (T[0], [row[0] for row in T])
-        array_fn = getattr(f, "_array_fn", None)
-        ft = array_fn(s) if array_fn is not None else np.array([float(f(x)) for x in s.tolist()])
+        ft = _values(f, s)
         if not np.isfinite(ft).all():
             return None
         row = [ft]

@@ -9,9 +9,9 @@ positive linear functional A with A(1) = 1 applied to point values.
 Points and weights are validated and kept as float64 arrays (their public
 `points`/`weights` stay tuples).  Moments of large point sets are read from a
 power table (`_Powers`) that raises each base to each exponent once, and a
-generator from `make_generator` is evaluated on all points in one call; both
-reproduce the point-by-point sums bit for bit, so results never depend on
-which path ran.
+function that accepts the point array is evaluated on all points in one call;
+both reproduce the point-by-point sums bit for bit, so results never depend
+on which path ran.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divided_diff import FunctionModel, _float_power, _sum
+from .divided_diff import FunctionModel, _float_power, _sum, _values
 
 __all__ = ["DiscreteFunctional", "lr_difference"]
 
@@ -137,24 +137,9 @@ class DiscreteFunctional:
         return _sum(self._w * self._x)
 
     def apply(self, h: Callable[[float], float]) -> float:
-        """A(h(g)) = sum of w_i h(x_i).
-
-        A generator from `make_generator` is evaluated once, by its array form,
-        on the point array (its values are the point-by-point ones, bit for
-        bit); any other callable is called once per point, in point order.
-        """
-        array_fn = getattr(h, "_array_fn", None)
-        if array_fn is None:
-            return math.fsum(w * float(h(x)) for w, x in zip(self.weights, self.points))
-        return self.apply_array(array_fn)
-
-    def apply_array(self, h: Callable[[np.ndarray], np.ndarray]) -> float:
-        """A(h(g)) from one call h(points) on the float64 point array.
-
-        The fsum of w_i h_i, in point order: when element i of h(points) is
-        h(x_i) bit for bit, this is `apply` point by point, bit for bit.
-        """
-        y = h(self._x)
+        """A(h(g)) = fsum of w_i h(x_i), h evaluated by `_values`: once on the
+        float64 point array if it returns its values there, else once per point."""
+        y = _values(h, self._x)
         with np.errstate(invalid="ignore"):  # 0 * inf is nan silently, as in float arithmetic
             return _sum(self._w * y)
 

@@ -8,10 +8,9 @@ Four named generators cover the classical divergences:
   jeffreys   (t - 1)*log(t)      even orders convex, odd orders concave
 
 `exp`, `poly` and `power` are included as test fodder for arbitrary orders.
-`make_generator` also gives each model an array form, the function on a
-float64 array with the same bits as point by point (hellinger's square and
-power's `t**p` go through `np.float_power`, libm `pow` like float `**`), so
-that the chord gap evaluates all points in one call.
+Each model's `fn` also takes a float64 array and returns the point-by-point
+bits (hellinger's square and power's `t**p` go through `np.float_power`,
+libm `pow` like float `**`), so the chord gap evaluates all points in one call.
 Derivatives are closed forms; the stack is capped at order 12, past which
 double precision gives the formulas little meaning.  `classify` reads the
 n-convexity class off the sign of the n-th derivative sampled on an even
@@ -101,7 +100,7 @@ def _kl() -> tuple:
 
 def _hellinger() -> tuple:
     def fn(t):
-        return 0.5 * (1.0 - np.sqrt(t)) ** 2
+        return 0.5 * np.float_power(1.0 - np.sqrt(t), 2.0)
 
     def dfn(k, t):
         if k == 1:
@@ -142,7 +141,7 @@ def _exp() -> tuple:
 
 def _power(p: float) -> tuple:
     def fn(t):
-        return t**p
+        return _float_power(t, p)
 
     def dfn(k, t):
         coef = 1.0
@@ -188,8 +187,7 @@ def make_generator(spec: GeneratorSpec) -> FunctionModel:
         base = FunctionModel.from_polynomial(
             spec.coeffs, spec.domain, name="poly", max_order=_DERIV_CAP
         )
-        model = replace(base, zero_limit=zero, slope_at_infinity=slope)
-        return _with_array_form(model, model.fn)
+        return replace(base, zero_limit=zero, slope_at_infinity=slope)
     if spec.name == "power":
         fn, dfn, zero, slope = _power(spec.exponent)
         name = f"power({spec.exponent:g})"
@@ -202,7 +200,7 @@ def make_generator(spec: GeneratorSpec) -> FunctionModel:
             "exp": _exp,
         }[spec.name]()
         name = spec.name
-    model = FunctionModel(
+    return FunctionModel(
         fn=fn,
         deriv_fn=dfn,
         domain=spec.domain,
@@ -211,21 +209,6 @@ def make_generator(spec: GeneratorSpec) -> FunctionModel:
         zero_limit=zero,
         slope_at_infinity=slope,
     )
-    # On an array, `** 2` takes numpy's square and `** p` a SIMD pow, which
-    # move bits; np.float_power is libm pow, as float `**` point by point.
-    if spec.name == "hellinger":
-        return _with_array_form(model, lambda t: 0.5 * np.float_power(1.0 - np.sqrt(t), 2.0))
-    if spec.name == "power":
-        return _with_array_form(model, lambda t: _float_power(t, spec.exponent))
-    return _with_array_form(model, fn)
-
-
-def _with_array_form(f: FunctionModel, array_fn) -> FunctionModel:
-    """Give `f` the private `_array_fn`: f on a float64 array, elementwise and
-    bit for bit as f point by point.  `DiscreteFunctional.apply` evaluates all
-    points with it; copies (`dataclasses.replace`, negation) have none."""
-    object.__setattr__(f, "_array_fn", array_fn)
-    return f
 
 
 def classify(spec: GeneratorSpec, n: int) -> str:

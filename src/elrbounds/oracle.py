@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from .bounds import CONCAVE, CONVEX, THEOREMS
-from .divided_diff import FunctionModel
+from .divided_diff import FunctionModel, _values
 from .functional import DiscreteFunctional, lr_difference
 from .generators import INDEFINITE, GeneratorSpec, make_generator
 
@@ -63,16 +63,6 @@ class ConvexityCertificate:
         return asdict(self)
 
 
-def _eval_rows(f: FunctionModel, Z: np.ndarray) -> np.ndarray:
-    try:
-        F = np.asarray(f(Z), dtype=float)
-        if F.shape == Z.shape:
-            return F
-    except Exception:
-        pass
-    return np.array([[float(f(t)) for t in row] for row in Z])
-
-
 def _distinct_dd_rows(F: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Top-order divided difference of each row of distinct nodes.
 
@@ -113,7 +103,7 @@ def certify_convexity(
         Z[bad] = np.sort(rng.uniform(a, b, size=(int(bad.sum()), n + 1)), axis=1)
     else:
         raise RuntimeError("could not draw well-separated sample points")
-    dds = _distinct_dd_rows(_eval_rows(f, Z), Z)
+    dds = _distinct_dd_rows(_values(f, Z), Z)
     min_dd = float(dds.min())
     max_dd = float(dds.max())
     if min_dd >= -_SIGN_TOL:

@@ -38,7 +38,7 @@ class ZipfMandelbrotParams:
     s: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.N) != self.N or self.N < 1:
+        if not 1 <= self.N < np.inf or int(self.N) != self.N:
             raise ValueError(f"N must be a positive integer, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
         if not self.q >= 0:

@@ -1,12 +1,13 @@
 """The array path against the per-point path, bit for bit.
 
 Point sets are float64 arrays; power tables and Zipf-Mandelbrot weights come
-from `np.float_power`, and generators built by `make_generator` evaluate all
-points in one call of their array form.  These tests pin the host property that makes that exact
-(`np.float_power` is Python's float `**`, libm `pow`), then compare every
+from `np.float_power`, and a model whose fn accepts the point array is
+evaluated on all points in one call.  These tests pin the host property that
+makes that exact (`np.float_power` is Python's float `**`, libm `pow`), count
+the calls of array-accepting and scalar-only models, then compare every
 built-in generator's chord gap and one full `zm_divergence_bounds` per
 generator with a forced scalar reference: power tables gated off and
-generators evaluated point by point.
+generators wrapped to take one float at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 from elrbounds import (
     BUILTIN_NAMES,
     DiscreteFunctional,
+    FunctionModel,
     GeneratorSpec,
     ZipfMandelbrotParams,
     lr_difference,
@@ -27,7 +29,7 @@ from elrbounds import (
     pmf_vector,
     zm_divergence_bounds,
 )
-from elrbounds import divergence, functional, generators
+from elrbounds import divergence, functional
 from elrbounds.functional import _float_power
 
 SPECS = {
@@ -105,10 +107,13 @@ def _functional(N):
 
 
 def _per_point(f):
-    """A copy without the array form: `apply` calls it once per point."""
-    g = dataclasses.replace(f)
-    assert not hasattr(g, "_array_fn")
-    return g
+    """A scalar-only copy of f: its fn rejects the point array, so `apply` calls it once per point."""
+    return dataclasses.replace(f, fn=lambda t, g=f.fn: g(float(t)))
+
+
+def _counted(f, calls):
+    """A copy of f whose fn records every argument it is called with."""
+    return dataclasses.replace(f, fn=lambda t, g=f.fn: calls.append(t) or g(t))
 
 
 @pytest.mark.parametrize("N", [63, 65, 20_000])
@@ -118,15 +123,16 @@ def test_lr_difference_array_path_is_the_per_point_path(name, N):
     f = make_generator(_spec(name, A.interval))
     assert lr_difference(f, A).hex() == lr_difference(_per_point(f), A).hex()
     x = np.asarray(A.points)
-    assert (_bits(f._array_fn(x)) == _bits([float(f(t)) for t in A.points])).all()
+    assert (_bits(f(x)) == _bits([float(f(t)) for t in A.points])).all()
 
 
 def test_user_callables_are_called_once_per_point_in_order():
+    """A scalar-only callable: once per point, in point order, with its own errors."""
     A = _functional(65)
     seen = []
 
     def h(t):
-        assert isinstance(t, float)
+        t = float(t)  # rejects the point array
         seen.append(t)
         return t * t
 
@@ -134,26 +140,51 @@ def test_user_callables_are_called_once_per_point_in_order():
     assert seen == list(A.points)
     f = make_generator(_spec("kl", A.interval))
     calls = []
-    g = dataclasses.replace(f, fn=lambda t: calls.append(t) or f.fn(t))
-    assert lr_difference(g, A) == lr_difference(f, A)
+    g = dataclasses.replace(f, fn=lambda t: calls.append(float(t)) or f.fn(float(t)))
+    assert lr_difference(g, A).hex() == lr_difference(f, A).hex()
     assert calls == [*A.points, *A.interval]
+
+    def fails_at_tenth(t):
+        t = float(t)
+        calls.append(t)
+        if t == A.points[9]:
+            raise ZeroDivisionError(f"no value at {t!r}")
+        return t
+
+    calls.clear()
+    with pytest.raises(ZeroDivisionError, match=f"no value at {A.points[9]!r}"):
+        lr_difference(dataclasses.replace(f, fn=fails_at_tenth), A)
+    assert calls == list(A.points[:10])
 
 
 def test_array_form_is_called_once_on_the_point_array():
+    """A model whose fn accepts arrays: one call on the point array, then f(a) and f(b)."""
     A = _functional(65)
-    f = make_generator(_spec("kl", A.interval))
-    calls = []
-    g = generators._with_array_form(f, lambda t: calls.append(t) or f.fn(t))
-    assert lr_difference(g, A) == lr_difference(make_generator(_spec("kl", A.interval)), A)
-    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
-    assert calls[0].tolist() == list(A.points)
+    f = make_generator(_spec("hellinger", A.interval))
+    models = (-f, dataclasses.replace(f), FunctionModel.from_polynomial((0.5, -1.0, 0.25, 0.125), A.interval))
+    for model in models:
+        calls = []
+        assert lr_difference(_counted(model, calls), A).hex() == lr_difference(_per_point(model), A).hex()
+        assert len(calls) == 3 and isinstance(calls[0], np.ndarray)
+        assert calls[0].tolist() == list(A.points)
+        assert calls[1:] == list(A.interval)
 
 
-def test_negated_generator_is_evaluated_per_point():
+def test_array_results_of_another_shape_or_dtype_are_not_kept():
+    A = _functional(65)
+    expected = math.fsum(w * x * x for w, x in zip(A.weights, A.points))
+    for wrong in (lambda t: np.zeros(2), lambda t: (t * t).astype(np.float32)):
+        h = lambda t, wrong=wrong: wrong(t) if isinstance(t, np.ndarray) else t * t
+        assert A.apply(h) == expected
+
+
+def test_negated_generator_is_evaluated_in_one_call():
     A = _functional(65)
     f = make_generator(_spec("harmonic", A.interval))
-    assert not hasattr(-f, "_array_fn")
+    x = np.asarray(A.points)
+    assert (_bits((-f)(x)) == _bits([-float(f(t)) for t in A.points])).all()
     assert lr_difference(-f, A) == -lr_difference(f, A)
+    assert lr_difference(-f, A).hex() == lr_difference(_per_point(-f), A).hex()
 
 
 # --- whole pipeline against the forced scalar reference -------------------------------

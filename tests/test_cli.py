@@ -498,3 +498,72 @@ def test_zm_above_the_moment_table_gate_writes_no_stderr():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert '"theorem":"TM21"' in proc.stdout
+
+
+# --- validation texts -----------------------------------------------------------------
+
+FILES = {
+    "scalar.json": "5",
+    "nested.json": "[[0.5],[0.5]]",
+    "scalar_q.json": '{"p": [0.5, 0.5], "q": 3}',
+    "broken.json": "{not json",
+    "no_p.json": '{"q": [0.5, 0.5]}',
+    "bad_row.csv": "0.5,0.25\n0.5,x\n",
+}
+DIV = ("div", "--function", "kl")
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("lr", "--function", "exp", "--points", "0.5,x", "--weights", "0.5,0.5", "--interval", "0,2"),
+         "--points: could not convert string to float: 'x'"),
+        (("lr", "--function", "exp", "--points", "0.5,1.5", "--weights", "0.5,0.5", "--interval", "2"),
+         "--interval: expected two comma-separated numbers, got '2'"),
+        (("dd", "--function", "exp", "--nodes", "0,x"),
+         "--nodes: bad entry 'x' (could not convert string to float: 'x')"),
+        (DIV + ("--q", "0.5,0.5"), "--p or --p-file: required"),
+        (DIV + ("--p-file", "scalar.json", "--q", "0.5,0.5"),
+         "--p-file: expected a flat list of numbers ('int' object is not iterable)"),
+        (DIV + ("--p-file", "nested.json", "--q", "0.5,0.5"),
+         "--p-file: expected a flat list of numbers "
+         "(float() argument must be a string or a real number, not 'list')"),
+        (DIV + ("--p", "0.5,0.5", "--q-file", "scalar_q.json"),
+         "--q-file: expected a flat list of numbers ('int' object is not iterable)"),
+        (DIV + ("--p", "0.5,0.5", "--q-file", "bad_row.csv"),
+         "--q-file: bad CSV row '0.5,x' (could not convert string to float: 'x')"),
+        (DIV + ("--p-file", "broken.json", "--q", "0.5,0.5"),
+         "--p-file: malformed JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+        (DIV + ("--p-file", "no_p.json", "--q", "0.5,0.5"), "--p-file: JSON object lacks key 'p'"),
+        (("zm", "--zm", "3,0"), "--zm: expected N,q,s, got '3,0'"),
+        (("zm", "--zm", "5.5,0,1"), "--zm: N must be an integer, got 5.5"),
+        (("zm", "--zm", "inf,0,1"), "--zm: N must be an integer, got inf"),
+        (("zm", "--zm", "nan,0,1"), "--zm: N must be an integer, got nan"),
+        (("zm", "--zm", "3,0,1", "--ratio-range"), "--ratio-range: needs exactly two --zm laws"),
+        (("zm",), "--zm: at least one law required"),
+        (("zm", "--zm", "3,0,1", "--function", "kl", "--theorem", "tm23", "--n", "3"),
+         "--theorem: needs exactly two --zm laws"),
+    ],
+)
+def test_validation_error_texts(tmp_path, capsys, argv, text):
+    for name, content in FILES.items():
+        (tmp_path / name).write_text(content)
+    argv = [str(tmp_path / a) if a in FILES else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {text}\n")
+
+
+def test_dd_domain_flag_sets_the_model_domain(capsys):
+    code, out, _ = run(capsys, "dd", "--function", "poly:0,0,1", "--nodes", "0,1,2", "--domain", "0,3")
+    assert code == 0
+    assert json.loads(out) == 1
+    code, _, err = run(capsys, "dd", "--function", "kl", "--nodes", "1,2", "--domain", "0,3")
+    assert (code, err) == (1, "error: kl requires a domain inside (0, inf), got [0.0, 3.0]\n")
+
+
+def test_distribution_csv_skips_blank_lines(tmp_path, capsys):
+    path = tmp_path / "dist.csv"
+    path.write_text("0.5,0.25\n\n  \n0.5,0.75\n")
+    code, out, _ = run(capsys, "div", "--function", "hellinger", "--p-file", str(path), "--q-file", str(path))
+    assert code == 0
+    assert json.loads(out) == pytest.approx(0.03407417, abs=1e-8)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,8 @@ from elrbounds import (
     divided_difference,
     make_generator,
 )
-from elrbounds.oracle import (
-    _FUNCTION_KINDS, _MIN_SEPARATION_FRAC, _distinct_dd_rows, _eval_rows, _random_function,
-)
+from elrbounds.divided_diff import _values
+from elrbounds.oracle import _FUNCTION_KINDS, _MIN_SEPARATION_FRAC, _distinct_dd_rows, _random_function
 
 from conftest import poly_model
 
@@ -93,7 +94,7 @@ def test_vectorized_rows_match_divided_difference():
     f = make_generator(GeneratorSpec("kl", domain=(0.5, 2.0)))
     rng = np.random.default_rng(0)
     Z = np.sort(rng.uniform(0.5, 2.0, size=(12, 5)), axis=1)
-    rows = _distinct_dd_rows(_eval_rows(f, Z), Z)
+    rows = _distinct_dd_rows(_values(f, Z), Z)
     for row, z in zip(rows, Z):
         expected = divided_difference(f, NodeMultiset.from_points([float(v) for v in z]))
         assert float(row) == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -117,7 +118,7 @@ def test_transposed_pass_is_the_row_form_bit_for_bit(kind, n):
         f = _random_function(rng, (kind,))
         a, b = f.domain
         Z = np.sort(rng.uniform(a, b, size=(120, n + 1)), axis=1)
-        F = _eval_rows(f, Z)
+        F = _values(f, Z)
         expected = _row_form(F, Z)
         assert _distinct_dd_rows(F, Z).tobytes() == expected.tobytes()
         # certify_convexity's extremes are the row form's, on its own draws.
@@ -125,7 +126,7 @@ def test_transposed_pass_is_the_row_form_bit_for_bit(kind, n):
         gap = _MIN_SEPARATION_FRAC * (b - a)
         Zc = np.sort(np.random.default_rng(n).uniform(a, b, size=(120, n + 1)), axis=1)
         if np.diff(Zc, axis=1).min() >= gap:
-            rows = _row_form(_eval_rows(f, Zc), Zc)
+            rows = _row_form(_values(f, Zc), Zc)
             assert (cert.min_dd, cert.max_dd) == (float(rows.min()), float(rows.max()))
 
 
@@ -142,6 +143,15 @@ def test_scalar_only_functions_fall_back_to_loops():
     cert = certify_convexity(f, 3, samples=20, seed=4)
     assert cert.verdict == CONVEX
     assert calls  # the loop path actually ran
+
+
+@pytest.mark.parametrize("name", ["kl", "hellinger", "harmonic", "jeffreys", "exp", "power"])
+def test_certificate_is_the_scalar_only_certificate(name):
+    # One array call and one call per point give the same samples, bit for bit.
+    f = make_generator(GeneratorSpec(name, domain=(0.25, 3.0), exponent=2.7))
+    scalar_only = replace(f, fn=lambda t, g=f.fn: g(float(t)))
+    for n in (2, 4, 7):
+        assert certify_convexity(f, n, samples=50, seed=n) == certify_convexity(scalar_only, n, samples=50, seed=n)
 
 
 # --- audit_identities ------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import elrbounds
-from elrbounds import BoundReport, NodeMultiset, ProbabilityVector
+from elrbounds import BoundReport, DiscreteFunctional, NodeMultiset, ProbabilityVector
 
 LIBRARY = ("divided_diff", "functional", "bounds", "divergence", "generators", "zipf", "oracle")
 
@@ -22,10 +22,12 @@ REMOVED_FUNCTIONS = {
     "divided_diff": ("remainder_Rstar",),
     "zipf": ("pmf", "ratio_extrema"),
 }
-# Their replacements: ProbabilityVector(values), len(nodes.flatten()) and
-# violation() against a tolerance.
+# Their replacements: ProbabilityVector(values), len(nodes.flatten()),
+# violation() against a tolerance and apply(h), which calls h once on the
+# point array when h accepts one.
 REMOVED_MEMBERS = (
     (ProbabilityVector, "of"), (NodeMultiset, "total_count"), (BoundReport, "contains"),
+    (DiscreteFunctional, "apply_array"),
 )
 
 

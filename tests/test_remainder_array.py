@@ -2,12 +2,12 @@
 
 `remainder_R(f, a, b, m, n, t)` with a 1-D float64 array t returns element i
 as the scalar call at t[i] would, compared here through `float.hex`: over
-every built-in generator, a polynomial model without an array form and a
-scalar-only model whose function rejects arrays; with either endpoint
-order, points on the endpoints and points outside [a, b].  Errors are the
-first failing scalar call's, type and text.  The decompositions evaluate
-their remainder with one such call, so the identity audit builds no node
-multiset; a count guard pins that.
+every built-in generator and a polynomial model, whose functions take the
+point array in one call, and a scalar-only model whose function rejects it;
+with either endpoint order, points on the endpoints and points outside
+[a, b].  Errors are the first failing scalar call's, type and text.  The
+decompositions evaluate their remainder with one such call, so the identity
+audit builds no node multiset; a count guard pins that.
 """
 
 from __future__ import annotations
@@ -78,8 +78,11 @@ def _array(f, a, b, m, n, t):
 
 
 def test_models_cover_both_function_paths():
-    assert all(hasattr(MODELS[name], "_array_fn") for name in BUILTIN_NAMES)
-    assert not hasattr(MODELS["from_polynomial"], "_array_fn")
+    x = np.linspace(*DOMAIN, 9)
+    for name in (*BUILTIN_NAMES, "from_polynomial"):
+        y = MODELS[name](x)
+        assert isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.shape
+        assert [v.hex() for v in y.tolist()] == [float(MODELS[name](t)).hex() for t in x.tolist()]
     with pytest.raises(TypeError):
         MODELS["scalar_only"](np.array([1.0, 2.0]))
 

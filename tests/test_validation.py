@@ -1,0 +1,95 @@
+"""Library validation errors: each rejected input raises its own type and text."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from elrbounds import (
+    DiscreteFunctional,
+    FunctionModel,
+    GeneratorSpec,
+    NewtonForm,
+    NodeMultiset,
+    ProbabilityVector,
+    RatioRange,
+    ZipfMandelbrotParams,
+    certify_convexity,
+    classify,
+    f_divergence,
+    hermite_mn,
+    parse_function_spec,
+    remainder_R,
+)
+
+
+def _model(domain=(0.0, 1.0), **kwargs):
+    return FunctionModel(fn=abs, deriv_fn=lambda k, t: 0.0, domain=domain, **kwargs)
+
+
+def _xlogx_without_zero_limit():
+    return FunctionModel(
+        fn=lambda t: t * math.log(t) if t > 0 else math.nan,
+        deriv_fn=lambda k, t: 0.0,
+        domain=(0.5, 2.0),
+        name="xlogx",
+    )
+
+
+CONSTANT = FunctionModel.from_polynomial((1.0,), (0.0, 2.0))
+
+CASES = {
+    "model_nonfinite_domain": (
+        lambda: _model((0.0, math.inf)), ValueError, "domain must be finite, got [0.0, inf]"),
+    "model_empty_domain": (
+        lambda: _model((1.0, 1.0)), ValueError, "domain must satisfy a < b, got [1.0, 1.0]"),
+    "model_negative_max_order": (
+        lambda: _model(max_order=-1), ValueError, "max_order must be nonnegative"),
+    "polynomial_without_coefficients": (
+        lambda: FunctionModel.from_polynomial((), (0.0, 1.0)),
+        ValueError, "polynomial needs at least one coefficient"),
+    "nan_node": (lambda: NodeMultiset(((math.nan, 1),)), ValueError, "node nan is not finite"),
+    "zero_multiplicity": (
+        lambda: NodeMultiset(((1.0, 0),)), ValueError, "multiplicity must be a positive integer, got 0"),
+    "newton_lengths_differ": (
+        lambda: NewtonForm((0.0, 1.0), (1.0,)), ValueError, "nodes and coeffs must have equal length"),
+    "newton_derivative_order_0": (
+        lambda: NewtonForm((0.0,), (1.0,)).deriv(0, 0.5), ValueError, "derivative order must be >= 1"),
+    "hermite_empty_interval": (
+        lambda: hermite_mn(CONSTANT, 1.0, 1.0, 1, 3),
+        ValueError, "endpoints must satisfy a < b, got a=1.0, b=1.0"),
+    "remainder_m_equals_n": (
+        lambda: remainder_R(CONSTANT, 0.0, 2.0, 3, 3, 1.0),
+        ValueError, "m must satisfy 1 <= m <= n-1, got m=3, n=3"),
+    "ratio_range_reversed": (
+        lambda: RatioRange(2, 1), ValueError, "ratio range needs a <= b, got (2.0, 1.0)"),
+    "divergence_without_zero_limit": (
+        lambda: f_divergence(
+            _xlogx_without_zero_limit(), ProbabilityVector((0.0, 1.0)), ProbabilityVector((0.5, 0.5))
+        ),
+        ValueError, "entry 0: p_i = 0 needs a declared 0+ limit on 'xlogx'"),
+    "classify_order_13": (
+        lambda: classify(GeneratorSpec("kl"), 13), ValueError, "n must be in 1..12, got 13"),
+    "power_exponent_not_a_number": (
+        lambda: parse_function_spec("power:x"),
+        ValueError, "bad power exponent 'x': could not convert string to float: 'x'"),
+    "two_dimensional_points": (
+        lambda: DiscreteFunctional(np.full((2, 2), 0.5), (0.5, 0.5), (0.0, 1.0)),
+        TypeError, "expected a flat sequence of numbers, got shape (2, 2)"),
+    "certify_order_0": (
+        lambda: certify_convexity(CONSTANT, 0), ValueError, "n must be >= 1, got 0"),
+    "zm_infinite_N": (
+        lambda: ZipfMandelbrotParams(math.inf), ValueError, "N must be a positive integer, got inf"),
+    "zm_nan_N": (
+        lambda: ZipfMandelbrotParams(math.nan), ValueError, "N must be a positive integer, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_validation_error_text(case):
+    call, error, text = CASES[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == text
