@@ -257,10 +257,10 @@ def _decompose(
 ) -> tuple[list[float], float]:
     """Side (anchor, m)'s terms and the remainder A(R(g)) they leave out,
     R evaluated on all of A's points in one array call that reads the
-    terms' endpoint table."""
+    terms' endpoint table (that call already reruns point by point on error)."""
     tables: dict = {}
     (x, y), terms = _Family.side(f, A.interval, anchor, n, m, _moments(A), lambda: A.mean, tables)
-    return terms, A.apply(partial(remainder_R, f, x, y, m, n, _table=tables[x, m]))
+    return terms, A._dot(remainder_R(f, x, y, m, n, A._x, _table=tables[x, m]))
 
 
 def decompose_lemma21(

@@ -144,11 +144,12 @@ def _folded_sum(x: np.ndarray) -> float | None:
 
 def _values(f: Callable, x: np.ndarray) -> np.ndarray:
     """f at each element of the float64 array x: the one call f(x) if it returns
-    a float64 array of x's shape, else (also when it raises) one call per
-    element, in order, on Python floats, with that call's errors."""
+    a finite float64 array of x's shape, else (also when it raises) one call per
+    element, in order, on Python floats, with that call's values and errors."""
     try:
         y = f(x)
-        if isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.shape:
+        if (isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.shape
+                and np.isfinite(y).all()):
             return y
     except Exception:
         pass

@@ -137,9 +137,11 @@ class DiscreteFunctional:
         return _sum(self._w * self._x)
 
     def apply(self, h: Callable[[float], float]) -> float:
-        """A(h(g)) = fsum of w_i h(x_i), h evaluated by `_values`: once on the
-        float64 point array if it returns its values there, else once per point."""
-        y = _values(h, self._x)
+        """A(h(g)) = fsum of w_i h(x_i), h evaluated at the points by `_values`."""
+        return self._dot(_values(h, self._x))
+
+    def _dot(self, y: np.ndarray) -> float:
+        """fsum of w_i y_i, in point order, for the values y at the points."""
         with np.errstate(invalid="ignore"):  # 0 * inf is nan silently, as in float arithmetic
             return _sum(self._w * y)
 

@@ -132,7 +132,7 @@ def test_user_callables_are_called_once_per_point_in_order():
     seen = []
 
     def h(t):
-        t = float(t)  # rejects the point array
+        assert isinstance(t, float)  # rejects the point array
         seen.append(t)
         return t * t
 
@@ -176,6 +176,30 @@ def test_array_results_of_another_shape_or_dtype_are_not_kept():
     for wrong in (lambda t: np.zeros(2), lambda t: (t * t).astype(np.float32)):
         h = lambda t, wrong=wrong: wrong(t) if isinstance(t, np.ndarray) else t * t
         assert A.apply(h) == expected
+
+
+def test_array_results_that_are_not_finite_are_rerun_per_point():
+    """An fn whose array call gives inf where its float call raises keeps the float call's error."""
+    A = _functional(65)
+    f = make_generator(_spec("kl", A.interval))
+    c = A.points[9]
+    for h in (lambda t: 1.0 / (t - c), lambda t: 10.0 ** (100.0 * t)):
+        i, error = next((i, e) for i, t in enumerate(A.points) if (e := _raised(h, t)))
+        for evaluate in (A.apply, lambda g: lr_difference(dataclasses.replace(f, fn=g), A)):
+            seen = []
+            with np.errstate(all="ignore"):  # the array call returns inf silently
+                with pytest.raises(type(error)) as raised:
+                    evaluate(lambda t, h=h: seen.append(t) or h(t))
+            assert str(raised.value) == str(error)
+            assert isinstance(seen[0], np.ndarray) and seen[1:] == list(A.points[: i + 1])
+
+
+def _raised(h, t):
+    try:
+        h(t)
+    except ArithmeticError as exc:
+        return exc
+    return None
 
 
 def test_negated_generator_is_evaluated_in_one_call():
