@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 from .bounds import CONCAVE, CONVEX, FAMILIES, bound
@@ -128,15 +129,7 @@ def _load_functional(args) -> DiscreteFunctional:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"--functional-file: malformed JSON ({exc})") from exc
         return DiscreteFunctional.from_dict(data)
-    missing = [
-        flag
-        for flag, val in (
-            ("--points", args.points),
-            ("--weights", args.weights),
-            ("--interval", args.interval),
-        )
-        if not val
-    ]
+    missing = [f"--{name}" for name in ("points", "weights", "interval") if not getattr(args, name)]
     if missing:
         raise ValueError(f"{', '.join(missing)}: required unless --functional-file is given")
     return DiscreteFunctional(
@@ -324,6 +317,11 @@ def _run_verify(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A minus and a digit start a value, such as the list -0.5,0.5, not an option.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # Validation problems exit 1, reserving 2 for verify violations.
     def error(self, message):
         self.print_usage(sys.stderr)

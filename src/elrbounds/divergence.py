@@ -35,8 +35,8 @@ from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family
 from .divided_diff import FunctionModel, _sum
 from .functional import (
-    _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _first_outside, _float_array, _Powers,
-    _unit_sum,
+    _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _checked_interval, _first_outside,
+    _float_array, _lazy_tuples, _Powers, _unit_sum,
 )
 from .generators import GeneratorSpec, definite_class, make_generator
 
@@ -52,12 +52,14 @@ __all__ = [
 _CROSSCHECK_TOL = 1e-12
 
 
+@_lazy_tuples(values="_v")
 @dataclass(frozen=True)
 class ProbabilityVector:
     """Finite probability distribution: entries in [0, 1] summing to 1.
 
-    `values` is a tuple; the same entries are kept as a float64 array for the
-    array passes (ratios, power tables).
+    The entries are kept as a read-only float64 array, with their fsum, for
+    the array passes (ratios, power tables); the `values` tuple is built from
+    it on first read.
     """
 
     values: tuple[float, ...]
@@ -68,12 +70,17 @@ class ProbabilityVector:
             raise ValueError("probability vector must not be empty")
         if (i := _first_outside(v, 0.0, 1.0)) is not None:
             raise ValueError(f"values[{i}] = {float(v[i])} outside [0, 1]")
-        _unit_sum(v, "probabilities")
-        object.__setattr__(self, "values", tuple(v.tolist()))
-        object.__setattr__(self, "_v", v)
+        self._store(v, _unit_sum(v, "probabilities"))
+
+    def _store(self, v: np.ndarray, total: float) -> "ProbabilityVector":
+        """Keep the valid entries v, read-only, and their fsum `total`."""
+        v.setflags(write=False)
+        vars(self).pop("values", None)
+        vars(self).update(_v=v, _total=total)
+        return self
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._v)
 
     def __iter__(self):
         return iter(self.values)
@@ -267,7 +274,11 @@ def divergence_bounds(
             raise ValueError("a plain FunctionModel needs an explicit convexity class")
     # The ratios and the functional with its power table are freed before
     # the crosscheck builds its own; it reuses the delegated endpoint tables.
-    A = DiscreteFunctional(points=ratios, weights=q._v, interval=(a, b))
+    # Built by the store step alone, which skips the checks that hold here: no
+    # copy (the ratios are new, q's array is read-only), no sign or sum check
+    # of q's entries as weights (q kept their fsum), and no [a, b] scan (a and
+    # b are the ratios' extremes or a checked enclosing interval).
+    A = object.__new__(DiscreteFunctional)._store(ratios, q._v, q._total, _checked_interval((a, b)))
     del ratios
     tables: dict = {}
     report = _bounds.bound(theorem, f, A, n, m, convexity, _tables=tables)

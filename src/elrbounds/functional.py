@@ -6,8 +6,9 @@ positive linear functional A with A(1) = 1 applied to point values.
 `lr_difference` evaluates A(f(g)) minus the chord of f through (a, f(a)) and
 (b, f(b)) taken at A(g) - the quantity every bound in this package brackets.
 
-Points and weights are validated and kept as float64 arrays (their public
-`points`/`weights` stay tuples).  Moments of large point sets are read from a
+Points and weights are validated and kept as read-only float64 arrays; the
+public `points`/`weights` tuples are built from them on first read, so the
+array paths never pay for them.  Moments of large point sets are read from a
 power table (`_Powers`) that raises each base to each exponent once, and a
 function that accepts the point array is evaluated on all points in one call;
 both reproduce the point-by-point sums bit for bit, so results never depend
@@ -68,6 +69,26 @@ def _float_array(values) -> np.ndarray:
     return arr
 
 
+def _checked_interval(interval) -> tuple[float, float]:
+    a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"interval must be finite with a < b, got [{a}, {b}]")
+    return a, b
+
+
+def _lazy_tuples(**arrays: str):
+    """Class decorator, after `dataclass`: each tuple field (name -> array attribute)
+    becomes a cached property, built on first read and then kept (a `__getattr__`
+    would slow down every other attribute read)."""
+    def decorate(cls):
+        for name, array in arrays.items():
+            prop = cached_property(lambda self, array=array: tuple(getattr(self, array).tolist()))
+            prop.__set_name__(cls, name)
+            setattr(cls, name, prop)
+        return cls
+    return decorate
+
+
 def _unit_sum(values: np.ndarray, what: str) -> float:
     """fsum of the float64 array `values`, which must lie within `_SUM_TOL` of 1
     (`what` names them)."""
@@ -88,6 +109,7 @@ def _first_outside(v: np.ndarray, lo: float, hi: float) -> int | None:
     return int(((v >= lo) & (v <= hi)).argmin())
 
 
+@_lazy_tuples(points="_x", weights="_w")
 @dataclass(frozen=True)
 class DiscreteFunctional:
     """Points x_i in [a, b] with nonnegative weights w_i, sum w_i = 1.
@@ -111,25 +133,29 @@ class DiscreteFunctional:
             raise ValueError(
                 f"points ({len(x)}) and weights ({len(w)}) must have equal length >= 1"
             )
-        a, b = (float(self.interval[0]), float(self.interval[1]))
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"interval must be finite with a < b, got [{a}, {b}]")
+        a, b = _checked_interval(self.interval)
         if not np.minimum.reduce(w) >= 0.0:
             i = int((w >= 0.0).argmin())
             raise ValueError(f"weights[{i}] = {float(w[i])} is negative")
         total = _unit_sum(w, "weights")
-        if total != 1.0:
-            w = w / total
         if (i := _first_outside(x, a, b)) is not None:
             raise ValueError(f"points[{i}] = {float(x[i])} outside interval [{a}, {b}]")
-        object.__setattr__(self, "points", tuple(x.tolist()))
-        object.__setattr__(self, "weights", tuple(w.tolist()))
-        object.__setattr__(self, "interval", (a, b))
-        object.__setattr__(self, "_x", x)
-        object.__setattr__(self, "_w", w)
+        self._store(x, w, total, (a, b))
+
+    def _store(self, x: np.ndarray, w: np.ndarray, total: float, interval) -> "DiscreteFunctional":
+        """Keep valid points x, weights w of fsum `total` (renormalized here) and
+        a checked interval; the arrays become read-only."""
+        if total != 1.0:
+            w = w / total
+        for arr in (x, w):
+            arr.setflags(write=False)
+        for name in ("points", "weights"):
+            vars(self).pop(name, None)
+        vars(self).update(interval=interval, _x=x, _w=w)
+        return self
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._x)
 
     @cached_property
     def mean(self) -> float:
@@ -149,7 +175,7 @@ class DiscreteFunctional:
         """A[(g - a)^j (g - b)^k] for the stored interval endpoints."""
         if j < 0 or k < 0:
             raise ValueError(f"moment orders must be nonnegative, got ({j}, {k})")
-        if len(self.points) < _TABLE_MIN_POINTS:
+        if len(self._x) < _TABLE_MIN_POINTS:
             return _moment_sum(self.weights, self.points, *self.interval, j, k)
         w, P, Q = self._powers
         try:
@@ -170,19 +196,15 @@ class DiscreteFunctional:
 
     def to_dict(self) -> dict:
         return {
-            "points": list(self.points),
-            "weights": list(self.weights),
+            "points": self._x.tolist(),
+            "weights": self._w.tolist(),
             "interval": list(self.interval),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteFunctional":
         try:
-            return cls(
-                points=tuple(data["points"]),
-                weights=tuple(data["weights"]),
-                interval=(data["interval"][0], data["interval"][1]),
-            )
+            return cls(data["points"], data["weights"], (data["interval"][0], data["interval"][1]))
         except (KeyError, IndexError, TypeError) as exc:
             raise ValueError(f"functional JSON needs points/weights/interval: {exc}") from exc
 

@@ -10,7 +10,8 @@ Four named generators cover the classical divergences:
 `exp`, `poly` and `power` are included as test fodder for arbitrary orders.
 Each model's `fn` also takes a float64 array and returns the point-by-point
 bits (hellinger's square and power's `t**p` go through `np.float_power`,
-libm `pow` like float `**`), so the chord gap evaluates all points in one call.
+libm `pow` like float `**`), so the chord gap evaluates all points in one call;
+on a finite positive Python float these two compute with `math` and `**`.
 Derivatives are closed forms; the stack is capped at order 12, past which
 double precision gives the formulas little meaning.  `classify` reads the
 n-convexity class off the sign of the n-th derivative sampled on an even
@@ -100,6 +101,8 @@ def _kl() -> tuple:
 
 def _hellinger() -> tuple:
     def fn(t):
+        if type(t) is float and 0.0 < t < math.inf:  # numpy's bits, without its call cost
+            return 0.5 * (1.0 - math.sqrt(t)) ** 2.0
         return 0.5 * np.float_power(1.0 - np.sqrt(t), 2.0)
 
     def dfn(k, t):
@@ -141,6 +144,8 @@ def _exp() -> tuple:
 
 def _power(p: float) -> tuple:
     def fn(t):
+        if type(t) is float and 0.0 < t < math.inf and math.isfinite(p):  # `_float_power`'s bits
+            return t ** p
         return _float_power(t, p)
 
     def dfn(k, t):
@@ -149,35 +154,20 @@ def _power(p: float) -> tuple:
             coef *= p - i
         return coef * t ** (p - k)
 
-    if p > 0:
-        zero = 0.0
-    elif p == 0:
-        zero = 1.0
-    else:
-        zero = math.inf
-    if p < 1:
-        slope = 0.0
-    elif p == 1:
-        slope = 1.0
-    else:
-        slope = math.inf
+    zero = 0.0 if p > 0 else 1.0 if p == 0 else math.inf
+    slope = 0.0 if p < 1 else 1.0 if p == 1 else math.inf
     return fn, dfn, zero, slope
 
 
 def _poly_limits(coeffs: tuple[float, ...]) -> tuple[float, float]:
-    degree = 0
-    for j in range(len(coeffs) - 1, -1, -1):
-        if coeffs[j] != 0.0:
-            degree = j
-            break
-    zero = coeffs[0]
+    degree = max((j for j, c in enumerate(coeffs) if c != 0.0), default=0)
     if degree == 0:
         slope = 0.0
     elif degree == 1:
         slope = coeffs[1]
     else:
         slope = math.copysign(math.inf, coeffs[degree])
-    return zero, slope
+    return coeffs[0], slope
 
 
 def make_generator(spec: GeneratorSpec) -> FunctionModel:

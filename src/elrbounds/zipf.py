@@ -19,6 +19,7 @@ import numpy as np
 from .bounds import BoundReport
 from .divergence import ProbabilityVector, divergence_bounds
 from .divided_diff import FunctionModel, _sum
+from .functional import _unit_sum
 from .generators import GeneratorSpec
 
 __all__ = [
@@ -69,7 +70,10 @@ def normalizer(params: ZipfMandelbrotParams) -> float:
 def pmf_vector(params: ZipfMandelbrotParams) -> ProbabilityVector:
     """The full pmf as a probability vector; each (i + q)^(-s) is computed once."""
     terms, h = _weights(params)
-    return ProbabilityVector(terms / h)
+    # Built by the store step, without the [0, 1] scan (h = fsum(terms) is at
+    # least every term) or a copy; the unit sum is still checked.
+    v = terms / h
+    return object.__new__(ProbabilityVector)._store(v, _unit_sum(v, "probabilities"))
 
 
 def zm_divergence_bounds(

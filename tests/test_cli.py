@@ -567,3 +567,46 @@ def test_distribution_csv_skips_blank_lines(tmp_path, capsys):
     code, out, _ = run(capsys, "div", "--function", "hellinger", "--p-file", str(path), "--q-file", str(path))
     assert code == 0
     assert json.loads(out) == pytest.approx(0.03407417, abs=1e-8)
+
+
+# --- comma lists that start with a minus ------------------------------------------
+
+_NEGATIVE_LISTS = [
+    ("lr", "--function", "exp", "--points", "-0.5,0.5", "--weights", "0.5,0.5", "--interval", "-1,1"),
+    ("bounds", "--function", "exp", "--points", "-0.5,.25", "--weights", "0.5,0.5",
+     "--interval", "-.75,1", "--theorem", "tm23", "--n", "4"),
+    ("dd", "--function", "exp", "--nodes", "-1,0,1", "--domain", "-1,3"),
+    ("dd", "--function", "exp", "--nodes", "-1:3,2", "--domain", "-1,3", "--interpolant"),
+    ("div", "--function", "harmonic", "--p", "0.5,0.5", "--q", "0.25,0.75",
+     "--interval", "-0.5,3", "--theorem", "tm23", "--n", "4"),
+    ("zm", "--zm", "5,0,1", "--zm", "5,1,2", "--function", "harmonic", "--interval", "-0.5,3",
+     "--theorem", "tm24", "--n", "4"),
+]
+
+
+def _joined(argv):
+    """argv with every value that starts with a minus joined to its flag by '='."""
+    out = []
+    for arg in argv:
+        if arg[:1] == "-" and (arg[1:2].isdigit() or arg[1:2] == "."):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+@pytest.mark.parametrize("argv", _NEGATIVE_LISTS, ids=lambda argv: argv[0])
+def test_a_list_that_starts_with_a_minus_is_a_separate_value(capsys, argv):
+    joined = _joined(argv)
+    assert len(joined) < len(argv)
+    separate = run(capsys, *argv)
+    assert separate[0] == 0, separate[2]
+    assert separate[2] == ""
+    assert separate == run(capsys, *joined)
+
+
+def test_a_flag_is_still_not_taken_as_a_value(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["lr", "--function", "exp", "--points", "--weights", "1"])
+    assert excinfo.value.code == 1
+    assert "error: argument --points: expected one argument" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from elrbounds import (
     make_generator,
     parse_function_spec,
 )
+from elrbounds.divided_diff import _float_power
 
 # mpmath twins of the generator definitions; mpmath.diff runs central finite
 # differences at 40 digits, giving an oracle independent of the closed forms.
@@ -296,3 +297,59 @@ def test_parse_function_spec():
         parse_function_spec("poly:a,b")
     with pytest.raises(ValueError, match="no parameter"):
         parse_function_spec("kl:3")
+
+
+
+# --- scalar path of hellinger and power -------------------------------------------
+
+
+def _positive_floats(n: int, seed: int) -> list[float]:
+    """Finite positive floats: random bit patterns (subnormal to near overflow)
+    and uniform draws in (0, 10)."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(1, 0x7FF0000000000000, size=n, dtype=np.int64).view(np.float64)
+    return bits.tolist() + rng.uniform(0.0, 10.0, size=n).tolist()
+
+
+def _bits_or_error(fn, t):
+    try:
+        return float(fn(t)).hex()
+    except ArithmeticError as exc:
+        return type(exc).__name__, exc.args
+
+
+_NUMPY_PATHS = {
+    "hellinger": lambda t: 0.5 * np.float_power(1.0 - np.sqrt(t), 2.0),
+    **{f"power:{p}": (lambda t, p=p: _float_power(t, p)) for p in (2.0, 0.5, -1.5, 3.7)},
+}
+
+
+@pytest.mark.parametrize("name", list(_NUMPY_PATHS))
+def test_float_argument_gives_the_numpy_bits_and_errors(name):
+    """A finite positive float takes `math`/`**`; bits and overflow errors match numpy's."""
+    fn = make_generator(parse_function_spec(name, domain=(1e-300, 1e300))).fn
+    reference = _NUMPY_PATHS[name]
+    assert type(fn(2.0)) is float
+    for t in _positive_floats(3000, seed=11):
+        assert _bits_or_error(fn, t) == _bits_or_error(reference, t), t
+    if name == "power:-1.5":  # a subnormal base overflows on both paths
+        assert _bits_or_error(fn, 5e-324) == ("OverflowError", (34, "Numerical result out of range"))
+
+
+def test_other_arguments_keep_the_numpy_path():
+    hellinger = make_generator(GeneratorSpec("hellinger")).fn
+    assert type(hellinger(np.float64(2.0))) is np.float64
+    assert type(hellinger(0.0)) is np.float64 and hellinger(0.0) == 0.5
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert math.isnan(hellinger(-1.0))
+    assert math.isnan(hellinger(math.nan)) and hellinger(math.inf) == math.inf
+
+    def power(p):
+        return make_generator(GeneratorSpec("power", exponent=p)).fn
+
+    with pytest.raises(OverflowError):  # where 0.0 ** -1.5 raises ZeroDivisionError
+        power(-1.5)(0.0)
+    assert math.isnan(power(0.5)(-2.0))  # where (-2.0) ** 0.5 is complex
+    with pytest.raises(OverflowError):  # where 2.0 ** inf is inf
+        power(math.inf)(2.0)
+    assert type(power(2.0)(np.float64(3.0))) is np.float64
