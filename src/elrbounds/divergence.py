@@ -79,6 +79,12 @@ class ProbabilityVector:
         vars(self).update(_v=v, _total=total)
         return self
 
+    def __getstate__(self):  # what copies and pickles keep: no cached tuple
+        return self._v, self._total
+
+    def __setstate__(self, state):
+        self._store(*state)
+
     def __len__(self) -> int:
         return len(self._v)
 

@@ -142,10 +142,11 @@ def _folded_sum(x: np.ndarray) -> float | None:
     return r if away + delta < half and delta - away < toward else None
 
 
-def _values(f: Callable, x: np.ndarray) -> np.ndarray:
+def _values(f: Callable, x: np.ndarray, each: Callable | None = None) -> np.ndarray:
     """f at each element of the float64 array x: the one call f(x) if it returns
     a finite float64 array of x's shape, else (also when it raises) one call per
-    element, in order, on Python floats, with that call's values and errors."""
+    element of `each` (default f), in order, on Python floats, with that call's
+    values and errors."""
     try:
         y = f(x)
         if (isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.shape
@@ -153,7 +154,8 @@ def _values(f: Callable, x: np.ndarray) -> np.ndarray:
             return y
     except Exception:
         pass
-    return np.array([float(f(t)) for t in x.ravel().tolist()]).reshape(x.shape)
+    each = each or f
+    return np.array([float(each(t)) for t in x.ravel().tolist()]).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -226,6 +228,8 @@ class FunctionModel:
         cs = tuple(float(c) for c in coeffs)
         if not cs:
             raise ValueError("polynomial needs at least one coefficient")
+        if not all(map(math.isfinite, cs)):
+            raise ValueError(f"polynomial coefficients must be finite, got {cs}")
 
         def ev(t, _cs=cs):
             acc = 0.0
@@ -447,23 +451,16 @@ def remainder_R(
     `t` may also be a 1-D float64 array: the result is then the array whose
     element i is bit for bit `remainder_R(f, a, b, m, n, t[i])`, from one
     endpoint table and one pass of the table's cells over all points
-    (`_remainder_cells`).  Errors are the scalar calls' own, raised at the
-    first point that raises.  The private `_table` is that pass's
+    (`_remainder_cells`) or, by `_values`' rule, from the scalar call at each
+    point with its errors.  The private `_table` is that pass's
     `endpoint_table(f, a, b, m, n - m)` when the caller already holds it.
     """
     if not 1 <= m <= n - 1:
         raise ValueError(f"m must satisfy 1 <= m <= n-1, got m={m}, n={n}")
     if not (isinstance(t, np.ndarray) and t.ndim == 1):
         return _remainder_at(f, a, b, m, n, float(t))
-    # An error of the array pass (the prefactor's, the table's or f's) is the
-    # scalar calls' to raise: the rerun raises it at its first point.
-    try:
-        out = _remainder_cells(f, float(a), float(b), m, n, t, _table)
-    except Exception:
-        out = None
-    if out is None:
-        out = np.array([_remainder_at(f, a, b, m, n, s) for s in t.tolist()], dtype=float)
-    return out
+    return _values(lambda s: _remainder_cells(f, float(a), float(b), m, n, s, _table), t,
+                   lambda s: _remainder_at(f, a, b, m, n, s))
 
 
 def _remainder_at(f: FunctionModel, a: float, b: float, m: int, n: int, t: float) -> float:
@@ -489,8 +486,8 @@ def _remainder_cells(
     the confluent table's operands and IEEE operations, so every element has
     the scalar call's bits.  Points whose prefactor is 0.0 are 0.0 without a
     table, as in the scalar call.  None when a point with a nonzero prefactor
-    lies outside (u, v) or within `_NEAR_NODE_REL` of an endpoint, or an f
-    value or result is not finite; a prefactor overflow raises OverflowError.
+    lies outside (u, v) or within `_NEAR_NODE_REL` of an endpoint.  A prefactor
+    overflow raises OverflowError; a non-finite f(t) makes its result non-finite.
     """
     with np.errstate(all="ignore"):
         w = _float_power(t - a, float(m)) * _float_power(t - b, float(n - m))
@@ -509,10 +506,7 @@ def _remainder_cells(
         if T is None:
             T = endpoint_table(f, a, b, m, n - m)
         fu, fv = ([row[0] for row in T], T[0]) if a < b else (T[0], [row[0] for row in T])
-        ft = _values(f, s)
-        if not np.isfinite(ft).all():
-            return None
-        row = [ft]
+        row = [_values(f, s)]
         for beta in range(1, q + 1):
             row.append((fv[beta] - row[-1]) / vs)
         for alpha in range(1, p + 1):
@@ -520,8 +514,5 @@ def _remainder_cells(
             for beta in range(1, q + 1):
                 nxt.append((row[beta] - nxt[-1]) / (v - u))
             row = nxt
-        r = w[live] * row[q]
-        if not np.isfinite(r).all():
-            return None
-    out[live] = r
+        out[live] = w[live] * row[q]
     return out

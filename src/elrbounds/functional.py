@@ -8,11 +8,12 @@ positive linear functional A with A(1) = 1 applied to point values.
 
 Points and weights are validated and kept as read-only float64 arrays; the
 public `points`/`weights` tuples are built from them on first read, so the
-array paths never pay for them.  Moments of large point sets are read from a
-power table (`_Powers`) that raises each base to each exponent once, and a
-function that accepts the point array is evaluated on all points in one call;
-both reproduce the point-by-point sums bit for bit, so results never depend
-on which path ran.
+array paths never pay for them, and copies and pickles are rebuilt from the
+arrays alone.  Moments of large point sets are read from a power table
+(`_Powers`) that raises each base to each exponent once, and a function that
+accepts the point array is evaluated on all points in one call; both
+reproduce the point-by-point sums bit for bit, so results never depend on
+which path ran.
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ _SUM_TOL = 1e-12
 
 # Smallest point set whose moments come from a power table.  Below it the
 # point-by-point sums are faster, because numpy's per-call overhead outweighs
-# the powers the table saves.  Measured on `divergence_bounds` (kl, TM23 n=9
-# and COR21 n=7, Dirichlet pairs; 2 vCPU x86-64, Python 3.11, numpy 2.4), an
-# op with tables took 1.40x the scalar time at 8 points, 1.02x at 32, 0.90x
-# at 48 and 64 and 0.72x at 128; the gate sits at twice the break-even.
+# the powers the table saves.  `divergence_bounds` with the gate at 1 took
+# this much of its time with the gate at 10^9 (kl, TM23 n=9 and COR21 n=7
+# m=4, 20 Dirichlet(0.5) pairs per size, best of 7, three runs; 2 vCPU
+# x86-64, Python 3.11, numpy 2.4): 1.4-1.6x at 8 points, 1.3-1.5x at 16,
+# 1.00-1.04x at 32, 0.8-0.9x at 48 and 64, 0.5-0.6x at 128.  The gate sits
+# at twice the break-even.
 _TABLE_MIN_POINTS = 64
 
 
@@ -153,6 +156,12 @@ class DiscreteFunctional:
             vars(self).pop(name, None)
         vars(self).update(interval=interval, _x=x, _w=w)
         return self
+
+    def __getstate__(self):  # what copies and pickles keep: no cached value
+        return self._x, self._w, 1.0, self.interval  # the weights are normalized
+
+    def __setstate__(self, state):
+        self._store(*state)
 
     def __len__(self) -> int:
         return len(self._x)

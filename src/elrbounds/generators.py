@@ -15,9 +15,9 @@ on a finite positive Python float these two compute with `math` and `**`.
 Derivatives are closed forms; the stack is capped at order 12, past which
 double precision gives the formulas little meaning.  `classify` reads the
 n-convexity class off the sign of the n-th derivative sampled on an even
-grid over the declared domain; it is the one class source of every bound
-path (`definite_class` is the same verdict with INDEFINITE, or an
-overflowing sample, as a ValueError).
+grid over the declared domain (by `_values`, as every point array is); it
+is the one class source of every bound path (`definite_class` is the same
+verdict with INDEFINITE, or an overflowing sample, as a ValueError).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import CONCAVE, CONVEX
-from .divided_diff import FunctionModel, _float_power
+from .divided_diff import FunctionModel, _float_power, _values
 
 __all__ = [
     "INDEFINITE",
@@ -75,6 +75,8 @@ class GeneratorSpec:
         object.__setattr__(self, "domain", (a, b))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         object.__setattr__(self, "exponent", float(self.exponent))
+        if self.name == "power" and not math.isfinite(self.exponent):
+            raise ValueError(f"power exponent must be finite, got {self.exponent}")
 
 
 def _double_factorial(k: int) -> float:
@@ -144,7 +146,7 @@ def _exp() -> tuple:
 
 def _power(p: float) -> tuple:
     def fn(t):
-        if type(t) is float and 0.0 < t < math.inf and math.isfinite(p):  # `_float_power`'s bits
+        if type(t) is float and 0.0 < t < math.inf:  # `_float_power`'s bits
             return t ** p
         return _float_power(t, p)
 
@@ -205,9 +207,10 @@ def classify(spec: GeneratorSpec, n: int) -> str:
     """n-convexity class from the sign of the n-th derivative on the domain.
 
     Returns CONVEX when the sampled derivative is nonnegative everywhere,
-    CONCAVE when nonpositive, INDEFINITE when it changes sign, up to 1e-12 of
-    the largest finite |sample|.  A non-finite sample of the array call re-runs
-    the grid point by point, where float `**` raises its OverflowError.
+    CONCAVE when nonpositive, INDEFINITE when it changes sign (or a sample is
+    NaN), up to 1e-12 of the largest finite |sample|.  The grid is sampled by
+    `_values`: one array call, or, if a sample is not finite, one call per
+    point, where float `**` raises its OverflowError.
     """
     f = make_generator(spec)
     if not 1 <= n <= f.max_order:
@@ -215,14 +218,9 @@ def classify(spec: GeneratorSpec, n: int) -> str:
     a, b = spec.domain
     grid = a + (b - a) * np.arange(_CLASSIFY_GRID) / (_CLASSIFY_GRID - 1)
     with np.errstate(all="ignore"):
-        values = f.deriv(n, grid)
+        values = _values(lambda t: f.deriv(n, t), grid)
         lo, hi = float(np.minimum.reduce(values)), float(np.maximum.reduce(values))
-    if math.isfinite(lo) and math.isfinite(hi):
-        tol = 1e-12 * max(-lo, hi)
-    else:
-        values = [float(f.deriv(n, t)) for t in grid.tolist()]
-        lo, hi = min(values), max(values)
-        tol = 1e-12 * max((abs(v) for v in values if math.isfinite(v)), default=0.0)
+        tol = 1e-12 * float(np.maximum.reduce(np.abs(values), where=np.isfinite(values), initial=0.0))
     if lo >= -tol:
         return CONVEX
     if hi <= tol:

@@ -543,6 +543,15 @@ DIV = ("div", "--function", "kl")
         (("zm",), "--zm: at least one law required"),
         (("zm", "--zm", "3,0,1", "--function", "kl", "--theorem", "tm23", "--n", "3"),
          "--theorem: needs exactly two --zm laws"),
+        (("bounds", "--function", "poly:nan", "--points", "0.5,1.5", "--weights", "0.5,0.5",
+          "--interval", "0,2", "--theorem", "tm23", "--n", "3", "--convexity", "auto"),
+         "polynomial coefficients must be finite, got (nan,)"),
+        (("bounds", "--function", "power:nan", "--points", "0.5,1.5", "--weights", "0.5,0.5",
+          "--interval", "0.1,2", "--theorem", "tm23", "--n", "3", "--convexity", "n-convex"),
+         "power exponent must be finite, got nan"),
+        (("bounds", "--function", "power:inf", "--points", "0.5,1.5", "--weights", "0.5,0.5",
+          "--interval", "0.1,2", "--theorem", "tm23", "--n", "3", "--convexity", "n-convex"),
+         "power exponent must be finite, got inf"),
     ],
 )
 def test_validation_error_texts(tmp_path, capsys, argv, text):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -254,6 +255,36 @@ def test_array_grid_classify_matches_the_per_point_reference():
     kinds = {kind for _, kind in seen}
     assert {CONVEX, CONCAVE, INDEFINITE, "OverflowError"} <= kinds
     assert {family for family, _ in seen} == {"narrow", "wide", "tiny-start", "negative"}
+    # Derivative coefficients c_12 * 12!/(12-n)! overflow to +-inf from n = 10
+    # on: every sample is infinite, none finite to scale the tolerance (the
+    # grids miss t = 0, where inf * 0 is NaN).
+    verdicts = set()
+    for top in (1e300, -1e300):
+        for domain in ((0.5, 2.0), (-2.0, -0.5), (-1.0, 2.0)):
+            spec = GeneratorSpec("poly", domain=domain, coeffs=(1.0,) + (0.0,) * 11 + (top,))
+            assert math.isinf(make_generator(spec).deriv(10, 1.0))
+            for n in range(1, 13):
+                got = _outcome(classify, spec, n)
+                assert got == _outcome(_classify_per_point, spec, n), (spec, n)
+                verdicts.add(got)
+    assert verdicts == {CONVEX, CONCAVE, INDEFINITE}
+
+
+def test_a_nan_sample_makes_the_class_indefinite():
+    # f^(10) = 12!/2! * 1e300 * t^2 samples as inf * t * t: +inf except at the
+    # grid point t = 0, where it is NaN.  The sign there is unknown.
+    spec = GeneratorSpec("poly", domain=(-1.0, 1.0), coeffs=(0.0,) * 12 + (1e300,))
+    f = make_generator(spec)
+    assert math.isnan(f.deriv(10, 0.0)) and f.deriv(10, -0.5) == f.deriv(10, 0.5) == math.inf
+    assert classify(spec, 10) == INDEFINITE
+
+
+def test_an_overflowing_grid_is_sampled_without_a_warning():
+    # exp(800) is inf: the per-point rerun of the grid runs inside the same
+    # errstate as the array call, so numpy warns about neither.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify(GeneratorSpec("exp", domain=(0.0, 800.0)), 3) == CONVEX
 
 
 def test_tiny_negative_derivative_is_concave():
@@ -350,6 +381,6 @@ def test_other_arguments_keep_the_numpy_path():
     with pytest.raises(OverflowError):  # where 0.0 ** -1.5 raises ZeroDivisionError
         power(-1.5)(0.0)
     assert math.isnan(power(0.5)(-2.0))  # where (-2.0) ** 0.5 is complex
-    with pytest.raises(OverflowError):  # where 2.0 ** inf is inf
-        power(math.inf)(2.0)
+    with pytest.raises(ValueError, match="power exponent must be finite, got inf"):
+        power(math.inf)
     assert type(power(2.0)(np.float64(3.0))) is np.float64

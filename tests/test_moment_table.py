@@ -32,6 +32,8 @@ from elrbounds.bounds import FAMILIES, bound
 from elrbounds.divergence import _pq_moment, _pq_moments, _ratios
 from elrbounds.functional import _TABLE_MIN_POINTS, _moment_sum
 
+# Below 2 the first size would be 0, for which `_dirichlet_pair` never returns.
+assert _TABLE_MIN_POINTS >= 2, f"_TABLE_MIN_POINTS = {_TABLE_MIN_POINTS} leaves no size below the gate"
 SIZES = (_TABLE_MIN_POINTS - 1, _TABLE_MIN_POINTS + 1, 1999)
 ORDERS = [(j, k) for j in range(13) for k in range(13) if 1 <= j + k <= 12]
 

@@ -3,7 +3,8 @@
 `ProbabilityVector.values` and `DiscreteFunctional.points`/`weights` are
 built from the stored read-only arrays on first read.  Equality, hashing,
 repr, copies, pickles, `replace` and `asdict` must not depend on whether a
-tuple was read yet.  `pmf_vector` and `divergence_bounds` build their point
+tuple was read yet, and copies and pickles keep read-only arrays and nothing
+cached.  `pmf_vector` and `divergence_bounds` build their point
 sets through the classes' store step alone; routed through the public
 constructors instead, they must give the same arrays, reports and errors.
 """
@@ -82,6 +83,45 @@ def test_representation_does_not_depend_on_reading_the_tuples(make, text, fields
     for name in _TUPLES[type(make())]:
         value = getattr(fresh(), name)
         assert type(value) is tuple and all(type(x) is float for x in value)
+
+
+def _copies(obj):
+    return copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize("make", [case[0] for case in _CASES], ids=["vector", "functional"])
+def test_copies_rebuild_read_only_arrays_without_cached_values(make):
+    obj = _read(make())
+    for clone in _copies(obj):
+        assert set(vars(clone)) == set(vars(make()))  # no tuple, mean or power table
+        for name in _ARRAYS[type(obj)]:
+            arr, original = getattr(clone, name), getattr(obj, name)
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+            assert arr.tobytes() == original.tobytes()
+        assert clone == obj and hash(clone) == hash(obj)
+        assert getattr(clone, "interval", None) == getattr(obj, "interval", None)
+        assert getattr(clone, "_total", None) == getattr(obj, "_total", None)
+
+
+def test_a_pickle_does_not_carry_what_was_read():
+    rng = np.random.default_rng(5)
+    size = 2_000
+    x, w = rng.uniform(0.5, 2.0, size), rng.dirichlet(np.ones(size))
+
+    def fresh():
+        return DiscreteFunctional(x, w, (0.5, 2.0))
+
+    used = fresh()
+    _read(used)
+    assert used.mean == fresh().mean and used.moment(3, 4) == fresh().moment(3, 4)
+    assert "_powers" in vars(used)
+    assert pickle.dumps(used) == pickle.dumps(fresh())
+    assert len(pickle.dumps(used)) < 2 * 8 * size + 1_000
+    for clone in _copies(used):
+        assert clone.moment(3, 4) == used.moment(3, 4) and clone.mean == used.mean
+    p = ProbabilityVector(w)
+    _read(p)
+    assert pickle.dumps(p) == pickle.dumps(ProbabilityVector(w))
 
 
 def test_a_tuple_is_built_once_and_kept():

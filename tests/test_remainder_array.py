@@ -147,6 +147,28 @@ def test_overflowing_prefactor_raises_the_scalar_error():
     assert _array(f, a, b, m, n, t) == expected
 
 
+def test_a_non_finite_f_value_takes_the_scalar_calls():
+    # The array pass's result is then not finite, so every point takes the
+    # scalar call, with its value (NaN here) or its error (1/0 on a float).
+    def deriv(k, t):
+        return 2.0 * t if k == 1 else 2.0 if k == 2 else 0.0
+
+    nan_at_1 = FunctionModel(
+        fn=lambda t: np.where(t == 1.0, np.nan, t * t), deriv_fn=deriv, domain=DOMAIN)
+    pole_at_1 = FunctionModel(
+        fn=lambda t: 1.0 / (t - 1.0),
+        deriv_fn=lambda k, t: (-1.0) ** k * math.factorial(k) / (t - 1.0) ** (k + 1),
+        domain=DOMAIN)
+    t = np.array([0.75, 1.0, 1.5])
+    for a, b in ((0.5, 2.0), (2.0, 0.5)):
+        expected = _scalar(nan_at_1, a, b, 2, 5, t)
+        assert expected[0] == "ok" and expected[1][1] == "nan" and "nan" not in expected[1][::2]
+        assert _array(nan_at_1, a, b, 2, 5, t) == expected
+        expected = _scalar(pole_at_1, a, b, 2, 5, t)
+        assert expected == ("ZeroDivisionError", "float division by zero")
+        assert _array(pole_at_1, a, b, 2, 5, t) == expected
+
+
 def test_scalar_t_keeps_the_scalar_path():
     f = MODELS["exp"]
     value = remainder_R(f, 0.5, 2.0, 2, 5, np.float64(1.25))

@@ -20,6 +20,7 @@ from elrbounds import (
     classify,
     f_divergence,
     hermite_mn,
+    make_generator,
     parse_function_spec,
     remainder_R,
 )
@@ -50,6 +51,12 @@ CASES = {
     "polynomial_without_coefficients": (
         lambda: FunctionModel.from_polynomial((), (0.0, 1.0)),
         ValueError, "polynomial needs at least one coefficient"),
+    "polynomial_nan_coefficient": (
+        lambda: FunctionModel.from_polynomial((1.0, math.nan), (0.0, 1.0)),
+        ValueError, "polynomial coefficients must be finite, got (1.0, nan)"),
+    "polynomial_infinite_coefficient": (
+        lambda: FunctionModel.from_polynomial((-math.inf,), (0.0, 1.0)),
+        ValueError, "polynomial coefficients must be finite, got (-inf,)"),
     "nan_node": (lambda: NodeMultiset(((math.nan, 1),)), ValueError, "node nan is not finite"),
     "zero_multiplicity": (
         lambda: NodeMultiset(((1.0, 0),)), ValueError, "multiplicity must be a positive integer, got 0"),
@@ -75,6 +82,17 @@ CASES = {
     "power_exponent_not_a_number": (
         lambda: parse_function_spec("power:x"),
         ValueError, "bad power exponent 'x': could not convert string to float: 'x'"),
+    "poly_nan_coefficient": (
+        lambda: make_generator(parse_function_spec("poly:nan")),
+        ValueError, "polynomial coefficients must be finite, got (nan,)"),
+    "poly_infinite_coefficient": (
+        lambda: classify(GeneratorSpec("poly", coeffs=(0, 1, math.inf)), 3),
+        ValueError, "polynomial coefficients must be finite, got (0.0, 1.0, inf)"),
+    "power_nan_exponent": (
+        lambda: parse_function_spec("power:nan"), ValueError, "power exponent must be finite, got nan"),
+    "power_infinite_exponent": (
+        lambda: GeneratorSpec("power", exponent=-math.inf),
+        ValueError, "power exponent must be finite, got -inf"),
     "two_dimensional_points": (
         lambda: DiscreteFunctional(np.full((2, 2), 0.5), (0.5, 0.5), (0.0, 1.0)),
         TypeError, "expected a flat sequence of numbers, got shape (2, 2)"),
