@@ -4,12 +4,13 @@ Output is byte-stable for fixed inputs and seed: JSON fields appear in a
 fixed order and floats are printed with 17 significant digits, so re-parsing
 reproduces the exact values.  Each subcommand returns its JSON value and its
 CSV rows, and `main` writes the one that --format asks for.  Exit status is
-0 on success, 1 on validation errors (reported with the offending field)
-and when a div or zm bound fails its dual-route crosscheck, and 2 when
-`verify` finds a violated identity or bracket.  `--convexity auto`
-takes the class from `generators.classify` in bounds, div and zm alike (an
-indefinite class is a validation error); only verify samples, so --samples
-is a verify flag and --seed matters only there.  The ELR_SEED environment
+0 on success, 1 on validation errors (reported with the offending field),
+when a div or zm bound fails its dual-route crosscheck and when a report's
+lr or a side is not finite, and 2 when `verify` finds a violated identity
+or bracket.  `--convexity auto` takes the class from `generators.classify`
+in bounds, div and zm alike (an indefinite class is a validation error);
+only verify samples, so --samples is a verify flag and --seed matters only
+there.  The ELR_SEED environment
 variable overrides --seed everywhere.
 """
 
@@ -69,13 +70,7 @@ def dumps(value) -> str:
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_float(value)
-    return str(value)
+    return "" if value is None else value if isinstance(value, str) else dumps(value)
 
 
 def _csv_lines(rows) -> str:
@@ -121,14 +116,17 @@ def _function_for_nodes(args, nodes: NodeMultiset) -> FunctionModel:
     return make_generator(parse_function_spec(args.function, domain=domain))
 
 
+def _read_json(path: str, flag: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{flag}: malformed JSON ({exc})") from exc
+
+
 def _load_functional(args) -> DiscreteFunctional:
     if args.functional_file:
-        with open(args.functional_file) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"--functional-file: malformed JSON ({exc})") from exc
-        return DiscreteFunctional.from_dict(data)
+        return DiscreteFunctional.from_dict(_read_json(args.functional_file, "--functional-file"))
     missing = [f"--{name}" for name in ("points", "weights", "interval") if not getattr(args, name)]
     if missing:
         raise ValueError(f"{', '.join(missing)}: required unless --functional-file is given")
@@ -158,11 +156,7 @@ def _load_distribution(inline: str | None, path: str | None, key: str, flag: str
                 except ValueError as exc:
                     raise ValueError(f"{flag}-file: bad CSV row {line!r} ({exc})") from exc
         return ProbabilityVector(tuple(values))
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{flag}-file: malformed JSON ({exc})") from exc
+    data = _read_json(path, f"{flag}-file")
     if isinstance(data, dict):
         if key not in data:
             raise ValueError(f"{flag}-file: JSON object lacks key {key!r}")
@@ -225,25 +219,30 @@ def _run_bounds(args):
     spec = parse_function_spec(args.function, domain=A.interval)
     f = make_generator(spec)
     convexity = _auto(args) or definite_class(spec, args.n)
-    report = _crosschecked(
-        lambda theorem: bound(theorem, f, A, args.n, args.m, convexity), theorem=args.theorem
-    ).to_dict()
+    report = _report(args, lambda: bound(args.theorem, f, A, args.n, args.m, convexity))
     # Lazy: the term rows are computed only when --format csv writes them.
     return report, itertools.chain(_report_rows(report), _bound_term_rows(args, f, A))
 
 
-def _crosschecked(bounds, *args, **kwargs):
-    """`bounds(*args, **kwargs)`, with the crosscheck's refusal (a plain
-    RuntimeError; subclasses such as RecursionError propagate) and a moment's
-    OverflowError (too wide a ratio range) as a ValueError."""
+def _report(args, call) -> dict:
+    """The report of `call()` as a dict.  The crosscheck's refusal (a plain
+    RuntimeError; subclasses such as RecursionError propagate), a moment's
+    OverflowError (too wide a ratio range) and a report whose `lr`, `lower`
+    or `upper` is not finite are ValueErrors."""
+    tag = args.theorem.upper()
     try:
-        return bounds(*args, **kwargs)
+        report = call().to_dict()
     except OverflowError as exc:
-        raise ValueError(f"{kwargs['theorem'].upper()} moment overflow: {exc}") from exc
+        raise ValueError(f"{tag} moment overflow: {exc}") from exc
     except RuntimeError as exc:
         if type(exc) is not RuntimeError:
             raise
         raise ValueError(str(exc)) from exc
+    for key in ("lr", "lower", "upper"):
+        value = report[key]
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{tag} {key} is not finite: {dumps(value)}")
+    return report
 
 
 def _run_div(args):
@@ -254,12 +253,12 @@ def _run_div(args):
     if args.theorem is None:
         value = f_divergence(make_generator(spec), p, q)
         return value, [("divergence",), (value,)]
-    report = _crosschecked(
-        divergence_bounds, spec, p, q, n=args.n, m=args.m, theorem=args.theorem,
-        convexity=_auto(args), interval=interval,
-    )
+    report = _report(args, lambda: divergence_bounds(
+        spec, p, q, n=args.n, m=args.m, theorem=args.theorem, convexity=_auto(args),
+        interval=interval,
+    ))
     out = {"divergence": f_divergence(make_generator(spec), p, q)}
-    out.update(report.to_dict())
+    out.update(report)
     return out, _report_rows(out)
 
 
@@ -284,10 +283,10 @@ def _run_zm(args):
     if len(laws) != 2:
         raise ValueError("--theorem: needs exactly two --zm laws")
     interval = _parse_interval(args.interval, "--interval") if args.interval else None
-    report = _crosschecked(
-        zm_divergence_bounds, laws[0], laws[1], parse_function_spec(args.function),
-        n=args.n, m=args.m, theorem=args.theorem, convexity=_auto(args), interval=interval,
-    ).to_dict()
+    report = _report(args, lambda: zm_divergence_bounds(
+        laws[0], laws[1], parse_function_spec(args.function), n=args.n, m=args.m,
+        theorem=args.theorem, convexity=_auto(args), interval=interval,
+    ))
     return report, _report_rows(report)
 
 

@@ -291,8 +291,6 @@ def divergence_bounds(
     del A
     direct = direct_bound_values(f, p, q, a, b, n, theorem, m, convexity, _tables=tables)
     for side, delegated, direct_v in zip(("lower", "upper"), (report.lower, report.upper), direct):
-        if (delegated is None) != (direct_v is None):
-            raise RuntimeError(f"{theorem} {side}: delegated and direct sides disagree in shape")
         if delegated is not None and abs(delegated - direct_v) > _CROSSCHECK_TOL:
             raise RuntimeError(
                 f"{theorem} {side}: delegated value {delegated!r} and direct value "

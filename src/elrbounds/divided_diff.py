@@ -18,6 +18,7 @@ in this module differentiates numerically.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -231,20 +232,14 @@ class FunctionModel:
         if not all(map(math.isfinite, cs)):
             raise ValueError(f"polynomial coefficients must be finite, got {cs}")
 
-        def ev(t, _cs=cs):
-            acc = 0.0
-            for c in reversed(_cs):
-                acc = acc * t + c
-            return acc
-
         def dv(order, t, _cs=cs):
             acc = 0.0
-            for c in reversed(_poly_deriv_coeffs(_cs, order)):
+            for c in reversed(_poly_deriv_coeffs(_cs, order) if order else _cs):
                 acc = acc * t + c
             return acc
 
         return cls(
-            fn=ev,
+            fn=functools.partial(dv, 0),
             deriv_fn=dv,
             domain=(float(domain[0]), float(domain[1])),
             max_order=max_order,

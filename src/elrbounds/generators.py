@@ -10,8 +10,8 @@ Four named generators cover the classical divergences:
 `exp`, `poly` and `power` are included as test fodder for arbitrary orders.
 Each model's `fn` also takes a float64 array and returns the point-by-point
 bits (hellinger's square and power's `t**p` go through `np.float_power`,
-libm `pow` like float `**`), so the chord gap evaluates all points in one call;
-on a finite positive Python float these two compute with `math` and `**`.
+libm `pow` like float `**`), so the chord gap evaluates all points in one call.
+The fixed generators' functions live in one table, `_MODELS`.
 Derivatives are closed forms; the stack is capped at order 12, past which
 double precision gives the formulas little meaning.  `classify` reads the
 n-convexity class off the sign of the n-th derivative sampled on an even
@@ -79,75 +79,47 @@ class GeneratorSpec:
             raise ValueError(f"power exponent must be finite, got {self.exponent}")
 
 
-def _double_factorial(k: int) -> float:
-    # (2n-3)!! with the empty product equal to 1.
-    out = 1.0
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+def _kl_deriv(k, t):
+    if k == 1:
+        return np.log(t) + 1.0
+    sign = -1.0 if k % 2 else 1.0
+    return sign * math.factorial(k - 2) * t ** (1.0 - k)
 
 
-def _kl() -> tuple:
-    def fn(t):
-        return t * np.log(t)
-
-    def dfn(k, t):
-        if k == 1:
-            return np.log(t) + 1.0
-        sign = -1.0 if k % 2 else 1.0
-        return sign * math.factorial(k - 2) * t ** (1.0 - k)
-
-    return fn, dfn, 0.0, math.inf
+def _hellinger_deriv(k, t):
+    if k == 1:
+        return 0.5 * (1.0 - t ** -0.5)
+    sign = -1.0 if k % 2 else 1.0
+    odd = math.prod(range(2 * k - 3, 1, -2))  # (2k-3)!!
+    return sign * odd / 2.0**k * t ** (-(2.0 * k - 1.0) / 2.0)
 
 
-def _hellinger() -> tuple:
-    def fn(t):
-        if type(t) is float and 0.0 < t < math.inf:  # numpy's bits, without its call cost
-            return 0.5 * (1.0 - math.sqrt(t)) ** 2.0
-        return 0.5 * np.float_power(1.0 - np.sqrt(t), 2.0)
-
-    def dfn(k, t):
-        if k == 1:
-            return 0.5 * (1.0 - t ** -0.5)
-        sign = -1.0 if k % 2 else 1.0
-        return sign * _double_factorial(2 * k - 3) / 2.0**k * t ** (-(2.0 * k - 1.0) / 2.0)
-
-    return fn, dfn, 0.5, 0.5
+def _harmonic_deriv(k, t):
+    sign = 1.0 if k % 2 else -1.0
+    return 2.0 * sign * math.factorial(k) * (1.0 + t) ** (-(k + 1.0))
 
 
-def _harmonic() -> tuple:
-    def fn(t):
-        return 2.0 * t / (1.0 + t)
-
-    def dfn(k, t):
-        sign = 1.0 if k % 2 else -1.0
-        return 2.0 * sign * math.factorial(k) * (1.0 + t) ** (-(k + 1.0))
-
-    return fn, dfn, 0.0, 0.0
+def _jeffreys_deriv(k, t):
+    if k == 1:
+        return np.log(t) + 1.0 - 1.0 / t
+    sign = -1.0 if k % 2 else 1.0
+    return sign * math.factorial(k - 2) * t ** (-1.0 * k) * (t + k - 1.0)
 
 
-def _jeffreys() -> tuple:
-    def fn(t):
-        return (t - 1.0) * np.log(t)
-
-    def dfn(k, t):
-        if k == 1:
-            return np.log(t) + 1.0 - 1.0 / t
-        sign = -1.0 if k % 2 else 1.0
-        return sign * math.factorial(k - 2) * t ** (-1.0 * k) * (t + k - 1.0)
-
-    return fn, dfn, math.inf, math.inf
-
-
-def _exp() -> tuple:
-    return np.exp, (lambda k, t: np.exp(t)), 1.0, math.inf
+# The fixed generators: name -> (fn, dfn, zero_limit, slope_at_infinity).
+_MODELS = {
+    "kl": (lambda t: t * np.log(t), _kl_deriv, 0.0, math.inf),
+    "hellinger": (
+        lambda t: 0.5 * np.float_power(1.0 - np.sqrt(t), 2.0), _hellinger_deriv, 0.5, 0.5
+    ),
+    "harmonic": (lambda t: 2.0 * t / (1.0 + t), _harmonic_deriv, 0.0, 0.0),
+    "jeffreys": (lambda t: (t - 1.0) * np.log(t), _jeffreys_deriv, math.inf, math.inf),
+    "exp": (np.exp, lambda k, t: np.exp(t), 1.0, math.inf),
+}
 
 
 def _power(p: float) -> tuple:
     def fn(t):
-        if type(t) is float and 0.0 < t < math.inf:  # `_float_power`'s bits
-            return t ** p
         return _float_power(t, p)
 
     def dfn(k, t):
@@ -184,13 +156,7 @@ def make_generator(spec: GeneratorSpec) -> FunctionModel:
         fn, dfn, zero, slope = _power(spec.exponent)
         name = f"power({spec.exponent:g})"
     else:
-        fn, dfn, zero, slope = {
-            "kl": _kl,
-            "hellinger": _hellinger,
-            "harmonic": _harmonic,
-            "jeffreys": _jeffreys,
-            "exp": _exp,
-        }[spec.name]()
+        fn, dfn, zero, slope = _MODELS[spec.name]
         name = spec.name
     return FunctionModel(
         fn=fn,

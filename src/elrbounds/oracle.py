@@ -203,8 +203,8 @@ def _random_functional(
     rng: np.random.Generator, interval: tuple[float, float], max_points: int
 ) -> DiscreteFunctional:
     r = int(rng.integers(1, max_points + 1))
-    points = tuple(float(x) for x in rng.uniform(interval[0], interval[1], size=r))
-    weights = tuple(float(w) for w in rng.dirichlet(np.ones(r)))
+    points = rng.uniform(interval[0], interval[1], size=r)
+    weights = rng.dirichlet(np.ones(r))
     return DiscreteFunctional(points=points, weights=weights, interval=interval)
 
 

@@ -444,6 +444,22 @@ def test_bounds_classify_overflow_exits_1(capsys):
         ), argv
 
 
+def test_a_report_that_is_not_finite_exits_1(capsys):
+    poly = "poly:" + ",".join(["0"] * 12 + ["1e300"])
+    code, out, err = run(
+        capsys, "bounds", "--function", poly, "--points", "1,2", "--weights", "0.5,0.5",
+        "--interval", "0.1,2", "--theorem", "tm23", "--n", "11", "--convexity", "auto",
+    )
+    assert (code, out, err) == (1, "", "error: TM23 lower is not finite: NaN\n")
+    # exp(800) overflows in numpy, which warns before the report is refused.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out, err = run(
+            capsys, "bounds", "--function", "exp", "--points", "1,2", "--weights", "0.5,0.5",
+            "--interval", "0,800", "--theorem", "tm23", "--n", "3", "--convexity", "auto",
+        )
+    assert (code, out, err) == (1, "", "error: TM23 lr is not finite: -Infinity\n")
+
+
 def test_auto_convexity_reads_a_tiny_negative_derivative_as_concave(capsys):
     # kl's f^(9) is about -1e-14 on [100, 200]; an absolute tolerance floor
     # once called it n-convex and printed crossed sides.
@@ -488,7 +504,8 @@ def test_other_runtime_errors_are_not_reported_as_validation_errors(monkeypatch)
 
 def test_zm_above_the_moment_table_gate_writes_no_stderr():
     # 100 points reach both power tables; q_i ~ i^-40 makes q_i^5 underflow,
-    # so numpy would warn about the divisions the fallback replaces.
+    # so numpy would warn about the divisions the fallback replaces.  The
+    # upper side is -inf, which is refused, so stderr holds that line alone.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     argv = ["zm", "--zm", "100,0,1", "--zm", "100,0,40", "--function", "kl",
             "--theorem", "tm21", "--n", "7", "--m", "3"]
@@ -496,8 +513,8 @@ def test_zm_above_the_moment_table_gate_writes_no_stderr():
         [sys.executable, "-W", "default", "-m", "elrbounds.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert '"theorem":"TM21"' in proc.stdout
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: TM21 upper is not finite: -Infinity\n"
 
 
 # --- validation texts -----------------------------------------------------------------

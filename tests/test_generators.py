@@ -331,7 +331,7 @@ def test_parse_function_spec():
 
 
 
-# --- scalar path of hellinger and power -------------------------------------------
+# --- float arguments of hellinger and power ----------------------------------------
 
 
 def _positive_floats(n: int, seed: int) -> list[float]:
@@ -357,14 +357,19 @@ _NUMPY_PATHS = {
 
 @pytest.mark.parametrize("name", list(_NUMPY_PATHS))
 def test_float_argument_gives_the_numpy_bits_and_errors(name):
-    """A finite positive float takes `math`/`**`; bits and overflow errors match numpy's."""
+    """On a finite positive float, bits and overflow errors match numpy's."""
     fn = make_generator(parse_function_spec(name, domain=(1e-300, 1e300))).fn
     reference = _NUMPY_PATHS[name]
-    assert type(fn(2.0)) is float
     for t in _positive_floats(3000, seed=11):
         assert _bits_or_error(fn, t) == _bits_or_error(reference, t), t
     if name == "power:-1.5":  # a subnormal base overflows on both paths
         assert _bits_or_error(fn, 5e-324) == ("OverflowError", (34, "Numerical result out of range"))
+
+
+def test_equal_fixed_specs_share_one_model():
+    first, second = (make_generator(GeneratorSpec("kl", domain=(0.5, 2.0))) for _ in range(2))
+    assert first.fn is second.fn and first.deriv_fn is second.deriv_fn
+    assert first == second
 
 
 def test_other_arguments_keep_the_numpy_path():
