@@ -19,7 +19,7 @@ from numbers import Integral
 import numpy as np
 
 from . import bounds as _bounds
-from .bounds import CONCAVE, CONVEX, THEOREMS
+from .bounds import CONCAVE, CONVEX
 from .divided_diff import FunctionModel, _values
 from .functional import DiscreteFunctional, lr_difference
 from .generators import INDEFINITE, GeneratorSpec, make_generator
@@ -39,8 +39,12 @@ _SIGN_TOL = 1e-12
 _MIN_SEPARATION_FRAC = 1e-6
 _IDENTITY_REL_TOL = 1e-9
 _BRACKET_REL_TOL = 1e-9
-# Function kinds an audit draws from: an exp generator, a random polynomial,
-# or a divergence generator.
+# The audit suite's fixed shape: orders n in 3..7, functionals of up to 20
+# points, and functions drawn from an exp generator, a random polynomial or a
+# divergence generator.  Every model drawn has derivatives up to order 12, and
+# every bound family has a certified order in 3..7.
+_N_RANGE = (3, 7)
+_MAX_POINTS = 20
 _FUNCTION_KINDS = ("exp", "poly", "generator")
 
 
@@ -119,41 +123,26 @@ def certify_convexity(
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Random-suite parameters shared by both audits.
+    """Run parameters shared by both audits over their fixed suite.
 
     Checked on construction: a field outside its range raises a ValueError
-    that names it.  `n_range` bounds the order n (2 <= lo <= hi), and
-    `function_pool` draws from "exp", "poly" and "generator".
+    that names it.  The counts and the seed are integers, not bools, and
+    `inject_wrong_parity` is a bool.
     """
 
     cases: int = 200
     seed: int = 42
-    n_range: tuple[int, int] = (3, 7)
-    max_points: int = 20
     cases_per_theorem: int = 100
     certify_samples: int = 120
-    theorems: tuple[str, ...] = THEOREMS
-    function_pool: tuple[str, ...] = _FUNCTION_KINDS
     inject_wrong_parity: bool = False
 
     def __post_init__(self) -> None:
-        for name, low in (
-            ("cases", 0), ("seed", 0), ("max_points", 1), ("cases_per_theorem", 0), ("certify_samples", 1),
-        ):
+        for name, low in (("cases", 0), ("seed", 0), ("cases_per_theorem", 0), ("certify_samples", 1)):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < low:
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        try:
-            lo, hi = self.n_range
-            ok = isinstance(lo, Integral) and isinstance(hi, Integral) and 2 <= lo <= hi
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise ValueError(f"n_range must be (lo, hi) with integers 2 <= lo <= hi, got {self.n_range!r}")
-        for name, allowed in (("theorems", THEOREMS), ("function_pool", _FUNCTION_KINDS)):
-            values = getattr(self, name)
-            if not values or isinstance(values, str) or any(v not in allowed for v in values):
-                raise ValueError(f"{name} must be a non-empty tuple drawn from {allowed}, got {values!r}")
+        if not isinstance(self.inject_wrong_parity, bool):
+            raise ValueError(f"inject_wrong_parity must be a bool, got {self.inject_wrong_parity!r}")
 
 
 @dataclass
@@ -182,8 +171,8 @@ def _sub_interval(rng: np.random.Generator, lo: float, hi: float, min_width: flo
     return a, b
 
 
-def _random_function(rng: np.random.Generator, pool: tuple[str, ...]) -> FunctionModel:
-    kind = pool[int(rng.integers(0, len(pool)))]
+def _random_function(rng: np.random.Generator, kinds: tuple[str, ...] = _FUNCTION_KINDS) -> FunctionModel:
+    kind = kinds[int(rng.integers(0, len(kinds)))]
     if kind == "exp":
         a, b = _sub_interval(rng, -2.0, 3.0, 0.5)
         return make_generator(GeneratorSpec("exp", domain=(a, b)))
@@ -199,10 +188,8 @@ def _random_function(rng: np.random.Generator, pool: tuple[str, ...]) -> Functio
     return make_generator(GeneratorSpec(name, domain=(a, b)))
 
 
-def _random_functional(
-    rng: np.random.Generator, interval: tuple[float, float], max_points: int
-) -> DiscreteFunctional:
-    r = int(rng.integers(1, max_points + 1))
+def _random_functional(rng: np.random.Generator, interval: tuple[float, float]) -> DiscreteFunctional:
+    r = int(rng.integers(1, _MAX_POINTS + 1))
     points = rng.uniform(interval[0], interval[1], size=r)
     weights = rng.dirichlet(np.ones(r))
     return DiscreteFunctional(points=points, weights=weights, interval=interval)
@@ -213,21 +200,16 @@ def audit_identities(config: AuditConfig | None = None) -> AuditReport:
 
     Each case checks |lr - (sum of terms + remainder)| <= 1e-9 (1 + |lr|) for
     both anchorings; `max_residual` is the worst relative residual seen.
-    Cases whose n exceeds the function's derivative stack are skipped.
     """
     cfg = config or AuditConfig()
     rng = np.random.default_rng(cfg.seed)
     failures: list[dict] = []
-    skipped = 0
     max_rel = 0.0
     for idx in range(cfg.cases):
-        f = _random_function(rng, cfg.function_pool)
-        n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
+        f = _random_function(rng)
+        n = int(rng.integers(_N_RANGE[0], _N_RANGE[1] + 1))
         m = int(rng.integers(1, n))
-        A = _random_functional(rng, f.domain, cfg.max_points)
-        if n > f.max_order:
-            skipped += 1
-            continue
+        A = _random_functional(rng, f.domain)
         lr = lr_difference(f, A)
         for label, decompose in (
             ("lemma21", _bounds.decompose_lemma21),
@@ -252,7 +234,7 @@ def audit_identities(config: AuditConfig | None = None) -> AuditReport:
         suite="identities",
         seed=cfg.seed,
         cases=cfg.cases,
-        skipped=skipped,
+        skipped=0,
         tight=0,
         max_residual=max_rel,
         failures=failures,
@@ -278,39 +260,29 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
     failures: list[dict] = []
     skipped = 0
     tight = 0
-    total = 0
     worst = 0.0
-    plan = []
-    for theorem in cfg.theorems:
-        family = _bounds.FAMILIES[theorem]
+    for theorem, family in _bounds.FAMILIES.items():
         # Orders at which the family's direction is certified; that depends on
         # n alone, since the two sides of a bracket share m.
         orders = [
-            k for k in range(max(family.min_n, cfg.n_range[0]), cfg.n_range[1] + 1)
+            k for k in range(max(family.min_n, _N_RANGE[0]), _N_RANGE[1] + 1)
             if len(set(family.signs(k, 3, CONVEX))) == len(family.sides)
         ]
-        if not orders:
-            raise ValueError(f"n_range {cfg.n_range} holds no order at which {theorem} is certified")
-        plan.append((theorem, family, orders))
-    for theorem, family, orders in plan:
         collected = 0
         attempts = 0
         while collected < cfg.cases_per_theorem:
             attempts += 1
             if attempts > 100 * cfg.cases_per_theorem:
                 raise RuntimeError(f"unable to collect definite cases for {theorem}")
-            f = _random_function(rng, cfg.function_pool)
+            f = _random_function(rng)
             n = orders[int(rng.integers(0, len(orders)))]
             m = int(rng.integers(3, n)) if family.takes_m else None
             cert_seed = int(rng.integers(0, 2**31 - 1))
-            if n > f.max_order:
-                skipped += 1
-                continue
             cert = certify_convexity(f, n, samples=cfg.certify_samples, seed=cert_seed)
             if cert.verdict == INDEFINITE:
                 skipped += 1
                 continue
-            A = _random_functional(rng, f.domain, cfg.max_points)
+            A = _random_functional(rng, f.domain)
             claimed = _flip(cert.verdict) if cfg.inject_wrong_parity else cert.verdict
             report = _bounds.bound(theorem, f, A, n, m, claimed)
             tol = _BRACKET_REL_TOL * (1.0 + abs(report.lr))
@@ -336,11 +308,10 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
                 if sides and all(abs(report.lr - v) <= tol for v in sides):
                     tight += 1
             collected += 1
-            total += 1
     return AuditReport(
         suite="brackets",
         seed=cfg.seed,
-        cases=total,
+        cases=len(_bounds.FAMILIES) * cfg.cases_per_theorem,
         skipped=skipped,
         tight=tight,
         max_residual=worst,

@@ -36,6 +36,7 @@ from elrbounds import (
     ratio_range,
     zm_divergence_bounds,
 )
+from elrbounds import oracle
 
 
 def _report(number: int, label: str):
@@ -50,7 +51,9 @@ def _report(number: int, label: str):
 def test_criterion_1_lemma_exactness():
     outcome = _report(1, "lemma exactness")
     t0 = time.perf_counter()
-    report = audit_identities(AuditConfig(cases=200, seed=42, n_range=(3, 7), max_points=20))
+    # The suite is fixed: orders 3..7, functionals of up to 20 points.
+    assert oracle._N_RANGE == (3, 7) and oracle._MAX_POINTS == 20
+    report = audit_identities(AuditConfig(cases=200, seed=42))
     elapsed = time.perf_counter() - t0
     outcome(
         report.ok and report.max_residual <= 1e-9 and elapsed < 5.0,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import elrbounds
-from elrbounds import BoundReport, DiscreteFunctional, NodeMultiset, ProbabilityVector
+from elrbounds import AuditConfig, BoundReport, DiscreteFunctional, NodeMultiset, ProbabilityVector
 
 LIBRARY = ("divided_diff", "functional", "bounds", "divergence", "generators", "zipf", "oracle")
 
@@ -29,6 +30,12 @@ REMOVED_MEMBERS = (
     (ProbabilityVector, "of"), (NodeMultiset, "total_count"), (BoundReport, "contains"),
     (DiscreteFunctional, "apply_array"),
 )
+# AuditConfig fields that only set the audit suite's shape, with a value each
+# once accepted.  The suite is fixed: orders 3..7, at most 20 points, every
+# bound family and the exp/poly/generator draws.
+REMOVED_AUDIT_FIELDS = {
+    "n_range": (3, 7), "max_points": 20, "theorems": ("TM21",), "function_pool": ("poly",),
+}
 
 
 @pytest.mark.parametrize(
@@ -43,6 +50,13 @@ def test_removed_function_is_unreachable(module, name):
 @pytest.mark.parametrize("owner,name", REMOVED_MEMBERS, ids=lambda v: getattr(v, "__name__", v))
 def test_removed_member_is_unreachable(owner, name):
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("name", REMOVED_AUDIT_FIELDS)
+def test_removed_audit_field_is_rejected(name):
+    assert name not in {f.name for f in dataclasses.fields(AuditConfig)}
+    with pytest.raises(TypeError):
+        AuditConfig(**{name: REMOVED_AUDIT_FIELDS[name]})
 
 
 def test_namespace_is_every_library_name():

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from elrbounds import (
+    CONVEX,
     DiscreteFunctional,
     FunctionModel,
     GeneratorSpec,
     NewtonForm,
     NodeMultiset,
+    ParityCase,
     ProbabilityVector,
     RatioRange,
     ZipfMandelbrotParams,
@@ -21,9 +23,11 @@ from elrbounds import (
     f_divergence,
     hermite_mn,
     make_generator,
+    normalizer,
     parse_function_spec,
     remainder_R,
 )
+from elrbounds.cli import dumps
 
 
 def _model(domain=(0.0, 1.0), **kwargs):
@@ -70,6 +74,8 @@ CASES = {
     "remainder_m_equals_n": (
         lambda: remainder_R(CONSTANT, 0.0, 2.0, 3, 3, 1.0),
         ValueError, "m must satisfy 1 <= m <= n-1, got m=3, n=3"),
+    "parity_case_order_1": (
+        lambda: ParityCase(1, None, CONVEX), ValueError, "n must be an integer >= 2, got 1"),
     "ratio_range_reversed": (
         lambda: RatioRange(2, 1), ValueError, "ratio range needs a <= b, got (2.0, 1.0)"),
     "divergence_without_zero_limit": (
@@ -79,6 +85,9 @@ CASES = {
         ValueError, "entry 0: p_i = 0 needs a declared 0+ limit on 'xlogx'"),
     "classify_order_13": (
         lambda: classify(GeneratorSpec("kl"), 13), ValueError, "n must be in 1..12, got 13"),
+    "generator_infinite_domain": (
+        lambda: GeneratorSpec("kl", domain=(0.5, math.inf)),
+        ValueError, "domain must be finite with a < b, got [0.5, inf]"),
     "power_exponent_not_a_number": (
         lambda: parse_function_spec("power:x"),
         ValueError, "bad power exponent 'x': could not convert string to float: 'x'"),
@@ -102,6 +111,11 @@ CASES = {
         lambda: ZipfMandelbrotParams(math.inf), ValueError, "N must be a positive integer, got inf"),
     "zm_nan_N": (
         lambda: ZipfMandelbrotParams(math.nan), ValueError, "N must be a positive integer, got nan"),
+    "zm_normalizer_underflow": (
+        lambda: normalizer(ZipfMandelbrotParams(3, q=1.0, s=2000.0)),
+        ValueError, "normalizer underflowed to 0.0 for ZipfMandelbrotParams(N=3, q=1.0, s=2000.0)"),
+    "json_unknown_type": (
+        lambda: dumps(object()), TypeError, "cannot serialize <class 'object'>"),
 }
 
 
