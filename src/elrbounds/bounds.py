@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
-from .divided_diff import FunctionModel, _check_support, endpoint_table, remainder_R
+from .divided_diff import FunctionModel, _check_support, _is_integer, endpoint_table, remainder_R
 from .functional import DiscreteFunctional, lr_difference
 
 __all__ = [
@@ -147,19 +147,20 @@ class ParityCase:
     convexity: str
 
     def __post_init__(self) -> None:
-        self._check(self.n, self.m)
-        object.__setattr__(self, "n", int(self.n))
-        if self.m is not None:
-            object.__setattr__(self, "m", int(self.m))
+        n, m = self._check(self.n, self.m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         _check_convexity(self.convexity)
 
     @staticmethod
-    def _check(n: int, m: int | None) -> None:
-        """The n/m rule: n an integer >= 2 and m, unless None, an integer in 1..n-1."""
-        if int(n) != n or n < 2:
+    def _check(n: int, m: int | None) -> tuple[int, int | None]:
+        """The n/m rule: n an integer >= 2 and m, unless None, an integer in
+        1..n-1.  Returns them as ints, so 4.0 reads as 4."""
+        if not _is_integer(n) or n < 2:
             raise ValueError(f"n must be an integer >= 2, got {n}")
-        if m is not None and (int(m) != m or not 1 <= m <= n - 1):
+        if m is not None and (not _is_integer(m) or not 1 <= m <= n - 1):
             raise ValueError(f"m must be an integer in 1..{n - 1}, got {m}")
+        return int(n), None if m is None else int(m)
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def _terms(
     m >= 3: (A(g)-x)(f[x,x] - f[x,y]), then f^(k)(x)/k! * A[(g-x)^k] for
             k = 2..m-1, then f[x x m; y x k] * A[(g-x)^m (g-y)^(k-1)].
     """
-    ParityCase._check(n, m)
+    n, m = ParityCase._check(n, m)
     if m >= 3:  # this layout reads f[x, x] first: its errors come first
         _check_support(f, (x,), 2)
     T = (tables or {}).get((x, m)) or endpoint_table(f, x, y, m, n - m)
@@ -258,6 +259,7 @@ def _decompose(
     """Side (anchor, m)'s terms and the remainder A(R(g)) they leave out,
     R evaluated on all of A's points in one array call that reads the
     terms' endpoint table (that call already reruns point by point on error)."""
+    n, m = ParityCase._check(n, m)
     tables: dict = {}
     (x, y), terms = _Family.side(f, A.interval, anchor, n, m, _moments(A), lambda: A.mean, tables)
     return terms, A._dot(remainder_R(f, x, y, m, n, A._x, _table=tables[x, m]))

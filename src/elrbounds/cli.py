@@ -10,8 +10,9 @@ lr or a side is not finite, and 2 when `verify` finds a violated identity
 or bracket.  `--convexity auto` takes the class from `generators.classify`
 in bounds, div and zm alike (an indefinite class is a validation error);
 only verify samples, so --samples is a verify flag and --seed matters only
-there.  The ELR_SEED environment
-variable overrides --seed everywhere.
+there.  `verify` always runs both audit suites; --cases 0 or
+--cases-per-theorem 0 leaves one empty.  --p-file and --q-file read JSON: an
+object keyed p / q, or a bare array.  `zm` needs --ratio-range or --theorem.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import re
 import sys
 
@@ -142,20 +142,6 @@ def _load_distribution(inline: str | None, path: str | None, key: str, flag: str
         return ProbabilityVector(_parse_floats(inline, flag))
     if not path:
         raise ValueError(f"{flag} or {flag}-file: required")
-    if path.endswith(".csv"):
-        column = 0 if key == "p" else 1
-        values = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                try:
-                    values.append(float(cells[column] if len(cells) > column else cells[0]))
-                except ValueError as exc:
-                    raise ValueError(f"{flag}-file: bad CSV row {line!r} ({exc})") from exc
-        return ProbabilityVector(tuple(values))
     data = _read_json(path, f"{flag}-file")
     if isinstance(data, dict):
         if key not in data:
@@ -264,22 +250,16 @@ def _run_div(args):
 
 def _run_zm(args):
     laws = [_parse_zm(text) for text in args.zm]
-    # The bound mode leaves this check to zm_divergence_bounds.
-    if (args.ratio_range or args.theorem is None) and len(laws) > 1 and laws[1].N != laws[0].N:
-        raise ValueError(f"--zm: laws must share N, got {laws[0].N} and {laws[1].N}")
     if args.ratio_range:
         if len(laws) != 2:
             raise ValueError("--ratio-range: needs exactly two --zm laws")
+        # The bound mode leaves this check to zm_divergence_bounds.
+        if laws[1].N != laws[0].N:
+            raise ValueError(f"--zm: laws must share N, got {laws[0].N} and {laws[1].N}")
         rr = ratio_range(pmf_vector(laws[0]), pmf_vector(laws[1]))
         return {"a": rr.a, "b": rr.b}, [("a", "b"), (rr.a, rr.b)]
     if args.theorem is None:
-        if not laws:
-            raise ValueError("--zm: at least one law required")
-        vectors = [pmf_vector(law) for law in laws]
-        out = {"i": list(range(1, laws[0].N + 1)), "p": list(vectors[0].values)}
-        if len(vectors) > 1:
-            out["q"] = list(vectors[1].values)
-        return out, [tuple(out)] + list(zip(*out.values()))
+        raise ValueError("--ratio-range or --theorem: required")
     if len(laws) != 2:
         raise ValueError("--theorem: needs exactly two --zm laws")
     interval = _parse_interval(args.interval, "--interval") if args.interval else None
@@ -298,11 +278,7 @@ def _run_verify(args):
         certify_samples=args.samples,
         inject_wrong_parity=args.inject_wrong_parity,
     )
-    out = {}
-    if args.suite in ("identities", "all"):
-        out["identities"] = audit_identities(cfg).to_dict()
-    if args.suite in ("brackets", "all"):
-        out["brackets"] = audit_brackets(cfg).to_dict()
+    out = {"identities": audit_identities(cfg).to_dict(), "brackets": audit_brackets(cfg).to_dict()}
     rows = [("suite", "cases", "skipped", "tight", "failures", "max_residual")]
     rows += [
         (name, s["cases"], s["skipped"], s["tight"], len(s["failures"]), s["max_residual"])
@@ -380,24 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(div)
     div.add_argument("--p", help="comma-separated probabilities")
     div.add_argument("--q", help="comma-separated probabilities")
-    div.add_argument("--p-file", help='JSON {"p":[...]} / bare array / CSV column 1')
-    div.add_argument("--q-file", help='JSON {"q":[...]} / bare array / CSV column 2')
+    div.add_argument("--p-file", help='JSON {"p":[...]} or a bare array')
+    div.add_argument("--q-file", help='JSON {"q":[...]} or a bare array')
     div.add_argument("--interval", help="a,b widened ratio interval")
     _add_bound_flags(div, required=False)
     div.set_defaults(run=_run_div)
 
-    zm = subs.add_parser("zm", help="Zipf-Mandelbrot pmf tables, ratio range and bounds")
-    zm.add_argument("--zm", action="append", default=[], metavar="N,q,s", help="law parameters (repeatable)")
-    zm.add_argument("--ratio-range", action="store_true")
-    zm.add_argument("--function", help="generator for bound mode")
+    zm = subs.add_parser("zm", help="Zipf-Mandelbrot ratio range or bound report")
+    _add_common(zm, function=False)
+    zm.add_argument("--zm", action="append", default=[], metavar="N,q,s", help="law parameters (give two)")
+    zm.add_argument("--ratio-range", action="store_true", help="the ratio range of the two laws' pmfs")
+    zm.add_argument("--function", help="generator, required with --theorem")
     zm.add_argument("--interval", help="a,b widened ratio interval")
     _add_bound_flags(zm, required=False)
-    zm.add_argument("--format", choices=("json", "csv"), default="json")
-    zm.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     zm.set_defaults(run=_run_zm)
 
     verify = subs.add_parser("verify", help="run the identity and bracket audit suites")
-    verify.add_argument("--suite", choices=("identities", "brackets", "all"), default="all")
     verify.add_argument("--cases", type=int, default=200)
     verify.add_argument("--cases-per-theorem", type=int, default=100)
     verify.add_argument("--samples", type=int, default=120)
@@ -411,13 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    env_seed = os.environ.get("ELR_SEED")
-    if env_seed is not None and hasattr(args, "seed"):
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"error: ELR_SEED: not an integer: {env_seed!r}", file=sys.stderr)
-            return 1
     try:
         if getattr(args, "theorem", None) is not None:
             for flag in ("n", "function"):

@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -65,6 +66,14 @@ def _float_power(base, e: float):
 _SUM_MIN_LEN = 4096
 
 _U = 2.0**-53  # unit roundoff of float64
+
+
+def _is_integer(value) -> bool:
+    """True for an integral real number that is not a bool: 3, 3.0, np.int64(3)."""
+    # The exact-int test first: it is the common case, and an ABC `isinstance` is slow.
+    return type(value) is int or (
+        isinstance(value, Real) and not isinstance(value, bool) and value % 1 == 0
+    )
 
 
 def _sum(x: np.ndarray) -> float:
@@ -188,7 +197,9 @@ class FunctionModel:
         if not a < b:
             raise ValueError(f"domain must satisfy a < b, got [{a}, {b}]")
         object.__setattr__(self, "domain", (a, b))
-        if int(self.max_order) < 0:
+        if not _is_integer(self.max_order):
+            raise ValueError(f"max_order must be an integer, got {self.max_order!r}")
+        if self.max_order < 0:
             raise ValueError("max_order must be nonnegative")
         object.__setattr__(self, "max_order", int(self.max_order))
 

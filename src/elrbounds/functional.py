@@ -182,8 +182,9 @@ class DiscreteFunctional:
 
     def moment(self, j: int, k: int) -> float:
         """A[(g - a)^j (g - b)^k] for the stored interval endpoints."""
-        if j < 0 or k < 0:
-            raise ValueError(f"moment orders must be nonnegative, got ({j}, {k})")
+        if j < 0 or k < 0 or j % 1 or k % 1:
+            kind = "nonnegative" if j < 0 or k < 0 else "integers"
+            raise ValueError(f"moment orders must be {kind}, got ({j}, {k})")
         if len(self._x) < _TABLE_MIN_POINTS:
             return _moment_sum(self.weights, self.points, *self.interval, j, k)
         w, P, Q = self._powers

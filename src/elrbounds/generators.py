@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import CONCAVE, CONVEX
-from .divided_diff import FunctionModel, _float_power, _values
+from .divided_diff import FunctionModel, _float_power, _is_integer, _values
 
 __all__ = [
     "INDEFINITE",
@@ -179,8 +179,11 @@ def classify(spec: GeneratorSpec, n: int) -> str:
     point, where float `**` raises its OverflowError.
     """
     f = make_generator(spec)
+    if not _is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not 1 <= n <= f.max_order:
         raise ValueError(f"n must be in 1..{f.max_order}, got {n}")
+    n = int(n)
     a, b = spec.domain
     grid = a + (b - a) * np.arange(_CLASSIFY_GRID) / (_CLASSIFY_GRID - 1)
     with np.errstate(all="ignore"):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .divergence import ProbabilityVector, divergence_bounds
-from .divided_diff import FunctionModel, _sum
+from .divided_diff import FunctionModel, _is_integer, _sum
 from .functional import _unit_sum
 from .generators import GeneratorSpec
 
@@ -39,7 +39,7 @@ class ZipfMandelbrotParams:
     s: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.N < np.inf or int(self.N) != self.N:
+        if not _is_integer(self.N) or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
         if not self.q >= 0:

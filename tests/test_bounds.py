@@ -12,9 +12,13 @@ from elrbounds import (
     CONVEX,
     BoundReport,
     DiscreteFunctional,
+    GeneratorSpec,
     ParityCase,
+    ProbabilityVector,
     decompose_lemma21,
     decompose_lemma22,
+    definite_class,
+    divergence_bounds,
     lr_difference,
     n3_closed_form,
 )
@@ -415,6 +419,28 @@ def test_parity_case_validation():
         ParityCase(3, 1, "wiggly")
 
 
+# --- integral float orders read as ints --------------------------------------
+
+_F = exp_model((0.0, 2.0))
+_A = DiscreteFunctional((0.4, 0.9, 1.7), (0.25, 0.35, 0.4), (0.0, 2.0))
+_P, _Q = ProbabilityVector((0.2, 0.3, 0.5)), ProbabilityVector((0.4, 0.4, 0.2))
+# Each entry point with its order argument spelled by `as_type`.
+_ORDER_CALLS = {
+    "divergence_bounds": lambda as_type: divergence_bounds(
+        GeneratorSpec("kl"), _P, _Q, n=as_type(4), theorem="TM23"),
+    "bound": lambda as_type: bound("TM21", _F, _A, 5, as_type(3), CONVEX),
+    "decompose_lemma21": lambda as_type: decompose_lemma21(_F, _A, as_type(4), 2),
+    "definite_class": lambda as_type: definite_class(GeneratorSpec("kl"), as_type(4)),
+}
+
+
+@pytest.mark.parametrize("entry", _ORDER_CALLS)
+def test_an_integral_float_order_gives_the_int_result(entry):
+    # repr tells 4.0 from 4, so a report must also carry the int order.
+    call = _ORDER_CALLS[entry]
+    assert repr(call(float)) == repr(call(int))
+
+
 # --- the bound path skips the remainder ---------------------------------------
 #
 # A bound is its decomposition's terms with the remainder dropped, so the
@@ -422,7 +448,7 @@ def test_parity_case_validation():
 
 
 def test_bound_path_never_evaluates_the_remainder(monkeypatch, capsys):
-    from elrbounds import GeneratorSpec, ProbabilityVector, bounds, cli, divergence_bounds, divided_diff
+    from elrbounds import bounds, cli, divided_diff
     from elrbounds.oracle import AuditConfig, audit_brackets, audit_identities
 
     def forbidden(*args, **kwargs):

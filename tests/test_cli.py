@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -64,14 +66,6 @@ def test_zm_ratio_range(capsys):
     rr = json.loads(out)
     assert rr["a"] == pytest.approx(5 / 6, abs=1e-12)
     assert rr["b"] == pytest.approx(5 / 3, abs=1e-12)
-
-
-def test_zm_pmf_table(capsys):
-    code, out, _ = run(capsys, "zm", "--zm", "3,0,1")
-    assert code == 0
-    table = json.loads(out)
-    assert table["i"] == [1, 2, 3]
-    assert sum(table["p"]) == pytest.approx(1.0)
 
 
 def test_zm_bound_report(capsys):
@@ -221,15 +215,7 @@ def test_bounds_csv_has_term_rows(capsys):
     assert float(table[("m2_term", "1")]) == -1.5
 
 
-def test_zm_csv_table(capsys):
-    code, out, _ = run(capsys, "zm", "--zm", "2,0,1", "--zm", "2,0,2", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "i,p,q"
-    assert len(lines) == 3
-
-
-# --- files and environment --------------------------------------------------------
+# --- files ------------------------------------------------------------------------
 
 
 def test_functional_file_input(tmp_path, capsys):
@@ -249,37 +235,6 @@ def test_distribution_file_inputs(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out) == pytest.approx(0.03407417, abs=1e-8)
-
-
-def test_distribution_csv_input(tmp_path, capsys):
-    path = tmp_path / "dist.csv"
-    path.write_text("0.5,0.25\n0.5,0.75\n")
-    code, out, _ = run(
-        capsys, "div", "--function", "hellinger",
-        "--p-file", str(path), "--q-file", str(path),
-    )
-    assert code == 0
-    assert json.loads(out) == pytest.approx(0.03407417, abs=1e-8)
-
-
-def test_env_seed_overrides_flag(tmp_path, capsys, monkeypatch):
-    argv = (
-        "bounds", "--function", "exp",
-        "--points", "0.4,1.7", "--weights", "0.5,0.5", "--interval", "0,2",
-        "--theorem", "tm23", "--n", "3", "--seed", "1",
-    )
-    monkeypatch.setenv("ELR_SEED", "99")
-    _, with_env, _ = run(capsys, *argv)
-    monkeypatch.delenv("ELR_SEED")
-    _, without_env, _ = run(capsys, *argv[:-1], "99")
-    assert with_env == without_env
-
-
-def test_bad_env_seed_is_a_validation_error(capsys, monkeypatch):
-    monkeypatch.setenv("ELR_SEED", "not-a-number")
-    code, _, err = run(capsys, "verify", "--cases", "1")
-    assert code == 1
-    assert "ELR_SEED" in err
 
 
 # --- exit codes ---------------------------------------------------------------------
@@ -327,11 +282,7 @@ def test_zm_missing_function_exits_1(capsys):
     assert err == "error: --function: required with --theorem\n"
 
 
-@pytest.mark.parametrize(
-    "mode",
-    [("--format", "json"), ("--format", "csv"), ("--ratio-range",)],
-    ids=lambda m: m[-1].lstrip("-"),
-)
+@pytest.mark.parametrize("mode", [("--ratio-range",)], ids=lambda m: m[-1].lstrip("-"))
 def test_zm_table_with_mismatched_N_exits_1(capsys, mode):
     code, out, err = run(capsys, "zm", "--zm", "3,0,1", "--zm", "2,1,2", *mode)
     assert code == 1
@@ -381,7 +332,7 @@ def test_verify_rejects_out_of_range_flags(capsys, flag, value, field):
 
 def test_verify_injected_violation_exit_2(capsys):
     code, out, _ = run(
-        capsys, "verify", "--suite", "brackets", "--cases-per-theorem", "5",
+        capsys, "verify", "--cases", "0", "--cases-per-theorem", "5",
         "--inject-wrong-parity",
     )
     assert code == 2
@@ -495,7 +446,7 @@ def test_other_runtime_errors_are_not_reported_as_validation_errors(monkeypatch)
 
     monkeypatch.setattr(cli, "audit_identities", refuse)
     with pytest.raises(RuntimeError, match="well-separated"):
-        cli.main(["verify", "--suite", "identities"])
+        cli.main(["verify"])
     monkeypatch.setattr(cli, "divergence_bounds", recurse)
     with pytest.raises(RecursionError):
         cli.main(["div", "--function", "kl", "--p", "0.5,0.5", "--q", "0.25,0.75",
@@ -548,7 +499,7 @@ DIV = ("div", "--function", "kl")
         (DIV + ("--p", "0.5,0.5", "--q-file", "scalar_q.json"),
          "--q-file: expected a flat list of numbers ('int' object is not iterable)"),
         (DIV + ("--p", "0.5,0.5", "--q-file", "bad_row.csv"),
-         "--q-file: bad CSV row '0.5,x' (could not convert string to float: 'x')"),
+         "--q-file: malformed JSON (Extra data: line 1 column 4 (char 3))"),
         (DIV + ("--p-file", "broken.json", "--q", "0.5,0.5"),
          "--p-file: malformed JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
         (DIV + ("--p-file", "no_p.json", "--q", "0.5,0.5"), "--p-file: JSON object lacks key 'p'"),
@@ -557,7 +508,7 @@ DIV = ("div", "--function", "kl")
         (("zm", "--zm", "inf,0,1"), "--zm: N must be an integer, got inf"),
         (("zm", "--zm", "nan,0,1"), "--zm: N must be an integer, got nan"),
         (("zm", "--zm", "3,0,1", "--ratio-range"), "--ratio-range: needs exactly two --zm laws"),
-        (("zm",), "--zm: at least one law required"),
+        (("zm",), "--ratio-range or --theorem: required"),
         (("zm", "--zm", "3,0,1", "--function", "kl", "--theorem", "tm23", "--n", "3"),
          "--theorem: needs exactly two --zm laws"),
         (("bounds", "--function", "poly:nan", "--points", "0.5,1.5", "--weights", "0.5,0.5",
@@ -587,12 +538,51 @@ def test_dd_domain_flag_sets_the_model_domain(capsys):
     assert (code, err) == (1, "error: kl requires a domain inside (0, inf), got [0.0, 3.0]\n")
 
 
-def test_distribution_csv_skips_blank_lines(tmp_path, capsys):
+# --- removed surface ------------------------------------------------------------------
+
+
+def test_removed_cli_surface_stays_removed(tmp_path, capsys, monkeypatch):
+    # verify always runs both suites: --cases 0 or --cases-per-theorem 0 empties one.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--suite", "all"])
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 1
+    assert err.startswith("usage: elrbounds ")
+    assert err.endswith("\nerror: unrecognized arguments: --suite all\n")
+    # --seed is the only seed: the environment does not override it.
+    argv = ("verify", "--cases", "2", "--cases-per-theorem", "1")
+    without_env = run(capsys, *argv)
+    monkeypatch.setenv("ELR_SEED", "99")
+    assert run(capsys, *argv) == without_env
+    # --p-file and --q-file read JSON only.
     path = tmp_path / "dist.csv"
-    path.write_text("0.5,0.25\n\n  \n0.5,0.75\n")
-    code, out, _ = run(capsys, "div", "--function", "hellinger", "--p-file", str(path), "--q-file", str(path))
-    assert code == 0
-    assert json.loads(out) == pytest.approx(0.03407417, abs=1e-8)
+    path.write_text("0.5,0.25\n0.5,0.75\n")
+    code, out, err = run(capsys, "div", "--function", "kl", "--p-file", str(path), "--q", "0.5,0.5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --p-file: malformed JSON (")
+    # zm prints no pmf table.
+    assert run(capsys, "zm", "--zm", "3,0,1") == (1, "", "error: --ratio-range or --theorem: required\n")
+
+
+def _readme_examples():
+    """Each `elrbounds ...` command of README's sh blocks, continuation lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["elrbounds"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_examples_run(capsys):
+    examples = _readme_examples()
+    assert examples
+    for argv in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        json.loads(out)
 
 
 # --- comma lists that start with a minus ------------------------------------------

@@ -23,7 +23,6 @@ GOLDEN_DIR = Path(__file__).parent / "golden" / "demos"
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("ELR_SEED", None)
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=120
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import difflib
 import io
-import os
 from pathlib import Path
 
 import pytest
@@ -120,8 +119,7 @@ def transcript(suite: str) -> str:
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
-def test_cli_output_matches_golden(suite, monkeypatch):
-    monkeypatch.delenv("ELR_SEED", raising=False)
+def test_cli_output_matches_golden(suite):
     expected = (GOLDEN_DIR / f"{suite}.txt").read_text()
     actual = transcript(suite)
     if actual != expected:
@@ -132,7 +130,6 @@ def test_cli_output_matches_golden(suite, monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop("ELR_SEED", None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in SUITES:
         (GOLDEN_DIR / f"{name}.txt").write_text(transcript(name))

@@ -52,6 +52,10 @@ CASES = {
         lambda: _model((1.0, 1.0)), ValueError, "domain must satisfy a < b, got [1.0, 1.0]"),
     "model_negative_max_order": (
         lambda: _model(max_order=-1), ValueError, "max_order must be nonnegative"),
+    "model_fractional_max_order": (
+        lambda: _model(max_order=2.7), ValueError, "max_order must be an integer, got 2.7"),
+    "model_string_max_order": (
+        lambda: _model(max_order="3"), ValueError, "max_order must be an integer, got '3'"),
     "polynomial_without_coefficients": (
         lambda: FunctionModel.from_polynomial((), (0.0, 1.0)),
         ValueError, "polynomial needs at least one coefficient"),
@@ -85,6 +89,14 @@ CASES = {
         ValueError, "entry 0: p_i = 0 needs a declared 0+ limit on 'xlogx'"),
     "classify_order_13": (
         lambda: classify(GeneratorSpec("kl"), 13), ValueError, "n must be in 1..12, got 13"),
+    "classify_fractional_order": (
+        lambda: classify(GeneratorSpec("exp"), 2.5), ValueError, "n must be an integer, got 2.5"),
+    "moment_negative_order": (
+        lambda: DiscreteFunctional((0.5,), (1.0,), (0.0, 1.0)).moment(-1, 1),
+        ValueError, "moment orders must be nonnegative, got (-1, 1)"),
+    "moment_fractional_order": (
+        lambda: DiscreteFunctional((0.5,), (1.0,), (0.0, 1.0)).moment(1.5, 1),
+        ValueError, "moment orders must be integers, got (1.5, 1)"),
     "generator_infinite_domain": (
         lambda: GeneratorSpec("kl", domain=(0.5, math.inf)),
         ValueError, "domain must be finite with a < b, got [0.5, inf]"),
@@ -111,6 +123,8 @@ CASES = {
         lambda: ZipfMandelbrotParams(math.inf), ValueError, "N must be a positive integer, got inf"),
     "zm_nan_N": (
         lambda: ZipfMandelbrotParams(math.nan), ValueError, "N must be a positive integer, got nan"),
+    "zm_bool_N": (
+        lambda: ZipfMandelbrotParams(True), ValueError, "N must be a positive integer, got True"),
     "zm_normalizer_underflow": (
         lambda: normalizer(ZipfMandelbrotParams(3, q=1.0, s=2000.0)),
         ValueError, "normalizer underflowed to 0.0 for ZipfMandelbrotParams(N=3, q=1.0, s=2000.0)"),
