@@ -40,7 +40,7 @@ print(f"ratio extrema: [{rr.a:.6f}, {rr.b:.6f}]")
 print()
 print("== order-3 bracket for the kl generator ==")
 rep = zm_divergence_bounds(P, Q, GeneratorSpec("kl"), n=3, theorem="tm23")
-print(f"  class: {rep.case.convexity}   (kl is concave at odd orders)")
+print(f"  class: {rep.convexity}   (kl is concave at odd orders)")
 print(f"  {rep.lower:+.6f} <= lr = {rep.lr:+.6f} <= {rep.upper:+.6f}")
 
 f = make_generator(GeneratorSpec("kl", domain=(rr.a, rr.b)))

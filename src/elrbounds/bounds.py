@@ -32,7 +32,6 @@ __all__ = [
     "CONCAVE",
     "FAMILIES",
     "THEOREMS",
-    "ParityCase",
     "BoundReport",
     "decompose_lemma21",
     "decompose_lemma22",
@@ -74,28 +73,19 @@ class _Family:
             raise ValueError(f"{self.tag} requires n >= {self.min_n}, got n={n}")
         return [(x, m if k is None else k) for x, k in self.sides]
 
-    @staticmethod
-    def side(
-        f: FunctionModel, interval: tuple[float, float], anchor: str, n: int, m: int,
-        moment, mean, tables=None,
-    ) -> tuple[tuple[float, float], list[float]]:
-        """((x, y), terms) of side (anchor, m): x is the anchor endpoint of
-        `interval`, y the other one, and the terms are `_terms` at (x, y).
-
-        `moment(x, y, j, k)` returns A[(g-x)^j (g-y)^k] for either order of
-        the endpoints; every route to a side's terms passes through here.
+    def terms(
+        self, f: FunctionModel, interval: tuple[float, float], n: int, m: int | None,
+        moment, mean: float, tables=None,
+    ) -> Iterator[list[float]]:
+        """Yield each side's `_terms` in turn; the remainders they drop are never
+        evaluated.  A side anchored at one endpoint of `interval` has x there and
+        y at the other, and `moment(x, y, j, k)` returns A[(g-x)^j (g-y)^k] for
+        either order of the endpoints: every route to a side's terms is this loop.
         """
         a, b = interval
-        x, y = (a, b) if anchor == "a" else (b, a)
-        return (x, y), _terms(f, x, y, n, m, partial(moment, x, y), mean, tables)
-
-    def terms(
-        self, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None, tables=None
-    ) -> Iterator[list[float]]:
-        """Yield each side's terms from A's moments in turn; the remainders
-        they drop are never evaluated."""
         for anchor, k in self.resolve(n, m):
-            yield self.side(f, A.interval, anchor, n, k, _moments(A), lambda: A.mean, tables)[1]
+            x, y = (a, b) if anchor == "a" else (b, a)
+            yield _terms(f, x, y, n, k, partial(moment, x, y), mean, tables)
 
     def signs(self, n: int, m: int | None, convexity: str) -> list[int]:
         """Sign of the remainder each side drops: the parity rule.
@@ -139,43 +129,21 @@ THEOREMS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
-class ParityCase:
-    """The (n, m, convexity class) triple a bound direction is dispatched on."""
-
-    n: int
-    m: int | None
-    convexity: str
-
-    def __post_init__(self) -> None:
-        n, m = self._check(self.n, self.m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        _check_convexity(self.convexity)
-
-    @staticmethod
-    def _check(n: int, m: int | None) -> tuple[int, int | None]:
-        """The n/m rule: n an integer >= 2 and m, unless None, an integer in
-        1..n-1.  Returns them as ints, so 4.0 reads as 4."""
-        if not _is_integer(n) or n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {n}")
-        if m is not None and (not _is_integer(m) or not 1 <= m <= n - 1):
-            raise ValueError(f"m must be an integer in 1..{n - 1}, got {m}")
-        return int(n), None if m is None else int(m)
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Chord-gap value with its certified side(s).
 
-    `direction_valid` is False when the requested case falls outside the
-    parity hypotheses (the values are still reported).
+    n, m (None for a family with fixed sides) and `convexity` are the case
+    the sides were oriented for.  `direction_valid` is False when that case
+    falls outside the parity hypotheses (the values are still reported).
     """
 
     lr: float
     lower: float | None
     upper: float | None
     theorem: str
-    case: ParityCase
+    n: int
+    m: int | None
+    convexity: str
     direction_valid: bool
 
     def violation(self) -> float:
@@ -193,11 +161,21 @@ class BoundReport:
             "lower": self.lower,
             "upper": self.upper,
             "theorem": self.theorem,
-            "n": self.case.n,
-            "m": self.case.m,
-            "convexity": self.case.convexity,
+            "n": self.n,
+            "m": self.m,
+            "convexity": self.convexity,
             "direction_valid": self.direction_valid,
         }
+
+
+def _check_orders(n: int, m: int | None) -> tuple[int, int | None]:
+    """The n/m rule: n an integer >= 2 and m, unless None, an integer in
+    1..n-1.  Returns them as ints, so 4.0 reads as 4."""
+    if not _is_integer(n) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n}")
+    if m is not None and (not _is_integer(m) or not 1 <= m <= n - 1):
+        raise ValueError(f"m must be an integer in 1..{n - 1}, got {m}")
+    return int(n), None if m is None else int(m)
 
 
 def _check_convexity(convexity: str) -> None:
@@ -212,12 +190,12 @@ def _family(tag: str) -> _Family:
 
 
 def _terms(
-    f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean, tables=None
+    f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean: float, tables=None
 ) -> list[float]:
     """Endpoint terms of the decomposition anchored at x, the other endpoint being y.
 
-    `moment(i, j)` returns A[(g-x)^i (g-y)^j] and `mean()` returns A(g), which
-    only m >= 3 reads.  `tables`, a dict local to one f, n and [a, b], holds
+    `moment(i, j)` returns A[(g-x)^i (g-y)^j] and `mean` is A(g), which only
+    m >= 3 reads.  `tables`, a dict local to one f, n and [a, b], holds
     the endpoint table by (x, m): a side found there is not built again.
 
     m = 1:  f[x; y x k] * A[(g-x)(g-y)^(k-1)], k = 2..n-1 (a k = 1 term would
@@ -226,7 +204,7 @@ def _terms(
     m >= 3: (A(g)-x)(f[x,x] - f[x,y]), then f^(k)(x)/k! * A[(g-x)^k] for
             k = 2..m-1, then f[x x m; y x k] * A[(g-x)^m (g-y)^(k-1)].
     """
-    n, m = ParityCase._check(n, m)
+    n, m = _check_orders(n, m)
     if m >= 3:  # this layout reads f[x, x] first: its errors come first
         _check_support(f, (x,), 2)
     T = (tables or {}).get((x, m)) or endpoint_table(f, x, y, m, n - m)
@@ -239,7 +217,7 @@ def _terms(
     # Anchored at b the lead reads (b - A(g))(f[a,b] - f[b,b]), which keeps
     # lemma 2.2's signed zero when A(g) == b.
     f_xx, f_xy = T[2][0], T[1][1]
-    lead = (mean() - x) * (f_xx - f_xy) if x < y else (x - mean()) * (f_xy - f_xx)
+    lead = (mean - x) * (f_xx - f_xy) if x < y else (x - mean) * (f_xy - f_xx)
     return (
         [lead]
         + [T[k + 1][0] * moment(k, 0) for k in range(2, m)]
@@ -248,20 +226,21 @@ def _terms(
 
 
 def _moments(A: DiscreteFunctional):
-    """A's moments as the `moment(x, y, j, k)` = A[(g-x)^j (g-y)^k] of `_Family.side`."""
+    """A's moments as the `moment(x, y, j, k)` = A[(g-x)^j (g-y)^k] of `_Family.terms`."""
     a = A.interval[0]
     return lambda x, y, j, k: A.moment(j, k) if x == a else A.moment(k, j)
 
 
 def _decompose(
-    f: FunctionModel, A: DiscreteFunctional, n: int, anchor: str, m: int
+    f: FunctionModel, A: DiscreteFunctional, n: int, m: int, x: float, y: float
 ) -> tuple[list[float], float]:
-    """Side (anchor, m)'s terms and the remainder A(R(g)) they leave out,
-    R evaluated on all of A's points in one array call that reads the
-    terms' endpoint table (that call already reruns point by point on error)."""
-    n, m = ParityCase._check(n, m)
+    """The terms of the side anchored at x (other endpoint y) and the remainder
+    A(R(g)) they leave out, R evaluated on all of A's points in one array call
+    that reads the terms' endpoint table (that call already reruns point by
+    point on error)."""
+    n, m = _check_orders(n, m)
     tables: dict = {}
-    (x, y), terms = _Family.side(f, A.interval, anchor, n, m, _moments(A), lambda: A.mean, tables)
+    terms = _terms(f, x, y, n, m, partial(_moments(A), x, y), A.mean, tables)
     return terms, A._dot(remainder_R(f, x, y, m, n, A._x, _table=tables[x, m]))
 
 
@@ -273,7 +252,7 @@ def decompose_lemma21(
     The terms are those of `_terms` with x = a, y = b; with A(R_m(g)) added
     they reproduce lr_difference exactly (up to rounding).
     """
-    return _decompose(f, A, n, "a", m)
+    return _decompose(f, A, n, m, *A.interval)
 
 
 def decompose_lemma22(
@@ -284,7 +263,7 @@ def decompose_lemma22(
     The terms are those of `_terms` with x = b, y = a; the remainder is the
     mirror remainder (g-b)^m (g-a)^(n-m) f[g; b x m; a x (n-m)].
     """
-    return _decompose(f, A, n, "b", m)
+    return _decompose(f, A, n, m, *reversed(A.interval))
 
 
 def bound(
@@ -299,16 +278,10 @@ def bound(
     """
     family = _family(tag)
     _check_convexity(convexity)
-    values = [math.fsum(terms) for terms in family.terms(f, A, n, m, _tables)]
-    lower, upper, valid = family.arrange(n, m, convexity, values)
-    return BoundReport(
-        lr=lr_difference(f, A),
-        lower=lower,
-        upper=upper,
-        theorem=family.tag,
-        case=ParityCase(n, m if family.takes_m else None, convexity),
-        direction_valid=valid,
-    )
+    sides = family.terms(f, A.interval, n, m, _moments(A), A.mean, _tables)
+    lower, upper, valid = family.arrange(n, m, convexity, [math.fsum(t) for t in sides])
+    n, m = _check_orders(n, m if family.takes_m else None)
+    return BoundReport(lr_difference(f, A), lower, upper, family.tag, n, m, convexity, valid)
 
 
 def n3_closed_form(f: FunctionModel, A: DiscreteFunctional) -> tuple[float, float]:

@@ -24,7 +24,7 @@ import math
 import re
 import sys
 
-from .bounds import CONCAVE, CONVEX, FAMILIES, bound
+from .bounds import CONCAVE, CONVEX, FAMILIES, _moments, bound
 from .divergence import ProbabilityVector, divergence_bounds, f_divergence, ratio_range
 from .divided_diff import FunctionModel, NodeMultiset, divided_difference, newton_interpolant
 from .functional import DiscreteFunctional, lr_difference
@@ -174,7 +174,8 @@ def _report_rows(report: dict) -> list[tuple]:
 def _bound_term_rows(args, f: FunctionModel, A: DiscreteFunctional):
     """One row per displayed summand, mirroring the bound's summation structure."""
     family = FAMILIES[args.theorem.upper()]
-    for side, terms in zip(family.labels, family.terms(f, A, args.n, args.m)):
+    sides = family.terms(f, A.interval, args.n, args.m, _moments(A), A.mean)
+    for side, terms in zip(family.labels, sides):
         for k, term in enumerate(terms, start=1):
             yield (f"{side}_term", k, term)
 

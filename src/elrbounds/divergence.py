@@ -36,7 +36,7 @@ from .bounds import CONVEX, BoundReport, _family
 from .divided_diff import FunctionModel, _sum
 from .functional import (
     _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _checked_interval, _first_outside,
-    _float_array, _lazy_tuples, _Powers, _unit_sum,
+    _float_array, _lazy_tuples, _power_table, _unit_sum,
 )
 from .generators import GeneratorSpec, definite_class, make_generator
 
@@ -184,16 +184,16 @@ def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
     if len(q) < _TABLE_MIN_POINTS:
         return lambda x, y, j, k: _pq_moment(p, q, x, y, j, k)
     with np.errstate(all="ignore"):
-        U = {x: _Powers(p._v - x * q._v) for x in (a, b)}
-    D = _Powers(q._v)
+        U = {x: _power_table(p._v - x * q._v) for x in (a, b)}
+    D = _power_table(q._v)
 
     def moment(x: float, y: float, j: int, k: int) -> float:
         try:
-            d = D[j + k - 1]
+            d = D(j + k - 1)
             if not np.all(d):  # an underflowing q_i^(j+k-1) takes _pq_moment's form
                 return _pq_moment(p, q, x, y, j, k)
             with np.errstate(all="ignore"):
-                terms = U[x][j] * U[y][k] / d
+                terms = U[x](j) * U[y](k) / d
         except ArithmeticError:
             # As in `DiscreteFunctional.moment`: the point-by-point sum reports
             # its first error in point order.
@@ -224,12 +224,8 @@ def direct_bound_values(
     The private `_tables` holds the delegated route's endpoint tables, if any.
     """
     family = _family(theorem)
-    moment = _pq_moments(p, q, a, b)
-    values = [
-        math.fsum(family.side(f, (a, b), anchor, n, k, moment, lambda: 1.0, _tables)[1])
-        for anchor, k in family.resolve(n, m)
-    ]
-    return family.arrange(n, m, convexity, values)[:2]
+    sides = family.terms(f, (a, b), n, m, _pq_moments(p, q, a, b), 1.0, _tables)
+    return family.arrange(n, m, convexity, [math.fsum(t) for t in sides])[:2]
 
 
 def divergence_bounds(
@@ -261,6 +257,8 @@ def divergence_bounds(
         a, b = rr.a, rr.b
     else:
         a, b = float(interval[0]), float(interval[1])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            _checked_interval((a, b))  # raises its "must be finite" text
         if a > rr.a or b < rr.b:
             raise ValueError(
                 f"interval [{a}, {b}] does not contain the ratio range [{rr.a}, {rr.b}]"

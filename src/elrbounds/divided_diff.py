@@ -282,7 +282,7 @@ def _check_support(f: FunctionModel, nodes: Iterable[float], mult: int) -> None:
     """Every node inside f's domain, then the derivative order a run of `mult` equal nodes needs."""
     lo, hi = f.domain
     for v in nodes:
-        if v < lo or v > hi:
+        if not lo <= v <= hi:  # NaN fails too
             raise ValueError(f"node {v!r} outside domain [{lo}, {hi}] of {f.name!r}")
     if mult - 1 > f.max_order:
         raise ValueError(
@@ -408,6 +408,10 @@ def endpoint_table(f: FunctionModel, x: float, y: float, rows: int, cols: int) -
     for bit the confluent table's cells, with its errors in the order a row of
     cells meets them (gap, domain, f[x, x], f^(k)(x), then a run of y too long).
     """
+    for name, size in (("rows", rows), ("cols", cols)):
+        if not _is_integer(size) or size < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {size}")
+    rows, cols = int(rows), int(cols)
     u, v = sorted((x, y))
     _check_gap(u, v)
     _check_support(f, (u, v), min(rows, 2))

@@ -10,7 +10,7 @@ Points and weights are validated and kept as read-only float64 arrays; the
 public `points`/`weights` tuples are built from them on first read, so the
 array paths never pay for them, and copies and pickles are rebuilt from the
 arrays alone.  Moments of large point sets are read from a power table
-(`_Powers`) that raises each base to each exponent once, and a function that
+(`_power_table`) that raises each base to each exponent once, and a function that
 accepts the point array is evaluated on all points in one call; both
 reproduce the point-by-point sums bit for bit, so results never depend on
 which path ran.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,24 +42,15 @@ _SUM_TOL = 1e-12
 _TABLE_MIN_POINTS = 64
 
 
-class _Powers:
-    """base ** e as float64 arrays, each integer exponent raised once, on first use.
+def _power_table(base: np.ndarray) -> Callable[[int], np.ndarray | float]:
+    """e -> base ** e as a float64 array, each integer exponent raised once, on first use.
 
     Every power is `_float_power`, bit for bit (errors included) the float
     `**` of the scalar sums; `np.power` and repeated products round
     differently in the last bit.  Exponent 0 is 1.0 and exponent 1 the base
     itself, as `**` gives them.
     """
-
-    def __init__(self, base: np.ndarray):
-        self._arrays = {1: base}
-
-    def __getitem__(self, e: int):
-        if e == 0:
-            return 1.0
-        if e not in self._arrays:
-            self._arrays[e] = _float_power(self._arrays[1], float(e))
-        return self._arrays[e]
+    return cache(lambda e: 1.0 if e == 0 else base if e == 1 else _float_power(base, float(e)))
 
 
 def _float_array(values) -> np.ndarray:
@@ -190,7 +181,7 @@ class DiscreteFunctional:
         w, P, Q = self._powers
         try:
             with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
-                terms = w * P[j] * Q[k]
+                terms = w * P(j) * Q(k)
         except OverflowError:
             # The table raises every power before summing; the point-by-point
             # sum reports its first error in point order (maybe fsum's own).
@@ -198,11 +189,11 @@ class DiscreteFunctional:
         return _sum(terms)
 
     @cached_property
-    def _powers(self) -> tuple[np.ndarray, _Powers, _Powers]:
+    def _powers(self) -> tuple[np.ndarray, Callable, Callable]:
         """The weights and the power tables of g - a and g - b."""
         a, b = self.interval
         with np.errstate(all="ignore"):
-            return self._w, _Powers(self._x - a), _Powers(self._x - b)
+            return self._w, _power_table(self._x - a), _power_table(self._x - b)
 
     def to_dict(self) -> dict:
         return {

@@ -13,7 +13,6 @@ from elrbounds import (
     BoundReport,
     DiscreteFunctional,
     GeneratorSpec,
-    ParityCase,
     ProbabilityVector,
     decompose_lemma21,
     decompose_lemma22,
@@ -405,18 +404,18 @@ def test_report_serialization(cube, worked_functional):
 
 
 def test_report_contains_and_violation():
-    case = ParityCase(3, None, CONVEX)
-    good = BoundReport(lr=0.5, lower=0.0, upper=1.0, theorem="TM23", case=case, direction_valid=True)
+    case = dict(theorem="TM23", n=3, m=None, convexity=CONVEX, direction_valid=True)
+    good = BoundReport(lr=0.5, lower=0.0, upper=1.0, **case)
     assert good.violation() == 0.0
-    bad = BoundReport(lr=2.0, lower=0.0, upper=1.0, theorem="TM23", case=case, direction_valid=True)
+    bad = BoundReport(lr=2.0, lower=0.0, upper=1.0, **case)
     assert bad.violation() == pytest.approx(1.0)
 
 
-def test_parity_case_validation():
+def test_parity_case_validation(cube, worked_functional):
     with pytest.raises(ValueError, match="m must be"):
-        ParityCase(3, 5, CONVEX)
+        bound("TM21", cube, worked_functional, 3, 5, CONVEX)
     with pytest.raises(ValueError, match="convexity"):
-        ParityCase(3, 1, "wiggly")
+        bound("TM23", cube, worked_functional, 3, None, "wiggly")
 
 
 # --- integral float orders read as ints --------------------------------------

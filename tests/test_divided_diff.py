@@ -173,6 +173,11 @@ def test_endpoint_table_sub_rectangles_agree():
             assert [r[: cols + 1] for r in full[: rows + 1]] == part
 
 
+def test_endpoint_table_reads_integral_float_sizes_as_ints():
+    f = exp_model(domain=(0.0, 2.0))
+    assert endpoint_table(f, 0.0, 2.0, 3.0, np.int64(2)) == endpoint_table(f, 0.0, 2.0, 3, 2)
+
+
 # --- newton_interpolant -----------------------------------------------------
 
 

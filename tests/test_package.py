@@ -59,6 +59,15 @@ def test_removed_audit_field_is_rejected(name):
         AuditConfig(**{name: REMOVED_AUDIT_FIELDS[name]})
 
 
+def test_report_holds_n_m_and_convexity_itself():
+    # ParityCase, which nested them in a second class, is gone.
+    assert not hasattr(elrbounds, "ParityCase")
+    assert not hasattr(elrbounds.bounds, "ParityCase")
+    fields = [f.name for f in dataclasses.fields(BoundReport)]
+    assert "case" not in fields
+    assert fields[fields.index("theorem"):] == ["theorem", "n", "m", "convexity", "direction_valid"]
+
+
 def test_namespace_is_every_library_name():
     modules = [getattr(elrbounds, name) for name in LIBRARY]
     names = [name for module in modules for name in module.__all__]

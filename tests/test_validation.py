@@ -14,12 +14,14 @@ from elrbounds import (
     GeneratorSpec,
     NewtonForm,
     NodeMultiset,
-    ParityCase,
     ProbabilityVector,
     RatioRange,
     ZipfMandelbrotParams,
     certify_convexity,
     classify,
+    decompose_lemma21,
+    divergence_bounds,
+    endpoint_table,
     f_divergence,
     hermite_mn,
     make_generator,
@@ -44,6 +46,7 @@ def _xlogx_without_zero_limit():
 
 
 CONSTANT = FunctionModel.from_polynomial((1.0,), (0.0, 2.0))
+KL = make_generator(GeneratorSpec("kl", domain=(0.5, 2.0)))
 
 CASES = {
     "model_nonfinite_domain": (
@@ -79,7 +82,31 @@ CASES = {
         lambda: remainder_R(CONSTANT, 0.0, 2.0, 3, 3, 1.0),
         ValueError, "m must satisfy 1 <= m <= n-1, got m=3, n=3"),
     "parity_case_order_1": (
-        lambda: ParityCase(1, None, CONVEX), ValueError, "n must be an integer >= 2, got 1"),
+        lambda: decompose_lemma21(CONSTANT, DiscreteFunctional((0.5,), (1.0,), (0.0, 2.0)), 1, 1),
+        ValueError, "n must be an integer >= 2, got 1"),
+    "endpoint_table_nan_node": (
+        lambda: endpoint_table(KL, math.nan, 1.0, 2, 1),
+        ValueError, "node nan outside domain [0.5, 2.0] of 'kl'"),
+    "endpoint_table_zero_size": (
+        lambda: endpoint_table(KL, 0.5, 2.0, 0, 0), ValueError, "rows must be an integer >= 1, got 0"),
+    "endpoint_table_negative_rows": (
+        lambda: endpoint_table(KL, 0.5, 2.0, -2, 3), ValueError, "rows must be an integer >= 1, got -2"),
+    "endpoint_table_fractional_rows": (
+        lambda: endpoint_table(KL, 0.5, 2.0, 2.5, 1), ValueError, "rows must be an integer >= 1, got 2.5"),
+    "endpoint_table_zero_cols": (
+        lambda: endpoint_table(KL, 0.5, 2.0, 2, 0), ValueError, "cols must be an integer >= 1, got 0"),
+    "divergence_nan_interval": (
+        lambda: divergence_bounds(
+            KL, ProbabilityVector((0.2, 0.8)), ProbabilityVector((0.5, 0.5)),
+            n=3, theorem="tm23", convexity=CONVEX, interval=(math.nan, 3.0),
+        ),
+        ValueError, "interval must be finite with a < b, got [nan, 3.0]"),
+    "divergence_spec_infinite_interval": (
+        lambda: divergence_bounds(
+            GeneratorSpec("kl"), ProbabilityVector((0.2, 0.8)), ProbabilityVector((0.5, 0.5)),
+            n=3, theorem="tm23", interval=(0.1, math.inf),
+        ),
+        ValueError, "interval must be finite with a < b, got [0.1, inf]"),
     "ratio_range_reversed": (
         lambda: RatioRange(2, 1), ValueError, "ratio range needs a <= b, got (2.0, 1.0)"),
     "divergence_without_zero_limit": (

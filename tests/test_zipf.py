@@ -144,7 +144,7 @@ def test_zm_large_N_jeffreys_bracket():
     Q = ZipfMandelbrotParams(100, 2.7, 1.5)
     rep = zm_divergence_bounds(P, Q, GeneratorSpec("jeffreys"), n=3, theorem="tm24")
     assert rep.direction_valid
-    assert rep.case.convexity == CONCAVE  # auto-classified at order 3
+    assert rep.convexity == CONCAVE  # auto-classified at order 3
     tol = 1e-9 * (1.0 + abs(rep.lr))
     assert rep.lower - tol <= rep.lr <= rep.upper + tol
 
