@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -179,7 +180,10 @@ def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
 
     From `_TABLE_MIN_POINTS` points on, every moment is read from one power
     table of p_i - a q_i, p_i - b q_i and q_i, built for these four arguments
-    and bit-identical to `_pq_moment`, errors included.
+    and bit-identical to `_pq_moment`, errors included, and each (x, y, j, k)
+    is summed once per call (an error is not kept, so it raises again).
+    (a, b, j, k) and (b, a, k, j) stay apart, because `_pq_moment`'s
+    underflow form multiplies their factors in different orders.
     """
     if len(q) < _TABLE_MIN_POINTS:
         return lambda x, y, j, k: _pq_moment(p, q, x, y, j, k)
@@ -200,7 +204,7 @@ def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
             return _pq_moment(p, q, x, y, j, k)
         return _sum(terms)
 
-    return moment
+    return cache(moment)
 
 
 def direct_bound_values(
@@ -255,6 +259,12 @@ def divergence_bounds(
     rr = RatioRange(float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios)))
     if interval is None:
         a, b = rr.a, rr.b
+        if b == math.inf:
+            i = int(np.isinf(ratios).argmax())
+            raise ValueError(
+                f"entry {i}: ratio p_i / q_i = {float(p._v[i])!r} / {float(q._v[i])!r} "
+                f"overflows; ratio range [{a}, {b}] is not finite"
+            )
     else:
         a, b = float(interval[0]), float(interval[1])
         if not (math.isfinite(a) and math.isfinite(b)):

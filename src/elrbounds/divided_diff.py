@@ -55,17 +55,20 @@ def _float_power(base, e: float):
     return out
 
 
-# Shortest array `_sum` folds; shorter ones go straight to `math.fsum`.  A fold
-# costs about 25 us of numpy calls (seven per level) on top of its passes over
-# the data, while fsum's cost grows with the number of partials it keeps, least
-# on smooth positive terms.  Micro-timed, best of 7 (2 vCPU x86-64, Python
-# 3.11, numpy 2.4), fold over fsum: on ZM pmf terms 4.5x at 512 elements,
-# 1.55x at 2048, 1.2x at 3072, 0.97x at 4096 and 0.39x at 20,000; on
-# wide-range terms (|x| over e^+-200, mixed signs) 0.97x at 512, 0.26x at
-# 2048 and 0.05x at 20,000.  From the gate on, the fold is never slower.
-_SUM_MIN_LEN = 4096
+# Shortest array `_sum` extracts; shorter ones go straight to `math.fsum`.  An
+# extraction pass costs a few numpy calls (about 9 us at 256 elements) on top
+# of its passes over the data, while fsum's cost grows with the number of
+# partials it keeps, least on smooth positive terms.  Micro-timed, best of 7
+# interleaved rounds (2 vCPU x86-64, Python 3.11, numpy 2.4), extraction over
+# fsum: on ZM pmf terms 1.70x at 256 elements, 0.89x at 512, 0.73x at 1024,
+# 0.35x at 2048, 0.22x at 4096 and 0.11x at 20,000; on wide-range terms (|x|
+# over e^+-200, mixed signs) 0.50x at 256, 0.10x at 1024 and 0.02x at 20,000.
+# The gate sits at twice the smooth break-even (just under 512); from it on,
+# extraction is never slower.
+_SUM_MIN_LEN = 1024
 
 _U = 2.0**-53  # unit roundoff of float64
+_SUM_PASSES = 3  # extraction passes `_extracted_sum` makes before it gives up
 
 
 def _is_integer(value) -> bool:
@@ -79,38 +82,37 @@ def _is_integer(value) -> bool:
 def _sum(x: np.ndarray) -> float:
     """`math.fsum(x)` of a contiguous 1-D float64 array, bit for bit, errors included.
 
-    From `_SUM_MIN_LEN` elements on, `_folded_sum` tries numpy first; where
+    From `_SUM_MIN_LEN` elements on, `_extracted_sum` tries numpy first; where
     it cannot certify its result, and below the gate, `math.fsum` runs.
     """
-    if len(x) >= _SUM_MIN_LEN and (r := _folded_sum(x)) is not None:
+    if len(x) >= _SUM_MIN_LEN and (r := _extracted_sum(x)) is not None:
         return r
     return math.fsum(memoryview(x))
 
 
-def _folded_sum(x: np.ndarray) -> float | None:
+def _extracted_sum(x: np.ndarray) -> float | None:
     """The correctly rounded sum of x (so `math.fsum(x)`), or None when not proven.
 
-    Fold: while more than one value is left, add the first half to the last
-    half elementwise (an odd middle value moves up unchanged) with Knuth's
-    TwoSum, s = fl(a + b) and e = (a - (s - bv)) + (b - bv), bv = s - a,
-    which gives a + b = s + e exactly when nothing overflows.  The n - 1
-    errors go to one buffer, so S = sum(x) = hi + sum(e) exactly for the last
-    value hi.
+    Extraction (Rump, Ogita & Oishi, "Accurate floating-point summation,
+    part I", 2008): with n = len(x), mu = max |x| < 2^e, 2^M >= n + 2 and
+    sigma = 2^(M+e), the pass q = fl(fl(sigma + x) - sigma), p = fl(x - q)
+    splits x = q + p exactly, with |p| <= u sigma and each q a multiple of
+    u sigma with |q| <= 2^-M sigma.  So every partial sum of q is a multiple
+    of u sigma below sigma in magnitude, and tau = fl(sum q) is exact in any
+    order.  A next pass splits p alike with sigma <- 2^M u sigma, so after k
+    passes S = sum(x) = tau_1 + ... + tau_k + sum p exactly.
 
-    Certificate (u = 2^-53, gamma_k = k u / (1 - k u), L = ceil(log2 n)
-    levels; Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-    ed., ch. 4; Ogita, Rump & Oishi, "Accurate sum and dot product", 2005):
-    - Fold only when A = fl(sum |x|) < 2^1000.  Any summation order has
-      sum |x| <= A / (1 - gamma_{n-1}), and every partial sum stays below
-      2^1001, so no TwoSum overflows and each is exact (in the subnormal
-      range too, where additions are exact).
-    - |e| <= u |a + b| and a level's sum |t| grows by at most (1 + u), so
-      sum |e| <= u L (1 + u)^L sum |x|.
-    - lo = fl(sum e) in numpy's order has |lo - sum e| <= gamma_{n-2} sum |e|.
-    - A last TwoSum gives hi + lo = r + ex exactly, r = fl(hi + lo), so
-      |S - r| <= |ex| + delta with delta >= gamma_{n-2} u L (1 + u)^L sum |x|.
-      delta = 2 (n u)(L u) A + 2^-1074 covers that bound for n u < 0.1, the
-      rounding of its own two products and their underflow.
+    Certificate (u = 2^-53, gamma_k = k u / (1 - k u); Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 4):
+    - A pass needs fl(sigma + x) <= 1.5 sigma finite and the multiples of
+      u sigma to be floats: 2^-1021 <= sigma <= 2^1023.  Every partial sum,
+      here and in fsum, then stays below sum |x| < sigma <= 2^1023.
+    - lo = fl(sum p) in numpy's order has |lo - sum p| <= gamma_{n-1} n u sigma
+      (additions near underflow are exact).
+    - r = fsum(taus + [lo]), and ex = fsum(taus + [lo, -r]) is within u |ex|
+      (or 2^-1075, below the normal range) of tau_1 + ... + lo - r, so
+      |S - r - ex| <= delta = 2 n^2 u^2 sigma + u |ex| + 2^-1074, which covers
+      both bounds for n u < 0.1 and the rounding of delta's own operations.
     - r is the correctly rounded S when r != 0 and S - r, which lies within
       delta of ex, stays strictly inside r's rounding interval: less than
       ulp(r)/2 away from zero, and less than ulp(r)/2 toward zero, or
@@ -118,38 +120,39 @@ def _folded_sum(x: np.ndarray) -> float | None:
       tests never accept a tie, and evaluating ex +- delta in floating point
       cannot make a test pass, since rounding is monotone and the limits are
       floats.
-    Inf, NaN, a sum near overflow and an exact zero (fsum's 0.0 is never
-    -0.0) all return None.
+    Inf, NaN, mu = 0 and a sigma beyond its limits return None, as does an r
+    not proven after `_SUM_PASSES` passes (an exact zero, whose fsum is 0.0
+    and never -0.0, is never proven).
     """
     n = len(x)
-    with np.errstate(all="ignore"):  # inf and nan only decide the fallback
-        total = float(np.add.reduce(np.abs(x)))
-    if not total < 2.0**1000:
+    mu = float(np.maximum.reduce(np.abs(x)))
+    if not 0.0 < mu < math.inf:  # NaN fails too
         return None
-    errs = np.empty(n - 1)
-    t, done, levels = x, 0, 0
-    while len(t) > 1:
-        h, odd = divmod(len(t), 2)
-        a, b = t[:h], t[h + odd:]
-        nxt = np.empty(h + odd)
-        s = np.add(a, b, out=nxt[:h])
-        if odd:
-            nxt[h] = t[h]
-        bv = s - a  # the part of s that came from b
-        e = np.subtract(a, s - bv, out=errs[done:done + h])  # a's rounding error
-        e += np.subtract(b, bv, out=bv)  # and b's
-        t, done, levels = nxt, done + h, levels + 1
-    hi, lo = float(t[0]), float(np.add.reduce(errs))
-    r = hi + lo
-    if r == 0.0:
+    M = (n + 1).bit_length()
+    sigma_exp = M + math.frexp(mu)[1]
+    if sigma_exp > 1023:
         return None
-    bv = r - hi
-    ex = (hi - (r - bv)) + (lo - bv)
-    delta = 2.0 * ((n * _U) * (levels * _U)) * total + 5e-324
-    away = ex if r > 0.0 else -ex  # S - r, measured away from zero, is away +- delta
-    half = math.ulp(r) / 2.0
-    toward = half / 2.0 if math.frexp(r)[0] in (0.5, -0.5) else half
-    return r if away + delta < half and delta - away < toward else None
+    sigma, step = math.ldexp(1.0, sigma_exp), math.ldexp(_U, M)
+    p, taus = x, []
+    for _ in range(_SUM_PASSES):
+        if sigma < 2.0**-1021:
+            return None
+        q = p + sigma
+        q -= sigma
+        taus.append(float(np.add.reduce(q)))
+        p = np.subtract(p, q, out=q)  # never writes x
+        lo = float(np.add.reduce(p))
+        r = math.fsum([*taus, lo])
+        if r:
+            ex = math.fsum([*taus, lo, -r])
+            delta = (2.0 * n * n * _U) * (_U * sigma) + _U * abs(ex) + 5e-324
+            away = ex if r > 0.0 else -ex  # S - r, measured away from zero, is away +- delta
+            half = math.ulp(r) / 2.0
+            toward = half / 2.0 if math.frexp(r)[0] in (0.5, -0.5) else half
+            if away + delta < half and delta - away < toward:
+                return r
+        sigma *= step
+    return None
 
 
 def _values(f: Callable, x: np.ndarray, each: Callable | None = None) -> np.ndarray:

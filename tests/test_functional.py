@@ -50,6 +50,28 @@ def test_mean_is_evaluated_once_per_functional(monkeypatch):
     assert len(calls) == 2 * 5 + 1  # five moments a side and A(f); no mean
 
 
+def test_a_moment_read_by_both_sides_is_summed_once(monkeypatch):
+    from elrbounds import bound, functional
+
+    rng = np.random.default_rng(4)
+    A = DiscreteFunctional(rng.uniform(0.1, 2.0, 5000), rng.dirichlet(np.ones(5000)), (0.1, 2.0))
+    f = exp_model(domain=(0.1, 2.0))
+    A.mean  # noqa: B018 -- summed here, before the count
+    reference = bound("TM23", f, A, 9, None, "n-convex")
+    calls = []
+    honest = functional._sum
+
+    def counting(x):
+        calls.append(len(x))
+        return honest(x)
+
+    monkeypatch.setattr(functional, "_sum", counting)
+    # TM23 n=9: the m=1 side reads A[(g-a)(g-b)^k] for k = 1..7, the m=2 side
+    # A[(g-a)(g-b)] again and A[(g-a)^2 (g-b)^k] for k = 1..6.
+    assert bound("TM23", f, A, 9, None, "n-convex") == reference
+    assert len(calls) == 13 + 1  # thirteen distinct moments and A(f)
+
+
 def test_second_moment(worked_functional):
     assert worked_functional.apply(lambda t: t * t) == pytest.approx(1.25)
 

@@ -1,12 +1,15 @@
-"""`_sum`, the numpy fold behind the large sums, against `math.fsum`, bit for bit.
+"""`_sum`, the certified numpy sum behind the large sums, against `math.fsum`, bit for bit.
 
 `_sum(x)` must return `math.fsum(x)` exactly: the same value through
 `float.hex` (so the sign of a zero too) and, where fsum raises, the same
-exception type and text.  Hypothesis draws arrays with the fold's gate
-lowered to 2, so every draw of two or more elements meets the fold; the
-adversarial inputs are built at full length around the gate.  A seeded
-Zipf-Mandelbrot sweep counts how often the fold's certificate refuses, so a
-certificate that always refuses (and quietly hands every sum to fsum) fails.
+exception type and text.  Hypothesis draws arrays with the certified sum's
+gate lowered to 2, so every draw of two or more elements meets the
+extraction; the adversarial inputs are built at full length around the gate,
+at lengths n where 2^M = n + 2 is tight, and at the limits of sigma.  Where
+the certified sum must prove its result (smooth, wide and cancelling arrays,
+max|x| just below the overflow limit, the Zipf-Mandelbrot sweep), the tests
+count its refusals, so a certificate that always refuses (and quietly hands
+every sum to fsum) fails.
 """
 
 from __future__ import annotations
@@ -23,7 +26,11 @@ from elrbounds.divided_diff import _SUM_MIN_LEN, _sum
 from elrbounds.zipf import ZipfMandelbrotParams, zm_divergence_bounds
 
 GATE = _SUM_MIN_LEN
-LENGTHS = sorted({GATE - 1, GATE, GATE + 1, 2**13, 2**13 + 1, 2**14, 2**14 + 1, 20_000})
+# Around the gate and 2^12, and at n = 2^M - 2, where 2^M >= n + 2 is tight.
+LENGTHS = sorted({
+    GATE - 1, GATE, GATE + 1, 2**12 - 1, 2**12, 2**12 + 1,
+    2**13 - 2, 2**13, 2**13 + 1, 2**14 - 2, 2**14, 2**14 + 1, 20_000,
+})
 
 
 def _outcome(fn, x):
@@ -39,17 +46,17 @@ def _same_as_fsum(x):
     assert _outcome(_sum, x) == _outcome(math.fsum, x.tolist())
 
 
-def _folded(monkeypatch):
-    """Record each fold attempt; the list holds True where it certified."""
+def _extracted(monkeypatch):
+    """Record each extraction attempt; the list holds True where it certified."""
     seen = []
-    honest = divided_diff._folded_sum
+    honest = divided_diff._extracted_sum
 
     def recording(x):
         r = honest(x)
         seen.append(r is not None)
         return r
 
-    monkeypatch.setattr(divided_diff, "_folded_sum", recording)
+    monkeypatch.setattr(divided_diff, "_extracted_sum", recording)
     return seen
 
 
@@ -97,13 +104,23 @@ def _spread(length, values, rng):
 
 
 @pytest.mark.parametrize("length", LENGTHS)
-def test_exact_cancellation_and_negative_zeros(length):
+def test_exact_cancellation_and_negative_zeros(length, monkeypatch):
     rng = np.random.default_rng(length)
     v = rng.standard_normal(length // 2) * 10.0 ** rng.uniform(-20, 20, length // 2)
     x = np.concatenate([v, -v[rng.permutation(len(v))], [-0.0] * (length % 2)])
     _same_as_fsum(x)  # 0.0
     _same_as_fsum(np.full(length, -0.0))  # fsum gives 0.0, not -0.0
     _same_as_fsum(np.concatenate([x[:-1], [2.0**-1074]]) if length % 2 else x)
+    # +-K pairs in [1, 2) cancel and leave 7n/8 terms just above u sigma, whose
+    # second-pass high parts all have one sign and add up to about 0.8 sigma_2
+    # at n = 2^M - 2: a second pass with a finer sigma would not sum them exactly.
+    seen = _extracted(monkeypatch)
+    u_sigma = 2.0 ** ((length + 1).bit_length() + 1 - 53)  # for max|x| in [1, 2)
+    for _ in range(8):
+        K = rng.uniform(1.0, 2.0, length // 16)
+        rests = rng.uniform(1.0001, 1.1, length - 2 * len(K)) * u_sigma
+        _same_as_fsum(rng.permutation(np.concatenate([K, -K, rests])))
+    assert seen == ([True] * 8 if length >= GATE else [])
 
 
 @pytest.mark.parametrize("length", LENGTHS)
@@ -131,6 +148,13 @@ def test_subnormals_only(length):
     _same_as_fsum(x)
     _same_as_fsum(np.abs(x))
     _same_as_fsum(rng.integers(0, 5, length) * 2.0**-1074)
+    # max|x| = 2^(e-1) puts sigma = 2^(M+e) at its underflow limit 2^-1021,
+    # then one step below.
+    M = (length + 1).bit_length()
+    for top in (2.0 ** (-1022 - M), 2.0 ** (-1023 - M)):
+        y = rng.integers(-(2**30), 2**30, length) * 2.0**-1074
+        y[0] = top
+        _same_as_fsum(y)
 
 
 @pytest.mark.parametrize("length", LENGTHS)
@@ -143,18 +167,28 @@ def test_magnitudes_from_1e_minus_300_to_1e300(length):
 
 
 @pytest.mark.parametrize("length", LENGTHS)
-def test_overflow_in_one_order_only(length):
-    big, h = 1e308, length - length // 2  # h: where the fold's second half starts
-    # fsum's running sum stays finite; the fold's first level adds big + big.
+def test_overflow_in_one_order_only(length, monkeypatch):
+    big, h = 1e308, length - length // 2  # h: where the second half starts
+    # fsum's running sum stays finite; adding the halves pairwise gives big + big.
     x = np.zeros(length)
     x[[0, 1, h, h + 1]] = [big, -big, big, -big]
     _same_as_fsum(x)
-    # fsum's running sum overflows (OverflowError); the fold's first level cancels.
+    # fsum's running sum overflows (OverflowError); adding the halves pairwise cancels.
     x[[0, 1, h, h + 1]] = [big, big, -big, -big]
     _same_as_fsum(x)
-    # Large but representable sums at and above the fold's 2^1000 limit.
+    # Large but representable sums.
     _same_as_fsum(np.full(length, 2.0**1000 / length))
     _same_as_fsum(np.full(length, 2.0**1023 / length * 1.5))
+    # max|x| just below 2^(1023-M) makes sigma = 2^1023, which is proven; at
+    # 2^(1023-M) sigma would overflow, and fsum runs.
+    seen = _extracted(monkeypatch)
+    rng = np.random.default_rng(length)
+    limit = 2.0 ** (1023 - (length + 1).bit_length())
+    for top in (math.nextafter(limit, 0.0), limit):
+        y = top * rng.uniform(0.0, 1.0, length)
+        y[0] = top
+        _same_as_fsum(y)
+    assert seen == ([True, False] if length >= GATE else [])
 
 
 @pytest.mark.parametrize("length", LENGTHS)
@@ -170,22 +204,38 @@ def test_inf_nan_and_inf_minus_inf(length):
 # --- the certificate does certify ---------------------------------------------------
 
 
-def test_smooth_and_wide_arrays_take_the_fold(monkeypatch):
-    seen = _folded(monkeypatch)
+def test_smooth_wide_and_cancelling_arrays_are_certified(monkeypatch):
+    seen = _extracted(monkeypatch)
     rng = np.random.default_rng(1)
+    cancelling = []
     for length in LENGTHS:
+        smooth = np.float_power(np.arange(1.0, length + 1) + 2.5, -1.3)
+        # |S| = 2^-30 against max|x| of 3 to 4, far below 2^-8 max|x|: too
+        # close to zero for one pass to prove.
+        h = (length - 1) // 2
+        v = rng.standard_normal(h)
+        c = np.zeros(length)
+        c[:h], c[h:2 * h], c[-1] = v, -v[rng.permutation(h)], 2.0**-30
+        cancelling.append(c)
         for x in (
-            np.float_power(np.arange(1.0, length + 1) + 2.5, -1.3),
+            smooth,
+            smooth / smooth[0],  # max|x| is 1.0, a power of two
             rng.standard_normal(length) * np.exp(rng.uniform(-200, 200, length)),
+            c,
         ):
             _same_as_fsum(x)
-    assert seen.count(True) == 2 * (len(LENGTHS) - 1)  # all but gate - 1 fold
+    assert seen.count(True) == 4 * (len(LENGTHS) - 1)  # all but gate - 1 are proven
+    seen.clear()
+    monkeypatch.setattr(divided_diff, "_SUM_PASSES", 1)
+    for c in cancelling:
+        _same_as_fsum(c)
+    assert seen == [False] * (len(LENGTHS) - 1)  # the second pass proved them
 
 
 def test_zipf_mandelbrot_sweep_is_certified(monkeypatch):
     # Every tag on laws with s from 0.6 to 2.5 at N = 20,000: nearly every
-    # large sum (moments, means, A(f), normalizers, unit sums) must take the
-    # fold, and the reports are those of fsum alone.
+    # large sum (moments, means, A(f), normalizers, unit sums) must be
+    # proven, and the reports are those of fsum alone.
     rng = np.random.default_rng(2024)
     laws = [
         (ZipfMandelbrotParams(20_000, float(rng.uniform(0, 5)), float(s)),
@@ -198,7 +248,7 @@ def test_zipf_mandelbrot_sweep_is_certified(monkeypatch):
     def sweep():
         return [_report(P, Q, *run) for P, Q in laws for run in runs]
 
-    seen = _folded(monkeypatch)
+    seen = _extracted(monkeypatch)
     reports = sweep()
     assert len(seen) >= 400
     assert seen.count(False) <= len(seen) // 100

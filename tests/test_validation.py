@@ -107,6 +107,18 @@ CASES = {
             n=3, theorem="tm23", interval=(0.1, math.inf),
         ),
         ValueError, "interval must be finite with a < b, got [0.1, inf]"),
+    "divergence_spec_overflowed_ratio": (
+        lambda: divergence_bounds(
+            GeneratorSpec("kl"), ProbabilityVector((0.5, 0.5)), ProbabilityVector((1.0, 5e-324)),
+            n=3, theorem="tm23",
+        ),
+        ValueError, "entry 1: ratio p_i / q_i = 0.5 / 5e-324 overflows; ratio range [0.5, inf] is not finite"),
+    "divergence_model_overflowed_ratio": (
+        lambda: divergence_bounds(
+            KL, ProbabilityVector((0.5, 0.5)), ProbabilityVector((1.0, 5e-324)),
+            n=3, theorem="tm23", convexity=CONVEX,
+        ),
+        ValueError, "entry 1: ratio p_i / q_i = 0.5 / 5e-324 overflows; ratio range [0.5, inf] is not finite"),
     "ratio_range_reversed": (
         lambda: RatioRange(2, 1), ValueError, "ratio range needs a <= b, got (2.0, 1.0)"),
     "divergence_without_zero_limit": (
