@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cache, partial
+from dataclasses import asdict, dataclass
+from functools import partial
 
 from .divided_diff import FunctionModel, _check_support, _is_integer, endpoint_table, remainder_R
-from .functional import _TABLE_MIN_POINTS, DiscreteFunctional, lr_difference
+from .functional import DiscreteFunctional, lr_difference
 
 __all__ = [
     "CONVEX",
@@ -156,16 +156,7 @@ class BoundReport:
         return v
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "lower": self.lower,
-            "upper": self.upper,
-            "theorem": self.theorem,
-            "n": self.n,
-            "m": self.m,
-            "convexity": self.convexity,
-            "direction_valid": self.direction_valid,
-        }
+        return asdict(self)
 
 
 def _check_orders(n: int, m: int | None) -> tuple[int, int | None]:
@@ -226,15 +217,9 @@ def _terms(
 
 
 def _moments(A: DiscreteFunctional):
-    """A's moments as the `moment(x, y, j, k)` = A[(g-x)^j (g-y)^k] of `_Family.terms`.
-
-    From `_TABLE_MIN_POINTS` points on, each A.moment(j, k) is summed once per
-    call of `_moments`, however many sides read it (an error is not kept, so
-    it raises again); below, a point-by-point sum costs less than the cache.
-    """
+    """A's moments as the `moment(x, y, j, k)` = A[(g-x)^j (g-y)^k] of `_Family.terms`."""
     a = A.interval[0]
-    moment = cache(A.moment) if len(A) >= _TABLE_MIN_POINTS else A.moment
-    return lambda x, y, j, k: moment(j, k) if x == a else moment(k, j)
+    return lambda x, y, j, k: A.moment(j, k) if x == a else A.moment(k, j)
 
 
 def _decompose(

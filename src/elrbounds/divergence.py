@@ -19,25 +19,27 @@ moments
 
 as an independent transcription check; the two routes must agree to 1e-12
 and share each side's endpoint table, built once.
-On large point sets each route reads its moments from its own power table
-(the functional's, freed before the crosscheck starts, and one the crosscheck
-builds per call), bit-identical to the point-by-point sums.
+On large point sets each route reads its moments through its own
+`functional._moment_reader` over its own power table (the functional's,
+freed before the crosscheck starts, and one the crosscheck builds per call),
+bit-identical to the point-by-point sums; each moment is summed once per
+functional on the delegated route and once per crosscheck call on the direct
+route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 
 from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family
-from .divided_diff import FunctionModel, _sum
+from .divided_diff import FunctionModel
 from .functional import (
     _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _checked_interval, _first_outside,
-    _float_array, _lazy_tuples, _power_table, _unit_sum,
+    _float_array, _lazy_tuples, _moment_reader, _power_table, _unit_sum,
 )
 from .generators import GeneratorSpec, definite_class, make_generator
 
@@ -178,33 +180,28 @@ def _pq_moment(
 def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
     """moment(x, y, j, k) = `_pq_moment(p, q, x, y, j, k)` for x, y in {a, b}.
 
-    From `_TABLE_MIN_POINTS` points on, every moment is read from one power
-    table of p_i - a q_i, p_i - b q_i and q_i, built for these four arguments
-    and bit-identical to `_pq_moment`, errors included, and each (x, y, j, k)
-    is summed once per call (an error is not kept, so it raises again).
-    (a, b, j, k) and (b, a, k, j) stay apart, because `_pq_moment`'s
-    underflow form multiplies their factors in different orders.
+    From `_TABLE_MIN_POINTS` points on, a `_moment_reader` built for these four
+    arguments: each (x, y, j, k) is read once per call, from one power table of
+    p_i - a q_i, p_i - b q_i and q_i, bit-identical to `_pq_moment`, errors
+    included.  A moment with an underflowing q_i^(j+k-1) has no table form and
+    takes `_pq_moment`'s, as does one whose table raises.  (a, b, j, k) and
+    (b, a, k, j) stay apart, because `_pq_moment`'s underflow form multiplies
+    their factors in different orders.
     """
+    def scalar(x: float, y: float, j: int, k: int) -> float:
+        return _pq_moment(p, q, x, y, j, k)
+
     if len(q) < _TABLE_MIN_POINTS:
-        return lambda x, y, j, k: _pq_moment(p, q, x, y, j, k)
+        return scalar
     with np.errstate(all="ignore"):
         U = {x: _power_table(p._v - x * q._v) for x in (a, b)}
     D = _power_table(q._v)
 
-    def moment(x: float, y: float, j: int, k: int) -> float:
-        try:
-            d = D(j + k - 1)
-            if not np.all(d):  # an underflowing q_i^(j+k-1) takes _pq_moment's form
-                return _pq_moment(p, q, x, y, j, k)
-            with np.errstate(all="ignore"):
-                terms = U[x](j) * U[y](k) / d
-        except ArithmeticError:
-            # As in `DiscreteFunctional.moment`: the point-by-point sum reports
-            # its first error in point order.
-            return _pq_moment(p, q, x, y, j, k)
-        return _sum(terms)
+    def table(x: float, y: float, j: int, k: int) -> np.ndarray | None:
+        d = D(j + k - 1)
+        return U[x](j) * U[y](k) / d if np.all(d) else None  # None: a q_i^(j+k-1) underflowed
 
-    return cache(moment)
+    return _moment_reader(table, scalar)
 
 
 def direct_bound_values(

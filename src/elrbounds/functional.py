@@ -9,11 +9,11 @@ positive linear functional A with A(1) = 1 applied to point values.
 Points and weights are validated and kept as read-only float64 arrays; the
 public `points`/`weights` tuples are built from them on first read, so the
 array paths never pay for them, and copies and pickles are rebuilt from the
-arrays alone.  Moments of large point sets are read from a power table
-(`_power_table`) that raises each base to each exponent once, and a function that
-accepts the point array is evaluated on all points in one call; both
-reproduce the point-by-point sums bit for bit, so results never depend on
-which path ran.
+arrays alone.  Moments of large point sets are summed once per functional,
+by `_moment_reader` from a power table (`_power_table`) that raises each base
+to each exponent once; a function that accepts the point array is evaluated
+on all points in one call.  Both reproduce the point-by-point sums bit for
+bit, so results never depend on which path ran.
 """
 
 from __future__ import annotations
@@ -51,6 +51,24 @@ def _power_table(base: np.ndarray) -> Callable[[int], np.ndarray | float]:
     itself, as `**` gives them.
     """
     return cache(lambda e: 1.0 if e == 0 else base if e == 1 else _float_power(base, float(e)))
+
+
+def _moment_reader(table, scalar) -> Callable[..., float]:
+    """moment(*key) = `_sum(table(*key))`, summed once per key (errors are not kept).
+
+    Where the table returns None or raises, the point-by-point `scalar(*key)`
+    runs instead: the table raises every power before summing, the scalar sum
+    reports its first error in point order.  The only moment cache and rerun.
+    """
+    @cache
+    def moment(*key) -> float:
+        try:
+            with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
+                terms = table(*key)
+        except ArithmeticError:
+            terms = None
+        return scalar(*key) if terms is None else _sum(terms)
+    return moment
 
 
 def _float_array(values) -> np.ndarray:
@@ -112,8 +130,8 @@ class DiscreteFunctional:
     enclosing [a, b], which may be strictly wider than the point range.
     Weight sums within 1e-12 of one are renormalized exactly; zero-weight
     points are kept.  From `_TABLE_MIN_POINTS` points on, `moment` keeps a
-    power table of g - a and g - b for the functional's lifetime: 8 bytes per
-    point for each exponent raised.
+    power table of g - a and g - b, and each moment it has summed, for the
+    functional's lifetime: 8 bytes per point for each exponent raised.
     """
 
     points: tuple[float, ...]
@@ -178,22 +196,17 @@ class DiscreteFunctional:
             raise ValueError(f"moment orders must be {kind}, got ({j}, {k})")
         if len(self._x) < _TABLE_MIN_POINTS:
             return _moment_sum(self.weights, self.points, *self.interval, j, k)
-        w, P, Q = self._powers
-        try:
-            with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
-                terms = w * P(j) * Q(k)
-        except OverflowError:
-            # The table raises every power before summing; the point-by-point
-            # sum reports its first error in point order (maybe fsum's own).
-            return _moment_sum(self.weights, self.points, *self.interval, j, k)
-        return _sum(terms)
+        return self._table_moment(j, k)
 
     @cached_property
-    def _powers(self) -> tuple[np.ndarray, Callable, Callable]:
-        """The weights and the power tables of g - a and g - b."""
-        a, b = self.interval
+    def _table_moment(self) -> Callable[[int, int], float]:
+        """`_moment_reader` of power tables; it holds the arrays, never self (no cycle)."""
+        (a, b), w, x = self.interval, self._w, self._x
         with np.errstate(all="ignore"):
-            return self._w, _power_table(self._x - a), _power_table(self._x - b)
+            P, Q = _power_table(x - a), _power_table(x - b)
+        return _moment_reader(
+            lambda j, k: w * P(j) * Q(k), lambda j, k: _moment_sum(w.tolist(), x.tolist(), a, b, j, k)
+        )
 
     def to_dict(self) -> dict:
         return {

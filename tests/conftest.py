@@ -8,11 +8,14 @@ differences in the generator tests.
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import elrbounds
 from elrbounds import DiscreteFunctional, FunctionModel, GeneratorSpec, make_generator
 
 
@@ -42,6 +45,27 @@ def poly_model(coeffs, domain=(0.0, 2.0)):
 
 def exp_model(domain=(-1.0, 2.0)):
     return make_generator(GeneratorSpec("exp", domain=domain))
+
+
+@pytest.fixture
+def scalar_moments(monkeypatch):
+    """A call that sends every later moment down the point-by-point sums.
+
+    It sets `_TABLE_MIN_POINTS` to inf in every elrbounds module that binds
+    the name (read from `vars(module)`, so a copy of the gate in a new module
+    is patched too); the patch ends with the test.
+    """
+    modules = [
+        importlib.import_module(f"elrbounds.{info.name}")
+        for info in pkgutil.iter_modules(elrbounds.__path__)
+    ]
+
+    def scalar_everywhere():
+        for module in modules:
+            if "_TABLE_MIN_POINTS" in vars(module):
+                monkeypatch.setattr(module, "_TABLE_MIN_POINTS", math.inf)
+
+    return scalar_everywhere
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from elrbounds import (
     pmf_vector,
     zm_divergence_bounds,
 )
-from elrbounds import divergence, functional
+from elrbounds import divergence
 from elrbounds.functional import _float_power
 
 SPECS = {
@@ -223,7 +223,7 @@ def _outcome(fn, *args, **kwargs):
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_zm_bounds_at_20000_points_are_the_scalar_reference(name, monkeypatch):
+def test_zm_bounds_at_20000_points_are_the_scalar_reference(name, monkeypatch, scalar_moments):
     P = ZipfMandelbrotParams(20_000, 1.0, 1.1)
     Q = ZipfMandelbrotParams(20_000, 2.5, 1.3)
     spec = _spec(name, (0.5, 2.0))
@@ -232,8 +232,7 @@ def test_zm_bounds_at_20000_points_are_the_scalar_reference(name, monkeypatch):
         return _outcome(zm_divergence_bounds, P, Q, spec, n=5, theorem="TM23")
 
     fast = run()
-    for module in (functional, divergence):
-        monkeypatch.setattr(module, "_TABLE_MIN_POINTS", math.inf)
+    scalar_moments()
     build = divergence.make_generator
     monkeypatch.setattr(divergence, "make_generator", lambda s: _per_point(build(s)))
     reference = run()

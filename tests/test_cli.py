@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from elrbounds import CONCAVE, GeneratorSpec, classify, cli
@@ -213,6 +214,30 @@ def test_bounds_csv_has_term_rows(capsys):
     assert float(table[("lr", "")]) == -2.25
     assert float(table[("m1_term", "1")]) == -3.0
     assert float(table[("m2_term", "1")]) == -1.5
+
+
+def test_bounds_csv_rows_reuse_the_moments_of_the_report(tmp_path, capsys, monkeypatch, scalar_moments):
+    from elrbounds import functional
+
+    rng = np.random.default_rng(8)
+    path = tmp_path / "functional.json"
+    path.write_text(json.dumps({
+        "points": rng.uniform(0.1, 2.0, 5000).tolist(),
+        "weights": rng.dirichlet(np.ones(5000)).tolist(),
+        "interval": [0.1, 2.0],
+    }))
+    argv = ("bounds", "--function", "exp", "--functional-file", str(path),
+            "--theorem", "tm23", "--n", "9", "--format", "csv")
+    calls = []
+    honest = functional._sum
+    monkeypatch.setattr(functional, "_sum", lambda x: calls.append(len(x)) or honest(x))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    # The weights' unit-sum check, A(g), TM23 n=9's thirteen distinct moments
+    # and A(f): the term rows read the moments the report summed.
+    assert calls == [5000] * 16
+    scalar_moments()
+    assert run(capsys, *argv) == (0, out, "")
 
 
 # --- files ------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -50,14 +52,10 @@ def test_mean_is_evaluated_once_per_functional(monkeypatch):
     assert len(calls) == 2 * 5 + 1  # five moments a side and A(f); no mean
 
 
-def test_a_moment_read_by_both_sides_is_summed_once(monkeypatch):
-    from elrbounds import bound, functional
+def _counted_sums(monkeypatch) -> list[int]:
+    """The lengths of the arrays `functional._sum` sums from now on, in call order."""
+    from elrbounds import functional
 
-    rng = np.random.default_rng(4)
-    A = DiscreteFunctional(rng.uniform(0.1, 2.0, 5000), rng.dirichlet(np.ones(5000)), (0.1, 2.0))
-    f = exp_model(domain=(0.1, 2.0))
-    A.mean  # noqa: B018 -- summed here, before the count
-    reference = bound("TM23", f, A, 9, None, "n-convex")
     calls = []
     honest = functional._sum
 
@@ -66,10 +64,55 @@ def test_a_moment_read_by_both_sides_is_summed_once(monkeypatch):
         return honest(x)
 
     monkeypatch.setattr(functional, "_sum", counting)
+    return calls
+
+
+def test_a_moment_read_by_both_sides_is_summed_once(monkeypatch):
+    from elrbounds import bound
+
+    rng = np.random.default_rng(4)
+    A = DiscreteFunctional(rng.uniform(0.1, 2.0, 5000), rng.dirichlet(np.ones(5000)), (0.1, 2.0))
+    f = exp_model(domain=(0.1, 2.0))
+    A.mean  # noqa: B018 -- summed here, before the count
+    calls = _counted_sums(monkeypatch)
     # TM23 n=9: the m=1 side reads A[(g-a)(g-b)^k] for k = 1..7, the m=2 side
     # A[(g-a)(g-b)] again and A[(g-a)^2 (g-b)^k] for k = 1..6.
-    assert bound("TM23", f, A, 9, None, "n-convex") == reference
+    first = bound("TM23", f, A, 9, None, "n-convex")
     assert len(calls) == 13 + 1  # thirteen distinct moments and A(f)
+    calls.clear()
+    # The functional keeps its moments: a second bound sums A(f) alone.
+    assert bound("TM23", f, A, 9, None, "n-convex") == first
+    assert calls == [5000]
+
+
+def test_the_closed_form_sums_its_one_moment_once(monkeypatch):
+    from elrbounds.bounds import n3_closed_form
+
+    rng = np.random.default_rng(6)
+    A = DiscreteFunctional(rng.uniform(0.1, 2.0, 5000), rng.dirichlet(np.ones(5000)), (0.1, 2.0))
+    calls = _counted_sums(monkeypatch)
+    n3_closed_form(exp_model(domain=(0.1, 2.0)), A)  # both sides read A[(g-a)(g-b)]
+    assert calls == [5000]
+
+
+def test_a_dropped_functional_is_freed_without_the_cycle_collector():
+    # The moment reader holds the functional's arrays, never the functional:
+    # a reference cycle would keep its power tables alive past `del A`.
+    from elrbounds import bound
+    from elrbounds.bounds import n3_closed_form
+
+    rng = np.random.default_rng(7)
+    A = DiscreteFunctional(rng.uniform(0.1, 2.0, 20_000), rng.dirichlet(np.ones(20_000)), (0.1, 2.0))
+    f = exp_model(domain=(0.1, 2.0))
+    bound("COR21", f, A, 7, 4, "n-convex")
+    n3_closed_form(f, A)
+    ref = weakref.ref(A)
+    gc.disable()
+    try:
+        del A
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_second_moment(worked_functional):

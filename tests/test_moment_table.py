@@ -27,7 +27,6 @@ from elrbounds import (
     make_generator,
     pmf_vector,
 )
-from elrbounds import divergence, functional
 from elrbounds.bounds import FAMILIES, bound
 from elrbounds.divergence import _pq_moment, _pq_moments, _ratios
 from elrbounds.functional import _TABLE_MIN_POINTS, _moment_sum
@@ -100,13 +99,8 @@ def test_crosscheck_table_moments_are_the_scalar_sums(p, q):
             assert outcome(moment, x, y, j, k) == outcome(_pq_moment, p, q, x, y, j, k)
 
 
-def _scalar_everywhere(monkeypatch):
-    for module in (functional, divergence):
-        monkeypatch.setattr(module, "_TABLE_MIN_POINTS", math.inf)
-
-
 @pytest.mark.parametrize("p,q", _pairs())
-def test_every_family_is_bit_identical_on_both_routes(p, q, monkeypatch):
+def test_every_family_is_bit_identical_on_both_routes(p, q, scalar_moments):
     A = _functional(p, q)
     a, b = A.interval
     f = make_generator(GeneratorSpec("kl", domain=(a, b)))
@@ -125,7 +119,7 @@ def test_every_family_is_bit_identical_on_both_routes(p, q, monkeypatch):
         ]
 
     table = run(A)
-    _scalar_everywhere(monkeypatch)
+    scalar_moments()
     assert table == run(_functional(p, q))
 
 
