@@ -17,26 +17,35 @@ moments
 
     sum_i (p_i - a q_i)^j (p_i - b q_i)^k / q_i^(j + k - 1)
 
-as an independent transcription check; the two routes must agree to 1e-12
-and share each side's endpoint table, built once.
-On large point sets each route reads its moments through its own
-`functional._moment_reader` over its own power table (the functional's,
-freed before the crosscheck starts, and one the crosscheck builds per call),
-bit-identical to the point-by-point sums; each moment is summed once per
-functional on the delegated route and once per crosscheck call on the direct
-route.
+as an independent transcription check; the two routes share each side's
+endpoint table, built once.  The libm route, `direct_bound_values`, raises
+every power with libm `pow`: point by point below `_TABLE_MIN_POINTS`, and
+from a power table above it, read through `functional._moment_reader`
+bit-identical to the point-by-point sums.  Below the gate each side the
+report carries must agree with it to 1e-12.
+
+From the gate on, a chain stage decides first (`_chain_bound_values`): the
+same sums from powers built by repeated multiplication, each side c with a
+stated bound E on its distance from the libm route's side (the error model
+is `_chain_moments`').  It accepts when every side the report carries has
+E < |c| and |delegated - c| <= 1e-12 + E.  Otherwise its arrays are freed
+and the libm route runs, with the 1e-12 comparison and its refusal text; so
+the stage only turns a refusal that its own rounding explains, on a side it
+fixes, into the report.  The functional's power table is freed before the
+crosscheck starts, so one table is alive at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family
-from .divided_diff import FunctionModel
+from .divided_diff import _U, FunctionModel
 from .functional import (
     _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _checked_interval, _first_outside,
     _float_array, _lazy_tuples, _moment_reader, _power_table, _unit_sum,
@@ -53,6 +62,15 @@ __all__ = [
 ]
 
 _CROSSCHECK_TOL = 1e-12
+
+# The chain stage's error model (see `_chain_moments`).  _ETA, the subnormal
+# spacing, bounds the absolute error of a product, quotient or faithful pow
+# whose result falls below the normal range; _UP rounds each stated bound up
+# past the (1 + k u) factors it leaves out and the rounding of its own
+# arithmetic; _CHAIN_MAX keeps every sum the two routes form below overflow.
+_ETA = 5e-324
+_UP = 1.0 + 2.0**-30
+_CHAIN_MAX = 2.0**1020
 
 
 @_lazy_tuples(values="_v")
@@ -204,6 +222,114 @@ def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
     return _moment_reader(table, scalar)
 
 
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error of k roundings (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., lemma 3.1)."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _chain_table(base: np.ndarray) -> Callable[[int], np.ndarray | float]:
+    """e -> base^e as a float64 array by repeated multiplication: one multiply per
+    exponent, each power kept (a list, not a self-referencing cache, so nothing
+    outlives the caller's last reference)."""
+    powers = [1.0, base]
+
+    def power(e: int) -> np.ndarray | float:
+        while len(powers) <= e:
+            powers.append(powers[-1] * base)
+        return powers[e]
+
+    return power
+
+
+def _chain_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
+    """(moment, error) for x, y in {a, b}: `_pq_moments`' sums from multiply chains.
+
+    moment(x, y, j, k) is `_sum` of the terms t_i = X_i^j Y_i^k / q_i^d, with
+    d = j + k - 1 and X, Y the bases p - x q and p - y q, which both routes
+    round alike; error(x, y, j, k) bounds its distance from `_pq_moments`'.
+    Per term, the chains round j-1, k-1 and d-1 times and the product and
+    quotient twice; each libm pow of exponent >= 2 is faithful (< 1 ulp), two
+    roundings.  Both sums are correctly rounded, so the error is
+    g sum|t| + alpha, rounded up, with g = (gamma_ch + gamma_ref) / (1 -
+    gamma_ch) + 3u, sum|t| one more array pass, and alpha the absolute part of
+    the underflow model (Higham, §2.1: a result below the normal range is off
+    by at most _ETA), carried through the largest powers and the smallest
+    denominator.
+
+    A moment and its error read NaN where a term is not finite or near
+    overflow, where a power's largest element is within a factor 2 of
+    overflow (libm would raise), or where a q_i^d may leave the normal range
+    (the libm route takes `_pq_moment`'s underflow form there).
+    """
+    points = len(q)
+    with np.errstate(all="ignore"):
+        bases = {x: p._v - x * q._v for x in (a, b)}
+    top = {x: max(float(np.maximum.reduce(v)), -float(np.minimum.reduce(v))) for x, v in bases.items()}
+    q_min = float(np.minimum.reduce(q._v))
+    X = {x: _chain_table(v) for x, v in bases.items()}
+    D = _chain_table(q._v)
+    errors: dict = {}
+
+    def table(x: float, y: float, j: int, k: int) -> np.ndarray | None:
+        d = j + k - 1
+        # Python float powers: an OverflowError is caught by `_moment_reader`.
+        if not (q_min**d >= 2.0**-1021 and top[x] ** j < 2.0**1023 and top[y] ** k < 2.0**1023):
+            return None
+        t = X[x](j) * X[y](k)  # a new array (j + k >= 1): divided in place
+        t /= D(d)
+        size = float(np.add.reduce(np.abs(t)))
+        if not size < _CHAIN_MAX:  # NaN fails too
+            return None
+        chain = max(j - 1, 0) + max(k - 1, 0) + max(d - 1, 0) + 2
+        ref = 2 * ((j > 1) + (k > 1) + (d > 1)) + 2
+        g = (_gamma(chain) + _gamma(ref)) / (1.0 - _gamma(chain)) + 3 * _U
+        spread = max(1.0, top[x]) ** j * max(1.0, top[y]) ** k / q_min**d
+        alpha = 4 * points * _ETA * ((j + k + 6) * spread + 1)
+        errors[x, y, j, k] = _UP * (g * size * (1 + 2 * points * _U) + alpha)
+        return t
+
+    def error(*key) -> float:
+        return errors.get(key, math.nan)
+
+    return _moment_reader(table, lambda *key: math.nan), error
+
+
+def _chain_bound_values(
+    f: FunctionModel, p: ProbabilityVector, q: ProbabilityVector, a: float, b: float,
+    n: int, theorem: str, m: int | None, convexity: str, tables: dict,
+) -> tuple:
+    """((lower, upper), (lower bound, upper bound)), the sides arranged as
+    `direct_bound_values` arranges them: each side c from `_chain_moments`, and
+    a bound E on |c - the side of `direct_bound_values`|; None when a side's
+    terms are not finite or near overflow.
+
+    A side c = fsum(T_i M_i) over endpoint-table cells T_i (shared by both
+    routes) and moments M_i with |M_i - libm M_i| <= e_i, so |c - libm side|
+    <= sum |T_i| e_i + 3u sum |T_i M_i| + 2u |c| plus _ETA per rounding near
+    underflow, rounded up.  The terms are affine in the moments: evaluated
+    with the errors as moments, less their values with zero moments, they
+    give T_i e_i and drop the m >= 3 lead, which reads no moment and is the
+    same float on both routes.
+    """
+    family = _family(theorem)
+    moment, error = _chain_moments(p, q, a, b)
+
+    def sides(moment):
+        return family.terms(f, (a, b), n, m, moment, 1.0, tables)
+
+    values, bounds = [], []
+    for terms, errs, leads in zip(sides(moment), sides(error), sides(lambda *key: 0.0)):
+        size = sum(map(abs, terms))  # plain sums: fsum raises on opposite infinities
+        if not size < _CHAIN_MAX:
+            return None
+        values.append(math.fsum(terms))
+        carried = sum(abs(e - z) for e, z in zip(errs, leads))
+        slack = 3 * _U * size + 2 * _U * abs(values[-1]) + (3 * len(terms) + 2) * _ETA
+        bounds.append(_UP * (carried + slack))
+    return tuple(family.arrange(n, m, convexity, v)[:2] for v in (values, bounds))
+
+
 def direct_bound_values(
     f: FunctionModel,
     p: ProbabilityVector,
@@ -294,11 +420,19 @@ def divergence_bounds(
     tables: dict = {}
     report = _bounds.bound(theorem, f, A, n, m, convexity, _tables=tables)
     del A
+    delegated = (report.lower, report.upper)
+    if len(q) >= _TABLE_MIN_POINTS:
+        chained = _chain_bound_values(f, p, q, a, b, n, theorem, m, convexity, tables)
+        if chained is not None and all(
+            d is None or e < abs(c) and abs(d - c) <= _CROSSCHECK_TOL + e
+            for d, c, e in zip(delegated, *chained)
+        ):
+            return report
     direct = direct_bound_values(f, p, q, a, b, n, theorem, m, convexity, _tables=tables)
-    for side, delegated, direct_v in zip(("lower", "upper"), (report.lower, report.upper), direct):
-        if delegated is not None and abs(delegated - direct_v) > _CROSSCHECK_TOL:
+    for side, d, direct_v in zip(("lower", "upper"), delegated, direct):
+        if d is not None and abs(d - direct_v) > _CROSSCHECK_TOL:
             raise RuntimeError(
-                f"{theorem} {side}: delegated value {delegated!r} and direct value "
+                f"{theorem} {side}: delegated value {d!r} and direct value "
                 f"{direct_v!r} differ by more than {_CROSSCHECK_TOL}"
             )
     return report

@@ -12,6 +12,7 @@ be monotone in i for general parameter pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ZipfMandelbrotParams:
-    """Support {1..N}, shift q >= 0, exponent s > 0."""
+    """Support {1..N}, finite shift q >= 0, finite exponent s > 0."""
 
     N: int
     q: float = 0.0
@@ -44,8 +45,12 @@ class ZipfMandelbrotParams:
         object.__setattr__(self, "N", int(self.N))
         if not self.q >= 0:
             raise ValueError(f"q must be >= 0, got {self.q}")
+        if not math.isfinite(self.q):
+            raise ValueError(f"q must be finite, got {self.q}")
         if not self.s > 0:
             raise ValueError(f"s must be > 0, got {self.s}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "s", float(self.s))
 

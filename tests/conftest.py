@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib
 import math
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ def poly_model(coeffs, domain=(0.0, 2.0)):
 
 def exp_model(domain=(-1.0, 2.0)):
     return make_generator(GeneratorSpec("exp", domain=domain))
+
+
+def is_refusal_flip(libm, chained) -> bool:
+    """True when `libm`, an outcome ("RuntimeError", text) of the crosscheck's libm
+    route, refused the report that `chained`, a report dict with float.hex
+    values, carries: the side it names is bit for bit the refused delegated value."""
+    if not (isinstance(libm, tuple) and libm[0] == "RuntimeError" and isinstance(chained, dict)):
+        return False
+    side, value = re.match(r"\w+ (lower|upper): delegated value (\S+) and", libm[1]).groups()
+    return float.fromhex(chained[side]) == float(value)
 
 
 @pytest.fixture

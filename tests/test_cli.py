@@ -315,6 +315,15 @@ def test_zm_table_with_mismatched_N_exits_1(capsys, mode):
     assert err == "error: --zm: laws must share N, got 3 and 2\n"
 
 
+@pytest.mark.parametrize("law,text", [("5,0,inf", "s must be finite, got inf"),
+                                      ("5,inf,1", "q must be finite, got inf")])
+def test_zm_with_a_non_finite_parameter_exits_1(capsys, law, text):
+    # An infinite exponent used to give the point mass (1, 0, 0, 0, 0).
+    code, out, err = run(capsys, "zm", "--zm", law, "--zm", "5,0,1", "--ratio-range")
+    assert (code, out) == (1, "")
+    assert err == f"error: {text}\n"
+
+
 def test_missing_required_flags_exit_1(capsys):
     code, _, err = run(capsys, "lr", "--function", "exp")
     assert code == 1

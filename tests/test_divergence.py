@@ -322,27 +322,176 @@ def test_moment_slip_in_direct_route_raises(monkeypatch):
         divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
 
 
-def test_moment_slip_in_the_direct_route_table_raises(monkeypatch):
-    # The same negative control above the power-table gate, where the
-    # crosscheck reads its moments from `_pq_moments` instead of `_pq_moment`.
-    from elrbounds import ZipfMandelbrotParams, divergence, pmf_vector
+def _table_pair(fallback=False):
+    """ZM pmfs of 2 * `_TABLE_MIN_POINTS` entries, above the power-table gate.
+
+    With `fallback`, p_0 and q_0 are near underflow, so q_0^d leaves the
+    normal range for every d >= 2 and the chain stage cannot decide.
+    """
+    from elrbounds import ZipfMandelbrotParams, pmf_vector
     from elrbounds.functional import _TABLE_MIN_POINTS
 
     N = 2 * _TABLE_MIN_POINTS
     p = pmf_vector(ZipfMandelbrotParams(N, 1.0, 1.2))
     q = pmf_vector(ZipfMandelbrotParams(N, 2.0, 1.5))
+    if not fallback:
+        return p, q
+    p, q = p._v.copy(), q._v.copy()
+    p[0], q[0] = 3e-300, 1e-300
+    return ProbabilityVector(p / math.fsum(p)), ProbabilityVector(q / math.fsum(q))
+
+
+def _record_direct_route(monkeypatch):
+    """A list that gets one entry per `direct_bound_values` call from the crosscheck."""
+    from elrbounds import divergence
+
+    calls, honest = [], divergence.direct_bound_values
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(divergence, "direct_bound_values", recorded)
+    return calls
+
+
+def _slip_reader(monkeypatch, key, eps):
+    """Scale moment `key` = (j, k) by 1 + eps in every reader `divergence` builds:
+    the chain stage's and, on fallback, `_pq_moments`'."""
+    from elrbounds import divergence
+
+    honest = divergence._moment_reader
+
+    def slipped(table, scalar):
+        moment = honest(table, scalar)
+        return lambda x, y, j, k: moment(x, y, j, k) * (1.0 + eps * ((j, k) == key))
+
+    monkeypatch.setattr(divergence, "_moment_reader", slipped)
+
+
+def test_moment_slip_in_the_direct_route_table_raises(monkeypatch):
+    # The same negative control above the power-table gate, where the chain
+    # stage decides the crosscheck from the moments its `_moment_reader` reads.
+    from elrbounds import divergence
+
+    p, q = _table_pair()
+    direct_calls = _record_direct_route(monkeypatch)
+    monkeypatch.setattr(divergence, "_pq_moment", None)  # the table paths never call it
+    divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+    assert direct_calls == []  # decided by the chain stage
+    _slip_reader(monkeypatch, (1, 1), 1e-6)
+    with pytest.raises(RuntimeError, match="differ"):
+        divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+
+
+def test_moment_slip_in_the_libm_stage_raises_on_fallback(monkeypatch):
+    # The twin: only `_pq_moments` slips, on an input the chain stage hands on.
+    from elrbounds import divergence
+
+    p, q = _table_pair(fallback=True)
     honest = divergence._pq_moments
 
     def slipped(p, q, a, b):
         moment = honest(p, q, a, b)
         return lambda x, y, j, k: moment(x, y, j, k) * (1.0 + 1e-6 * (j == 1 and k == 1))
 
+    direct_calls = _record_direct_route(monkeypatch)
     divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
-    monkeypatch.setattr(divergence, "_pq_moment", None)  # the table path never calls it
-    divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+    assert len(direct_calls) == 1  # the chain stage fell back
     monkeypatch.setattr(divergence, "_pq_moments", slipped)
     with pytest.raises(RuntimeError, match="differ"):
         divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+
+
+def test_a_side_the_chains_do_not_fix_goes_to_the_libm_route(monkeypatch):
+    # A constant f has every divided difference of order 1 or more exactly
+    # 0.0, so both TM23 sides are 0.0, inside any error bound: the chains
+    # cannot fix them and the libm route decides.
+    from elrbounds import FunctionModel, ratio_range
+
+    p, q = _table_pair()
+    rr = ratio_range(p, q)
+    f = FunctionModel.from_polynomial((1.0,), (rr.a, rr.b))
+    direct_calls = _record_direct_route(monkeypatch)
+    report = divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
+    assert (report.lower, report.upper) == (0.0, 0.0)
+    assert len(direct_calls) == 1
+
+
+def test_the_chain_arrays_are_freed_before_the_fallback_runs(monkeypatch):
+    # Peak memory: at most one power table per crosscheck is alive, so the
+    # chains are gone (without the cycle collector) when the libm route starts.
+    import gc
+    import weakref
+
+    from elrbounds import divergence
+
+    p, q = _table_pair(fallback=True)
+    chains, alive_at_fallback = [], []
+    honest_chain, honest_direct = divergence._chain_table, divergence.direct_bound_values
+
+    def tracked(base):
+        power = honest_chain(base)
+        chains.append(weakref.ref(power))
+        return power
+
+    def direct(*args, **kwargs):
+        alive_at_fallback.append(sum(ref() is not None for ref in chains))
+        return honest_direct(*args, **kwargs)
+
+    monkeypatch.setattr(divergence, "_chain_table", tracked)
+    monkeypatch.setattr(divergence, "direct_bound_values", direct)
+    gc.disable()
+    try:
+        divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+    finally:
+        gc.enable()
+    assert len(chains) == 3 and alive_at_fallback == [0]
+
+
+@pytest.mark.parametrize("theorem,m", [("TM21", 3), ("TM23", None), ("TM24", None), ("COR21", 3)])
+def test_a_1e_9_slip_in_any_moment_of_a_20000_point_pair_raises(monkeypatch, theorem, m):
+    # The library golden's ZM pair: each moment the crosscheck reads, slipped
+    # alone by 1e-9 relative, must still be refused.
+    from elrbounds import ZipfMandelbrotParams, divergence, zm_divergence_bounds
+
+    P, Q = ZipfMandelbrotParams(20_000, 1.0, 1.1), ZipfMandelbrotParams(20_000, 2.5, 1.3)
+    read, honest = set(), divergence._moment_reader
+
+    def recording(table, scalar):
+        moment = honest(table, scalar)
+        return lambda *key: read.add(key[2:]) or moment(*key)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(divergence, "_moment_reader", recording)
+        zm_divergence_bounds(P, Q, GeneratorSpec("kl"), n=5, m=m, theorem=theorem)
+    assert read
+    for key in sorted(read):
+        with monkeypatch.context() as mp:
+            _slip_reader(mp, key, 1e-9)
+            with pytest.raises(RuntimeError, match="differ"):
+                zm_divergence_bounds(P, Q, GeneratorSpec("kl"), n=5, m=m, theorem=theorem)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["chains", "fallback"])
+@pytest.mark.parametrize(
+    "theorem,n,m,sides", [("tm21", 5, 3, 1), ("tm23", 5, None, 2), ("cor21", 5, 3, 2)],
+)
+def test_one_endpoint_table_per_side_on_the_table_path(monkeypatch, theorem, n, m, sides, fallback):
+    from elrbounds import bounds
+
+    p, q = _table_pair(fallback)
+    calls, honest_table = [], bounds.endpoint_table
+
+    def counted(*args):
+        calls.append(args[1:])
+        return honest_table(*args)
+
+    monkeypatch.setattr(bounds, "endpoint_table", counted)
+    direct_calls = _record_direct_route(monkeypatch)
+    divergence_bounds(GeneratorSpec("kl"), p, q, n=n, m=m, theorem=theorem)
+    assert len(direct_calls) == fallback
+    assert len(calls) == len(set(calls)) == sides
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,8 @@ This file pins the library calls that do, in `tests/golden/library.json`:
 - `zm_divergence_bounds` at N = 20,000 for every theorem tag and the four
   divergence generators at two orders;
 - `divergence_bounds` on Dirichlet pairs with K = 63, 65 and 5,000 entries,
-  concentration 1 (many crosscheck refusals) and 20 (ratios near 1);
+  concentration 1 (many crosscheck refusals at K = 63, below the chain
+  stage's gate; above it most become reports) and 20 (ratios near 1);
 - `lr_difference` at N = 20,000, and both decompositions at N = 5,000, of
   negated, `dataclasses.replace`d, scalar-only and polynomial models;
 - `certify_convexity` on the same kinds of model.

@@ -31,6 +31,8 @@ from elrbounds.bounds import FAMILIES, bound
 from elrbounds.divergence import _pq_moment, _pq_moments, _ratios
 from elrbounds.functional import _TABLE_MIN_POINTS, _moment_sum
 
+from conftest import is_refusal_flip
+
 # Below 2 the first size would be 0, for which `_dirichlet_pair` never returns.
 assert _TABLE_MIN_POINTS >= 2, f"_TABLE_MIN_POINTS = {_TABLE_MIN_POINTS} leaves no size below the gate"
 SIZES = (_TABLE_MIN_POINTS - 1, _TABLE_MIN_POINTS + 1, 1999)
@@ -120,7 +122,13 @@ def test_every_family_is_bit_identical_on_both_routes(p, q, scalar_moments):
 
     table = run(A)
     scalar_moments()
-    assert table == run(_functional(p, q))
+    scalar = run(_functional(p, q))
+    # The bound and the direct route stay bit for bit.  The crosscheck may
+    # differ only where the chain stage, which runs on the table path alone,
+    # turned a refusal into the report it refused.
+    assert [case[:2] for case in table] == [case[:2] for case in scalar]
+    for (*_, got), (*_, want) in zip(table, scalar):
+        assert got == want or is_refusal_flip(want, got)
 
 
 # --- edge cases ---------------------------------------------------------------

@@ -164,6 +164,18 @@ CASES = {
         lambda: ZipfMandelbrotParams(math.nan), ValueError, "N must be a positive integer, got nan"),
     "zm_bool_N": (
         lambda: ZipfMandelbrotParams(True), ValueError, "N must be a positive integer, got True"),
+    "zm_infinite_q": (
+        lambda: ZipfMandelbrotParams(5, math.inf, 1.0), ValueError, "q must be finite, got inf"),
+    "zm_nan_q": (
+        lambda: ZipfMandelbrotParams(5, math.nan, 1.0), ValueError, "q must be >= 0, got nan"),
+    "zm_negative_infinite_q": (
+        lambda: ZipfMandelbrotParams(5, -math.inf, 1.0), ValueError, "q must be >= 0, got -inf"),
+    "zm_infinite_s": (
+        lambda: ZipfMandelbrotParams(5, 0.0, math.inf), ValueError, "s must be finite, got inf"),
+    "zm_nan_s": (
+        lambda: ZipfMandelbrotParams(5, 0.0, math.nan), ValueError, "s must be > 0, got nan"),
+    "zm_negative_infinite_s": (
+        lambda: ZipfMandelbrotParams(5, 0.0, -math.inf), ValueError, "s must be > 0, got -inf"),
     "zm_normalizer_underflow": (
         lambda: normalizer(ZipfMandelbrotParams(3, q=1.0, s=2000.0)),
         ValueError, "normalizer underflowed to 0.0 for ZipfMandelbrotParams(N=3, q=1.0, s=2000.0)"),
