@@ -27,7 +27,7 @@ import sys
 from .bounds import CONCAVE, CONVEX, FAMILIES, _moments, bound
 from .divergence import ProbabilityVector, divergence_bounds, f_divergence, ratio_range
 from .divided_diff import FunctionModel, NodeMultiset, divided_difference, newton_interpolant
-from .functional import DiscreteFunctional, lr_difference
+from .functional import DiscreteFunctional, _json_numbers, lr_difference
 from .generators import definite_class, make_generator, parse_function_spec
 from .oracle import AuditConfig, audit_brackets, audit_identities
 from .zipf import ZipfMandelbrotParams, pmf_vector, zm_divergence_bounds
@@ -147,6 +147,7 @@ def _load_distribution(inline: str | None, path: str | None, key: str, flag: str
         if key not in data:
             raise ValueError(f"{flag}-file: JSON object lacks key {key!r}")
         data = data[key]
+    _json_numbers(data, f"{flag}-file")
     try:
         values = tuple(float(v) for v in data)
     except (TypeError, ValueError) as exc:

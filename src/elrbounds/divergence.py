@@ -18,27 +18,29 @@ moments
     sum_i (p_i - a q_i)^j (p_i - b q_i)^k / q_i^(j + k - 1)
 
 as an independent transcription check; the two routes share each side's
-endpoint table, built once.  The libm route, `direct_bound_values`, raises
-every power with libm `pow`: point by point below `_TABLE_MIN_POINTS`, and
-from a power table above it, read through `functional._moment_reader`
-bit-identical to the point-by-point sums.  Below the gate each side the
-report carries must agree with it to 1e-12.
+endpoint table, built once.  The libm route, `direct_bound_values`, sums
+every moment point by point (`_pq_moment`), raising each power with libm
+`pow`.  Below `_TABLE_MIN_POINTS` each side the report carries must agree
+with it to 1e-12.
 
 From the gate on, a chain stage decides first (`_chain_bound_values`): the
 same sums from powers built by repeated multiplication, each side c with a
 stated bound E on its distance from the libm route's side (the error model
 is `_chain_moments`').  It accepts when every side the report carries has
-E < |c| and |delegated - c| <= 1e-12 + E.  Otherwise its arrays are freed
-and the libm route runs, with the 1e-12 comparison and its refusal text; so
-the stage only turns a refusal that its own rounding explains, on a side it
-fixes, into the report.  The functional's power table is freed before the
-crosscheck starts, so one table is alive at a time.
+E < |c| and |delegated - c| <= 1e-12 + E.  Otherwise it refuses on the first
+side with |delegated - c| > 1e-12 + E, which the libm route refuses too, and
+names c as the direct value.  Only when it proves neither, its arrays are
+freed and the libm route runs, with the 1e-12 comparison; so the stage only
+turns a refusal that its own rounding explains, on a side it fixes, into
+the report.  The functional's power table is freed before the crosscheck
+starts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -48,7 +50,7 @@ from .bounds import CONVEX, BoundReport, _family
 from .divided_diff import _U, FunctionModel
 from .functional import (
     _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _checked_interval, _first_outside,
-    _float_array, _lazy_tuples, _moment_reader, _power_table, _unit_sum,
+    _float_array, _lazy_tuples, _moment_reader, _unit_sum,
 )
 from .generators import GeneratorSpec, definite_class, make_generator
 
@@ -195,33 +197,6 @@ def _pq_moment(
     )
 
 
-def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
-    """moment(x, y, j, k) = `_pq_moment(p, q, x, y, j, k)` for x, y in {a, b}.
-
-    From `_TABLE_MIN_POINTS` points on, a `_moment_reader` built for these four
-    arguments: each (x, y, j, k) is read once per call, from one power table of
-    p_i - a q_i, p_i - b q_i and q_i, bit-identical to `_pq_moment`, errors
-    included.  A moment with an underflowing q_i^(j+k-1) has no table form and
-    takes `_pq_moment`'s, as does one whose table raises.  (a, b, j, k) and
-    (b, a, k, j) stay apart, because `_pq_moment`'s underflow form multiplies
-    their factors in different orders.
-    """
-    def scalar(x: float, y: float, j: int, k: int) -> float:
-        return _pq_moment(p, q, x, y, j, k)
-
-    if len(q) < _TABLE_MIN_POINTS:
-        return scalar
-    with np.errstate(all="ignore"):
-        U = {x: _power_table(p._v - x * q._v) for x in (a, b)}
-    D = _power_table(q._v)
-
-    def table(x: float, y: float, j: int, k: int) -> np.ndarray | None:
-        d = D(j + k - 1)
-        return U[x](j) * U[y](k) / d if np.all(d) else None  # None: a q_i^(j+k-1) underflowed
-
-    return _moment_reader(table, scalar)
-
-
 def _gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u), the relative error of k roundings (Higham, *Accuracy
     and Stability of Numerical Algorithms*, 2nd ed., lemma 3.1)."""
@@ -243,11 +218,11 @@ def _chain_table(base: np.ndarray) -> Callable[[int], np.ndarray | float]:
 
 
 def _chain_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
-    """(moment, error) for x, y in {a, b}: `_pq_moments`' sums from multiply chains.
+    """(moment, error) for x, y in {a, b}: `_pq_moment`'s sums from multiply chains.
 
     moment(x, y, j, k) is `_sum` of the terms t_i = X_i^j Y_i^k / q_i^d, with
     d = j + k - 1 and X, Y the bases p - x q and p - y q, which both routes
-    round alike; error(x, y, j, k) bounds its distance from `_pq_moments`'.
+    round alike; error(x, y, j, k) bounds its distance from `_pq_moment`'s.
     Per term, the chains round j-1, k-1 and d-1 times and the product and
     quotient twice; each libm pow of exponent >= 2 is faithful (< 1 ulp), two
     roundings.  Both sums are correctly rounded, so the error is
@@ -351,7 +326,7 @@ def direct_bound_values(
     The private `_tables` holds the delegated route's endpoint tables, if any.
     """
     family = _family(theorem)
-    sides = family.terms(f, (a, b), n, m, _pq_moments(p, q, a, b), 1.0, _tables)
+    sides = family.terms(f, (a, b), n, m, partial(_pq_moment, p, q), 1.0, _tables)
     return family.arrange(n, m, convexity, [math.fsum(t) for t in sides])[:2]
 
 
@@ -410,7 +385,7 @@ def divergence_bounds(
         if convexity is None:
             raise ValueError("a plain FunctionModel needs an explicit convexity class")
     # The ratios and the functional with its power table are freed before
-    # the crosscheck builds its own; it reuses the delegated endpoint tables.
+    # the crosscheck builds its chains; it reuses the delegated endpoint tables.
     # Built by the store step alone, which skips the checks that hold here: no
     # copy (the ratios are new, q's array is read-only), no sign or sum check
     # of q's entries as weights (q kept their fsum), and no [a, b] scan (a and
@@ -420,17 +395,21 @@ def divergence_bounds(
     tables: dict = {}
     report = _bounds.bound(theorem, f, A, n, m, convexity, _tables=tables)
     del A
-    delegated = (report.lower, report.upper)
+    delegated, direct = (report.lower, report.upper), None
     if len(q) >= _TABLE_MIN_POINTS:
         chained = _chain_bound_values(f, p, q, a, b, n, theorem, m, convexity, tables)
-        if chained is not None and all(
-            d is None or e < abs(c) and abs(d - c) <= _CROSSCHECK_TOL + e
-            for d, c, e in zip(delegated, *chained)
-        ):
-            return report
-    direct = direct_bound_values(f, p, q, a, b, n, theorem, m, convexity, _tables=tables)
-    for side, d, direct_v in zip(("lower", "upper"), delegated, direct):
-        if d is not None and abs(d - direct_v) > _CROSSCHECK_TOL:
+        if chained is not None:
+            carried = [(d, c, e) for d, c, e in zip(delegated, *chained) if d is not None]
+            if all(e < abs(c) and abs(d - c) <= _CROSSCHECK_TOL + e for d, c, e in carried):
+                return report
+            # |c - libm side| <= e: a side off by more than 1e-12 + e is refused on both routes.
+            if any(abs(d - c) > _CROSSCHECK_TOL + e for d, c, e in carried):
+                direct, slack = chained
+    if direct is None:
+        direct = direct_bound_values(f, p, q, a, b, n, theorem, m, convexity, _tables=tables)
+        slack = (0.0, 0.0)
+    for side, d, direct_v, e in zip(("lower", "upper"), delegated, direct, slack):
+        if d is not None and abs(d - direct_v) > _CROSSCHECK_TOL + e:
             raise RuntimeError(
                 f"{theorem} {side}: delegated value {d!r} and direct value "
                 f"{direct_v!r} differ by more than {_CROSSCHECK_TOL}"

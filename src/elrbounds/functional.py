@@ -18,6 +18,7 @@ bit, so results never depend on which path ran.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -218,9 +219,25 @@ class DiscreteFunctional:
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteFunctional":
         try:
-            return cls(data["points"], data["weights"], (data["interval"][0], data["interval"][1]))
+            points, weights, interval = (
+                _json_numbers(data[key], f"functional JSON {key}") for key in ("points", "weights", "interval")
+            )
+            if isinstance(interval, list) and len(interval) > 2:
+                raise ValueError(f"functional JSON interval: expected two numbers, got {len(interval)}")
+            return cls(points, weights, (interval[0], interval[1]))
         except (KeyError, IndexError, TypeError) as exc:
             raise ValueError(f"functional JSON needs points/weights/interval: {exc}") from exc
+
+
+def _json_numbers(values, what: str):
+    """`values` as given, unless a string stands for the array or, like a boolean,
+    for one of its entries (`float` reads both as numbers): a ValueError naming `what`."""
+    if isinstance(values, str):
+        raise ValueError(f"{what}: expected an array of numbers, got a string")
+    for i, v in enumerate(values if isinstance(values, list) else ()):
+        if isinstance(v, (str, bool)):
+            raise ValueError(f"{what}: entry {i} is not a number: {json.dumps(v)}")
+    return values
 
 
 def _moment_sum(weights, points, a: float, b: float, j: int, k: int) -> float:

@@ -54,8 +54,38 @@ def is_refusal_flip(libm, chained) -> bool:
     values, carries: the side it names is bit for bit the refused delegated value."""
     if not (isinstance(libm, tuple) and libm[0] == "RuntimeError" and isinstance(chained, dict)):
         return False
-    side, value = re.match(r"\w+ (lower|upper): delegated value (\S+) and", libm[1]).groups()
+    side, value = _REFUSAL.match(libm[1]).group("side", "delegated")
     return float.fromhex(chained[side]) == float(value)
+
+
+_REFUSAL = re.compile(
+    r"\w+ (?P<side>lower|upper): delegated value (?P<delegated>\S+) and direct value (?P<direct>\S+) differ"
+)
+
+
+def keeps_the_outcome(libm, chained, sides_and_bounds) -> bool:
+    """True when `chained`, an op's outcome with the crosscheck's chain stage,
+    is one the chain stage may give where the libm route alone gives `libm`.
+
+    Outcomes are report dicts with float.hex values or (type name, text).
+    The two are equal; or the libm route refused the report `chained` carries
+    (`is_refusal_flip`); or both refuse, and the side `chained` names is one
+    the libm route refuses, with the direct value it prints within that
+    side's chain bound of the libm side.  `sides_and_bounds()` returns the
+    libm sides, (lower, upper) from `direct_bound_values`, and the chain
+    stage's bound E of each; it is only called in the last case.
+    """
+    if chained == libm or is_refusal_flip(libm, chained):
+        return True
+    if not all(isinstance(o, tuple) and o[0] == "RuntimeError" for o in (libm, chained)):
+        return False
+    refusal = _REFUSAL.match(chained[1])
+    if refusal is None:
+        return False
+    i = ("lower", "upper").index(refusal["side"])
+    delegated, direct = float(refusal["delegated"]), float(refusal["direct"])
+    sides, bounds = sides_and_bounds()
+    return abs(delegated - sides[i]) > 1e-12 and abs(direct - sides[i]) <= bounds[i]
 
 
 @pytest.fixture

@@ -2,12 +2,12 @@
 
 From `_TABLE_MIN_POINTS` points on, `divergence_bounds` first reads the
 direct sides from multiply-chain powers (`_chain_moments`), each with a
-stated bound on its distance from `direct_bound_values`, and runs that libm
-route only when the chains cannot decide.  These properties hold the bounds
-to the libm values on Zipf-Mandelbrot and heavy-tailed Dirichlet pairs
-(some with a q_i near underflow), and hold every outcome to the one the
-libm route alone gives: equal, except that a refusal may become the report
-it refused, bit for bit its delegated side.
+stated bound on its distance from `direct_bound_values`, refuses what that
+bound proves the libm route refuses, and runs the libm route only when the
+chains decide nothing.  These properties hold the bounds to the libm values
+on Zipf-Mandelbrot and heavy-tailed Dirichlet pairs (some with a q_i near
+underflow), on every side with a finite bound, and hold every outcome to the
+one the libm route alone gives, as `conftest.keeps_the_outcome` states.
 """
 
 from __future__ import annotations
@@ -30,15 +30,14 @@ from elrbounds import (
     make_generator,
     pmf_vector,
     ratio_range,
+    zm_divergence_bounds,
 )
 from elrbounds import divergence
 from elrbounds.bounds import FAMILIES, bound
-from elrbounds.divergence import _chain_bound_values, _chain_moments, _pq_moments, _ratios
+from elrbounds.divergence import _chain_bound_values, _chain_moments, _pq_moment, _ratios
 from elrbounds.functional import DiscreteFunctional
 
-from conftest import is_refusal_flip
-
-KEYS = [(j, k) for j in range(1, 12) for k in range(12 - j)]
+from conftest import keeps_the_outcome
 
 
 def outcome(call, *args, **kwargs):
@@ -90,11 +89,11 @@ def test_the_chain_stage_is_within_its_bounds_and_keeps_every_outcome(zm, seed, 
     if not (0 < a < b < math.inf):  # a generator's domain
         return
     moment, error = _chain_moments(p, q, a, b)
-    libm = _pq_moments(p, q, a, b)
     for x, y in ((a, b), (b, a)):
-        for j, k in KEYS:
+        for j, k in [(j, k) for j in range(1, n) for k in range(n - j)]:  # what order n reads
+            c = moment(x, y, j, k)  # its bound exists once it is read
             if math.isfinite(e := error(x, y, j, k)):
-                assert abs(moment(x, y, j, k) - libm(x, y, j, k)) <= e, (x, y, j, k)
+                assert abs(c - _pq_moment(p, q, x, y, j, k)) <= e, (x, y, j, k)
     f = make_generator(GeneratorSpec(name, domain=(a, b)))
     A = DiscreteFunctional(_ratios(p, q), q._v, (a, b))
     for tag, family in FAMILIES.items():
@@ -113,12 +112,12 @@ def test_the_chain_stage_is_within_its_bounds_and_keeps_every_outcome(zm, seed, 
             direct = None
         sides, bounds = chained or ((None, None), (None, None))
         for c, e, want in zip(sides, bounds, direct or (None, None)):
-            if c is not None and e < abs(c):  # a side the chains fix: the libm route has it within e
+            if c is not None and math.isfinite(e):  # fixed or not, the libm side is within e
                 assert want is not None and abs(c - want) <= e, (tag, c, want, e)
         got = outcome(divergence_bounds, f, p, q, n=n, m=m, theorem=tag, convexity=CONVEX)
         with chains_off():
             want = outcome(divergence_bounds, f, p, q, n=n, m=m, theorem=tag, convexity=CONVEX)
-        assert got == want or is_refusal_flip(want, got), (tag, want, got)
+        assert keeps_the_outcome(want, got, lambda: (direct, bounds)), (tag, want, got)
 
 
 def _sweep_case(rng, i):
@@ -168,3 +167,39 @@ def test_the_chain_stage_adds_no_wrong_brackets_on_heavy_tails():
         with chains_off():
             libm += wrong(report_or_none(run))
     assert chains <= libm, (chains, libm)
+
+
+def zm_large_cases(seed: int, count: int = 40):
+    """The benchmark's `zm_large` ops for `seed`: two ZM laws with N = 20,000, q in
+    [0, 5) and s in [0.6, 2.5), every tag with every generator twice at eight
+    orders n <= 9 per tag, and m drawn in [3, n)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        tag = ("TM21", "TM22", "COR21", "TM23", "TM24")[i % 5]
+        ns = [n for n in range(FAMILIES[tag].min_n, 10) if tag != "COR21" or n % 2]
+        n = ns[round(((i // 5) % 8) * (len(ns) - 1) / 7)]
+        laws = [(float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.6, 2.5))) for _ in range(2)]
+        m = int(rng.integers(3, n)) if FAMILIES[tag].takes_m else None
+        yield tag, ("kl", "hellinger", "harmonic", "jeffreys")[i % 4], n, m, laws
+
+
+@pytest.mark.slow
+def test_the_chain_stage_decides_every_zm_large_op(monkeypatch):
+    # Every `zm_large`-style op is accepted by the chain stage or refused on a
+    # side its bound proves; none sums its moments point by point at N = 20,000.
+    # Seeds 7101, 7919, 8120 and 40001 are the benchmark's usual ones; each of
+    # the other six has a refusal among its 40 ops.
+    direct_calls = []
+    honest = divergence.direct_bound_values
+    monkeypatch.setattr(divergence, "direct_bound_values",
+                        lambda *args, **kwargs: direct_calls.append(args[3:]) or honest(*args, **kwargs))
+    outcomes = {"report": 0, "refusal": 0}
+    for seed in (22, 45, 51, 103, 132, 133, 7101, 7919, 8120, 40001):
+        for tag, name, n, m, laws in zm_large_cases(seed):
+            P, Q = (ZipfMandelbrotParams(20_000, q, s) for q, s in laws)
+            try:
+                zm_divergence_bounds(P, Q, GeneratorSpec(name), n=n, m=m, theorem=tag)
+                outcomes["report"] += 1
+            except RuntimeError:
+                outcomes["refusal"] += 1
+    assert direct_calls == [] and outcomes["refusal"] and sum(outcomes.values()) == 400, outcomes

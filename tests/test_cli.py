@@ -511,7 +511,15 @@ FILES = {
     "broken.json": "{not json",
     "no_p.json": '{"q": [0.5, 0.5]}',
     "bad_row.csv": "0.5,0.25\n0.5,x\n",
+    "string_p.json": '[0.5, "0.5"]',
+    "coerced_p.json": '{"p": [0.25, true, "0.75e0", false]}',
+    "text_p.json": '{"p": "0.5,0.5"}',
+    "string_points.json": '{"points": ["0.5", true], "weights": [0.5, "0.5"], "interval": ["0", 2]}',
+    "bool_weight.json": '{"points": [0.5, 1.5], "weights": [0.5, false], "interval": [0, 2]}',
+    "string_interval.json": '{"points": [0.5, 1.5], "weights": [0.5, 0.5], "interval": ["0", 2]}',
+    "long_interval.json": '{"points": [0.5, 1.5], "weights": [0.5, 0.5], "interval": [0, 2, 7]}',
 }
+LR = ("lr", "--function", "poly:0,0,1", "--functional-file")
 DIV = ("div", "--function", "kl")
 
 
@@ -554,6 +562,14 @@ DIV = ("div", "--function", "kl")
         (("bounds", "--function", "power:inf", "--points", "0.5,1.5", "--weights", "0.5,0.5",
           "--interval", "0.1,2", "--theorem", "tm23", "--n", "3", "--convexity", "n-convex"),
          "power exponent must be finite, got inf"),
+        (DIV + ("--p-file", "string_p.json", "--q", "0.5,0.5"), '--p-file: entry 1 is not a number: "0.5"'),
+        (DIV + ("--p-file", "coerced_p.json", "--q", "0.5,0.5"), "--p-file: entry 1 is not a number: true"),
+        (DIV + ("--p-file", "text_p.json", "--q", "0.5,0.5"),
+         "--p-file: expected an array of numbers, got a string"),
+        (LR + ("string_points.json",), 'functional JSON points: entry 0 is not a number: "0.5"'),
+        (LR + ("bool_weight.json",), "functional JSON weights: entry 1 is not a number: false"),
+        (LR + ("string_interval.json",), 'functional JSON interval: entry 0 is not a number: "0"'),
+        (LR + ("long_interval.json",), "functional JSON interval: expected two numbers, got 3"),
     ],
 )
 def test_validation_error_texts(tmp_path, capsys, argv, text):

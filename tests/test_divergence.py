@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from elrbounds import (
     CONCAVE,
     CONVEX,
+    DiscreteFunctional,
     FunctionModel,
     GeneratorSpec,
     ProbabilityVector,
@@ -20,6 +22,7 @@ from elrbounds import (
     make_generator,
     ratio_range,
 )
+from elrbounds.bounds import bound
 
 from conftest import assert_close
 
@@ -356,8 +359,8 @@ def _record_direct_route(monkeypatch):
 
 
 def _slip_reader(monkeypatch, key, eps):
-    """Scale moment `key` = (j, k) by 1 + eps in every reader `divergence` builds:
-    the chain stage's and, on fallback, `_pq_moments`'."""
+    """Scale moment `key` = (j, k) by 1 + eps in the chain stage's reader, the one
+    `_moment_reader` that `divergence` builds."""
     from elrbounds import divergence
 
     honest = divergence._moment_reader
@@ -380,27 +383,74 @@ def test_moment_slip_in_the_direct_route_table_raises(monkeypatch):
     divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
     assert direct_calls == []  # decided by the chain stage
     _slip_reader(monkeypatch, (1, 1), 1e-6)
-    with pytest.raises(RuntimeError, match="differ"):
+    with pytest.raises(RuntimeError, match="differ") as refusal:
         divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+    # Refused by the chain stage alone, on a side its bound proves, with the
+    # chain side as the direct value.
+    assert direct_calls == []
+    side, d, c = re.match(
+        r"TM23 (lower|upper): delegated value (\S+) and direct value (\S+) differ", str(refusal.value)
+    ).groups()
+    rr = ratio_range(p, q)
+    f = _gen("kl", domain=(rr.a, rr.b))
+    tables: dict = {}
+    report = bound("TM23", f, DiscreteFunctional(divergence._ratios(p, q), q._v, (rr.a, rr.b)),
+                   4, None, CONVEX, _tables=tables)
+    sides, bounds = divergence._chain_bound_values(f, p, q, rr.a, rr.b, 4, "TM23", None, CONVEX, tables)
+    i = ("lower", "upper").index(side)
+    assert float(d) == (report.lower, report.upper)[i] and float(c) == sides[i]
+    assert abs(float(d) - float(c)) > 1e-12 + bounds[i]
 
 
 def test_moment_slip_in_the_libm_stage_raises_on_fallback(monkeypatch):
-    # The twin: only `_pq_moments` slips, on an input the chain stage hands on.
+    # The twin: only `_pq_moment` slips, on an input the chain stage hands on.
     from elrbounds import divergence
 
     p, q = _table_pair(fallback=True)
-    honest = divergence._pq_moments
+    honest = divergence._pq_moment
 
-    def slipped(p, q, a, b):
-        moment = honest(p, q, a, b)
-        return lambda x, y, j, k: moment(x, y, j, k) * (1.0 + 1e-6 * (j == 1 and k == 1))
+    def slipped(p, q, a, b, j, k):
+        return honest(p, q, a, b, j, k) * (1.0 + 1e-6 * (j == 1 and k == 1))
 
     direct_calls = _record_direct_route(monkeypatch)
     divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
     assert len(direct_calls) == 1  # the chain stage fell back
-    monkeypatch.setattr(divergence, "_pq_moments", slipped)
+    monkeypatch.setattr(divergence, "_pq_moment", slipped)
     with pytest.raises(RuntimeError, match="differ"):
         divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+
+
+@pytest.mark.parametrize(
+    "shift,bound_of,decision",
+    [
+        (5e-12, lambda c: 1e-11, "accepts"),  # fixed (E < |c|) and within 1e-12 + E
+        (5e-12, lambda c: 10 * abs(c), "hands on"),  # within 1e-12 + E, but E >= |c|
+        (1e-9, lambda c: 1e-11, "refuses"),  # off by more than 1e-12 + E
+        (1e-9, lambda c: math.nan, "hands on"),  # no bound proves anything
+    ],
+    ids=["fixed", "unfixed", "proven", "no-bound"],
+)
+def test_the_chain_stage_refuses_only_what_its_bound_proves(monkeypatch, shift, bound_of, decision):
+    # Chain sides moved by `shift` from the honest ones, with a stated bound
+    # E = bound_of(c); the libm route, when it runs, agrees with the report.
+    from elrbounds import divergence
+
+    p, q = _table_pair()
+    honest = divergence._chain_bound_values
+
+    def moved(*args):
+        sides, _ = honest(*args)
+        sides = [c + shift for c in sides]
+        return sides, [bound_of(c) for c in sides]
+
+    monkeypatch.setattr(divergence, "_chain_bound_values", moved)
+    direct_calls = _record_direct_route(monkeypatch)
+    if decision == "refuses":
+        with pytest.raises(RuntimeError, match="TM23 lower: .* and direct value .* differ"):
+            divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+    else:
+        divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
+    assert len(direct_calls) == (decision == "hands on")
 
 
 def test_a_side_the_chains_do_not_fix_goes_to_the_libm_route(monkeypatch):
@@ -409,13 +459,17 @@ def test_a_side_the_chains_do_not_fix_goes_to_the_libm_route(monkeypatch):
     # cannot fix them and the libm route decides.
     from elrbounds import FunctionModel, ratio_range
 
+    from elrbounds import divergence
+
     p, q = _table_pair()
     rr = ratio_range(p, q)
     f = FunctionModel.from_polynomial((1.0,), (rr.a, rr.b))
     direct_calls = _record_direct_route(monkeypatch)
+    sums, honest = [], divergence._pq_moment
+    monkeypatch.setattr(divergence, "_pq_moment", lambda *args: sums.append(args[4:]) or honest(*args))
     report = divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
     assert (report.lower, report.upper) == (0.0, 0.0)
-    assert len(direct_calls) == 1
+    assert len(direct_calls) == 1 and sums
 
 
 def test_the_chain_arrays_are_freed_before_the_fallback_runs(monkeypatch):
