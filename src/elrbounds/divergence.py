@@ -32,7 +32,7 @@ side with |delegated - c| > 1e-12 + E, which the libm route refuses too, and
 names c as the direct value.  Only when it proves neither, its arrays are
 freed and the libm route runs, with the 1e-12 comparison; so the stage only
 turns a refusal that its own rounding explains, on a side it fixes, into
-the report.  The functional's power table is freed before the crosscheck
+the report.  The functional and its chains are freed before the crosscheck
 starts.
 """
 
@@ -40,8 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable
+from functools import cache, partial
 
 import numpy as np
 
@@ -49,8 +48,8 @@ from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family
 from .divided_diff import _U, FunctionModel
 from .functional import (
-    _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _checked_interval, _first_outside,
-    _float_array, _lazy_tuples, _moment_reader, _unit_sum,
+    _CHAIN_MAX, _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _chain_table, _checked_interval,
+    _first_outside, _float_array, _lazy_tuples, _moment_reader, _unit_sum,
 )
 from .generators import GeneratorSpec, definite_class, make_generator
 
@@ -72,7 +71,6 @@ _CROSSCHECK_TOL = 1e-12
 # arithmetic; _CHAIN_MAX keeps every sum the two routes form below overflow.
 _ETA = 5e-324
 _UP = 1.0 + 2.0**-30
-_CHAIN_MAX = 2.0**1020
 
 
 @_lazy_tuples(values="_v")
@@ -81,7 +79,7 @@ class ProbabilityVector:
     """Finite probability distribution: entries in [0, 1] summing to 1.
 
     The entries are kept as a read-only float64 array, with their fsum, for
-    the array passes (ratios, power tables); the `values` tuple is built from
+    the array passes (ratios, moment chains); the `values` tuple is built from
     it on first read.
     """
 
@@ -203,20 +201,6 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _chain_table(base: np.ndarray) -> Callable[[int], np.ndarray | float]:
-    """e -> base^e as a float64 array by repeated multiplication: one multiply per
-    exponent, each power kept (a list, not a self-referencing cache, so nothing
-    outlives the caller's last reference)."""
-    powers = [1.0, base]
-
-    def power(e: int) -> np.ndarray | float:
-        while len(powers) <= e:
-            powers.append(powers[-1] * base)
-        return powers[e]
-
-    return power
-
-
 def _chain_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float):
     """(moment, error) for x, y in {a, b}: `_pq_moment`'s sums from multiply chains.
 
@@ -326,7 +310,7 @@ def direct_bound_values(
     The private `_tables` holds the delegated route's endpoint tables, if any.
     """
     family = _family(theorem)
-    sides = family.terms(f, (a, b), n, m, partial(_pq_moment, p, q), 1.0, _tables)
+    sides = family.terms(f, (a, b), n, m, cache(partial(_pq_moment, p, q)), 1.0, _tables)
     return family.arrange(n, m, convexity, [math.fsum(t) for t in sides])[:2]
 
 
@@ -384,7 +368,7 @@ def divergence_bounds(
         f = generator
         if convexity is None:
             raise ValueError("a plain FunctionModel needs an explicit convexity class")
-    # The ratios and the functional with its power table are freed before
+    # The ratios and the functional with its chains are freed before
     # the crosscheck builds its chains; it reuses the delegated endpoint tables.
     # Built by the store step alone, which skips the checks that hold here: no
     # copy (the ratios are new, q's array is read-only), no sign or sum check

@@ -9,11 +9,11 @@ positive linear functional A with A(1) = 1 applied to point values.
 Points and weights are validated and kept as read-only float64 arrays; the
 public `points`/`weights` tuples are built from them on first read, so the
 array paths never pay for them, and copies and pickles are rebuilt from the
-arrays alone.  Moments of large point sets are summed once per functional,
-by `_moment_reader` from a power table (`_power_table`) that raises each base
-to each exponent once; a function that accepts the point array is evaluated
-on all points in one call.  Both reproduce the point-by-point sums bit for
-bit, so results never depend on which path ran.
+arrays alone.  A function that accepts the point array is evaluated on all
+points in one call, bit for bit.  Moments of large point sets are summed once
+per functional, by `_moment_reader` from multiply chains (`_chain_table`),
+within a stated bound of the point-by-point sums that rerun where a power may
+overflow or a term is not finite (`DiscreteFunctional._table_moment`).
 """
 
 from __future__ import annotations
@@ -26,49 +26,53 @@ from typing import Callable
 
 import numpy as np
 
-from .divided_diff import FunctionModel, _float_power, _sum, _values
+from .divided_diff import FunctionModel, _sum, _values
 
 __all__ = ["DiscreteFunctional", "lr_difference"]
 
 _SUM_TOL = 1e-12
+_CHAIN_MAX = 2.0**1020  # powers and sums of multiply chains stay below it, far from overflow
 
-# Smallest point set whose moments come from a power table.  Below it the
-# point-by-point sums are faster, because numpy's per-call overhead outweighs
-# the powers the table saves.  `divergence_bounds` with the gate at 1 took
-# this much of its time with the gate at 10^9 (kl, TM23 n=9 and COR21 n=7
-# m=4, 20 Dirichlet(0.5) pairs per size, best of 7, three runs; 2 vCPU
-# x86-64, Python 3.11, numpy 2.4): 1.4-1.6x at 8 points, 1.3-1.5x at 16,
-# 1.00-1.04x at 32, 0.8-0.9x at 48 and 64, 0.5-0.6x at 128.  The gate sits
-# at twice the break-even.
+# Smallest point set whose moments come from multiply chains, on both routes.
+# Below it the point-by-point sums are faster, because numpy's per-call
+# overhead outweighs the powers the chains save.  `divergence_bounds` with
+# the gate at 1 took this much of its time with the gate at 10^9 (kl, TM23
+# n=9 and COR21 n=7 m=4, 20 Dirichlet(0.5) pairs per size, best of 7, three
+# runs; 2 vCPU x86-64, Python 3.11, numpy 2.4): 1.6-1.7x at 8 points, 1.3x
+# at 16, 0.99-1.02x at 32, 0.8x at 48, 0.7x at 64, 0.5x at 128.  The gate
+# sits at twice the break-even.
 _TABLE_MIN_POINTS = 64
 
 
-def _power_table(base: np.ndarray) -> Callable[[int], np.ndarray | float]:
-    """e -> base ** e as a float64 array, each integer exponent raised once, on first use.
+def _chain_table(base: np.ndarray) -> Callable[[int], np.ndarray | float]:
+    """e -> base^e as a float64 array by repeated multiplication: one multiply per
+    exponent, each power kept (a list, not a self-referencing cache, so nothing
+    outlives the caller's last reference)."""
+    powers = [1.0, base]
 
-    Every power is `_float_power`, bit for bit (errors included) the float
-    `**` of the scalar sums; `np.power` and repeated products round
-    differently in the last bit.  Exponent 0 is 1.0 and exponent 1 the base
-    itself, as `**` gives them.
-    """
-    return cache(lambda e: 1.0 if e == 0 else base if e == 1 else _float_power(base, float(e)))
+    def power(e: int) -> np.ndarray | float:
+        while len(powers) <= e:
+            powers.append(powers[-1] * base)
+        return powers[e]
+
+    return power
 
 
 def _moment_reader(table, scalar) -> Callable[..., float]:
     """moment(*key) = `_sum(table(*key))`, summed once per key (errors are not kept).
 
-    Where the table returns None or raises, the point-by-point `scalar(*key)`
-    runs instead: the table raises every power before summing, the scalar sum
-    reports its first error in point order.  The only moment cache and rerun.
+    Where the table returns None or raises, or its sum is not finite, the
+    point-by-point `scalar(*key)` runs instead, so an error is the one the
+    scalar sum reports first in point order.  The only moment cache and rerun.
     """
     @cache
     def moment(*key) -> float:
         try:
             with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
-                terms = table(*key)
-        except ArithmeticError:
-            terms = None
-        return scalar(*key) if terms is None else _sum(terms)
+                total = math.nan if (terms := table(*key)) is None else _sum(terms)
+        except (ArithmeticError, ValueError):  # fsum raises ValueError on opposite infinities
+            total = math.nan
+        return total if math.isfinite(total) else scalar(*key)
     return moment
 
 
@@ -130,9 +134,10 @@ class DiscreteFunctional:
     The interval is stored, not inferred: the bounds depend on the chosen
     enclosing [a, b], which may be strictly wider than the point range.
     Weight sums within 1e-12 of one are renormalized exactly; zero-weight
-    points are kept.  From `_TABLE_MIN_POINTS` points on, `moment` keeps a
-    power table of g - a and g - b, and each moment it has summed, for the
-    functional's lifetime: 8 bytes per point for each exponent raised.
+    points are kept.  From `_TABLE_MIN_POINTS` points on, `moment` keeps
+    multiply chains of g - a and g - b, and each moment it has summed, for
+    the functional's lifetime: each chain holds every power up to the
+    largest exponent read, 8 bytes per point each.
     """
 
     points: tuple[float, ...]
@@ -201,12 +206,23 @@ class DiscreteFunctional:
 
     @cached_property
     def _table_moment(self) -> Callable[[int, int], float]:
-        """`_moment_reader` of power tables; it holds the arrays, never self (no cycle)."""
+        """`_moment_reader` of multiply chains; it holds the arrays, never self (no cycle).
+
+        moment(j, k) = `_sum` of t_i = w_i X_i^j Y_i^k, X = x - a, Y = x - b, is within
+        g sum|t| + alpha, rounded up, of `_moment_sum` (faithful libm pows): g = (gamma_ch
+        + gamma_ref) / (1 - max of the two) + 3u for the chains' j-1 + k-1 + 2 roundings
+        per term and the reference's 2((j>1) + (k>1)) + 2, alpha = 4 N eta ((j + k + 6)
+        max(1, max|X|)^j max(1, max|Y|)^k + 1) below the normal range (the model of
+        `divergence._chain_moments`, no denominator).  The scalar sum runs where (b - a)^j
+        or (b - a)^k (b - a >= |X_i|, |Y_i|) is not below 2^1020 or a term is not finite.
+        """
         (a, b), w, x = self.interval, self._w, self._x
         with np.errstate(all="ignore"):
-            P, Q = _power_table(x - a), _power_table(x - b)
+            X, Y = _chain_table(x - a), _chain_table(x - b)
+        top = b - a  # Python float powers below: an OverflowError is caught by the reader
         return _moment_reader(
-            lambda j, k: w * P(j) * Q(k), lambda j, k: _moment_sum(w.tolist(), x.tolist(), a, b, j, k)
+            lambda j, k: w * X(j) * Y(k) if top**j < _CHAIN_MAX and top**k < _CHAIN_MAX else None,
+            lambda j, k: _moment_sum(w.tolist(), x.tolist(), a, b, j, k),
         )
 
     def to_dict(self) -> dict:
@@ -241,7 +257,7 @@ def _json_numbers(values, what: str):
 
 
 def _moment_sum(weights, points, a: float, b: float, j: int, k: int) -> float:
-    """sum of w_i (x_i - a)^j (x_i - b)^k point by point: the power table's reference."""
+    """sum of w_i (x_i - a)^j (x_i - b)^k point by point: the chain table's reference."""
     return math.fsum(w * (x - a) ** j * (x - b) ** k for w, x in zip(weights, points))
 
 

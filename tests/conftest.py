@@ -8,16 +8,21 @@ differences in the generator tests.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import math
 import pkgutil
 import re
+from functools import cache
 
 import numpy as np
 import pytest
 
 import elrbounds
-from elrbounds import DiscreteFunctional, FunctionModel, GeneratorSpec, make_generator
+from elrbounds import DiscreteFunctional, FunctionModel, GeneratorSpec, divergence, make_generator
+from elrbounds.bounds import _family, _moments
+from elrbounds.divergence import _ETA, _UP, _gamma
+from elrbounds.divided_diff import _U, _float_power
 
 
 def lagrange_dd(fvals, nodes):
@@ -86,6 +91,52 @@ def keeps_the_outcome(libm, chained, sides_and_bounds) -> bool:
     delegated, direct = float(refusal["delegated"]), float(refusal["direct"])
     sides, bounds = sides_and_bounds()
     return abs(delegated - sides[i]) > 1e-12 and abs(direct - sides[i]) <= bounds[i]
+
+
+@contextlib.contextmanager
+def chains_off():
+    """The chain stage off: every crosscheck runs `direct_bound_values`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divergence, "_chain_bound_values", lambda *args: None)
+        yield
+
+
+def libm_power_table(base):
+    """e -> base ** e by libm `pow`, each exponent raised once: the reference for `_chain_table`."""
+    return cache(lambda e: 1.0 if e == 0 else base if e == 1 else _float_power(base, float(e)))
+
+
+def table_moment_bound(A: DiscreteFunctional, j: int, k: int) -> float:
+    """The bound `DiscreteFunctional._table_moment` states on |A.moment(j, k) - the
+    point-by-point sum|: g sum|t| + alpha, sum|t| over the scalar sum's terms."""
+    (a, b), N = A.interval, len(A)
+    size = math.fsum(abs(w * (x - a) ** j * (x - b) ** k) for w, x in zip(A.weights, A.points))
+    chain, ref = max(j - 1, 0) + max(k - 1, 0) + 2, 2 * ((j > 1) + (k > 1)) + 2
+    g = (_gamma(chain) + _gamma(ref)) / (1.0 - max(_gamma(chain), _gamma(ref))) + 3 * _U
+    top_x, top_y = (float(np.max(np.abs(A._x - e))) for e in (a, b))
+    alpha = 4 * N * _ETA * ((j + k + 6) * max(1.0, top_x) ** j * max(1.0, top_y) ** k + 1)
+    return _UP * (g * size * (1 + 2 * N * _U) + alpha)
+
+
+def side_bounds(tag, f, A: DiscreteFunctional, n, m, convexity) -> tuple:
+    """(lower, upper) bounds on the distance of `bound`'s sides on a table functional A
+    from the scalar sums' sides: each moment's `table_moment_bound` fed through
+    `family.terms`, as `divergence._chain_bound_values` feeds the chain stage's."""
+    family, a = _family(tag), A.interval[0]
+    tables: dict = {}
+
+    def sides(moment):
+        return family.terms(f, A.interval, n, m, moment, A.mean, tables)
+
+    def error(x, y, j, k):
+        return table_moment_bound(A, j, k) if x == a else table_moment_bound(A, k, j)
+
+    bounds = []
+    for terms, errs, leads in zip(sides(_moments(A)), sides(error), sides(lambda *key: 0.0)):
+        carried = sum(abs(e - z) for e, z in zip(errs, leads))
+        slack = 3 * _U * sum(map(abs, terms)) + 2 * _U * abs(math.fsum(terms)) + (3 * len(terms) + 2) * _ETA
+        bounds.append(_UP * (carried + slack))
+    return family.arrange(n, m, convexity, bounds)[:2]
 
 
 @pytest.fixture

@@ -1,12 +1,12 @@
 """The array path against the per-point path, bit for bit.
 
-Point sets are float64 arrays; power tables and Zipf-Mandelbrot weights come
-from `np.float_power`, and a model whose fn accepts the point array is
+Point sets are float64 arrays; Zipf-Mandelbrot weights and power generators
+come from `np.float_power`, and a model whose fn accepts the point array is
 evaluated on all points in one call.  These tests pin the host property that
 makes that exact (`np.float_power` is Python's float `**`, libm `pow`), count
 the calls of array-accepting and scalar-only models, then compare every
 built-in generator's chord gap and one full `zm_divergence_bounds` per
-generator with a forced scalar reference: power tables gated off and
+generator with a forced scalar reference: moment chains gated off and
 generators wrapped to take one float at a time.
 """
 
@@ -30,7 +30,7 @@ from elrbounds import (
     zm_divergence_bounds,
 )
 from elrbounds import divergence
-from elrbounds.functional import _float_power
+from elrbounds.divided_diff import _float_power
 
 SPECS = {
     "poly": {"coeffs": (1.0, -2.0, 0.5, 3.0)},

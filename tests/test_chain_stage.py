@@ -12,7 +12,6 @@ one the libm route alone gives, as `conftest.keeps_the_outcome` states.
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
@@ -32,12 +31,12 @@ from elrbounds import (
     ratio_range,
     zm_divergence_bounds,
 )
-from elrbounds import divergence
+from elrbounds import divergence, functional
 from elrbounds.bounds import FAMILIES, bound
 from elrbounds.divergence import _chain_bound_values, _chain_moments, _pq_moment, _ratios
 from elrbounds.functional import DiscreteFunctional
 
-from conftest import keeps_the_outcome
+from conftest import chains_off, keeps_the_outcome, libm_power_table
 
 
 def outcome(call, *args, **kwargs):
@@ -47,14 +46,6 @@ def outcome(call, *args, **kwargs):
     except (ArithmeticError, ValueError, RuntimeError) as exc:
         return type(exc).__name__, str(exc)
     return {key: v.hex() if isinstance(v, float) else v for key, v in report.to_dict().items()}
-
-
-@contextlib.contextmanager
-def chains_off():
-    """The chain stage off: every crosscheck runs `direct_bound_values`."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(divergence, "_chain_bound_values", lambda *args: None)
-        yield
 
 
 def make_pair(zm: bool, seed: int, tiny: float | None):
@@ -188,18 +179,27 @@ def test_the_chain_stage_decides_every_zm_large_op(monkeypatch):
     # Every `zm_large`-style op is accepted by the chain stage or refused on a
     # side its bound proves; none sums its moments point by point at N = 20,000.
     # Seeds 7101, 7919, 8120 and 40001 are the benchmark's usual ones; each of
-    # the other six has a refusal among its 40 ops.
+    # the other six has a refusal among its 40 ops.  Each op returns or
+    # refuses as it does with libm powers in the functional's moments.
     direct_calls = []
     honest = divergence.direct_bound_values
     monkeypatch.setattr(divergence, "direct_bound_values",
                         lambda *args, **kwargs: direct_calls.append(args[3:]) or honest(*args, **kwargs))
+
+    def returns(P, Q, name, n, m, tag):
+        try:
+            zm_divergence_bounds(P, Q, GeneratorSpec(name), n=n, m=m, theorem=tag)
+        except RuntimeError:
+            return False
+        return True
+
     outcomes = {"report": 0, "refusal": 0}
     for seed in (22, 45, 51, 103, 132, 133, 7101, 7919, 8120, 40001):
         for tag, name, n, m, laws in zm_large_cases(seed):
             P, Q = (ZipfMandelbrotParams(20_000, q, s) for q, s in laws)
-            try:
-                zm_divergence_bounds(P, Q, GeneratorSpec(name), n=n, m=m, theorem=tag)
-                outcomes["report"] += 1
-            except RuntimeError:
-                outcomes["refusal"] += 1
+            reported = returns(P, Q, name, n, m, tag)
+            outcomes["report" if reported else "refusal"] += 1
+            with monkeypatch.context() as mp:
+                mp.setattr(functional, "_chain_table", libm_power_table)
+                assert returns(P, Q, name, n, m, tag) == reported, (seed, tag, name, n, m)
     assert direct_calls == [] and outcomes["refusal"] and sum(outcomes.values()) == 400, outcomes

@@ -358,18 +358,20 @@ def _record_direct_route(monkeypatch):
     return calls
 
 
-def _slip_reader(monkeypatch, key, eps):
-    """Scale moment `key` = (j, k) by 1 + eps in the chain stage's reader, the one
-    `_moment_reader` that `divergence` builds."""
+def _slip_reader(monkeypatch, key, eps, module=None):
+    """Scale moment `key` = (j, k) by 1 + eps in the `_moment_reader`s that `module`
+    builds: the chain stage's by default (`divergence`, keys (x, y, j, k)), or the
+    functional's (`functional`, keys (j, k))."""
     from elrbounds import divergence
 
-    honest = divergence._moment_reader
+    module = module or divergence
+    honest = module._moment_reader
 
     def slipped(table, scalar):
         moment = honest(table, scalar)
-        return lambda x, y, j, k: moment(x, y, j, k) * (1.0 + eps * ((j, k) == key))
+        return lambda *read: moment(*read) * (1.0 + eps * (read[-2:] == key))
 
-    monkeypatch.setattr(divergence, "_moment_reader", slipped)
+    monkeypatch.setattr(module, "_moment_reader", slipped)
 
 
 def test_moment_slip_in_the_direct_route_table_raises(monkeypatch):
@@ -473,16 +475,17 @@ def test_a_side_the_chains_do_not_fix_goes_to_the_libm_route(monkeypatch):
 
 
 def test_the_chain_arrays_are_freed_before_the_fallback_runs(monkeypatch):
-    # Peak memory: at most one power table per crosscheck is alive, so the
-    # chains are gone (without the cycle collector) when the libm route starts.
+    # Peak memory: at most one set of chains per op is alive, so the
+    # functional's two and the chain stage's three are gone (without the cycle
+    # collector) when the libm route starts.
     import gc
     import weakref
 
-    from elrbounds import divergence
+    from elrbounds import divergence, functional
 
     p, q = _table_pair(fallback=True)
     chains, alive_at_fallback = [], []
-    honest_chain, honest_direct = divergence._chain_table, divergence.direct_bound_values
+    honest_chain, honest_direct = functional._chain_table, divergence.direct_bound_values
 
     def tracked(base):
         power = honest_chain(base)
@@ -493,6 +496,7 @@ def test_the_chain_arrays_are_freed_before_the_fallback_runs(monkeypatch):
         alive_at_fallback.append(sum(ref() is not None for ref in chains))
         return honest_direct(*args, **kwargs)
 
+    monkeypatch.setattr(functional, "_chain_table", tracked)
     monkeypatch.setattr(divergence, "_chain_table", tracked)
     monkeypatch.setattr(divergence, "direct_bound_values", direct)
     gc.disable()
@@ -500,31 +504,60 @@ def test_the_chain_arrays_are_freed_before_the_fallback_runs(monkeypatch):
         divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
     finally:
         gc.enable()
-    assert len(chains) == 3 and alive_at_fallback == [0]
+    assert len(chains) == 5 and alive_at_fallback == [0]
 
 
-@pytest.mark.parametrize("theorem,m", [("TM21", 3), ("TM23", None), ("TM24", None), ("COR21", 3)])
-def test_a_1e_9_slip_in_any_moment_of_a_20000_point_pair_raises(monkeypatch, theorem, m):
-    # The library golden's ZM pair: each moment the crosscheck reads, slipped
-    # alone by 1e-9 relative, must still be refused.
-    from elrbounds import ZipfMandelbrotParams, divergence, zm_divergence_bounds
+def _slip_every_moment(monkeypatch, module, theorem, m):
+    """On the library golden's ZM pair, slip each moment that `module`'s readers
+    read, alone, by 1e-9 relative (`_slip_reader`): each slip must be refused."""
+    from elrbounds import ZipfMandelbrotParams, zm_divergence_bounds
 
     P, Q = ZipfMandelbrotParams(20_000, 1.0, 1.1), ZipfMandelbrotParams(20_000, 2.5, 1.3)
-    read, honest = set(), divergence._moment_reader
+    read, honest = set(), module._moment_reader
 
     def recording(table, scalar):
         moment = honest(table, scalar)
-        return lambda *key: read.add(key[2:]) or moment(*key)
+        return lambda *key: read.add(key[-2:]) or moment(*key)
 
     with monkeypatch.context() as mp:
-        mp.setattr(divergence, "_moment_reader", recording)
+        mp.setattr(module, "_moment_reader", recording)
         zm_divergence_bounds(P, Q, GeneratorSpec("kl"), n=5, m=m, theorem=theorem)
     assert read
     for key in sorted(read):
         with monkeypatch.context() as mp:
-            _slip_reader(mp, key, 1e-9)
+            _slip_reader(mp, key, 1e-9, module)
             with pytest.raises(RuntimeError, match="differ"):
                 zm_divergence_bounds(P, Q, GeneratorSpec("kl"), n=5, m=m, theorem=theorem)
+
+
+@pytest.mark.parametrize("theorem,m", [("TM21", 3), ("TM23", None), ("TM24", None), ("COR21", 3)])
+def test_a_1e_9_slip_in_any_moment_of_a_20000_point_pair_raises(monkeypatch, theorem, m):
+    # Each moment the crosscheck's chain stage reads.
+    from elrbounds import divergence
+
+    _slip_every_moment(monkeypatch, divergence, theorem, m)
+
+
+@pytest.mark.parametrize("theorem,m", [("TM21", 3), ("TM23", None), ("TM24", None), ("COR21", 3)])
+def test_a_1e_9_slip_in_any_functional_moment_of_a_20000_point_pair_raises(monkeypatch, theorem, m):
+    # The twin on the delegated route: each moment the functional reads from its chains.
+    from elrbounds import functional
+
+    _slip_every_moment(monkeypatch, functional, theorem, m)
+
+
+@pytest.mark.parametrize("theorem", ["tm23", "tm24"])
+def test_the_libm_route_sums_each_moment_once(monkeypatch, theorem):
+    # Both TM23 (TM24) sides read A[(g-a)(g-b)]; the libm route sums it once.
+    from elrbounds import divergence
+
+    p, q = _table_pair(fallback=True)
+    direct_calls = _record_direct_route(monkeypatch)
+    sums, honest = [], divergence._pq_moment
+    monkeypatch.setattr(divergence, "_pq_moment", lambda *args: sums.append(args[2:]) or honest(*args))
+    divergence_bounds(GeneratorSpec("kl"), p, q, n=6, theorem=theorem)
+    assert len(direct_calls) == 1 and sums
+    assert len(sums) == len(set(sums))
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["chains", "fallback"])

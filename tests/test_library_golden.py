@@ -1,7 +1,7 @@
 """Golden library outcomes on large inputs: every value must stay bit for bit.
 
 The CLI goldens use a handful of points, so they never reach the moment
-power table (64 points and up) or the certified sum (1,024 elements and up).
+chains (64 points and up) or the certified sum (1,024 elements and up).
 This file pins the library calls that do, in `tests/golden/library.json`:
 
 - `zm_divergence_bounds` at N = 20,000 for every theorem tag and the four

@@ -1,15 +1,15 @@
 """Table moments against the point-by-point sums.
 
-Point sets with at least `_TABLE_MIN_POINTS` points read their moments from a
-table: the functional route from the libm power table `DiscreteFunctional.moment`
-keeps, the crosscheck from the multiply chains of its chain stage
-(`_chain_moments`), whose libm route is the point-by-point `_pq_moment` at
-every size.  The golden transcripts use a handful of points and never reach
-either, so these tests hold both tables to the scalar sums (`_moment_sum`,
-`_pq_moment`) on heavy-tailed inputs just below and above the gate and near
-2,000 points: the power table gives every value and every error text of
-`_moment_sum`; the chains are within their stated bound of `_pq_moment`, and
-read NaN, which hands the op to `_pq_moment`, where they state none.
+Point sets with at least `_TABLE_MIN_POINTS` points read their moments from
+multiply-chain tables: the functional route from the chains
+`DiscreteFunctional.moment` keeps, the crosscheck from those of its chain
+stage (`_chain_moments`), whose libm route is the point-by-point `_pq_moment`
+at every size.  The golden transcripts use a handful of points and never
+reach either, so these tests hold both tables to the scalar sums
+(`_moment_sum`, `_pq_moment`) on heavy-tailed inputs just below and above the
+gate and near 2,000 points: each table moment is within its stated bound of
+the scalar sum; the functional raises every error of `_moment_sum`, and the
+chains read NaN, which hands the op to `_pq_moment`, where they state none.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from elrbounds.bounds import FAMILIES, bound
 from elrbounds.divergence import _chain_bound_values, _chain_moments, _pq_moment, _ratios
 from elrbounds.functional import _TABLE_MIN_POINTS, _moment_sum
 
-from conftest import keeps_the_outcome
+from conftest import chains_off, keeps_the_outcome, side_bounds, table_moment_bound
 
 # Below 2 the first size would be 0, for which `_dirichlet_pair` never returns.
 assert _TABLE_MIN_POINTS >= 2, f"_TABLE_MIN_POINTS = {_TABLE_MIN_POINTS} leaves no size below the gate"
@@ -88,10 +88,21 @@ def _functional(p, q):
 
 @pytest.mark.parametrize("p,q", _pairs())
 def test_functional_table_moments_are_the_scalar_sums(p, q):
+    # Each table moment within its stated bound of the scalar sum; every
+    # error and non-finite value of the scalar sum as it is.
     A = _functional(p, q)
     a, b = A.interval
+    bounded = 0
     for j, k in ORDERS:
-        assert outcome(A.moment, j, k) == outcome(_moment_sum, A.weights, A.points, a, b, j, k)
+        want = outcome(_moment_sum, A.weights, A.points, a, b, j, k)
+        got = outcome(A.moment, j, k)
+        if isinstance(want, tuple) or not math.isfinite(float.fromhex(want)):
+            assert got == want, (j, k)
+            continue
+        bounded += 1
+        e = table_moment_bound(A, j, k)
+        assert abs(float.fromhex(got) - float.fromhex(want)) <= e, (j, k, got, want, e)
+    assert bounded
 
 
 @pytest.mark.parametrize("p,q", _pairs())
@@ -127,19 +138,41 @@ def test_every_family_is_bit_identical_on_both_routes(p, q, scalar_moments):
             (
                 outcome(bound, tag, f, A, n, m, CONVEX),
                 outcome(direct_bound_values, f, p, q, a, b, n=n, m=m, theorem=tag),
-                outcome(divergence_bounds, f, p, q, n=n, m=m, theorem=tag, convexity=CONVEX),
             )
             for tag, n, m in cases
         ]
 
-    table = run(A)
+    def crosschecked():
+        return [
+            outcome(divergence_bounds, f, p, q, n=n, m=m, theorem=tag, convexity=CONVEX)
+            for tag, n, m in cases
+        ]
+
+    table, got = run(A), crosschecked()
+    with chains_off():
+        want = crosschecked()
     scalar_moments()
     scalar = run(_functional(p, q))
-    # The bound and the direct route stay bit for bit.  The crosscheck may
-    # differ only as `keeps_the_outcome` allows the chain stage, which runs on
-    # the table path alone.
-    assert [case[:2] for case in table] == [case[:2] for case in scalar]
+    # The direct route stays bit for bit.  The bound's errors are the scalar
+    # sums' errors, and each side it reports is within its stated bound
+    # (`side_bounds`) of the scalar sums' side; nothing else moves.
+    assert [case[1] for case in table] == [case[1] for case in scalar]
+    for case, (report, _), (reference, _) in zip(cases, table, scalar):
+        if not isinstance(reference, dict):
+            assert report == reference, case
+            continue
+        assert {key: v for key, v in report.items() if key not in ("lower", "upper")} == {
+            key: v for key, v in reference.items() if key not in ("lower", "upper")
+        }, case
+        tag, n, m = case
+        for side, e in zip(("lower", "upper"), side_bounds(tag, f, A, n, m, CONVEX)):
+            if reference[side] is None:
+                assert report[side] is None, case
+            else:
+                assert abs(float.fromhex(report[side]) - float.fromhex(reference[side])) <= e, (case, side)
 
+    # On the same table functional, the crosscheck may differ from its libm
+    # route alone only as `keeps_the_outcome` allows the chain stage.
     def sides_and_bounds(tag, n, m, direct):
         tables: dict = {}
         bound(tag, f, A, n, m, CONVEX, _tables=tables)
@@ -147,8 +180,8 @@ def test_every_family_is_bit_identical_on_both_routes(p, q, scalar_moments):
         sides = [math.nan if v is None else float.fromhex(v) for v in direct]
         return sides, chained[1] if chained else (math.nan, math.nan)
 
-    for case, (*_, got), (_, direct, want) in zip(cases, table, scalar):
-        assert keeps_the_outcome(want, got, lambda: sides_and_bounds(*case, direct)), (case, want, got)
+    for case, (_, direct), libm, chained in zip(cases, table, want, got):
+        assert keeps_the_outcome(libm, chained, lambda: sides_and_bounds(*case, direct)), (case, libm, chained)
 
 
 # --- edge cases ---------------------------------------------------------------
