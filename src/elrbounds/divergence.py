@@ -30,17 +30,18 @@ is `_chain_moments`').  It accepts when every side the report carries has
 E < |c| and |delegated - c| <= 1e-12 + E.  Otherwise it refuses on the first
 side with |delegated - c| > 1e-12 + E, which the libm route refuses too, and
 names c as the direct value.  Only when it proves neither, its arrays are
-freed and the libm route runs, with the 1e-12 comparison; so the stage only
-turns a refusal that its own rounding explains, on a side it fixes, into
-the report.  The functional and its chains are freed before the crosscheck
-starts.
+freed and the op ends as below the gate: the libm route checks, with no
+slack, the report rebuilt from the point-by-point moments.  So the stage
+only turns a refusal that its own rounding explains, on a side it fixes,
+into the report.  The functional and its chains are freed before the
+crosscheck.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .bounds import CONVEX, BoundReport, _family
 from .divided_diff import _U, FunctionModel
 from .functional import (
     _CHAIN_MAX, _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _chain_table, _checked_interval,
-    _first_outside, _float_array, _lazy_tuples, _moment_reader, _unit_sum,
+    _first_outside, _float_array, _lazy_tuples, _moment_reader, _point_by_point, _unit_sum,
 )
 from .generators import GeneratorSpec, definite_class, make_generator
 
@@ -310,7 +311,7 @@ def direct_bound_values(
     The private `_tables` holds the delegated route's endpoint tables, if any.
     """
     family = _family(theorem)
-    sides = family.terms(f, (a, b), n, m, cache(partial(_pq_moment, p, q)), 1.0, _tables)
+    sides = family.terms(f, (a, b), n, m, partial(_pq_moment, p, q), 1.0, _tables)
     return family.arrange(n, m, convexity, [math.fsum(t) for t in sides])[:2]
 
 
@@ -379,7 +380,7 @@ def divergence_bounds(
     tables: dict = {}
     report = _bounds.bound(theorem, f, A, n, m, convexity, _tables=tables)
     del A
-    delegated, direct = (report.lower, report.upper), None
+    delegated, direct, slack = (report.lower, report.upper), None, (0.0, 0.0)
     if len(q) >= _TABLE_MIN_POINTS:
         chained = _chain_bound_values(f, p, q, a, b, n, theorem, m, convexity, tables)
         if chained is not None:
@@ -389,9 +390,12 @@ def divergence_bounds(
             # |c - libm side| <= e: a side off by more than 1e-12 + e is refused on both routes.
             if any(abs(d - c) > _CROSSCHECK_TOL + e for d, c, e in carried):
                 direct, slack = chained
+        if direct is None:  # as below the gate: the libm route checks the point-by-point report
+            report = _bounds.bound(theorem, f, _point_by_point(_ratios(p, q), q._v, q._total, (a, b)),
+                                   n, m, convexity, _tables=tables)
+            delegated = report.lower, report.upper
     if direct is None:
         direct = direct_bound_values(f, p, q, a, b, n, theorem, m, convexity, _tables=tables)
-        slack = (0.0, 0.0)
     for side, d, direct_v, e in zip(("lower", "upper"), delegated, direct, slack):
         if d is not None and abs(d - direct_v) > _CROSSCHECK_TOL + e:
             raise RuntimeError(

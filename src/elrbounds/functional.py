@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -259,6 +259,13 @@ def _json_numbers(values, what: str):
 def _moment_sum(weights, points, a: float, b: float, j: int, k: int) -> float:
     """sum of w_i (x_i - a)^j (x_i - b)^k point by point: the chain table's reference."""
     return math.fsum(w * (x - a) ** j * (x - b) ** k for w, x in zip(weights, points))
+
+
+def _point_by_point(x: np.ndarray, w: np.ndarray, total: float, interval) -> DiscreteFunctional:
+    """The functional `_store` keeps, its moments summed point by point at any size (no chains)."""
+    A = object.__new__(DiscreteFunctional)._store(x, w, total, interval)
+    vars(A)["_table_moment"] = partial(_moment_sum, A.weights, A.points, *interval)
+    return A
 
 
 def lr_difference(f: FunctionModel, A: DiscreteFunctional) -> float:

@@ -53,49 +53,63 @@ def exp_model(domain=(-1.0, 2.0)):
     return make_generator(GeneratorSpec("exp", domain=domain))
 
 
-def is_refusal_flip(libm, chained) -> bool:
-    """True when `libm`, an outcome ("RuntimeError", text) of the crosscheck's libm
-    route, refused the report that `chained`, a report dict with float.hex
-    values, carries: the side it names is bit for bit the refused delegated value."""
-    if not (isinstance(libm, tuple) and libm[0] == "RuntimeError" and isinstance(chained, dict)):
-        return False
-    side, value = _REFUSAL.match(libm[1]).group("side", "delegated")
-    return float.fromhex(chained[side]) == float(value)
-
-
+_SIDES = ("lower", "upper")
 _REFUSAL = re.compile(
     r"\w+ (?P<side>lower|upper): delegated value (?P<delegated>\S+) and direct value (?P<direct>\S+) differ"
 )
 
 
 def keeps_the_outcome(libm, chained, sides_and_bounds) -> bool:
-    """True when `chained`, an op's outcome with the crosscheck's chain stage,
-    is one the chain stage may give where the libm route alone gives `libm`.
+    """True when `chained`, an op's outcome with the functional's chains and the
+    crosscheck's chain stage, is one they may give where the point-by-point
+    moments and the libm route alone give `libm`.
 
     Outcomes are report dicts with float.hex values or (type name, text).
-    The two are equal; or the libm route refused the report `chained` carries
-    (`is_refusal_flip`); or both refuse, and the side `chained` names is one
-    the libm route refuses, with the direct value it prints within that
-    side's chain bound of the libm side.  `sides_and_bounds()` returns the
-    libm sides, (lower, upper) from `direct_bound_values`, and the chain
-    stage's bound E of each; it is only called in the last case.
+    `sides_and_bounds()` returns the libm sides, (lower, upper) from
+    `direct_bound_values`, the chain stage's bound E of each, and the bound S
+    of each delegated side's distance from the point-by-point one
+    (`side_bounds`); it is called only when the outcomes differ.  Allowed:
+    - both report, and only the sides differ, each by at most S;
+    - the libm route refused a side that `chained` reports within S of the
+      refused delegated value;
+    - `chained` refuses a side whose delegated value is more than 1e-12 from
+      the libm side (so the libm route refuses it too), with the direct value
+      it prints within E of the libm side; where `libm` reports, that
+      delegated value is within S of its side.
     """
-    if chained == libm or is_refusal_flip(libm, chained):
+    if chained == libm:
         return True
-    if not all(isinstance(o, tuple) and o[0] == "RuntimeError" for o in (libm, chained)):
+    sides, bounds, moved = sides_and_bounds()
+
+    def side(report, i):
+        return None if report[_SIDES[i]] is None else float.fromhex(report[_SIDES[i]])
+
+    def near(x, y, i):
+        return x is None and y is None or x is not None and y is not None and abs(x - y) <= moved[i]
+
+    ours, theirs = (_REFUSAL.match(o[1]) if isinstance(o, tuple) else None for o in (chained, libm))
+    if isinstance(chained, dict) and isinstance(libm, dict):
+        rest = [{key: v for key, v in o.items() if key not in _SIDES} for o in (chained, libm)]
+        return rest[0] == rest[1] and all(near(side(chained, i), side(libm, i), i) for i in (0, 1))
+    if isinstance(chained, dict):
+        if theirs is None:
+            return False
+        i = _SIDES.index(theirs["side"])
+        return near(side(chained, i), float(theirs["delegated"]), i)
+    if ours is None or not (isinstance(libm, dict) or theirs):
         return False
-    refusal = _REFUSAL.match(chained[1])
-    if refusal is None:
+    i = _SIDES.index(ours["side"])
+    delegated = float(ours["delegated"])
+    if not (abs(delegated - sides[i]) > 1e-12 and abs(float(ours["direct"]) - sides[i]) <= bounds[i]):
         return False
-    i = ("lower", "upper").index(refusal["side"])
-    delegated, direct = float(refusal["delegated"]), float(refusal["direct"])
-    sides, bounds = sides_and_bounds()
-    return abs(delegated - sides[i]) > 1e-12 and abs(direct - sides[i]) <= bounds[i]
+    return not isinstance(libm, dict) or near(delegated, side(libm, i), i)
 
 
 @contextlib.contextmanager
 def chains_off():
-    """The chain stage off: every crosscheck runs `direct_bound_values`."""
+    """The chain stage off: from `_TABLE_MIN_POINTS` points on, every crosscheck is
+    the libm route's check of the point-by-point moments' report, as it was before
+    the stage existed."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(divergence, "_chain_bound_values", lambda *args: None)
         yield

@@ -1,13 +1,16 @@
-"""The array path against the per-point path, bit for bit.
+"""The array path against the per-point path.
 
 Point sets are float64 arrays; Zipf-Mandelbrot weights and power generators
 come from `np.float_power`, and a model whose fn accepts the point array is
 evaluated on all points in one call.  These tests pin the host property that
 makes that exact (`np.float_power` is Python's float `**`, libm `pow`), count
 the calls of array-accepting and scalar-only models, then compare every
-built-in generator's chord gap and one full `zm_divergence_bounds` per
-generator with a forced scalar reference: moment chains gated off and
-generators wrapped to take one float at a time.
+built-in generator's chord gap, bit for bit, and one full
+`zm_divergence_bounds` per generator with a forced scalar reference: moment
+chains gated off and generators wrapped to take one float at a time.  The
+moments of that reference are the point-by-point sums, which the chains
+meet within a stated bound, so its sides are held to `conftest.side_bounds`
+and every other field bit for bit.
 """
 
 from __future__ import annotations
@@ -27,10 +30,13 @@ from elrbounds import (
     lr_difference,
     make_generator,
     pmf_vector,
+    ratio_range,
     zm_divergence_bounds,
 )
 from elrbounds import divergence
 from elrbounds.divided_diff import _float_power
+
+from conftest import side_bounds
 
 SPECS = {
     "poly": {"coeffs": (1.0, -2.0, 0.5, 3.0)},
@@ -224,6 +230,8 @@ def _outcome(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_zm_bounds_at_20000_points_are_the_scalar_reference(name, monkeypatch, scalar_moments):
+    # Each side within its stated bound (`side_bounds`) of the reference's,
+    # since the moments come from multiply chains; every other field bit for bit.
     P = ZipfMandelbrotParams(20_000, 1.0, 1.1)
     Q = ZipfMandelbrotParams(20_000, 2.5, 1.3)
     spec = _spec(name, (0.5, 2.0))
@@ -232,9 +240,18 @@ def test_zm_bounds_at_20000_points_are_the_scalar_reference(name, monkeypatch, s
         return _outcome(zm_divergence_bounds, P, Q, spec, n=5, theorem="TM23")
 
     fast = run()
+    assert isinstance(fast, dict)
+    p, q = pmf_vector(P), pmf_vector(Q)
+    rr = ratio_range(p, q)
+    A = DiscreteFunctional(divergence._ratios(p, q), q._v, (rr.a, rr.b))
+    f = make_generator(dataclasses.replace(spec, domain=A.interval))
+    bounds = side_bounds("TM23", f, A, 5, None, fast["convexity"])
     scalar_moments()
     build = divergence.make_generator
     monkeypatch.setattr(divergence, "make_generator", lambda s: _per_point(build(s)))
     reference = run()
-    assert isinstance(fast, dict)
-    assert fast == reference
+    assert isinstance(reference, dict)
+    sides = ("lower", "upper")
+    assert {k: v for k, v in fast.items() if k not in sides} == {k: v for k, v in reference.items() if k not in sides}
+    for side, e in zip(sides, bounds):
+        assert abs(float.fromhex(fast[side]) - float.fromhex(reference[side])) <= e, (side, fast, reference, e)

@@ -7,7 +7,8 @@ bound proves the libm route refuses, and runs the libm route only when the
 chains decide nothing.  These properties hold the bounds to the libm values
 on Zipf-Mandelbrot and heavy-tailed Dirichlet pairs (some with a q_i near
 underflow), on every side with a finite bound, and hold every outcome to the
-one the libm route alone gives, as `conftest.keeps_the_outcome` states.
+one the libm route alone gives on the point-by-point moments, as
+`conftest.keeps_the_outcome` states.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from elrbounds.bounds import FAMILIES, bound
 from elrbounds.divergence import _chain_bound_values, _chain_moments, _pq_moment, _ratios
 from elrbounds.functional import DiscreteFunctional
 
-from conftest import chains_off, keeps_the_outcome, libm_power_table
+from conftest import chains_off, keeps_the_outcome, libm_power_table, side_bounds
 
 
 def outcome(call, *args, **kwargs):
@@ -108,7 +109,30 @@ def test_the_chain_stage_is_within_its_bounds_and_keeps_every_outcome(zm, seed, 
         got = outcome(divergence_bounds, f, p, q, n=n, m=m, theorem=tag, convexity=CONVEX)
         with chains_off():
             want = outcome(divergence_bounds, f, p, q, n=n, m=m, theorem=tag, convexity=CONVEX)
-        assert keeps_the_outcome(want, got, lambda: (direct, bounds)), (tag, want, got)
+        sides_and_bounds = lambda: (direct, bounds, side_bounds(tag, f, A, n, m, CONVEX))  # noqa: E731
+        assert keeps_the_outcome(want, got, sides_and_bounds), (tag, want, got)
+
+
+def test_an_op_the_chain_stage_hands_on_ends_as_below_the_gate(monkeypatch, scalar_moments):
+    # Dirichlet K = 66 with q_0 = 1e-300: q_0^2 leaves the normal range, so
+    # the chain stage states no bound and the libm route decides, and its
+    # 1e-12 has no slack for the chains' last bits.  On the chain-read report it passed TM22's upper side -26,624,
+    # below lr = -90.4; on the point-by-point moments' report it refuses, at
+    # every size, so the op is refused here as with the chains gated off.
+    p, q = make_pair(False, 10_031, 1e-300)
+    direct_calls = []
+    honest = divergence.direct_bound_values
+    monkeypatch.setattr(divergence, "direct_bound_values",
+                        lambda *args, **kwargs: direct_calls.append(args[3:]) or honest(*args, **kwargs))
+
+    def run():
+        return outcome(divergence_bounds, GeneratorSpec("jeffreys"), p, q, n=7, m=6, theorem="TM22")
+
+    got = run()
+    assert len(q) == 66 and len(direct_calls) == 1
+    assert got[0] == "RuntimeError" and got[1].startswith("TM22 upper: delegated value -18432.0 ")
+    scalar_moments()
+    assert run() == got
 
 
 def _sweep_case(rng, i):

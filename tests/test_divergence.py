@@ -546,20 +546,6 @@ def test_a_1e_9_slip_in_any_functional_moment_of_a_20000_point_pair_raises(monke
     _slip_every_moment(monkeypatch, functional, theorem, m)
 
 
-@pytest.mark.parametrize("theorem", ["tm23", "tm24"])
-def test_the_libm_route_sums_each_moment_once(monkeypatch, theorem):
-    # Both TM23 (TM24) sides read A[(g-a)(g-b)]; the libm route sums it once.
-    from elrbounds import divergence
-
-    p, q = _table_pair(fallback=True)
-    direct_calls = _record_direct_route(monkeypatch)
-    sums, honest = [], divergence._pq_moment
-    monkeypatch.setattr(divergence, "_pq_moment", lambda *args: sums.append(args[2:]) or honest(*args))
-    divergence_bounds(GeneratorSpec("kl"), p, q, n=6, theorem=theorem)
-    assert len(direct_calls) == 1 and sums
-    assert len(sums) == len(set(sums))
-
-
 @pytest.mark.parametrize("fallback", [False, True], ids=["chains", "fallback"])
 @pytest.mark.parametrize(
     "theorem,n,m,sides", [("tm21", 5, 3, 1), ("tm23", 5, None, 2), ("cor21", 5, 3, 2)],

@@ -34,7 +34,7 @@ from elrbounds.bounds import FAMILIES, bound
 from elrbounds.divergence import _chain_bound_values, _chain_moments, _pq_moment, _ratios
 from elrbounds.functional import _TABLE_MIN_POINTS, _moment_sum
 
-from conftest import chains_off, keeps_the_outcome, side_bounds, table_moment_bound
+from conftest import keeps_the_outcome, side_bounds, table_moment_bound
 
 # Below 2 the first size would be 0, for which `_dirichlet_pair` never returns.
 assert _TABLE_MIN_POINTS >= 2, f"_TABLE_MIN_POINTS = {_TABLE_MIN_POINTS} leaves no size below the gate"
@@ -138,26 +138,19 @@ def test_every_family_is_bit_identical_on_both_routes(p, q, scalar_moments):
             (
                 outcome(bound, tag, f, A, n, m, CONVEX),
                 outcome(direct_bound_values, f, p, q, a, b, n=n, m=m, theorem=tag),
+                outcome(divergence_bounds, f, p, q, n=n, m=m, theorem=tag, convexity=CONVEX),
             )
             for tag, n, m in cases
         ]
 
-    def crosschecked():
-        return [
-            outcome(divergence_bounds, f, p, q, n=n, m=m, theorem=tag, convexity=CONVEX)
-            for tag, n, m in cases
-        ]
-
-    table, got = run(A), crosschecked()
-    with chains_off():
-        want = crosschecked()
+    table = run(A)
     scalar_moments()
     scalar = run(_functional(p, q))
     # The direct route stays bit for bit.  The bound's errors are the scalar
     # sums' errors, and each side it reports is within its stated bound
     # (`side_bounds`) of the scalar sums' side; nothing else moves.
     assert [case[1] for case in table] == [case[1] for case in scalar]
-    for case, (report, _), (reference, _) in zip(cases, table, scalar):
+    for case, (report, *_), (reference, *_) in zip(cases, table, scalar):
         if not isinstance(reference, dict):
             assert report == reference, case
             continue
@@ -171,17 +164,17 @@ def test_every_family_is_bit_identical_on_both_routes(p, q, scalar_moments):
             else:
                 assert abs(float.fromhex(report[side]) - float.fromhex(reference[side])) <= e, (case, side)
 
-    # On the same table functional, the crosscheck may differ from its libm
-    # route alone only as `keeps_the_outcome` allows the chain stage.
+    # The crosscheck may differ only as `keeps_the_outcome` allows the
+    # functional's chains and the chain stage, which run on the table path alone.
     def sides_and_bounds(tag, n, m, direct):
         tables: dict = {}
         bound(tag, f, A, n, m, CONVEX, _tables=tables)
         chained = _chain_bound_values(f, p, q, a, b, n, tag, m, CONVEX, tables)
         sides = [math.nan if v is None else float.fromhex(v) for v in direct]
-        return sides, chained[1] if chained else (math.nan, math.nan)
+        return sides, chained[1] if chained else (math.nan, math.nan), side_bounds(tag, f, A, n, m, CONVEX)
 
-    for case, (_, direct), libm, chained in zip(cases, table, want, got):
-        assert keeps_the_outcome(libm, chained, lambda: sides_and_bounds(*case, direct)), (case, libm, chained)
+    for case, (*_, got), (_, direct, want) in zip(cases, table, scalar):
+        assert keeps_the_outcome(want, got, lambda: sides_and_bounds(*case, direct)), (case, want, got)
 
 
 # --- edge cases ---------------------------------------------------------------
