@@ -24,7 +24,9 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from functools import partial
 
-from .divided_diff import FunctionModel, _check_support, _is_integer, endpoint_table, remainder_R
+from .divided_diff import (
+    FunctionModel, _check_orders, _check_support, _integer, endpoint_table, remainder_R,
+)
 from .functional import DiscreteFunctional, lr_difference
 
 __all__ = [
@@ -66,8 +68,9 @@ class _Family:
 
     def resolve(self, n: int, m: int | None) -> list[tuple[str, int]]:
         """The sides with the caller's m filled in; `_terms` checks m against n."""
+        n = _integer(n, "n", 2)
         if self.takes_m:
-            if m is None or m < 3:
+            if m is None or (m := _integer(m, "m", 1)) < 3:
                 raise ValueError(f"{self.tag} requires m >= 3, got m={m}")
         elif n < self.min_n:
             raise ValueError(f"{self.tag} requires n >= {self.min_n}, got n={n}")
@@ -97,7 +100,8 @@ class _Family:
         """
         _check_convexity(convexity)
         sigma = 1 if convexity == CONVEX else -1
-        return [sigma * (-1) ** (n - k if x == "a" else k) for x, k in self.resolve(n, m)]
+        sides = self.resolve(n, m)  # accepts n as an integer, so int(n) is exact
+        return [sigma * (-1) ** (int(n) - k if x == "a" else k) for x, k in sides]
 
     def arrange(
         self, n: int, m: int | None, convexity: str, values: list[float]
@@ -157,16 +161,6 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _check_orders(n: int, m: int | None) -> tuple[int, int | None]:
-    """The n/m rule: n an integer >= 2 and m, unless None, an integer in
-    1..n-1.  Returns them as ints, so 4.0 reads as 4."""
-    if not _is_integer(n) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
-    if m is not None and (not _is_integer(m) or not 1 <= m <= n - 1):
-        raise ValueError(f"m must be an integer in 1..{n - 1}, got {m}")
-    return int(n), None if m is None else int(m)
 
 
 def _check_convexity(convexity: str) -> None:

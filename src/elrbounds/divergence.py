@@ -47,9 +47,9 @@ import numpy as np
 
 from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family
-from .divided_diff import _U, FunctionModel
+from .divided_diff import _U, FunctionModel, _checked_interval
 from .functional import (
-    _CHAIN_MAX, _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _chain_table, _checked_interval,
+    _CHAIN_MAX, _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _chain_table,
     _first_outside, _float_array, _lazy_tuples, _moment_reader, _point_by_point, _unit_sum,
 )
 from .generators import GeneratorSpec, definite_class, make_generator
@@ -351,7 +351,7 @@ def divergence_bounds(
     else:
         a, b = float(interval[0]), float(interval[1])
         if not (math.isfinite(a) and math.isfinite(b)):
-            _checked_interval((a, b))  # raises its "must be finite" text
+            _checked_interval((a, b), "interval")  # raises its "must be finite" text
         if a > rr.a or b < rr.b:
             raise ValueError(
                 f"interval [{a}, {b}] does not contain the ratio range [{rr.a}, {rr.b}]"
@@ -375,7 +375,8 @@ def divergence_bounds(
     # copy (the ratios are new, q's array is read-only), no sign or sum check
     # of q's entries as weights (q kept their fsum), and no [a, b] scan (a and
     # b are the ratios' extremes or a checked enclosing interval).
-    A = object.__new__(DiscreteFunctional)._store(ratios, q._v, q._total, _checked_interval((a, b)))
+    A = object.__new__(DiscreteFunctional)._store(
+        ratios, q._v, q._total, _checked_interval((a, b), "interval"))
     del ratios
     tables: dict = {}
     report = _bounds.bound(theorem, f, A, n, m, convexity, _tables=tables)

@@ -75,8 +75,35 @@ def _is_integer(value) -> bool:
     """True for an integral real number that is not a bool: 3, 3.0, np.int64(3)."""
     # The exact-int test first: it is the common case, and an ABC `isinstance` is slow.
     return type(value) is int or (
-        isinstance(value, Real) and not isinstance(value, bool) and value % 1 == 0
+        isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+        and value % 1 == 0  # numpy warns on inf % 1, so the finite test comes first
     )
+
+
+def _integer(value, name: str, low: int, high: int | None = None) -> int:
+    """`value` as an int when `_is_integer` and in low.. (or low..high), else a
+    ValueError naming it: the one rule for integer arguments."""
+    if type(value) is int and low <= value and (high is None or value <= high):
+        return value
+    if _is_integer(value) and low <= value and (high is None or value <= high):
+        return int(value)
+    limits = f">= {low}" if high is None else f"in {low}..{high}"
+    raise ValueError(f"{name} must be an integer {limits}, got {value!r}")
+
+
+def _check_orders(n: int, m: int | None) -> tuple[int, int | None]:
+    """The n/m rule: n an integer >= 2 and m, unless None, an integer in
+    1..n-1.  Returns them as ints, so 4.0 reads as 4."""
+    n = _integer(n, "n", 2)
+    return n, None if m is None else _integer(m, "m", 1, n - 1)
+
+
+def _checked_interval(interval, name: str) -> tuple[float, float]:
+    """`interval` as two floats a < b, both finite, else a ValueError naming it."""
+    a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"{name} must be finite with a < b, got [{a}, {b}]")
+    return a, b
 
 
 def _sum(x: np.ndarray) -> float:
@@ -193,24 +220,16 @@ class FunctionModel:
     slope_at_infinity: float | None = None
 
     def __post_init__(self) -> None:
-        a, b = self.domain
-        a, b = float(a), float(b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"domain must be finite, got [{a}, {b}]")
-        if not a < b:
-            raise ValueError(f"domain must satisfy a < b, got [{a}, {b}]")
-        object.__setattr__(self, "domain", (a, b))
-        if not _is_integer(self.max_order):
-            raise ValueError(f"max_order must be an integer, got {self.max_order!r}")
-        if self.max_order < 0:
-            raise ValueError("max_order must be nonnegative")
-        object.__setattr__(self, "max_order", int(self.max_order))
+        object.__setattr__(self, "domain", _checked_interval(self.domain, "domain"))
+        object.__setattr__(self, "max_order", _integer(self.max_order, "max_order", 0))
 
     def __call__(self, t):
         return self.fn(t)
 
     def deriv(self, order: int, t):
-        """k-th derivative at t; `order` must be in 1..max_order."""
+        """k-th derivative at t; `order` must be an integer in 1..max_order."""
+        if type(order) is not int:  # the exact-int test first: every table border calls this
+            order = _integer(order, "derivative order", 1)
         if not 1 <= order <= self.max_order:
             raise ValueError(
                 f"derivative order {order} outside 1..{self.max_order} "
@@ -255,7 +274,7 @@ class FunctionModel:
         return cls(
             fn=functools.partial(dv, 0),
             deriv_fn=dv,
-            domain=(float(domain[0]), float(domain[1])),
+            domain=domain,
             max_order=max_order,
             name=name or "poly(" + ",".join(repr(c) for c in cs) + ")",
         )
@@ -309,11 +328,9 @@ class NodeMultiset:
         merged: dict[float, int] = {}
         for raw_node, raw_mult in self.entries:
             node = float(raw_node)
-            mult = int(raw_mult)
             if not math.isfinite(node):
                 raise ValueError(f"node {raw_node!r} is not finite")
-            if mult < 1 or mult != raw_mult:
-                raise ValueError(f"multiplicity must be a positive integer, got {raw_mult!r}")
+            mult = _integer(raw_mult, "multiplicity", 1)
             merged[node] = merged.get(node, 0) + mult
         if not merged:
             raise ValueError("node multiset must not be empty")
@@ -359,8 +376,7 @@ class NewtonForm:
 
     def deriv(self, order: int, t: float) -> float:
         """Derivative via the Horner recurrence carried with all lower orders."""
-        if order < 1:
-            raise ValueError("derivative order must be >= 1")
+        order = _integer(order, "derivative order", 1)
         d = [0.0] * (order + 1)
         d[0] = float(self.coeffs[-1])
         for i in range(len(self.coeffs) - 2, -1, -1):
@@ -411,10 +427,7 @@ def endpoint_table(f: FunctionModel, x: float, y: float, rows: int, cols: int) -
     for bit the confluent table's cells, with its errors in the order a row of
     cells meets them (gap, domain, f[x, x], f^(k)(x), then a run of y too long).
     """
-    for name, size in (("rows", rows), ("cols", cols)):
-        if not _is_integer(size) or size < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {size}")
-    rows, cols = int(rows), int(cols)
+    rows, cols = _integer(rows, "rows", 1), _integer(cols, "cols", 1)
     u, v = sorted((x, y))
     _check_gap(u, v)
     _check_support(f, (u, v), min(rows, 2))
@@ -443,11 +456,9 @@ def newton_interpolant(f: FunctionModel, nodes: NodeMultiset) -> NewtonForm:
 def hermite_mn(f: FunctionModel, a: float, b: float, m: int, n: int) -> NewtonForm:
     """Two-point form on {a x m, b x (n-m)}: matches f^(i)(a) for i < m and
     f^(i)(b) for i < n-m."""
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"m must satisfy 1 <= m <= n-1, got m={m}, n={n}")
-    if not a < b:
-        raise ValueError(f"endpoints must satisfy a < b, got a={a}, b={b}")
-    return newton_interpolant(f, NodeMultiset(((float(a), m), (float(b), n - m))))
+    n, m = _check_orders(n, m)
+    a, b = _checked_interval((a, b), "endpoints")
+    return newton_interpolant(f, NodeMultiset(((a, m), (b, n - m))))
 
 
 def remainder_R(
@@ -468,8 +479,7 @@ def remainder_R(
     point with its errors.  The private `_table` is that pass's
     `endpoint_table(f, a, b, m, n - m)` when the caller already holds it.
     """
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"m must satisfy 1 <= m <= n-1, got m={m}, n={n}")
+    n, m = _check_orders(n, m)
     if not (isinstance(t, np.ndarray) and t.ndim == 1):
         return _remainder_at(f, a, b, m, n, float(t))
     return _values(lambda s: _remainder_cells(f, float(a), float(b), m, n, s, _table), t,

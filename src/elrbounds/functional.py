@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divided_diff import FunctionModel, _sum, _values
+from .divided_diff import FunctionModel, _checked_interval, _integer, _sum, _values
 
 __all__ = ["DiscreteFunctional", "lr_difference"]
 
@@ -84,13 +84,6 @@ def _float_array(values) -> np.ndarray:
     if arr.ndim != 1:
         raise TypeError(f"expected a flat sequence of numbers, got shape {arr.shape}")
     return arr
-
-
-def _checked_interval(interval) -> tuple[float, float]:
-    a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"interval must be finite with a < b, got [{a}, {b}]")
-    return a, b
 
 
 def _lazy_tuples(**arrays: str):
@@ -151,7 +144,7 @@ class DiscreteFunctional:
             raise ValueError(
                 f"points ({len(x)}) and weights ({len(w)}) must have equal length >= 1"
             )
-        a, b = _checked_interval(self.interval)
+        a, b = _checked_interval(self.interval, "interval")
         if not np.minimum.reduce(w) >= 0.0:
             i = int((w >= 0.0).argmin())
             raise ValueError(f"weights[{i}] = {float(w[i])} is negative")
@@ -197,9 +190,7 @@ class DiscreteFunctional:
 
     def moment(self, j: int, k: int) -> float:
         """A[(g - a)^j (g - b)^k] for the stored interval endpoints."""
-        if j < 0 or k < 0 or j % 1 or k % 1:
-            kind = "nonnegative" if j < 0 or k < 0 else "integers"
-            raise ValueError(f"moment orders must be {kind}, got ({j}, {k})")
+        j, k = _integer(j, "moment order j", 0), _integer(k, "moment order k", 0)
         if len(self._x) < _TABLE_MIN_POINTS:
             return _moment_sum(self.weights, self.points, *self.interval, j, k)
         return self._table_moment(j, k)

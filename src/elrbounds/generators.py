@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import CONCAVE, CONVEX
-from .divided_diff import FunctionModel, _float_power, _is_integer, _values
+from .divided_diff import FunctionModel, _checked_interval, _float_power, _integer, _values
 
 __all__ = [
     "INDEFINITE",
@@ -63,9 +63,7 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.name not in BUILTIN_NAMES:
             raise ValueError(f"unknown generator {self.name!r}; choose from {BUILTIN_NAMES}")
-        a, b = float(self.domain[0]), float(self.domain[1])
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"domain must be finite with a < b, got [{a}, {b}]")
+        a, b = _checked_interval(self.domain, "domain")
         if self.name in ("kl", "hellinger", "jeffreys", "power") and not a > 0:
             raise ValueError(f"{self.name} requires a domain inside (0, inf), got [{a}, {b}]")
         if self.name == "harmonic" and not a > -1:
@@ -179,11 +177,7 @@ def classify(spec: GeneratorSpec, n: int) -> str:
     point, where float `**` raises its OverflowError.
     """
     f = make_generator(spec)
-    if not _is_integer(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if not 1 <= n <= f.max_order:
-        raise ValueError(f"n must be in 1..{f.max_order}, got {n}")
-    n = int(n)
+    n = _integer(n, "n", 1, f.max_order)
     a, b = spec.domain
     grid = a + (b - a) * np.arange(_CLASSIFY_GRID) / (_CLASSIFY_GRID - 1)
     with np.errstate(all="ignore"):

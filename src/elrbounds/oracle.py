@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from . import bounds as _bounds
 from .bounds import CONCAVE, CONVEX
-from .divided_diff import FunctionModel, _values
+from .divided_diff import FunctionModel, _integer, _values
 from .functional import DiscreteFunctional, lr_difference
 from .generators import INDEFINITE, GeneratorSpec, make_generator
 
@@ -92,10 +91,7 @@ def certify_convexity(
     reads the verdict off the extreme values with a 1e-12 sign tolerance.
     Deterministic given the seed.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n, samples, seed = _integer(n, "n", 1), _integer(samples, "samples", 1), _integer(seed, "seed", 0)
     a, b = f.domain
     gap = _MIN_SEPARATION_FRAC * (b - a)
     rng = np.random.default_rng(seed)
@@ -126,8 +122,8 @@ class AuditConfig:
     """Run parameters shared by both audits over their fixed suite.
 
     Checked on construction: a field outside its range raises a ValueError
-    that names it.  The counts and the seed are integers, not bools, and
-    `inject_wrong_parity` is a bool.
+    that names it.  The counts and the seed are integral reals, not bools,
+    stored as int, and `inject_wrong_parity` is a bool.
     """
 
     cases: int = 200
@@ -138,9 +134,7 @@ class AuditConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("cases", 0), ("seed", 0), ("cases_per_theorem", 0), ("certify_samples", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if not isinstance(self.inject_wrong_parity, bool):
             raise ValueError(f"inject_wrong_parity must be a bool, got {self.inject_wrong_parity!r}")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .divergence import ProbabilityVector, divergence_bounds
-from .divided_diff import FunctionModel, _is_integer, _sum
+from .divided_diff import FunctionModel, _integer, _sum
 from .functional import _unit_sum
 from .generators import GeneratorSpec
 
@@ -40,9 +40,7 @@ class ZipfMandelbrotParams:
     s: float = 1.0
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.N) or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", _integer(self.N, "N", 1))
         if not self.q >= 0:
             raise ValueError(f"q must be >= 0, got {self.q}")
         if not math.isfinite(self.q):

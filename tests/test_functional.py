@@ -135,7 +135,7 @@ def test_moment_vanishes_on_coincident_endpoints():
 
 
 def test_moment_rejects_negative_orders(worked_functional):
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^moment order j must be an integer >= 0"):
         worked_functional.moment(-1, 0)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from elrbounds import (
     CONVEX,
+    AuditConfig,
     DiscreteFunctional,
     FunctionModel,
     GeneratorSpec,
@@ -17,6 +18,7 @@ from elrbounds import (
     ProbabilityVector,
     RatioRange,
     ZipfMandelbrotParams,
+    bound,
     certify_convexity,
     classify,
     decompose_lemma21,
@@ -50,15 +52,15 @@ KL = make_generator(GeneratorSpec("kl", domain=(0.5, 2.0)))
 
 CASES = {
     "model_nonfinite_domain": (
-        lambda: _model((0.0, math.inf)), ValueError, "domain must be finite, got [0.0, inf]"),
+        lambda: _model((0.0, math.inf)), ValueError, "domain must be finite with a < b, got [0.0, inf]"),
     "model_empty_domain": (
-        lambda: _model((1.0, 1.0)), ValueError, "domain must satisfy a < b, got [1.0, 1.0]"),
+        lambda: _model((1.0, 1.0)), ValueError, "domain must be finite with a < b, got [1.0, 1.0]"),
     "model_negative_max_order": (
-        lambda: _model(max_order=-1), ValueError, "max_order must be nonnegative"),
+        lambda: _model(max_order=-1), ValueError, "max_order must be an integer >= 0, got -1"),
     "model_fractional_max_order": (
-        lambda: _model(max_order=2.7), ValueError, "max_order must be an integer, got 2.7"),
+        lambda: _model(max_order=2.7), ValueError, "max_order must be an integer >= 0, got 2.7"),
     "model_string_max_order": (
-        lambda: _model(max_order="3"), ValueError, "max_order must be an integer, got '3'"),
+        lambda: _model(max_order="3"), ValueError, "max_order must be an integer >= 0, got '3'"),
     "polynomial_without_coefficients": (
         lambda: FunctionModel.from_polynomial((), (0.0, 1.0)),
         ValueError, "polynomial needs at least one coefficient"),
@@ -70,17 +72,17 @@ CASES = {
         ValueError, "polynomial coefficients must be finite, got (-inf,)"),
     "nan_node": (lambda: NodeMultiset(((math.nan, 1),)), ValueError, "node nan is not finite"),
     "zero_multiplicity": (
-        lambda: NodeMultiset(((1.0, 0),)), ValueError, "multiplicity must be a positive integer, got 0"),
+        lambda: NodeMultiset(((1.0, 0),)), ValueError, "multiplicity must be an integer >= 1, got 0"),
     "newton_lengths_differ": (
         lambda: NewtonForm((0.0, 1.0), (1.0,)), ValueError, "nodes and coeffs must have equal length"),
     "newton_derivative_order_0": (
-        lambda: NewtonForm((0.0,), (1.0,)).deriv(0, 0.5), ValueError, "derivative order must be >= 1"),
+        lambda: NewtonForm((0.0,), (1.0,)).deriv(0, 0.5), ValueError, "derivative order must be an integer >= 1, got 0"),
     "hermite_empty_interval": (
         lambda: hermite_mn(CONSTANT, 1.0, 1.0, 1, 3),
-        ValueError, "endpoints must satisfy a < b, got a=1.0, b=1.0"),
+        ValueError, "endpoints must be finite with a < b, got [1.0, 1.0]"),
     "remainder_m_equals_n": (
         lambda: remainder_R(CONSTANT, 0.0, 2.0, 3, 3, 1.0),
-        ValueError, "m must satisfy 1 <= m <= n-1, got m=3, n=3"),
+        ValueError, "m must be an integer in 1..2, got 3"),
     "parity_case_order_1": (
         lambda: decompose_lemma21(CONSTANT, DiscreteFunctional((0.5,), (1.0,), (0.0, 2.0)), 1, 1),
         ValueError, "n must be an integer >= 2, got 1"),
@@ -127,15 +129,15 @@ CASES = {
         ),
         ValueError, "entry 0: p_i = 0 needs a declared 0+ limit on 'xlogx'"),
     "classify_order_13": (
-        lambda: classify(GeneratorSpec("kl"), 13), ValueError, "n must be in 1..12, got 13"),
+        lambda: classify(GeneratorSpec("kl"), 13), ValueError, "n must be an integer in 1..12, got 13"),
     "classify_fractional_order": (
-        lambda: classify(GeneratorSpec("exp"), 2.5), ValueError, "n must be an integer, got 2.5"),
+        lambda: classify(GeneratorSpec("exp"), 2.5), ValueError, "n must be an integer in 1..12, got 2.5"),
     "moment_negative_order": (
         lambda: DiscreteFunctional((0.5,), (1.0,), (0.0, 1.0)).moment(-1, 1),
-        ValueError, "moment orders must be nonnegative, got (-1, 1)"),
+        ValueError, "moment order j must be an integer >= 0, got -1"),
     "moment_fractional_order": (
         lambda: DiscreteFunctional((0.5,), (1.0,), (0.0, 1.0)).moment(1.5, 1),
-        ValueError, "moment orders must be integers, got (1.5, 1)"),
+        ValueError, "moment order j must be an integer >= 0, got 1.5"),
     "generator_infinite_domain": (
         lambda: GeneratorSpec("kl", domain=(0.5, math.inf)),
         ValueError, "domain must be finite with a < b, got [0.5, inf]"),
@@ -157,13 +159,13 @@ CASES = {
         lambda: DiscreteFunctional(np.full((2, 2), 0.5), (0.5, 0.5), (0.0, 1.0)),
         TypeError, "expected a flat sequence of numbers, got shape (2, 2)"),
     "certify_order_0": (
-        lambda: certify_convexity(CONSTANT, 0), ValueError, "n must be >= 1, got 0"),
+        lambda: certify_convexity(CONSTANT, 0), ValueError, "n must be an integer >= 1, got 0"),
     "zm_infinite_N": (
-        lambda: ZipfMandelbrotParams(math.inf), ValueError, "N must be a positive integer, got inf"),
+        lambda: ZipfMandelbrotParams(math.inf), ValueError, "N must be an integer >= 1, got inf"),
     "zm_nan_N": (
-        lambda: ZipfMandelbrotParams(math.nan), ValueError, "N must be a positive integer, got nan"),
+        lambda: ZipfMandelbrotParams(math.nan), ValueError, "N must be an integer >= 1, got nan"),
     "zm_bool_N": (
-        lambda: ZipfMandelbrotParams(True), ValueError, "N must be a positive integer, got True"),
+        lambda: ZipfMandelbrotParams(True), ValueError, "N must be an integer >= 1, got True"),
     "zm_infinite_q": (
         lambda: ZipfMandelbrotParams(5, math.inf, 1.0), ValueError, "q must be finite, got inf"),
     "zm_nan_q": (
@@ -190,3 +192,101 @@ def test_validation_error_text(case):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == text
+
+
+# --- one rule per input kind ----------------------------------------------------
+
+SMALL = DiscreteFunctional((0.7, 1.2, 1.9), (0.2, 0.3, 0.5), (0.5, 2.0))
+POLY = FunctionModel.from_polynomial((1.0, -2.0, 0.5, 0.25, 3.0), (0.0, 2.0))
+
+
+def _zero(k, t):
+    return 0.0
+
+
+def _large():
+    """A new functional above the 64-point gate, where the moments come from multiply
+    chains and are kept per order: no earlier read can have filled its cache."""
+    return DiscreteFunctional(np.linspace(0.6, 1.9, 100), np.full(100, 0.01), (0.5, 2.0))
+
+
+# Every integer argument: a call with the value v (valid at 3) and the name its error text opens with.
+INTEGER_ARGS = {
+    "decompose_n": (lambda v: decompose_lemma21(KL, SMALL, v, 1), "n"),
+    "decompose_m": (lambda v: decompose_lemma21(KL, SMALL, 4, v), "m"),
+    "bound_n": (lambda v: bound("tm23", KL, SMALL, v, None, CONVEX), "n"),
+    "bound_m": (lambda v: bound("tm21", KL, SMALL, 4, v, CONVEX), "m"),
+    "endpoint_table_rows": (lambda v: endpoint_table(KL, 0.5, 2.0, v, 2), "rows"),
+    "endpoint_table_cols": (lambda v: endpoint_table(KL, 0.5, 2.0, 2, v), "cols"),
+    "model_max_order": (lambda v: FunctionModel(abs, _zero, (0.0, 1.0), max_order=v), "max_order"),
+    "model_deriv": (lambda v: KL.deriv(v, 1.5), "derivative order"),
+    "poly_deriv": (lambda v: POLY.deriv(v, 1.5), "derivative order"),
+    "multiplicity": (lambda v: NodeMultiset(((0.5, v), (1.0, 1))), "multiplicity"),
+    "newton_deriv": (lambda v: hermite_mn(KL, 0.5, 2.0, 1, 4).deriv(v, 1.0), "derivative order"),
+    "hermite_m": (lambda v: hermite_mn(KL, 0.5, 2.0, v, 4), "m"),
+    "hermite_n": (lambda v: hermite_mn(KL, 0.5, 2.0, 1, v), "n"),
+    "remainder_m": (lambda v: remainder_R(KL, 0.5, 2.0, v, 4, 1.2), "m"),
+    "remainder_n": (lambda v: remainder_R(KL, 0.5, 2.0, 1, v, 1.2), "n"),
+    "moment_j": (lambda v: SMALL.moment(v, 1), "moment order j"),
+    "moment_k": (lambda v: SMALL.moment(1, v), "moment order k"),
+    "moment_j_100_points": (lambda v: _large().moment(v, 1), "moment order j"),
+    "moment_k_100_points": (lambda v: _large().moment(1, v), "moment order k"),
+    "classify_n": (lambda v: classify(GeneratorSpec("kl"), v), "n"),
+    "zm_N": (lambda v: ZipfMandelbrotParams(v), "N"),
+    "certify_n": (lambda v: certify_convexity(KL, v, samples=20, seed=1), "n"),
+    "certify_samples": (lambda v: certify_convexity(KL, 3, samples=v, seed=1), "samples"),
+    "certify_seed": (lambda v: certify_convexity(KL, 3, samples=20, seed=v), "seed"),
+    "audit_cases": (lambda v: AuditConfig(cases=v), "cases"),
+    "audit_seed": (lambda v: AuditConfig(seed=v), "seed"),
+    "audit_cases_per_theorem": (lambda v: AuditConfig(cases_per_theorem=v), "cases_per_theorem"),
+    "audit_certify_samples": (lambda v: AuditConfig(certify_samples=v), "certify_samples"),
+}
+
+# Every interval argument: a call with the interval v (valid at (1, 2)) and its name.
+INTERVAL_ARGS = {
+    "model_domain": (lambda v: FunctionModel(abs, _zero, v), "domain"),
+    "generator_domain": (lambda v: GeneratorSpec("kl", domain=v), "domain"),
+    "hermite_endpoints": (lambda v: hermite_mn(KL, *v, 1, 3), "endpoints"),
+    "functional_interval": (lambda v: DiscreteFunctional((1.5,), (1.0,), v), "interval"),
+}
+
+
+def _bits(value) -> str:
+    """A float as `float.hex`, anything else as its repr: unlike ==, both tell 3 from 3.0
+    (repr writes each float so that it reads back to the same bits)."""
+    return float.hex(value) if isinstance(value, float) else repr(value)
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_ARGS))
+def test_an_integral_real_reads_as_its_int(case):
+    call, _ = INTEGER_ARGS[case]
+    values = (3.0, np.float64(3.0), np.int64(3))  # read before the int, so no cache holds 3
+    got = [_bits(call(value)) for value in values]
+    assert got == [_bits(call(3))] * len(values), values
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", math.nan, math.inf, np.float64(math.inf)], ids=repr)
+@pytest.mark.parametrize("case", sorted(INTEGER_ARGS))
+def test_a_non_integer_raises_naming_the_argument(case, value):
+    call, name = INTEGER_ARGS[case]
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value).startswith(f"{name} must be an integer "), str(exc.value)
+
+
+@pytest.mark.parametrize("case", sorted(INTERVAL_ARGS))
+def test_an_interval_is_two_finite_reals_a_below_b(case):
+    call, name = INTERVAL_ARGS[case]
+    want = _bits(call((1, 2)))
+    assert _bits(call((1.0, 2.0))) == _bits(call((np.int64(1), np.float64(2.0)))) == want
+    for bad in ((0, math.inf), (1, 1), (math.nan, 1)):
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value).startswith(f"{name} must be finite with a < b, got ["), str(exc.value)
+
+
+def test_a_float_moment_order_reads_the_int_order_cache_entry():
+    A = _large()
+    first = A.moment(3.0, 1)
+    assert float.hex(A.moment(3, 1)) == float.hex(first)
+    assert A._table_moment.cache_info().currsize == 1

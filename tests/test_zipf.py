@@ -58,7 +58,7 @@ def test_pmf_normalization():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="^N must be an integer >= 1"):
         ZipfMandelbrotParams(0, 0, 1)
     with pytest.raises(ValueError, match="q must be"):
         ZipfMandelbrotParams(3, -0.5, 1)

@@ -1,0 +1,112 @@
+"""Outcome census: every op of an in-process benchmark workload, value by value.
+
+    python tools/census.py run ROOT WORKLOAD SEED OPS > out.jsonl
+    python tools/census.py diff A.jsonl B.jsonl
+
+`run` imports the package from ROOT/src and draws the ops with the case
+generators of ROOT/bench/workloads.py, so two checkouts (say, a parent and a
+change, each in its own directory or `git worktree`) run the same ops on their
+own code.  It writes one JSON line per op: its case (tag, generator, n and m;
+the op seed for `verify_suite`), its kind, and either the report (`lr`,
+`lower`, `upper` as `float.hex`, `direction_valid` and the bench check's
+`reason`; any other output as its repr) or the error's type and text.  The
+kind is ok, wrong_bracket or wrong_value by the check, or the error's type.
+
+`diff` prints the count of each kind on both sides, then the report<->refusal
+flips, the reports whose values moved and the errors whose type or text
+changed, with the first few of each; it exits 1 when any op differs.
+Nothing under bench/ is written.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+from collections import Counter
+
+SHOWN = 5  # ops listed per difference class
+
+
+def run(root: str, workload: str, seed: int, ops: int) -> None:
+    root = os.path.abspath(root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+    import elrbounds
+    import workloads
+
+    wl = workloads.workload(workload, root)
+    if not wl.in_process:
+        sys.exit(f"error: {workload} runs each op in a child process; the census covers in-process workloads")
+    for i, case in enumerate(wl.make(seed, ops)):
+        rec = {"op": i, "case": list(case[:4]) if isinstance(case, tuple) else case}
+        try:
+            output = wl.run(elrbounds, case)
+        except Exception as exc:  # an op that raises is an outcome, as in the benchmark
+            rec.update(kind=type(exc).__name__, error=type(exc).__name__, text=str(exc))
+        else:
+            reason = wl.check(case, output)
+            rec["kind"] = workloads.Outcome(None, reason).kind  # ok, wrong_bracket or wrong_value
+            if hasattr(output, "lr"):
+                rec.update({k: _hex(getattr(output, k)) for k in ("lr", "lower", "upper")})
+                rec["direction_valid"] = output.direction_valid
+            else:
+                rec["value"] = repr(output)
+            rec["reason"] = reason
+        print(json.dumps(rec), flush=True)
+
+
+def _hex(x):
+    return None if x is None else float.hex(x)
+
+
+def _load(path: str) -> list[dict]:
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _is_report(rec: dict) -> bool:
+    return "error" not in rec
+
+
+def diff(path_a: str, path_b: str) -> int:
+    a, b = _load(path_a), _load(path_b)
+    if [r["case"] for r in a] != [r["case"] for r in b]:
+        print("the two runs do not hold the same ops (workload, seed or op count differ)")
+        return 2
+    ka, kb = Counter(r["kind"] for r in a), Counter(r["kind"] for r in b)
+    print(f"{'kind':<24}{'A':>8}{'B':>8}")
+    for kind in sorted(ka.keys() | kb.keys()):
+        print(f"{kind:<24}{ka[kind]:>8}{kb[kind]:>8}")
+    classes = {"report<->refusal flips": [], "moved reports": [], "changed errors": []}
+    for ra, rb in zip(a, b):
+        if ra == rb:
+            continue
+        if _is_report(ra) != _is_report(rb):
+            classes["report<->refusal flips"].append((ra, rb))
+        elif _is_report(ra):
+            classes["moved reports"].append((ra, rb))
+        else:
+            classes["changed errors"].append((ra, rb))
+    for name, pairs in classes.items():
+        print(f"{name}: {len(pairs)}")
+        for ra, rb in pairs[:SHOWN]:
+            print(f"  op {ra['op']} {ra['case']}\n    A {_brief(ra)}\n    B {_brief(rb)}")
+    return 1 if any(classes.values()) else 0
+
+
+def _brief(rec: dict) -> str:
+    return json.dumps({k: v for k, v in rec.items() if k not in ("op", "case")})
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 5 and argv[0] == "run":
+        run(argv[1], argv[2], int(argv[3]), int(argv[4]))
+        return 0
+    if len(argv) == 3 and argv[0] == "diff":
+        return diff(argv[1], argv[2])
+    print("usage:\n" + "\n".join(__doc__.splitlines()[2:4]), file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
