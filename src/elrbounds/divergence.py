@@ -26,15 +26,15 @@ with it to 1e-12.
 From the gate on, a chain stage decides first (`_chain_bound_values`): the
 same sums from powers built by repeated multiplication, each side c with a
 stated bound E on its distance from the libm route's side (the error model
-is `_chain_moments`').  It accepts when every side the report carries has
-E < |c| and |delegated - c| <= 1e-12 + E.  Otherwise it refuses on the first
-side with |delegated - c| > 1e-12 + E, which the libm route refuses too, and
-names c as the direct value.  Only when it proves neither, its arrays are
-freed and the op ends as below the gate: the libm route checks, with no
-slack, the report rebuilt from the point-by-point moments.  So the stage
-only turns a refusal that its own rounding explains, on a side it fixes,
-into the report.  The functional and its chains are freed before the
-crosscheck.
+is `_chain_moments`').  It decides when every side the report carries has
+E < |c| and |delegated - c| <= 1e-12 + E, or when a side has |delegated - c|
+> 1e-12 + E, which the libm route refuses too.  Otherwise (a NaN difference
+among them) the op is handed on as below the gate, its report rebuilt from
+the point-by-point moments.  One loop then ends every op: each side the
+report carries must lie within 1e-12 + E of the deciding stage's c, or
+within 1e-12 of the libm route's side.  So the stage only turns a refusal
+that its own rounding explains, on a side it fixes, into the report.  The
+functional and its chains are freed before the crosscheck.
 """
 
 from __future__ import annotations
@@ -267,9 +267,8 @@ def _chain_bound_values(
     A side c = fsum(T_i M_i) over endpoint-table cells T_i (shared by both
     routes) and moments M_i with |M_i - libm M_i| <= e_i, so |c - libm side|
     <= sum |T_i| e_i + 3u sum |T_i M_i| + 2u |c| plus _ETA per rounding near
-    underflow, rounded up.  The terms are affine in the moments: evaluated
-    with the errors as moments, less their values with zero moments, they
-    give T_i e_i and drop the m >= 3 lead, which reads no moment and is the
+    underflow, rounded up.  The terms evaluated with the errors as moments
+    give T_i e_i, after the m >= 3 lead, which reads no moment and is the
     same float on both routes.
     """
     family = _family(theorem)
@@ -279,12 +278,12 @@ def _chain_bound_values(
         return family.terms(f, (a, b), n, m, moment, 1.0, tables)
 
     values, bounds = [], []
-    for terms, errs, leads in zip(sides(moment), sides(error), sides(lambda *key: 0.0)):
+    for terms, errs in zip(sides(moment), sides(error)):
         size = sum(map(abs, terms))  # plain sums: fsum raises on opposite infinities
         if not size < _CHAIN_MAX:
             return None
         values.append(math.fsum(terms))
-        carried = sum(abs(e - z) for e, z in zip(errs, leads))
+        carried = sum(map(abs, errs[family.takes_m:]))  # an m >= 3 side's lead comes first
         slack = 3 * _U * size + 2 * _U * abs(values[-1]) + (3 * len(terms) + 2) * _ETA
         bounds.append(_UP * (carried + slack))
     return tuple(family.arrange(n, m, convexity, v)[:2] for v in (values, bounds))
@@ -381,22 +380,21 @@ def divergence_bounds(
     tables: dict = {}
     report = _bounds.bound(theorem, f, A, n, m, convexity, _tables=tables)
     del A
-    delegated, direct, slack = (report.lower, report.upper), None, (0.0, 0.0)
+    delegated, chained = (report.lower, report.upper), None
     if len(q) >= _TABLE_MIN_POINTS:
         chained = _chain_bound_values(f, p, q, a, b, n, theorem, m, convexity, tables)
-        if chained is not None:
+        if chained is not None:  # it decides when it accepts, or proves a refusal:
+            # |c - libm side| <= e, so a side off by more than 1e-12 + e is refused on both routes.
             carried = [(d, c, e) for d, c, e in zip(delegated, *chained) if d is not None]
-            if all(e < abs(c) and abs(d - c) <= _CROSSCHECK_TOL + e for d, c, e in carried):
-                return report
-            # |c - libm side| <= e: a side off by more than 1e-12 + e is refused on both routes.
-            if any(abs(d - c) > _CROSSCHECK_TOL + e for d, c, e in carried):
-                direct, slack = chained
-        if direct is None:  # as below the gate: the libm route checks the point-by-point report
+            if not (all(e < abs(c) and abs(d - c) <= _CROSSCHECK_TOL + e for d, c, e in carried)
+                    or any(abs(d - c) > _CROSSCHECK_TOL + e for d, c, e in carried)):
+                chained = None  # neither, as when a difference is NaN
+        if chained is None:  # handed on, as below the gate: the libm route checks the point-by-point report
             report = _bounds.bound(theorem, f, _point_by_point(_ratios(p, q), q._v, q._total, (a, b)),
                                    n, m, convexity, _tables=tables)
             delegated = report.lower, report.upper
-    if direct is None:
-        direct = direct_bound_values(f, p, q, a, b, n, theorem, m, convexity, _tables=tables)
+    direct, slack = chained or (
+        direct_bound_values(f, p, q, a, b, n, theorem, m, convexity, _tables=tables), (0.0, 0.0))
     for side, d, direct_v, e in zip(("lower", "upper"), delegated, direct, slack):
         if d is not None and abs(d - direct_v) > _CROSSCHECK_TOL + e:
             raise RuntimeError(

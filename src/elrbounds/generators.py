@@ -11,7 +11,8 @@ Four named generators cover the classical divergences:
 Each model's `fn` also takes a float64 array and returns the point-by-point
 bits (hellinger's square and power's `t**p` go through `np.float_power`,
 libm `pow` like float `**`), so the chord gap evaluates all points in one call.
-The fixed generators' functions live in one table, `_MODELS`.
+Every built-in is one row of `_MODELS`: the open lower limit of its domain
+and a builder of its functions and limits from the spec.
 Derivatives are closed forms; the stack is capped at order 12, past which
 double precision gives the formulas little meaning.  `classify` reads the
 n-convexity class off the sign of the n-th derivative sampled on an even
@@ -23,7 +24,7 @@ verdict with INDEFINITE, or an overflowing sample, as a ValueError).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +42,6 @@ __all__ = [
 ]
 
 INDEFINITE = "indefinite"
-
-BUILTIN_NAMES = ("kl", "hellinger", "harmonic", "jeffreys", "exp", "poly", "power")
 
 _DERIV_CAP = 12
 _CLASSIFY_GRID = 101
@@ -64,10 +63,8 @@ class GeneratorSpec:
         if self.name not in BUILTIN_NAMES:
             raise ValueError(f"unknown generator {self.name!r}; choose from {BUILTIN_NAMES}")
         a, b = _checked_interval(self.domain, "domain")
-        if self.name in ("kl", "hellinger", "jeffreys", "power") and not a > 0:
-            raise ValueError(f"{self.name} requires a domain inside (0, inf), got [{a}, {b}]")
-        if self.name == "harmonic" and not a > -1:
-            raise ValueError(f"harmonic requires a domain inside (-1, inf), got [{a}, {b}]")
+        if not a > (floor := _MODELS[self.name][0]):
+            raise ValueError(f"{self.name} requires a domain inside ({floor:g}, inf), got [{a}, {b}]")
         if self.name == "poly" and not self.coeffs:
             raise ValueError("poly generator needs at least one coefficient")
         object.__setattr__(self, "domain", (a, b))
@@ -104,19 +101,13 @@ def _jeffreys_deriv(k, t):
     return sign * math.factorial(k - 2) * t ** (-1.0 * k) * (t + k - 1.0)
 
 
-# The fixed generators: name -> (fn, dfn, zero_limit, slope_at_infinity).
-_MODELS = {
-    "kl": (lambda t: t * np.log(t), _kl_deriv, 0.0, math.inf),
-    "hellinger": (
-        lambda t: 0.5 * np.float_power(1.0 - np.sqrt(t), 2.0), _hellinger_deriv, 0.5, 0.5
-    ),
-    "harmonic": (lambda t: 2.0 * t / (1.0 + t), _harmonic_deriv, 0.0, 0.0),
-    "jeffreys": (lambda t: (t - 1.0) * np.log(t), _jeffreys_deriv, math.inf, math.inf),
-    "exp": (np.exp, lambda k, t: np.exp(t), 1.0, math.inf),
-}
+def _fixed(*row):  # one shared row: models of equal specs share fn and deriv_fn
+    return lambda spec: row
 
 
-def _power(p: float) -> tuple:
+def _power(spec: GeneratorSpec) -> tuple:
+    p = spec.exponent
+
     def fn(t):
         return _float_power(t, p)
 
@@ -131,37 +122,40 @@ def _power(p: float) -> tuple:
     return fn, dfn, zero, slope
 
 
-def _poly_limits(coeffs: tuple[float, ...]) -> tuple[float, float]:
+def _poly(spec: GeneratorSpec) -> tuple:
+    coeffs = spec.coeffs
+    model = FunctionModel.from_polynomial(coeffs, spec.domain)
     degree = max((j for j, c in enumerate(coeffs) if c != 0.0), default=0)
-    if degree == 0:
-        slope = 0.0
-    elif degree == 1:
-        slope = coeffs[1]
-    else:
-        slope = math.copysign(math.inf, coeffs[degree])
-    return coeffs[0], slope
+    slope = 0.0 if degree == 0 else coeffs[1] if degree == 1 else math.copysign(math.inf, coeffs[degree])
+    return model.fn, model.deriv_fn, coeffs[0], slope
+
+
+# Every built-in generator: name -> (floor, builder).  The domain must lie in
+# (floor, inf); builder(spec) returns (fn, dfn, zero_limit, slope_at_infinity).
+_MODELS = {
+    "kl": (0.0, _fixed(lambda t: t * np.log(t), _kl_deriv, 0.0, math.inf)),
+    "hellinger": (
+        0.0, _fixed(lambda t: 0.5 * np.float_power(1.0 - np.sqrt(t), 2.0), _hellinger_deriv, 0.5, 0.5)
+    ),
+    "harmonic": (-1.0, _fixed(lambda t: 2.0 * t / (1.0 + t), _harmonic_deriv, 0.0, 0.0)),
+    "jeffreys": (0.0, _fixed(lambda t: (t - 1.0) * np.log(t), _jeffreys_deriv, math.inf, math.inf)),
+    "exp": (-math.inf, _fixed(np.exp, lambda k, t: np.exp(t), 1.0, math.inf)),
+    "poly": (-math.inf, _poly),
+    "power": (0.0, _power),
+}
+
+BUILTIN_NAMES = tuple(_MODELS)
 
 
 def make_generator(spec: GeneratorSpec) -> FunctionModel:
     """Function model with the generator's closed-form derivative stack."""
-    if spec.name == "poly":
-        zero, slope = _poly_limits(spec.coeffs)
-        base = FunctionModel.from_polynomial(
-            spec.coeffs, spec.domain, name="poly", max_order=_DERIV_CAP
-        )
-        return replace(base, zero_limit=zero, slope_at_infinity=slope)
-    if spec.name == "power":
-        fn, dfn, zero, slope = _power(spec.exponent)
-        name = f"power({spec.exponent:g})"
-    else:
-        fn, dfn, zero, slope = _MODELS[spec.name]
-        name = spec.name
+    fn, dfn, zero, slope = _MODELS[spec.name][1](spec)
     return FunctionModel(
         fn=fn,
         deriv_fn=dfn,
         domain=spec.domain,
         max_order=_DERIV_CAP,
-        name=name,
+        name=f"power({spec.exponent:g})" if spec.name == "power" else spec.name,
         zero_limit=zero,
         slope_at_infinity=slope,
     )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from elrbounds import (
+    BUILTIN_NAMES,
     CONCAVE,
     CONVEX,
     INDEFINITE,
@@ -141,6 +142,51 @@ def test_declared_limits():
     assert make_generator(_spec("poly", coeffs=(2.0, 3.0))).slope_at_infinity == 3.0
     assert make_generator(_spec("poly", coeffs=(0.0, 0.0, -1.0))).slope_at_infinity == -math.inf
     assert make_generator(_spec("power", exponent=0.5)).slope_at_infinity == 0.0
+
+
+# Every row in `BUILTIN_NAMES` order (the unknown-generator error prints it):
+# its domain floor as the rejection text prints it (None: no finite floor),
+# then specs as (parameters, model name, zero_limit, slope_at_infinity).
+_ROWS = {
+    "kl": ("0", [({}, "kl", 0.0, math.inf)]),
+    "hellinger": ("0", [({}, "hellinger", 0.5, 0.5)]),
+    "harmonic": ("-1", [({}, "harmonic", 0.0, 0.0)]),
+    "jeffreys": ("0", [({}, "jeffreys", math.inf, math.inf)]),
+    "exp": (None, [({}, "exp", 1.0, math.inf)]),
+    "poly": (None, [
+        ({"coeffs": (3.0, 0.0, 0.0)}, "poly", 3.0, 0.0),
+        ({"coeffs": (2.0, -3.0)}, "poly", 2.0, -3.0),
+        ({"coeffs": (1.0, 5.0, -0.5)}, "poly", 1.0, -math.inf),
+    ]),
+    "power": ("0", [
+        ({"exponent": -1.5}, "power(-1.5)", math.inf, 0.0),
+        ({"exponent": 0.0}, "power(0)", 1.0, 0.0),
+        ({"exponent": 0.5}, "power(0.5)", 0.0, 0.0),
+        ({"exponent": 1.0}, "power(1)", 0.0, 1.0),
+        ({"exponent": 2.5}, "power(2.5)", 0.0, math.inf),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_every_generator_row(name):
+    assert tuple(_ROWS) == BUILTIN_NAMES
+    floor, cases = _ROWS[name]
+    start = -1e300
+    if floor is not None:
+        start = float(floor)
+        with pytest.raises(ValueError) as exc:
+            GeneratorSpec(name, domain=(start, 2.0), **cases[0][0])
+        assert str(exc.value) == f"{name} requires a domain inside ({floor}, inf), got [{start}, 2.0]"
+        start = math.nextafter(start, math.inf)
+    # A fixed row hands every spec its one pair of functions; power and poly build theirs.
+    fixed = name not in ("power", "poly")
+    for kw, label, zero, slope in cases:
+        f = make_generator(GeneratorSpec(name, domain=(start, 2.0), **kw))
+        assert (f.domain, f.name, f.max_order) == ((start, 2.0), label, 12)
+        assert (f.zero_limit, f.slope_at_infinity) == (zero, slope)
+        again = make_generator(GeneratorSpec(name, **kw))
+        assert (again.fn is f.fn, again.deriv_fn is f.deriv_fn) == (fixed, fixed)
 
 
 # --- classification -------------------------------------------------------------

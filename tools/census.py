@@ -14,7 +14,9 @@ kind is ok, wrong_bracket or wrong_value by the check, or the error's type.
 
 `diff` prints the count of each kind on both sides, then the report<->refusal
 flips, the reports whose values moved and the errors whose type or text
-changed, with the first few of each; it exits 1 when any op differs.
+changed, with the first few of each; it exits 1 when any op differs, 2 when
+the runs hold different ops.  A reader that closes early (`| head`) stops
+the printing quietly, with the same exit code.
 Nothing under bench/ is written.
 """
 
@@ -69,14 +71,21 @@ def _is_report(rec: dict) -> bool:
 
 
 def diff(path_a: str, path_b: str) -> int:
-    a, b = _load(path_a), _load(path_b)
+    code, lines = _compare(_load(path_a), _load(path_b))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:  # the reader stopped early (`diff A B | head`): keep the verdict
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush writes nowhere
+    return code
+
+
+def _compare(a: list[dict], b: list[dict]) -> tuple[int, list[str]]:
+    """diff's exit code and the lines it prints."""
     if [r["case"] for r in a] != [r["case"] for r in b]:
-        print("the two runs do not hold the same ops (workload, seed or op count differ)")
-        return 2
+        return 2, ["the two runs do not hold the same ops (workload, seed or op count differ)"]
     ka, kb = Counter(r["kind"] for r in a), Counter(r["kind"] for r in b)
-    print(f"{'kind':<24}{'A':>8}{'B':>8}")
-    for kind in sorted(ka.keys() | kb.keys()):
-        print(f"{kind:<24}{ka[kind]:>8}{kb[kind]:>8}")
+    lines = [f"{'kind':<24}{'A':>8}{'B':>8}"]
+    lines += [f"{kind:<24}{ka[kind]:>8}{kb[kind]:>8}" for kind in sorted(ka.keys() | kb.keys())]
     classes = {"report<->refusal flips": [], "moved reports": [], "changed errors": []}
     for ra, rb in zip(a, b):
         if ra == rb:
@@ -88,10 +97,10 @@ def diff(path_a: str, path_b: str) -> int:
         else:
             classes["changed errors"].append((ra, rb))
     for name, pairs in classes.items():
-        print(f"{name}: {len(pairs)}")
+        lines.append(f"{name}: {len(pairs)}")
         for ra, rb in pairs[:SHOWN]:
-            print(f"  op {ra['op']} {ra['case']}\n    A {_brief(ra)}\n    B {_brief(rb)}")
-    return 1 if any(classes.values()) else 0
+            lines.append(f"  op {ra['op']} {ra['case']}\n    A {_brief(ra)}\n    B {_brief(rb)}")
+    return (1 if any(classes.values()) else 0), lines
 
 
 def _brief(rec: dict) -> str:
