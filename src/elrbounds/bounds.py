@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 
 from .divided_diff import (
     FunctionModel, _check_orders, _check_support, _integer, endpoint_table, remainder_R,
@@ -82,8 +82,8 @@ class _Family:
     ) -> Iterator[list[float]]:
         """Yield each side's `_terms` in turn; the remainders they drop are never
         evaluated.  A side anchored at one endpoint of `interval` has x there and
-        y at the other, and `moment(x, y, j, k)` returns A[(g-x)^j (g-y)^k] for
-        either order of the endpoints: every route to a side's terms is this loop.
+        y at the other, and `moment(x, y, keys)` returns A[(g-x)^j (g-y)^k] for each
+        (j, k) of a side's keys, in one call: every route to a side's terms is this loop.
         """
         a, b = interval
         for anchor, k in self.resolve(n, m):
@@ -174,14 +174,10 @@ def _family(tag: str) -> _Family:
     return FAMILIES[tag.upper()]
 
 
-def _terms(
-    f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean: float, tables=None
-) -> list[float]:
-    """Endpoint terms of the decomposition anchored at x, the other endpoint being y.
-
-    `moment(i, j)` returns A[(g-x)^i (g-y)^j] and `mean` is A(g), which only
-    m >= 3 reads.  `tables`, a dict local to one f, n and [a, b], holds
-    the endpoint table by (x, m): a side found there is not built again.
+@cache
+def _layout(n: int, m: int) -> tuple[tuple, tuple]:
+    """(cells, keys): the side's moment term i is the endpoint table's T[cell i] times
+    A[(g-x)^j (g-y)^k] at key i = (j, k), after the lead term of m >= 3.
 
     m = 1:  f[x; y x k] * A[(g-x)(g-y)^(k-1)], k = 2..n-1 (a k = 1 term would
             break the polynomial-equality property, see tests).
@@ -189,31 +185,41 @@ def _terms(
     m >= 3: (A(g)-x)(f[x,x] - f[x,y]), then f^(k)(x)/k! * A[(g-x)^k] for
             k = 2..m-1, then f[x x m; y x k] * A[(g-x)^m (g-y)^(k-1)].
     """
+    head = [((2, 1), (1, 1))] if m == 2 else [((k + 1, 0), (k, 0)) for k in range(2, m)]
+    return tuple(zip(*head, *[((m, k), (m, k - 1)) for k in range(1 + (m < 3), n - m + 1)])) or ((), ())
+
+
+def _terms(
+    f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean: float, tables=None
+) -> list[float]:
+    """Endpoint terms of the decomposition anchored at x, the other endpoint being y.
+
+    `moment(keys)` returns A[(g-x)^i (g-y)^j] for each key of `_layout(n, m)` and
+    `mean` is A(g), which only m >= 3 reads.  `tables`, a dict local to one f, n
+    and [a, b], holds the endpoint table by (x, m): a side found there is not
+    built again.  The table's errors come before the moments'.
+    """
     n, m = _check_orders(n, m)
     if m >= 3:  # this layout reads f[x, x] first: its errors come first
         _check_support(f, (x,), 2)
     T = (tables or {}).get((x, m)) or endpoint_table(f, x, y, m, n - m)
     if tables is not None:
         tables[x, m] = T
-    if m == 1:
-        return [T[1][k] * moment(1, k - 1) for k in range(2, n)]
-    if m == 2:
-        return [T[2][1] * moment(1, 1)] + [T[2][k] * moment(2, k - 1) for k in range(2, n - 1)]
+    cells, keys = _layout(n, m)
+    terms = [T[i][j] * v for (i, j), v in zip(cells, moment(keys))]
+    if m < 3:
+        return terms
     # Anchored at b the lead reads (b - A(g))(f[a,b] - f[b,b]), which keeps
     # lemma 2.2's signed zero when A(g) == b.
     f_xx, f_xy = T[2][0], T[1][1]
-    lead = (mean - x) * (f_xx - f_xy) if x < y else (x - mean) * (f_xy - f_xx)
-    return (
-        [lead]
-        + [T[k + 1][0] * moment(k, 0) for k in range(2, m)]
-        + [T[m][k] * moment(m, k - 1) for k in range(1, n - m + 1)]
-    )
+    return [(mean - x) * (f_xx - f_xy) if x < y else (x - mean) * (f_xy - f_xx)] + terms
 
 
 def _moments(A: DiscreteFunctional):
-    """A's moments as the `moment(x, y, j, k)` = A[(g-x)^j (g-y)^k] of `_Family.terms`."""
+    """A's moments as the `moment(x, y, keys)` of `_Family.terms`; anchored at b the
+    keys swap, not the factors: A[(g-b)^j (g-a)^k] is A's (k, j) moment."""
     a = A.interval[0]
-    return lambda x, y, j, k: A.moment(j, k) if x == a else A.moment(k, j)
+    return lambda x, y, keys: A._moments(keys if x == a else tuple((k, j) for j, k in keys))
 
 
 def _decompose(

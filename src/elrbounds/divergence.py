@@ -19,9 +19,9 @@ moments
 
 as an independent transcription check; the two routes share each side's
 endpoint table, built once.  The libm route, `direct_bound_values`, sums
-every moment point by point (`_pq_moment`), raising each power with libm
-`pow`.  Below `_TABLE_MIN_POINTS` each side the report carries must agree
-with it to 1e-12.
+a side's moments in one 2-D pass of libm `pow`s (`_pq_moments`), bit for
+bit `_pq_moment`'s point-by-point sums.  Below `_TABLE_MIN_POINTS` each side
+the report carries must agree with it to 1e-12.
 
 From the gate on, a chain stage decides first (`_chain_bound_values`): the
 same sums from powers built by repeated multiplication, each side c with a
@@ -30,7 +30,7 @@ is `_chain_moments`').  It decides when every side the report carries has
 E < |c| and |delegated - c| <= 1e-12 + E, or when a side has |delegated - c|
 > 1e-12 + E, which the libm route refuses too.  Otherwise (a NaN difference
 among them) the op is handed on as below the gate, its report rebuilt from
-the point-by-point moments.  One loop then ends every op: each side the
+the point-by-point sums' bits.  One loop then ends every op: each side the
 report carries must lie within 1e-12 + E of the deciding stage's c, or
 within 1e-12 of the libm route's side.  So the stage only turns a refusal
 that its own rounding explains, on a side it fixes, into the report.  The
@@ -49,7 +49,7 @@ from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family
 from .divided_diff import _U, FunctionModel, _checked_interval
 from .functional import (
-    _CHAIN_MAX, _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _chain_table,
+    _CHAIN_MAX, _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _batched, _chain_table,
     _first_outside, _float_array, _lazy_tuples, _moment_reader, _point_by_point, _unit_sum,
 )
 from .generators import GeneratorSpec, definite_class, make_generator
@@ -196,6 +196,18 @@ def _pq_moment(
     )
 
 
+def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float, keys: tuple) -> list[float]:
+    """[`_pq_moment` of each key], bit for bit, for keys with j + k >= 1 (every layout's;
+    then q^(j+k-1) <= 1): the terms U^j V^k / q^(j+k-1), U = p - a q, V = p - b q, in one
+    `_batched` pass, each term whose denominator underflows to 0 as q (U/q)^j (V/q)^k."""
+    def terms(J, K):
+        p_, q_ = p._v, q._v
+        U, V, d = p_ - a * q_, p_ - b * q_, np.float_power(q_, J + K - 1.0)
+        t = np.float_power(U, J) * np.float_power(V, K) / d
+        return t if d.all() else np.where(d == 0.0, q_ * np.float_power(U / q_, J) * np.float_power(V / q_, K), t)
+    return _batched(keys, len(q), terms, partial(_pq_moment, p, q, a, b))
+
+
 def _gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u), the relative error of k roundings (Higham, *Accuracy
     and Stability of Numerical Algorithms*, 2nd ed., lemma 3.1)."""
@@ -274,8 +286,8 @@ def _chain_bound_values(
     family = _family(theorem)
     moment, error = _chain_moments(p, q, a, b)
 
-    def sides(moment):
-        return family.terms(f, (a, b), n, m, moment, 1.0, tables)
+    def sides(moment):  # read key by key
+        return family.terms(f, (a, b), n, m, lambda x, y, keys: [moment(x, y, *key) for key in keys], 1.0, tables)
 
     values, bounds = [], []
     for terms, errs in zip(sides(moment), sides(error)):
@@ -310,7 +322,7 @@ def direct_bound_values(
     The private `_tables` holds the delegated route's endpoint tables, if any.
     """
     family = _family(theorem)
-    sides = family.terms(f, (a, b), n, m, partial(_pq_moment, p, q), 1.0, _tables)
+    sides = family.terms(f, (a, b), n, m, partial(_pq_moments, p, q), 1.0, _tables)
     return family.arrange(n, m, convexity, [math.fsum(t) for t in sides])[:2]
 
 

@@ -10,10 +10,11 @@ Points and weights are validated and kept as read-only float64 arrays; the
 public `points`/`weights` tuples are built from them on first read, so the
 array paths never pay for them, and copies and pickles are rebuilt from the
 arrays alone.  A function that accepts the point array is evaluated on all
-points in one call, bit for bit.  Moments of large point sets are summed once
-per functional, by `_moment_reader` from multiply chains (`_chain_table`),
-within a stated bound of the point-by-point sums that rerun where a power may
-overflow or a term is not finite (`DiscreteFunctional._table_moment`).
+points in one call, bit for bit.  A side's moments are one `_batched` pass of
+libm pows, the point-by-point sums' bits; from `_TABLE_MIN_POINTS` points on,
+`_moment_reader` sums each once per functional from multiply chains
+(`_chain_table`), within a stated bound of the point-by-point sums that rerun
+where a power may overflow or a term is not finite (`_table_moment`).
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .divided_diff import FunctionModel, _checked_interval, _integer, _sum, _values
+from .divided_diff import _SUM_MIN_LEN, FunctionModel, _checked_interval, _integer, _sum, _values
 
 __all__ = ["DiscreteFunctional", "lr_difference"]
 
@@ -34,14 +35,15 @@ _SUM_TOL = 1e-12
 _CHAIN_MAX = 2.0**1020  # powers and sums of multiply chains stay below it, far from overflow
 
 # Smallest point set whose moments come from multiply chains, on both routes.
-# Below it the point-by-point sums are faster, because numpy's per-call
-# overhead outweighs the powers the chains save.  `divergence_bounds` with
-# the gate at 1 took this much of its time with the gate at 10^9 (kl, TM23
-# n=9 and COR21 n=7 m=4, 20 Dirichlet(0.5) pairs per size, best of 7, three
-# runs; 2 vCPU x86-64, Python 3.11, numpy 2.4): 1.6-1.7x at 8 points, 1.3x
-# at 16, 0.99-1.02x at 32, 0.8x at 48, 0.7x at 64, 0.5x at 128.  The gate
-# sits at twice the break-even.
+# Against the batched libm sums (`_batched`) the chains break even near 150
+# points: `divergence_bounds` with the gate at 1 took this much of its time
+# with the gate at 10^9 (kl, TM23 n=9 and COR21 n=7 m=4, 20 Dirichlet(0.5)
+# pairs per size, best of 7, three runs; 2 vCPU x86-64, Python 3.11, numpy
+# 2.4): 1.7x at 8 points, 1.5-1.7x at 16, 1.2-1.3x at 64, 1.03-1.07x at 128,
+# 0.9x at 192, 0.7x at 512.  It stays at 64 (set at twice the break-even of
+# the old generator sums), since moving it moves reports' last bits.
 _TABLE_MIN_POINTS = 64
+_BLOCK = 2**15  # elements of one 2-D block of `_batched` sums
 
 
 def _chain_table(base: np.ndarray) -> Callable[[int], np.ndarray | float]:
@@ -63,7 +65,7 @@ def _moment_reader(table, scalar) -> Callable[..., float]:
 
     Where the table returns None or raises, or its sum is not finite, the
     point-by-point `scalar(*key)` runs instead, so an error is the one the
-    scalar sum reports first in point order.  The only moment cache and rerun.
+    scalar sum reports first in point order.  The only moment cache.
     """
     @cache
     def moment(*key) -> float:
@@ -74,6 +76,29 @@ def _moment_reader(table, scalar) -> Callable[..., float]:
             total = math.nan
         return total if math.isfinite(total) else scalar(*key)
     return moment
+
+
+@lru_cache(maxsize=256)
+def _exponents(keys: tuple) -> np.ndarray:
+    """The exponent columns J, K of `keys`, a tuple of (j, k) pairs, as one (2, len, 1) array."""
+    return np.array(keys, dtype=float).reshape(-1, 2, 1).transpose(1, 0, 2)
+
+
+def _batched(keys: tuple, size: int, terms, scalar) -> list[float]:
+    """[scalar(*key) for key in keys] bit for bit: row i of `terms(*_exponents(block))` holds key
+    i's terms over `size` points, by the scalar sum's operations (`np.float_power` is libm `pow`,
+    as `**` is), fsum-ed; a row whose sum raises or is not finite reruns `scalar(*key)`, in order."""
+    out, small, step = [], size < _SUM_MIN_LEN, max(1, _BLOCK // size)
+    with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
+        for i in range(0, len(keys), step):
+            rows = terms(*_exponents(block := keys[i:i + step]))
+            for key, row in zip(block, rows.tolist() if small else rows):
+                try:
+                    total = math.fsum(row) if small else _sum(row)
+                except (ArithmeticError, ValueError):  # fsum raises ValueError on opposite infinities
+                    total = math.nan
+                out.append(total if math.isfinite(total) else scalar(*key))
+    return out
 
 
 def _float_array(values) -> np.ndarray:
@@ -136,6 +161,7 @@ class DiscreteFunctional:
     points: tuple[float, ...]
     weights: tuple[float, ...]
     interval: tuple[float, float]
+    _pointwise = False  # not a field: True where `_point_by_point` turns the chains off
 
     def __post_init__(self) -> None:
         x = _float_array(self.points)
@@ -190,10 +216,17 @@ class DiscreteFunctional:
 
     def moment(self, j: int, k: int) -> float:
         """A[(g - a)^j (g - b)^k] for the stored interval endpoints."""
-        j, k = _integer(j, "moment order j", 0), _integer(k, "moment order k", 0)
-        if len(self._x) < _TABLE_MIN_POINTS:
-            return _moment_sum(self.weights, self.points, *self.interval, j, k)
-        return self._table_moment(j, k)
+        return self._moments(((_integer(j, "moment order j", 0), _integer(k, "moment order k", 0)),))[0]
+
+    def _moments(self, keys: tuple) -> list[float]:
+        """[A[(g - a)^j (g - b)^k] for (j, k) in keys]: from `_TABLE_MIN_POINTS` points on the
+        chains' moments, key by key; below it, or `_pointwise`, one `_batched` pass of the
+        terms w X^j Y^k (X = x - a, Y = x - b), bit for bit `_moment_sum`'s."""
+        if len(self._x) >= _TABLE_MIN_POINTS and not self._pointwise:
+            return [self._table_moment(*key) for key in keys]
+        (a, b), w, x = self.interval, self._w, self._x
+        return _batched(keys, len(x), lambda J, K: w * np.float_power(x - a, J) * np.float_power(x - b, K),
+                        lambda j, k: _moment_sum(self.weights, self.points, a, b, j, k))
 
     @cached_property
     def _table_moment(self) -> Callable[[int, int], float]:
@@ -253,9 +286,9 @@ def _moment_sum(weights, points, a: float, b: float, j: int, k: int) -> float:
 
 
 def _point_by_point(x: np.ndarray, w: np.ndarray, total: float, interval) -> DiscreteFunctional:
-    """The functional `_store` keeps, its moments summed point by point at any size (no chains)."""
+    """The functional `_store` keeps, its moments `_batched` at any size (no chains)."""
     A = object.__new__(DiscreteFunctional)._store(x, w, total, interval)
-    vars(A)["_table_moment"] = partial(_moment_sum, A.weights, A.points, *interval)
+    vars(A)["_pointwise"] = True
     return A
 
 

@@ -142,11 +142,11 @@ def side_bounds(tag, f, A: DiscreteFunctional, n, m, convexity) -> tuple:
     def sides(moment):
         return family.terms(f, A.interval, n, m, moment, A.mean, tables)
 
-    def error(x, y, j, k):
-        return table_moment_bound(A, j, k) if x == a else table_moment_bound(A, k, j)
+    def error(x, y, keys):
+        return [table_moment_bound(A, j, k) if x == a else table_moment_bound(A, k, j) for j, k in keys]
 
     bounds = []
-    for terms, errs, leads in zip(sides(_moments(A)), sides(error), sides(lambda *key: 0.0)):
+    for terms, errs, leads in zip(sides(_moments(A)), sides(error), sides(lambda x, y, keys: [0.0] * len(keys))):
         carried = sum(abs(e - z) for e, z in zip(errs, leads))
         slack = 3 * _U * sum(map(abs, terms)) + 2 * _U * abs(math.fsum(terms)) + (3 * len(terms) + 2) * _ETA
         bounds.append(_UP * (carried + slack))

@@ -88,6 +88,19 @@ def test_diff_stops_quietly_when_its_reader_closes(tmp_path):
     assert proc.stderr.read() == b""
 
 
+def test_run_stops_quietly_when_its_reader_closes():
+    # 6,000 records outgrow a pipe's buffer: `run` is still printing when a
+    # reader that takes one line closes, and stops there.
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOL), "run", str(ROOT), "div_small", "9001", "6000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert json.loads(proc.stdout.readline())["op"] == 0
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+
+
 @pytest.mark.slow
 def test_the_div_small_census_is_pinned():
     recs = _census("div_small", 9001, 6000)

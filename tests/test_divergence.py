@@ -306,21 +306,26 @@ def test_direct_route_rejects_out_of_range_m():
         divergence_bounds(f, P, Q, n=5, m=7, theorem="tm21", convexity=CONCAVE)
 
 
-def test_moment_slip_in_direct_route_raises(monkeypatch):
-    # Negative control for the crosscheck: one wrong probability-sum moment.
+def _slip_pq_moments(monkeypatch):
+    """Scale the (1, 1) moment of the direct route's batched source by 1 + 1e-6."""
     from elrbounds import divergence
 
-    honest = divergence._pq_moment
+    honest = divergence._pq_moments
 
-    def slipped(p, q, a, b, j, k):
-        return honest(p, q, a, b, j, k) * (1.0 + 1e-6 * (j == 1 and k == 1))
+    def slipped(p, q, a, b, keys):
+        return [v * (1.0 + 1e-6 * (key == (1, 1))) for key, v in zip(keys, honest(p, q, a, b, keys))]
 
+    monkeypatch.setattr(divergence, "_pq_moments", slipped)
+
+
+def test_moment_slip_in_direct_route_raises(monkeypatch):
+    # Negative control for the crosscheck: one wrong probability-sum moment.
     p = ProbabilityVector((0.2, 0.5, 0.3))
     q = ProbabilityVector((0.4, 0.3, 0.3))
     rr = ratio_range(p, q)
     f = _gen("kl", domain=(rr.a, rr.b))
     divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
-    monkeypatch.setattr(divergence, "_pq_moment", slipped)
+    _slip_pq_moments(monkeypatch)
     with pytest.raises(RuntimeError, match="differ"):
         divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
 
@@ -405,19 +410,12 @@ def test_moment_slip_in_the_direct_route_table_raises(monkeypatch):
 
 
 def test_moment_slip_in_the_libm_stage_raises_on_fallback(monkeypatch):
-    # The twin: only `_pq_moment` slips, on an input the chain stage hands on.
-    from elrbounds import divergence
-
+    # The twin: only the libm route's `_pq_moments` slips, on an input the chain stage hands on.
     p, q = _table_pair(fallback=True)
-    honest = divergence._pq_moment
-
-    def slipped(p, q, a, b, j, k):
-        return honest(p, q, a, b, j, k) * (1.0 + 1e-6 * (j == 1 and k == 1))
-
     direct_calls = _record_direct_route(monkeypatch)
     divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
     assert len(direct_calls) == 1  # the chain stage fell back
-    monkeypatch.setattr(divergence, "_pq_moment", slipped)
+    _slip_pq_moments(monkeypatch)
     with pytest.raises(RuntimeError, match="differ"):
         divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
 
@@ -467,11 +465,11 @@ def test_a_side_the_chains_do_not_fix_goes_to_the_libm_route(monkeypatch):
     rr = ratio_range(p, q)
     f = FunctionModel.from_polynomial((1.0,), (rr.a, rr.b))
     direct_calls = _record_direct_route(monkeypatch)
-    sums, honest = [], divergence._pq_moment
-    monkeypatch.setattr(divergence, "_pq_moment", lambda *args: sums.append(args[4:]) or honest(*args))
+    keys, honest = [], divergence._pq_moments
+    monkeypatch.setattr(divergence, "_pq_moments", lambda *args: keys.extend(args[4]) or honest(*args))
     report = divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
     assert (report.lower, report.upper) == (0.0, 0.0)
-    assert len(direct_calls) == 1 and sums
+    assert len(direct_calls) == 1 and keys
 
 
 def test_the_chain_arrays_are_freed_before_the_fallback_runs(monkeypatch):

@@ -10,6 +10,10 @@ reach either, so these tests hold both tables to the scalar sums
 gate and near 2,000 points: each table moment is within its stated bound of
 the scalar sum; the functional raises every error of `_moment_sum`, and the
 chains read NaN, which hands the op to `_pq_moment`, where they state none.
+
+Below the gate, and on the ops the chain stage hands on, each side reads its
+moments in one batched libm pass (`DiscreteFunctional._moments`, `_pq_moments`); the last
+section holds those to the scalar sums bit for bit, errors included.
 """
 
 from __future__ import annotations
@@ -18,10 +22,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elrbounds import (
     CONVEX,
     DiscreteFunctional,
+    FunctionModel,
     GeneratorSpec,
     ProbabilityVector,
     ZipfMandelbrotParams,
@@ -30,8 +37,10 @@ from elrbounds import (
     make_generator,
     pmf_vector,
 )
-from elrbounds.bounds import FAMILIES, bound
-from elrbounds.divergence import _chain_bound_values, _chain_moments, _pq_moment, _ratios
+from elrbounds import divergence, functional
+from elrbounds.bounds import FAMILIES, _moments, bound
+from elrbounds.divergence import _chain_bound_values, _chain_moments, _pq_moment, _pq_moments, _ratios
+from elrbounds.divided_diff import endpoint_table
 from elrbounds.functional import _TABLE_MIN_POINTS, _moment_sum
 
 from conftest import keeps_the_outcome, side_bounds, table_moment_bound
@@ -236,3 +245,163 @@ def test_the_chains_hand_on_what_the_scalar_sum_raises(head_p, head_q, x, y, err
     key = (x, y, 1, 1 + (error != "ValueError"))
     assert outcome(_pq_moment, p, q, *key)[0] == error
     assert math.isnan(moment(*key)) and math.isnan(bound_of(*key))
+
+
+# --- batched libm sums ----------------------------------------------------------
+
+KEYS = tuple((j, k) for j in range(13) for k in range(13) if j + k <= 12)
+PQ_KEYS = KEYS[1:]  # the direct route's keys have j + k >= 1, as every layout's do
+
+
+def batched_outcome(fn, *args):
+    """A batched call's list as hex strings, or its exception type and text."""
+    try:
+        return [v.hex() for v in fn(*args)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def scalar_outcome(scalar, keys):
+    """What a batch of `keys` must give: each scalar sum in key order, up to the first error."""
+    values = []
+    for key in keys:
+        if isinstance(got := outcome(scalar, *key), tuple):
+            return got
+        values.append(got)
+    return values
+
+
+def assert_batch_is_scalar(batched, scalar, keys=KEYS):
+    """The whole key list, and each key alone, as the scalar sums give them."""
+    assert batched_outcome(batched, keys) == scalar_outcome(scalar, keys)
+    for key in keys:
+        assert batched_outcome(batched, (key,)) == scalar_outcome(scalar, (key,)), key
+
+
+def assert_both_routes_are_scalar(p, q, interval=None):
+    """Both batched sources, anchored at a and at b, on the pair's functional."""
+    ratios = _ratios(p, q).tolist()
+    a, b = interval or (min(ratios), max(ratios))
+    A = DiscreteFunctional(ratios, q.values, (a, b))
+    for x, y in ((a, b), (b, a)):
+        assert_batch_is_scalar(
+            lambda keys: _moments(A)(x, y, keys),
+            lambda j, k: _moment_sum(A.weights, A.points, a, b, *((j, k) if x == a else (k, j))),
+        )
+        assert_batch_is_scalar(
+            lambda keys: _pq_moments(p, q, x, y, keys), lambda j, k: _pq_moment(p, q, x, y, j, k), PQ_KEYS)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 30, _TABLE_MIN_POINTS - 1])
+@pytest.mark.parametrize("make", [_dirichlet_pair, _zm_pair], ids=["dirichlet", "zm"])
+def test_the_batched_moments_are_the_scalar_sums(make, size):
+    # Heavy-tailed pairs below the gate: every key with j + k <= 12, on both
+    # routes and in both orientations, with the scalar sums' bits or first error.
+    p, q = make(np.random.default_rng(size), size)
+    widen = size == 1  # one point: a degenerate ratio range needs an enclosing interval
+    r = float(_ratios(p, q)[0])
+    assert_both_routes_are_scalar(p, q, (r / 2, 2 * r) if widen else None)
+
+
+def test_a_key_list_splits_into_blocks(monkeypatch):
+    # At most `_BLOCK` elements per 2-D block: two keys of 30 points here.
+    blocks, honest = [], functional._exponents
+    monkeypatch.setattr(functional, "_BLOCK", 60)
+    monkeypatch.setattr(functional, "_exponents", lambda keys: blocks.append(len(keys)) or honest(keys))
+    assert_both_routes_are_scalar(*_dirichlet_pair(np.random.default_rng(30), 30))
+    assert max(blocks) == 2
+
+
+def _planted(head_p, head_q, size=8):
+    """Probability vectors of `size` entries: the given heads, then equal tails."""
+    tail = size - len(head_p)
+    p = list(head_p) + [(1.0 - math.fsum(head_p)) / tail] * tail
+    q = list(head_q) + [(1.0 - math.fsum(head_q)) / tail] * tail
+    return ProbabilityVector(tuple(p)), ProbabilityVector(tuple(q))
+
+
+@pytest.mark.parametrize(
+    "head_p,head_q,x,y,kind",
+    [
+        ([0.3], [0.2], 0.0, 1e200, "OverflowError"),  # (p_0 - 1e200 q_0)^2 overflows
+        # +inf from a subnormal q_0, -inf from a product beyond -1e308: fsum refuses them.
+        ([0.5, 0.3], [1e-310, 0.98], -10.0, 1e308, "ValueError"),
+        # q_0^d underflows to 0.0 from d = 7 on: the underflow form, all finite.
+        ([1e-45, 3e-40], [1e-45, 1e-40], 1e-3, 10.0, None),
+    ],
+    ids=["overflow", "opposite-infinities", "underflow-form"],
+)
+def test_planted_rows_of_the_direct_route(head_p, head_q, x, y, kind, monkeypatch):
+    p, q = _planted(head_p, head_q)
+    errors = {got[0] for key in PQ_KEYS if isinstance(got := outcome(_pq_moment, p, q, x, y, *key), tuple)}
+    assert errors == ({kind} if kind else set()) or kind in errors
+    assert_batch_is_scalar(
+        lambda keys: _pq_moments(p, q, x, y, keys), lambda j, k: _pq_moment(p, q, x, y, j, k), PQ_KEYS)
+    if kind is None:  # the batch forms the underflowing terms itself: no row reruns
+        assert q.values[0] ** 11 == 0.0
+        want = batched_outcome(_pq_moments, p, q, x, y, PQ_KEYS)
+        monkeypatch.setattr(divergence, "_pq_moment", lambda *args: pytest.fail(f"a row reran: {args[4:]}"))
+        assert batched_outcome(_pq_moments, p, q, x, y, PQ_KEYS) == want
+
+
+def partial_sums(w, x, interval):
+    """The batched moments of weights w at points x on `interval`, unchecked (x may lie
+    outside it), as a function of the keys."""
+    return object.__new__(DiscreteFunctional)._store(w=w, x=x, total=1.0, interval=interval)._moments
+
+
+@pytest.mark.parametrize(
+    "points,weights,kind",
+    [
+        ([0.0, 1e200, 5.0], [0.25, 0.25, 0.5], "OverflowError"),  # (1e200)^2 overflows
+        # A zero weight times an overflowing power: 0 * inf is NaN in the batch,
+        # while the scalar sum raises on the power.
+        ([1e200, 1.0], [0.0, 1.0], "OverflowError"),
+    ],
+    ids=["overflow", "zero-weight"],
+)
+def test_planted_rows_of_the_functional(points, weights, kind):
+    A = DiscreteFunctional(points, weights, (0.0, 1e200))
+    (a, b), w, x = A.interval, A._w, A._x
+    assert scalar_outcome(lambda j, k: _moment_sum(A.weights, A.points, a, b, j, k), KEYS)[0] == kind
+    assert_batch_is_scalar(partial_sums(w, x, (a, b)), lambda j, k: _moment_sum(A.weights, A.points, a, b, j, k))
+
+
+def test_opposite_infinities_in_the_functional_batch():
+    # Points outside [a, b] (the helper takes any arrays): at (1, 2) the
+    # products overflow to -inf and +inf, with every power finite.
+    w, x = np.array([0.5, 0.5]), np.array([-1e150, 1e150])
+    batched = partial_sums(w, x, (0.0, 1.0))
+    assert_batch_is_scalar(batched, lambda j, k: _moment_sum(w.tolist(), x.tolist(), 0.0, 1.0, j, k))
+    assert batched_outcome(batched, ((1, 2),)) == ("ValueError", "-inf + inf in fsum")
+
+
+def test_a_side_raises_its_endpoint_table_error_before_its_moment_error():
+    # f has no derivative of order 2, so the TM23 m = 1 side's table fails,
+    # and its (1, 3) moment overflows: the side raises the table's error.
+    f = FunctionModel(lambda t: t, lambda order, t: 1.0, (0.0, 1e200), max_order=1)
+    A = DiscreteFunctional([0.0, 1e200], [0.5, 0.5], (0.0, 1e200))
+    table = outcome(endpoint_table, f, 0.0, 1e200, 1, 4)
+    assert table[0] == "ValueError"
+    assert batched_outcome(A._moments, ((1, 3),))[0] == "OverflowError"
+    assert outcome(bound, "TM23", f, A, 5, None, CONVEX) == table
+    p, q = ProbabilityVector([0.3, 0.7]), ProbabilityVector([0.6, 0.4])
+    assert batched_outcome(_pq_moments, p, q, 0.0, 1e200, ((1, 3),))[0] == "OverflowError"
+    assert outcome(direct_bound_values, f, p, q, 0.0, 1e200, n=5, theorem="TM23") == table
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_batches_of_random_keys_are_the_scalar_sums(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 12))
+    scale = 10.0 ** rng.uniform(-3, 300)
+    x = np.sort(rng.uniform(-scale, scale, size))
+    w = rng.dirichlet(np.full(size, 0.2))
+    a, b = float(x[0]) - float(rng.uniform(0, scale)), float(x[-1]) + float(rng.uniform(0, scale))
+    keys = tuple(PQ_KEYS[i] for i in rng.integers(0, len(PQ_KEYS), int(rng.integers(1, 20))))
+    assert batched_outcome(partial_sums(w, x, (a, b)), keys) == scalar_outcome(
+        lambda j, k: _moment_sum(w.tolist(), x.tolist(), a, b, j, k), keys)
+    p, q = (ProbabilityVector(rng.dirichlet(np.full(size, 0.1))) for _ in range(2))
+    assert batched_outcome(_pq_moments, p, q, a, b, keys) == scalar_outcome(
+        lambda j, k: _pq_moment(p, q, a, b, j, k), keys)

@@ -16,7 +16,7 @@ kind is ok, wrong_bracket or wrong_value by the check, or the error's type.
 flips, the reports whose values moved and the errors whose type or text
 changed, with the first few of each; it exits 1 when any op differs, 2 when
 the runs hold different ops.  A reader that closes early (`| head`) stops
-the printing quietly, with the same exit code.
+the printing of either command quietly, with the same exit code (0 for `run`).
 Nothing under bench/ is written.
 """
 
@@ -39,22 +39,30 @@ def run(root: str, workload: str, seed: int, ops: int) -> None:
     wl = workloads.workload(workload, root)
     if not wl.in_process:
         sys.exit(f"error: {workload} runs each op in a child process; the census covers in-process workloads")
-    for i, case in enumerate(wl.make(seed, ops)):
-        rec = {"op": i, "case": list(case[:4]) if isinstance(case, tuple) else case}
-        try:
-            output = wl.run(elrbounds, case)
-        except Exception as exc:  # an op that raises is an outcome, as in the benchmark
-            rec.update(kind=type(exc).__name__, error=type(exc).__name__, text=str(exc))
-        else:
-            reason = wl.check(case, output)
-            rec["kind"] = workloads.Outcome(None, reason).kind  # ok, wrong_bracket or wrong_value
-            if hasattr(output, "lr"):
-                rec.update({k: _hex(getattr(output, k)) for k in ("lr", "lower", "upper")})
-                rec["direction_valid"] = output.direction_valid
+    try:
+        for i, case in enumerate(wl.make(seed, ops)):
+            rec = {"op": i, "case": list(case[:4]) if isinstance(case, tuple) else case}
+            try:
+                output = wl.run(elrbounds, case)
+            except Exception as exc:  # an op that raises is an outcome, as in the benchmark
+                rec.update(kind=type(exc).__name__, error=type(exc).__name__, text=str(exc))
             else:
-                rec["value"] = repr(output)
-            rec["reason"] = reason
-        print(json.dumps(rec), flush=True)
+                reason = wl.check(case, output)
+                rec["kind"] = workloads.Outcome(None, reason).kind  # ok, wrong_bracket or wrong_value
+                if hasattr(output, "lr"):
+                    rec.update({k: _hex(getattr(output, k)) for k in ("lr", "lower", "upper")})
+                    rec["direction_valid"] = output.direction_valid
+                else:
+                    rec["value"] = repr(output)
+                rec["reason"] = reason
+            print(json.dumps(rec), flush=True)
+    except BrokenPipeError:  # the reader stopped early (`run ... | head`): no more ops
+        _silence_stdout()
+
+
+def _silence_stdout() -> None:
+    """Point stdout at the null device, so the exit flush after a closed pipe writes nowhere."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _hex(x):
@@ -75,7 +83,7 @@ def diff(path_a: str, path_b: str) -> int:
     try:
         print("\n".join(lines), flush=True)
     except BrokenPipeError:  # the reader stopped early (`diff A B | head`): keep the verdict
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush writes nowhere
+        _silence_stdout()
     return code
 
 
