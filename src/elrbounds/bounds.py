@@ -284,6 +284,5 @@ def n3_closed_form(f: FunctionModel, A: DiscreteFunctional) -> tuple[float, floa
     """
     a, b = A.interval
     T = endpoint_table(f, a, b, 2, 1)
-    lower = A.moment(1, 1) / (b - a) * (float(f.deriv(1, b)) - T[1][1])
-    upper = T[2][1] * A.moment(1, 1)
-    return lower, upper
+    M = A.moment(1, 1)
+    return M / (b - a) * (float(f.deriv(1, b)) - T[1][1]), T[2][1] * M

@@ -24,15 +24,15 @@ bit `_pq_moment`'s point-by-point sums.  Below `_TABLE_MIN_POINTS` each side
 the report carries must agree with it to 1e-12.
 
 From the gate on, a chain stage decides first (`_chain_bound_values`): the
-same sums from powers built by repeated multiplication, each side c with a
-stated bound E on its distance from the libm route's side (the error model
-is `_chain_moments`').  It decides when every side the report carries has
-E < |c| and |delegated - c| <= 1e-12 + E, or when a side has |delegated - c|
-> 1e-12 + E, which the libm route refuses too.  Otherwise (a NaN difference
-among them) the op is handed on as below the gate, its report rebuilt from
-the point-by-point sums' bits.  One loop then ends every op: each side the
-report carries must lie within 1e-12 + E of the deciding stage's c, or
-within 1e-12 of the libm route's side.  So the stage only turns a refusal
+same sums from powers built by repeated multiplication (`_batched` sums both),
+each side c with a stated bound E on its distance from the libm route's side
+(the error model is `_chain_moments`').  It decides when every side the report
+carries has E < |c| and |delegated - c| <= 1e-12 + E, or when a side has
+|delegated - c| > 1e-12 + E, which the libm route refuses too.  Otherwise (a
+NaN difference among them) the op is handed on as below the gate, its report
+rebuilt from the point-by-point sums' bits.  One loop then ends every op: each
+side the report carries must lie within 1e-12 + E of the deciding stage's c,
+or within 1e-12 of the libm route's side.  So the stage only turns a refusal
 that its own rounding explains, on a side it fixes, into the report.  The
 functional and its chains are freed before the crosscheck.
 """
@@ -49,8 +49,8 @@ from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family
 from .divided_diff import _U, FunctionModel, _checked_interval
 from .functional import (
-    _CHAIN_MAX, _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _batched, _chain_table,
-    _first_outside, _float_array, _lazy_tuples, _moment_reader, _point_by_point, _unit_sum,
+    _CHAIN_MAX, _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _batched, _chain_table, _exponents,
+    _first_outside, _float_array, _lazy_tuples, _moment_reader, _point_by_point, _pow_below, _unit_sum,
 )
 from .generators import GeneratorSpec, definite_class, make_generator
 
@@ -200,12 +200,12 @@ def _pq_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: float, 
     """[`_pq_moment` of each key], bit for bit, for keys with j + k >= 1 (every layout's;
     then q^(j+k-1) <= 1): the terms U^j V^k / q^(j+k-1), U = p - a q, V = p - b q, in one
     `_batched` pass, each term whose denominator underflows to 0 as q (U/q)^j (V/q)^k."""
-    def terms(J, K):
-        p_, q_ = p._v, q._v
+    def rows(block):
+        (J, K), p_, q_ = _exponents(block), p._v, q._v
         U, V, d = p_ - a * q_, p_ - b * q_, np.float_power(q_, J + K - 1.0)
         t = np.float_power(U, J) * np.float_power(V, K) / d
         return t if d.all() else np.where(d == 0.0, q_ * np.float_power(U / q_, J) * np.float_power(V / q_, K), t)
-    return _batched(keys, len(q), terms, partial(_pq_moment, p, q, a, b))
+    return _batched(keys, len(q), rows, partial(_pq_moment, p, q, a, b))
 
 
 def _gamma(k: int) -> float:
@@ -231,8 +231,9 @@ def _chain_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: floa
 
     A moment and its error read NaN where a term is not finite or near
     overflow, where a power's largest element is within a factor 2 of
-    overflow (libm would raise), or where a q_i^d may leave the normal range
-    (the libm route takes `_pq_moment`'s underflow form there).
+    overflow (libm would raise; `_pow_below` does not), or where a q_i^d may
+    leave the normal range (the libm route takes `_pq_moment`'s underflow
+    form there): the chains decline the key, and its rerun is NaN.
     """
     points = len(q)
     with np.errstate(all="ignore"):
@@ -245,8 +246,8 @@ def _chain_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: floa
 
     def table(x: float, y: float, j: int, k: int) -> np.ndarray | None:
         d = j + k - 1
-        # Python float powers: an OverflowError is caught by `_moment_reader`.
-        if not (q_min**d >= 2.0**-1021 and top[x] ** j < 2.0**1023 and top[y] ** k < 2.0**1023):
+        if _pow_below(q_min, d, 2.0**-1021) or not (
+                _pow_below(top[x], j, 2.0**1023) and _pow_below(top[y], k, 2.0**1023)):
             return None
         t = X[x](j) * X[y](k)  # a new array (j + k >= 1): divided in place
         t /= D(d)
@@ -261,10 +262,7 @@ def _chain_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: floa
         errors[x, y, j, k] = _UP * (g * size * (1 + 2 * points * _U) + alpha)
         return t
 
-    def error(*key) -> float:
-        return errors.get(key, math.nan)
-
-    return _moment_reader(table, lambda *key: math.nan), error
+    return _moment_reader(table, lambda *key: math.nan), lambda *key: errors.get(key, math.nan)
 
 
 def _chain_bound_values(

@@ -10,11 +10,11 @@ Points and weights are validated and kept as read-only float64 arrays; the
 public `points`/`weights` tuples are built from them on first read, so the
 array paths never pay for them, and copies and pickles are rebuilt from the
 arrays alone.  A function that accepts the point array is evaluated on all
-points in one call, bit for bit.  A side's moments are one `_batched` pass of
-libm pows, the point-by-point sums' bits; from `_TABLE_MIN_POINTS` points on,
-`_moment_reader` sums each once per functional from multiply chains
-(`_chain_table`), within a stated bound of the point-by-point sums that rerun
-where a power may overflow or a term is not finite (`_table_moment`).
+points in one call, bit for bit.  `_batched` is the one sum and rerun of
+moments: a side's are one 2-D pass of libm pows, the point-by-point sums' bits;
+from `_TABLE_MIN_POINTS` points on, each is a multiply-chain product, summed
+once per functional (`_moment_reader`) within a stated bound of the scalar
+sums, which rerun where a power may overflow or a term is not finite.
 """
 
 from __future__ import annotations
@@ -61,21 +61,15 @@ def _chain_table(base: np.ndarray) -> Callable[[int], np.ndarray | float]:
 
 
 def _moment_reader(table, scalar) -> Callable[..., float]:
-    """moment(*key) = `_sum(table(*key))`, summed once per key (errors are not kept).
+    """moment(*key): `_batched` of the one key, its terms `table(*key)` (None declines them),
+    read once per key: the chains' only cache (one key is one block, so the size is moot)."""
+    return cache(lambda *key: _batched((key,), 1, lambda block: [table(*key)], scalar)[0])
 
-    Where the table returns None or raises, or its sum is not finite, the
-    point-by-point `scalar(*key)` runs instead, so an error is the one the
-    scalar sum reports first in point order.  The only moment cache.
-    """
-    @cache
-    def moment(*key) -> float:
-        try:
-            with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
-                total = math.nan if (terms := table(*key)) is None else _sum(terms)
-        except (ArithmeticError, ValueError):  # fsum raises ValueError on opposite infinities
-            total = math.nan
-        return total if math.isfinite(total) else scalar(*key)
-    return moment
+
+@lru_cache(maxsize=256)  # a table's keys share their exponents
+def _pow_below(base: float, e: int, limit: float) -> bool:
+    """base**e < limit by libm `pow`: the float `**`'s bits, inf where `**` raises, so a gate that cannot raise."""
+    return np.float_power(base, e) < limit
 
 
 @lru_cache(maxsize=256)
@@ -84,17 +78,19 @@ def _exponents(keys: tuple) -> np.ndarray:
     return np.array(keys, dtype=float).reshape(-1, 2, 1).transpose(1, 0, 2)
 
 
-def _batched(keys: tuple, size: int, terms, scalar) -> list[float]:
-    """[scalar(*key) for key in keys] bit for bit: row i of `terms(*_exponents(block))` holds key
-    i's terms over `size` points, by the scalar sum's operations (`np.float_power` is libm `pow`,
-    as `**` is), fsum-ed; a row whose sum raises or is not finite reruns `scalar(*key)`, in order."""
+def _batched(keys: tuple, size: int, rows, scalar) -> list[float]:
+    """The moments of `keys`, the one sum and rerun of moments: `rows(block)` gives each key of a block its
+    terms over `size` points (a 2-D libm pass, or a chain product per key), or None where it declines; a key
+    declined, or whose fsum raises or is not finite, reruns the point-by-point `scalar(*key)`, in order."""
     out, small, step = [], size < _SUM_MIN_LEN, max(1, _BLOCK // size)
     with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
         for i in range(0, len(keys), step):
-            rows = terms(*_exponents(block := keys[i:i + step]))
-            for key, row in zip(block, rows.tolist() if small else rows):
+            terms = rows(block := keys[i:i + step])
+            if listed := small and type(terms) is np.ndarray:  # fsum reads a small 2-D pass fastest as lists
+                terms = terms.tolist()
+            for key, row in zip(block, terms):
                 try:
-                    total = math.fsum(row) if small else _sum(row)
+                    total = math.nan if row is None else math.fsum(row) if listed else _sum(row)
                 except (ArithmeticError, ValueError):  # fsum raises ValueError on opposite infinities
                     total = math.nan
                 out.append(total if math.isfinite(total) else scalar(*key))
@@ -225,8 +221,11 @@ class DiscreteFunctional:
         if len(self._x) >= _TABLE_MIN_POINTS and not self._pointwise:
             return [self._table_moment(*key) for key in keys]
         (a, b), w, x = self.interval, self._w, self._x
-        return _batched(keys, len(x), lambda J, K: w * np.float_power(x - a, J) * np.float_power(x - b, K),
-                        lambda j, k: _moment_sum(self.weights, self.points, a, b, j, k))
+
+        def rows(block):  # one 2-D pass of libm pows
+            J, K = _exponents(block)
+            return w * np.float_power(x - a, J) * np.float_power(x - b, K)
+        return _batched(keys, len(x), rows, lambda j, k: _moment_sum(self.weights, self.points, a, b, j, k))
 
     @cached_property
     def _table_moment(self) -> Callable[[int, int], float]:
@@ -243,9 +242,9 @@ class DiscreteFunctional:
         (a, b), w, x = self.interval, self._w, self._x
         with np.errstate(all="ignore"):
             X, Y = _chain_table(x - a), _chain_table(x - b)
-        top = b - a  # Python float powers below: an OverflowError is caught by the reader
         return _moment_reader(
-            lambda j, k: w * X(j) * Y(k) if top**j < _CHAIN_MAX and top**k < _CHAIN_MAX else None,
+            lambda j, k: w * X(j) * Y(k) if _pow_below(b - a, j, _CHAIN_MAX) and _pow_below(b - a, k, _CHAIN_MAX)
+            else None,
             lambda j, k: _moment_sum(w.tolist(), x.tolist(), a, b, j, k),
         )
 

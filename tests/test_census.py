@@ -1,8 +1,8 @@
 """`tools/census.py`: the op-by-op outcome census of a benchmark workload, and its pin.
 
-The slow tests pin the `div_small` census of seed 9001 at 6,000 ops (the
-workload's full run) and the `zm_large` census of seeds 7101 and 7919 at 40
-ops (one cycle).  A change that moves any op's outcome kind fails them;
+The slow tests pin the `div_small` census of seeds 9001 and 5151 at 6,000 ops
+(the workload's full run) and the `zm_large` census of seeds 7101, 7919, 8120
+and 40001 at 40 ops (one cycle): the seeds of `census.py compare`.  A change that moves any op's outcome kind fails them;
 update a pin only with a line in CHANGES.md that says which ops moved and why.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -30,10 +31,16 @@ def _census(workload: str, seed: int, ops: int) -> list[dict]:
     return [json.loads(line) for line in out.splitlines()]
 
 
-def _diff(tmp_path, a: list[dict], b: list[dict], capsys) -> tuple[int, str]:
+def _tool():
+    """tools/census.py as a module."""
     spec = importlib.util.spec_from_file_location("census", TOOL)
     census = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(census)
+    return census
+
+
+def _diff(tmp_path, a: list[dict], b: list[dict], capsys) -> tuple[int, str]:
+    census = _tool()
     paths = []
     for name, recs in (("a", a), ("b", b)):
         paths.append(tmp_path / f"{name}.jsonl")
@@ -101,22 +108,45 @@ def test_run_stops_quietly_when_its_reader_closes():
     assert proc.stderr.read() == b""
 
 
+def test_compare_diffs_two_checkouts_seed_by_seed(tmp_path, capsys):
+    # A copy whose crosscheck accepts any difference: div_small seed 9001's
+    # first two ops return alike, its third (a crosscheck refusal) flips.
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=shutil.ignore_patterns("__pycache__", "out"))
+    module = tmp_path / "src" / "elrbounds" / "divergence.py"
+    text = module.read_text()
+    assert "_CROSSCHECK_TOL = 1e-12\n" in text
+    module.write_text(text.replace("_CROSSCHECK_TOL = 1e-12\n", "_CROSSCHECK_TOL = 1e300\n"))
+    code = _tool().compare(str(ROOT), str(tmp_path), (("div_small", 9001, 2), ("div_small", 9001, 3)))
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[0] == "== div_small seed 9001, 2 ops: same"
+    assert "== div_small seed 9001, 3 ops: differ" in out
+    assert out.count("report<->refusal flips: 0") == 1 and "report<->refusal flips: 1" in out
+
+
 @pytest.mark.slow
-def test_the_div_small_census_is_pinned():
-    recs = _census("div_small", 9001, 6000)
+@pytest.mark.parametrize(
+    "seed,counts,texts,digest",
+    [
+        (9001, {"ok": 3088, "wrong_bracket": 22, "RuntimeError": 2660, "OverflowError": 126, "ValueError": 104},
+         {"domain": 89, "-inf + inf in fsum": 15}, "d0b89ce84e9e32c90222ea64b81459a1b78312f34d782bacfea966d4c0d8ed95"),
+        (5151, {"ok": 3109, "wrong_bracket": 17, "RuntimeError": 2627, "OverflowError": 153, "ValueError": 94},
+         {"domain": 80, "-inf + inf in fsum": 14}, "ab945467161e5e25881f2185acc97702396ed59cce3c642f6c29c91bdfea3427"),
+    ],
+    ids=["9001", "5151"],
+)
+def test_the_div_small_census_is_pinned(seed, counts, texts, digest):
+    recs = _census("div_small", seed, 6000)
     kinds = [r["kind"] for r in recs]
-    assert Counter(kinds) == {
-        "ok": 3088, "wrong_bracket": 22, "RuntimeError": 2660, "OverflowError": 126, "ValueError": 104,
-    }
-    # The 22 wrong brackets are a known certification defect, pinned here so they stay visible.
-    texts = Counter(
+    # The wrong brackets are a known certification defect, pinned here so they stay visible.
+    assert Counter(kinds) == counts
+    assert Counter(
         "domain" if "requires a domain inside" in r["text"] else r["text"]
         for r in recs if r["kind"] == "ValueError"
-    )
-    assert texts == {"domain": 89, "-inf + inf in fsum": 15}
+    ) == texts
     # Flips in opposite directions would leave the counts alone; the sequence catches them.
-    digest = hashlib.sha256("\n".join(kinds).encode()).hexdigest()
-    assert digest == "d0b89ce84e9e32c90222ea64b81459a1b78312f34d782bacfea966d4c0d8ed95"
+    assert hashlib.sha256("\n".join(kinds).encode()).hexdigest() == digest
 
 
 @pytest.mark.slow
@@ -126,6 +156,10 @@ def test_the_div_small_census_is_pinned():
         (7101, {"ok": 40}, [], "0235a1368b41b1467593f5c989530f5627d7a0a21723fd8356219c0ba03d4af7"),
         # One TM24 lower side that the chain stage itself proves off by more than its bound.
         (7919, {"ok": 39, "RuntimeError": 1}, ["TM24 lower"],
+         "d03cffb784416540784827c3c87ca74072adea6656d6b06664b5103c814288dd"),
+        (8120, {"ok": 40}, [], "0235a1368b41b1467593f5c989530f5627d7a0a21723fd8356219c0ba03d4af7"),
+        # Its op 34 is refused on the same side, by the same crosscheck.
+        (40001, {"ok": 39, "RuntimeError": 1}, ["TM24 lower"],
          "d03cffb784416540784827c3c87ca74072adea6656d6b06664b5103c814288dd"),
     ],
 )

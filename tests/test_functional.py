@@ -95,6 +95,18 @@ def test_the_closed_form_sums_its_one_moment_once(monkeypatch):
     assert calls == [5000]
 
 
+def test_the_closed_form_reads_its_one_moment_once_below_the_table_gate(monkeypatch):
+    # Below the gate nothing keeps a moment, so the closed form itself reads it once.
+    from elrbounds.bounds import n3_closed_form
+
+    reads, honest = [], DiscreteFunctional._moments
+    monkeypatch.setattr(DiscreteFunctional, "_moments", lambda self, keys: reads.extend(keys) or honest(self, keys))
+    rng = np.random.default_rng(6)
+    A = DiscreteFunctional(rng.uniform(0.1, 2.0, 10), rng.dirichlet(np.ones(10)), (0.1, 2.0))
+    n3_closed_form(exp_model(domain=(0.1, 2.0)), A)
+    assert reads == [(1, 1)]
+
+
 def test_a_dropped_functional_is_freed_without_the_cycle_collector():
     # The moment reader holds the functional's arrays, never the functional:
     # a reference cycle would keep its power tables alive past `del A`.

@@ -11,6 +11,10 @@ gate and near 2,000 points: each table moment is within its stated bound of
 the scalar sum; the functional raises every error of `_moment_sum`, and the
 chains read NaN, which hands the op to `_pq_moment`, where they state none.
 
+The chain gates' section holds both chain sources' power gates (libm `pow`
+through `np.float_power`) to the float `**` rule they replaced, which
+declined where `**` raised, at the edge of each limit.
+
 Below the gate, and on the ops the chain stage hands on, each side reads its
 moments in one batched libm pass (`DiscreteFunctional._moments`, `_pq_moments`); the last
 section holds those to the scalar sums bit for bit, errors included.
@@ -245,6 +249,97 @@ def test_the_chains_hand_on_what_the_scalar_sum_raises(head_p, head_q, x, y, err
     key = (x, y, 1, 1 + (error != "ValueError"))
     assert outcome(_pq_moment, p, q, *key)[0] == error
     assert math.isnan(moment(*key)) and math.isnan(bound_of(*key))
+
+
+# --- the chain gates ---------------------------------------------------------------
+
+
+def _raised_or_not_below(top: float, e: int, limit: float) -> bool:
+    """The gates' rule before libm `pow` took it: a float `**`, declined where it raises."""
+    try:
+        return not top**e < limit
+    except OverflowError:
+        return True
+
+
+def _gate_tops(limit: float) -> list[float]:
+    """Bases whose e-th power (e = 1..12) lands at `limit` or at overflow, with their neighbours."""
+    centres = [2.0 ** (q / e) for q in (math.log2(limit), 1024) for e in range(1, 13) if q / e < 1024]
+    return [t for c in centres for t in (math.nextafter(c, 0), c, math.nextafter(c, math.inf))]
+
+
+GATE_KEYS = [(j, k) for j in range(13) for k in range(13) if j + k >= 1]
+
+
+def _assert_the_gate_decides_as_before(gate_at, tops, limit):
+    """`gate_at(top)(j, k)`: whether a chain source reads key (j, k) at base `top`."""
+    declined = raised = 0
+    for top in tops:
+        gate = gate_at(top)
+        for j, k in GATE_KEYS:
+            want = _raised_or_not_below(top, j, limit) or _raised_or_not_below(top, k, limit)
+            assert gate(j, k) == (not want), (top.hex(), j, k)
+            declined += want
+            try:
+                top ** max(j, k)
+            except OverflowError:
+                raised += 1
+    assert raised and declined and declined < len(tops) * len(GATE_KEYS)
+
+
+def test_the_functional_gate_declines_where_a_float_power_did(monkeypatch):
+    # (b - a)^j and (b - a)^k against 2^1020, read in place: the row source
+    # `_table_moment` hands `_moment_reader` gives None where it declines.
+    monkeypatch.setattr(functional, "_moment_reader", lambda table, scalar: table)
+
+    def gate_at(top):
+        table = DiscreteFunctional([0.0, top], [0.5, 0.5], (0.0, top))._table_moment
+
+        def gate(j, k):
+            with np.errstate(all="ignore"):
+                return table(j, k) is not None
+        return gate
+
+    _assert_the_gate_decides_as_before(gate_at, _gate_tops(functional._CHAIN_MAX), functional._CHAIN_MAX)
+
+
+def test_the_chain_stage_gate_declines_where_a_float_power_did(monkeypatch):
+    # max|p - x q|^j and max|p - y q|^k against 2^1023, on one point with
+    # p = q = 1 (so q^d = 1 passes): the chains are read only past the gate.
+    reads, honest = [], divergence._chain_table
+    monkeypatch.setattr(divergence, "_chain_table", lambda base: (
+        lambda e, power=honest(base): reads.append(e) or power(e)))
+    monkeypatch.setattr(divergence, "_moment_reader", lambda table, scalar: table)
+    one = ProbabilityVector([1.0])
+
+    def gate_at(top):
+        table, _ = _chain_moments(one, one, -top, -top)
+
+        def gate(j, k):
+            before = len(reads)
+            with np.errstate(all="ignore"):
+                table(-top, -top, j, k)
+            return len(reads) > before
+        return gate
+
+    tops = [t for t in _gate_tops(2.0**1023) if 1.0 + t == t]  # base 1 - (-t) 1 = t exactly
+    _assert_the_gate_decides_as_before(gate_at, tops, 2.0**1023)
+
+
+def test_declined_keys_take_the_scalar_rerun_bit_for_bit(monkeypatch):
+    # b - a = 2^93: (b - a)^11 = 2^1023 is past the chains' gate, so the two
+    # order-11 moments that COR21 at n = 12, m = 11 reads rerun point by point;
+    # every other key is read from the chains.
+    rng = np.random.default_rng(2018)
+    top = 2.0**93
+    A = DiscreteFunctional(np.linspace(0.0, top, N_EDGE), rng.dirichlet(np.ones(N_EDGE)), (0.0, top))
+    reruns, honest = [], functional._moment_sum
+    monkeypatch.setattr(functional, "_moment_sum", lambda *args: reruns.append(args[4:]) or honest(*args))
+    f = FunctionModel.from_polynomial((1.0, -2.0, 0.5, 1e-60), (0.0, top))
+    bound("COR21", f, A, 12, 11, CONVEX)
+    assert sorted(reruns) == [(0, 11), (11, 0)]
+    for key in reruns:
+        assert A.moment(*key).hex() == honest(A.weights, A.points, 0.0, top, *key).hex()
 
 
 # --- batched libm sums ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
     python tools/census.py run ROOT WORKLOAD SEED OPS > out.jsonl
     python tools/census.py diff A.jsonl B.jsonl
+    python tools/census.py compare ROOT_A ROOT_B
 
 `run` imports the package from ROOT/src and draws the ops with the case
 generators of ROOT/bench/workloads.py, so two checkouts (say, a parent and a
@@ -15,8 +16,11 @@ kind is ok, wrong_bracket or wrong_value by the check, or the error's type.
 `diff` prints the count of each kind on both sides, then the report<->refusal
 flips, the reports whose values moved and the errors whose type or text
 changed, with the first few of each; it exits 1 when any op differs, 2 when
-the runs hold different ops.  A reader that closes early (`| head`) stops
-the printing of either command quietly, with the same exit code (0 for `run`).
+the runs hold different ops.  `compare` runs `run` for both checkouts, in two
+child processes at a time, on each of `SEEDS` (the workloads' pinned seeds),
+and prints each seed's `diff` summary; its exit code is the worst of theirs.
+A reader that closes early (`| head`) stops the printing of any command
+quietly, with the same exit code (0 for `run`).
 Nothing under bench/ is written.
 """
 
@@ -24,10 +28,16 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 
 SHOWN = 5  # ops listed per difference class
+# (workload, seed, ops) that `compare` runs: a whole `div_small` run each, one `zm_large` cycle each.
+SEEDS = (
+    ("div_small", 9001, 6000), ("div_small", 5151, 6000),
+    ("zm_large", 7101, 40), ("zm_large", 7919, 40), ("zm_large", 8120, 40), ("zm_large", 40001, 40),
+)
 
 
 def run(root: str, workload: str, seed: int, ops: int) -> None:
@@ -87,6 +97,28 @@ def diff(path_a: str, path_b: str) -> int:
     return code
 
 
+def compare(root_a: str, root_b: str, seeds=SEEDS) -> int:
+    """`diff` of the two checkouts' `run` on each (workload, seed, ops) of `seeds`."""
+    code = 0
+    for workload, seed, ops in seeds:
+        procs = [
+            subprocess.Popen([sys.executable, __file__, "run", root, workload, str(seed), str(ops)],
+                             stdout=subprocess.PIPE, text=True)
+            for root in (root_a, root_b)
+        ]
+        outs = [proc.communicate()[0] for proc in procs]
+        if any(proc.returncode for proc in procs):
+            sys.exit(f"error: `run` failed on {workload} seed {seed}")
+        seed_code, lines = _compare(*([json.loads(line) for line in out.splitlines()] for out in outs))
+        code = max(code, seed_code)
+        try:
+            print(f"== {workload} seed {seed}, {ops} ops: {'same' if seed_code == 0 else 'differ'}", *lines,
+                  sep="\n", flush=True)
+        except BrokenPipeError:  # the reader stopped early: the verdict still covers every seed
+            _silence_stdout()
+    return code
+
+
 def _compare(a: list[dict], b: list[dict]) -> tuple[int, list[str]]:
     """diff's exit code and the lines it prints."""
     if [r["case"] for r in a] != [r["case"] for r in b]:
@@ -121,7 +153,9 @@ def main(argv: list[str]) -> int:
         return 0
     if len(argv) == 3 and argv[0] == "diff":
         return diff(argv[1], argv[2])
-    print("usage:\n" + "\n".join(__doc__.splitlines()[2:4]), file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print("usage:\n" + "\n".join(__doc__.splitlines()[2:5]), file=sys.stderr)
     return 2
 
 
