@@ -33,7 +33,6 @@ __all__ = [
     "CONVEX",
     "CONCAVE",
     "FAMILIES",
-    "THEOREMS",
     "BoundReport",
     "decompose_lemma21",
     "decompose_lemma22",
@@ -90,28 +89,22 @@ class _Family:
             x, y = (a, b) if anchor == "a" else (b, a)
             yield _terms(f, x, y, n, k, partial(moment, x, y), mean, tables)
 
-    def signs(self, n: int, m: int | None, convexity: str) -> list[int]:
-        """Sign of the remainder each side drops: the parity rule.
+    def arrange(
+        self, n: int, m: int | None, convexity: str, values: list[float]
+    ) -> tuple[float | None, float | None, bool]:
+        """(lower, upper, direction_valid) for the side values, by the parity rule.
 
         With sigma = +1 for n-convex and -1 for n-concave f, the remainder
         dropped by side (anchor, m) has the sign sigma (-1)^(n-m) at anchor a
         and sigma (-1)^m at anchor b.  A side whose sign is +1 bounds LR from
-        below, one whose sign is -1 from above.
+        below, one whose sign is -1 from above.  In a bracket the second side
+        fixes the arrangement, and the bracket is certified only when the two
+        sides' signs differ.
         """
         _check_convexity(convexity)
         sigma = 1 if convexity == CONVEX else -1
         sides = self.resolve(n, m)  # accepts n as an integer, so int(n) is exact
-        return [sigma * (-1) ** (int(n) - k if x == "a" else k) for x, k in sides]
-
-    def arrange(
-        self, n: int, m: int | None, convexity: str, values: list[float]
-    ) -> tuple[float | None, float | None, bool]:
-        """(lower, upper, direction_valid) for the side values.
-
-        In a bracket the second side fixes the arrangement, and the bracket is
-        certified only when the two sides' signs differ.
-        """
-        signs = self.signs(n, m, convexity)
+        signs = [sigma * (-1) ** (int(n) - k if x == "a" else k) for x, k in sides]
         if len(signs) == 1:
             return (values[0], None, True) if signs[0] > 0 else (None, values[0], True)
         first, second = values
@@ -129,7 +122,6 @@ FAMILIES = {
         _Family("TM24", (("b", 1), ("b", 2)), ("m1", "m2")),
     )
 }
-THEOREMS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -170,7 +162,7 @@ def _check_convexity(convexity: str) -> None:
 
 def _family(tag: str) -> _Family:
     if tag.upper() not in FAMILIES:
-        raise ValueError(f"unknown theorem tag {tag.upper()!r}; choose from {THEOREMS}")
+        raise ValueError(f"unknown theorem tag {tag.upper()!r}; choose from {tuple(FAMILIES)}")
     return FAMILIES[tag.upper()]
 
 
@@ -229,7 +221,6 @@ def _decompose(
     A(R(g)) they leave out, R evaluated on all of A's points in one array call
     that reads the terms' endpoint table (that call already reruns point by
     point on error)."""
-    n, m = _check_orders(n, m)
     tables: dict = {}
     terms = _terms(f, x, y, n, m, partial(_moments(A), x, y), A.mean, tables)
     return terms, A._dot(remainder_R(f, x, y, m, n, A._x, _table=tables[x, m]))

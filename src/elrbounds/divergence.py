@@ -134,10 +134,6 @@ class RatioRange:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def is_degenerate(self) -> bool:
-        return not self.a < self.b
-
 
 def _check_pair(p: ProbabilityVector, q: ProbabilityVector) -> None:
     if len(p) != len(q):
@@ -231,9 +227,9 @@ def _chain_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: floa
 
     A moment and its error read NaN where a term is not finite or near
     overflow, where a power's largest element is within a factor 2 of
-    overflow (libm would raise; `_pow_below` does not), or where a q_i^d may
-    leave the normal range (the libm route takes `_pq_moment`'s underflow
-    form there): the chains decline the key, and its rerun is NaN.
+    overflow (libm would raise; `_pow_below` does not), where d < 0, or where
+    a q_i^d may leave the normal range (the libm route takes `_pq_moment`'s
+    underflow form there): the chains decline the key, and its rerun is NaN.
     """
     points = len(q)
     with np.errstate(all="ignore"):
@@ -246,7 +242,7 @@ def _chain_moments(p: ProbabilityVector, q: ProbabilityVector, a: float, b: floa
 
     def table(x: float, y: float, j: int, k: int) -> np.ndarray | None:
         d = j + k - 1
-        if _pow_below(q_min, d, 2.0**-1021) or not (
+        if d < 0 or _pow_below(q_min, d, 2.0**-1021) or not (
                 _pow_below(top[x], j, 2.0**1023) and _pow_below(top[y], k, 2.0**1023)):
             return None
         t = X[x](j) * X[y](k)  # a new array (j + k >= 1): divided in place
@@ -384,8 +380,7 @@ def divergence_bounds(
     # copy (the ratios are new, q's array is read-only), no sign or sum check
     # of q's entries as weights (q kept their fsum), and no [a, b] scan (a and
     # b are the ratios' extremes or a checked enclosing interval).
-    A = object.__new__(DiscreteFunctional)._store(
-        ratios, q._v, q._total, _checked_interval((a, b), "interval"))
+    A = object.__new__(DiscreteFunctional)._store(ratios, q._v, q._total, (a, b))
     del ratios
     tables: dict = {}
     report = _bounds.bound(theorem, f, A, n, m, convexity, _tables=tables)

@@ -317,7 +317,7 @@ def _check_support(f: FunctionModel, nodes: Iterable[float], mult: int) -> None:
 class NodeMultiset:
     """Interpolation nodes with multiplicities, kept sorted and exactly merged.
 
-    Entries with bitwise-equal node values are merged (multiplicities summed).
+    Entries with equal node values (0.0 and -0.0 alike) are merged (multiplicities summed).
     Distinct nodes closer than 1e-13 relative to their magnitude are rejected
     rather than merged.
     """
@@ -341,12 +341,8 @@ class NodeMultiset:
 
     @classmethod
     def from_points(cls, points: Iterable[float]) -> "NodeMultiset":
-        """Count exact duplicates in a flat point list."""
-        counts: dict[float, int] = {}
-        for p in points:
-            v = float(p)
-            counts[v] = counts.get(v, 0) + 1
-        return cls(tuple(counts.items()))
+        """Each point once, as a float: the constructor counts exact duplicates."""
+        return cls(tuple((float(p), 1) for p in points))
 
     @property
     def max_multiplicity(self) -> int:
@@ -509,11 +505,11 @@ def _remainder_cells(
     the confluent table's operands and IEEE operations, so every element has
     the scalar call's bits.  Points whose prefactor is 0.0 are 0.0 without a
     table, as in the scalar call.  None when a point with a nonzero prefactor
-    lies outside (u, v) or within `_NEAR_NODE_REL` of an endpoint.  A prefactor
-    overflow raises OverflowError; a non-finite f(t) makes its result non-finite.
+    lies outside (u, v) or within `_NEAR_NODE_REL` of an endpoint.  A libm `pow`
+    prefactor that overflows, like a non-finite f(t), makes its result non-finite.
     """
     with np.errstate(all="ignore"):
-        w = _float_power(t - a, float(m)) * _float_power(t - b, float(n - m))
+        w = np.float_power(t - a, float(m)) * np.float_power(t - b, float(n - m))
         live = w != 0.0
         out = np.zeros(len(t))
         if not live.any():

@@ -167,8 +167,7 @@ class DiscreteFunctional:
                 f"points ({len(x)}) and weights ({len(w)}) must have equal length >= 1"
             )
         a, b = _checked_interval(self.interval, "interval")
-        if not np.minimum.reduce(w) >= 0.0:
-            i = int((w >= 0.0).argmin())
+        if (i := _first_outside(w, 0.0, math.inf)) is not None:
             raise ValueError(f"weights[{i}] = {float(w[i])} is negative")
         total = _unit_sum(w, "weights")
         if (i := _first_outside(x, a, b)) is not None:

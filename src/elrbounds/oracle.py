@@ -151,10 +151,6 @@ class AuditReport:
     max_residual: float
     failures: list[dict] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -260,7 +256,7 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
         # n alone, since the two sides of a bracket share m.
         orders = [
             k for k in range(max(family.min_n, _N_RANGE[0]), _N_RANGE[1] + 1)
-            if len(set(family.signs(k, 3, CONVEX))) == len(family.sides)
+            if family.arrange(k, 3, CONVEX, [0.0] * len(family.sides))[2]
         ]
         collected = 0
         attempts = 0

@@ -56,7 +56,7 @@ def test_criterion_1_lemma_exactness():
     report = audit_identities(AuditConfig(cases=200, seed=42))
     elapsed = time.perf_counter() - t0
     outcome(
-        report.ok and report.max_residual <= 1e-9 and elapsed < 5.0,
+        not report.failures and report.max_residual <= 1e-9 and elapsed < 5.0,
         f"max residual {report.max_residual:.3e}, {elapsed:.2f}s",
     )
 
@@ -106,7 +106,7 @@ def test_criterion_3_bracket_containment():
     report = audit_brackets(AuditConfig(seed=42, cases_per_theorem=100))
     elapsed = time.perf_counter() - t0
     outcome(
-        report.ok and report.cases == 500 and elapsed < 5.0,
+        not report.failures and report.cases == 500 and elapsed < 5.0,
         f"{report.cases} cases, worst escape {report.max_residual:.3e}, {elapsed:.2f}s",
     )
 

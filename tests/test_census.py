@@ -1,8 +1,9 @@
 """`tools/census.py`: the op-by-op outcome census of a benchmark workload, and its pin.
 
 The slow tests pin the `div_small` census of seeds 9001 and 5151 at 6,000 ops
-(the workload's full run) and the `zm_large` census of seeds 7101, 7919, 8120
-and 40001 at 40 ops (one cycle): the seeds of `census.py compare`.  A change that moves any op's outcome kind fails them;
+(the workload's full run), the `zm_large` census of seeds 7101, 7919, 8120
+and 40001 at 40 ops (one cycle) and the `verify_suite` census of seeds 9111
+and 29001 at 6 ops: the seeds of `census.py compare`.  A change that moves any op's outcome kind fails them;
 update a pin only with a line in CHANGES.md that says which ops moved and why.
 """
 
@@ -170,3 +171,19 @@ def test_the_zm_large_census_is_pinned(seed, counts, refused, digest):
     assert Counter(kinds) == counts
     assert [r["text"].split(":")[0] for r in recs if "error" in r] == refused
     assert hashlib.sha256("\n".join(kinds).encode()).hexdigest() == digest
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "seed,digest",
+    [
+        (9111, "c6f0d3546e475038ccdf827506b731964c00201b6b2f51a87c66ffaf87b2a1b7"),
+        (29001, "b06177fe6f264981911ae4a44eb8505344a4e6a1d93083c352e04bb8d4c12d0b"),
+    ],
+)
+def test_the_verify_suite_census_is_pinned(seed, digest):
+    # Every default audit holds; the digest covers both reports of each op (their
+    # skipped and tight counts and worst residuals), as tests/golden/verify.txt does.
+    recs = _census("verify_suite", seed, 6)
+    assert Counter(r["kind"] for r in recs) == {"ok": 6}
+    assert hashlib.sha256("\n".join(r["value"] for r in recs).encode()).hexdigest() == digest

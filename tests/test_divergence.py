@@ -149,13 +149,13 @@ def test_ratio_range_worked_value():
     rr = ratio_range(P, Q)
     assert rr.a == pytest.approx(2.0 / 3.0)
     assert rr.b == pytest.approx(2.0)
-    assert not rr.is_degenerate
+    assert rr.a < rr.b
 
 
 def test_ratio_range_degenerate_for_identical_distributions():
     rr = ratio_range(P, P)
     assert rr.a == rr.b == 1.0
-    assert rr.is_degenerate
+    assert not rr.a < rr.b
 
 
 def test_ratio_range_requires_positive_q():

@@ -132,6 +132,24 @@ def test_exactly_equal_entries_merge():
     assert ms.max_multiplicity == 3
 
 
+@pytest.mark.parametrize(
+    "points",
+    [[2.0, 1.0, 2.0, 2.0], [0.0, -0.0, 1.0], [-0.0, 0.0], [3, 1.5, np.float64(0.5), 1.5], [1.0, math.nan],
+     [math.nan, None]],
+    ids=["duplicates", "zero-then-minus-zero", "minus-zero-then-zero", "unsorted", "nan", "non-number-after-nan"],
+)
+def test_from_points_is_the_constructors_merge(points):
+    # The same entries (hex keeps -0.0 apart from 0.0), or the same error type and text.
+    def entries(make):
+        try:
+            return [(v.hex(), c) for v, c in make().entries]
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    merged = entries(lambda: NodeMultiset(tuple((float(p), 1) for p in points)))
+    assert entries(lambda: NodeMultiset.from_points(iter(points))) == merged
+
+
 # --- endpoint_table -----------------------------------------------------------
 
 _KINDS = ("kl", "hellinger", "harmonic", "jeffreys", "exp", "power")

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from elrbounds import (
-    THEOREMS,
+    FAMILIES,
     DiscreteFunctional,
     FunctionModel,
     GeneratorSpec,
@@ -76,7 +76,7 @@ def _outcome(fn, *args, **kwargs):
 
 def _tag_orders():
     """(tag, n, m) for every tag at each order; m = n - 2 where the tag takes one."""
-    for tag in THEOREMS:
+    for tag in tuple(FAMILIES):
         for n in ORDERS:
             yield tag, n, (n - 2 if tag in ("TM21", "TM22", "COR21") else None)
 

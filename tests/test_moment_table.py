@@ -221,6 +221,22 @@ def test_underflowing_denominators_take_the_fallback():
     assert math.isfinite(report.upper)
 
 
+def test_a_key_of_degree_zero_reads_nan():
+    # j + k = 0 has d = -1, and the chains hold no q^-1: the key is declined like
+    # every key they cannot bound, and reading it leaves every other key's bits alone.
+    rng = np.random.default_rng(3)
+    p, q = (ProbabilityVector(rng.dirichlet(np.ones(100))) for _ in range(2))
+    a, b = 0.01, 50.0
+    moment, error = _chain_moments(p, q, a, b)
+    assert math.isnan(moment(a, b, 0, 0)) and math.isnan(error(a, b, 0, 0))
+    assert _pq_moment(p, q, a, b, 0, 0) == pytest.approx(1.0)
+    fresh, fresh_error = _chain_moments(p, q, a, b)
+    for x, y in ((a, b), (b, a)):
+        for j, k in ORDERS:
+            read = [v.hex() for v in (moment(x, y, j, k), error(x, y, j, k))]
+            assert read == [v.hex() for v in (fresh(x, y, j, k), fresh_error(x, y, j, k))], (x, y, j, k)
+
+
 def test_overflowing_powers_raise_the_same_error():
     A = DiscreteFunctional(
         tuple(np.linspace(0.0, 1e200, N_EDGE).tolist()), (1.0 / N_EDGE,) * N_EDGE, (0.0, 1e200)

@@ -169,7 +169,7 @@ def test_certificate_is_the_scalar_only_certificate(name):
 
 def test_default_identity_suite_is_clean():
     report = audit_identities(AuditConfig(cases=120, seed=42))
-    assert report.ok
+    assert not report.failures
     assert report.cases == 120
     assert report.max_residual <= 1e-9
 
@@ -202,7 +202,7 @@ def test_layout_slip_fails_identity_audit(monkeypatch):
     honest = bounds._terms
     monkeypatch.setattr(bounds, "_terms", lambda *args: honest(*args)[:-1])
     report = audit_identities(AuditConfig(cases=40, seed=42))
-    assert not report.ok
+    assert report.failures
     assert {failure["identity"] for failure in report.failures} == {"lemma21", "lemma22"}
 
 
@@ -234,7 +234,7 @@ def test_audit_config_accepts_its_defaults_and_numpy_integers():
 
 def test_default_bracket_suite_has_zero_violations():
     report = audit_brackets(AuditConfig(cases_per_theorem=30, seed=42))
-    assert report.ok
+    assert not report.failures
     assert report.cases == 150
     assert report.tight > 0  # low-degree polynomials hit their bounds exactly
 
@@ -243,7 +243,7 @@ def test_wrong_parity_injection_is_caught():
     report = audit_brackets(
         AuditConfig(cases_per_theorem=20, seed=42, inject_wrong_parity=True)
     )
-    assert not report.ok
+    assert report.failures
     first = report.failures[0]
     assert {"theorem", "claimed", "certified", "violation", "lr"} <= set(first)
     assert first["claimed"] != first["certified"]

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elrbounds import (
-    THEOREMS,
+    FAMILIES,
     DiscreteFunctional,
     GeneratorSpec,
     ProbabilityVector,
@@ -235,7 +235,7 @@ _GENERATORS = st.sampled_from(("kl", "hellinger", "harmonic", "jeffreys"))
 
 @st.composite
 def _bound_args(draw):
-    theorem = draw(st.sampled_from(THEOREMS))
+    theorem = draw(st.sampled_from(tuple(FAMILIES)))
     if theorem in ("TM23", "TM24"):
         return {"n": draw(st.integers(3, 9)), "m": None, "theorem": theorem}
     n = draw(st.integers(4, 9))

@@ -222,7 +222,7 @@ def test_identity_audit_calls_the_remainder_once_per_decomposition(monkeypatch):
 
     monkeypatch.setattr(divided_diff.NodeMultiset, "__post_init__", counting_post_init)
     report = audit_identities(AuditConfig(cases=20, seed=3))
-    assert report.ok
+    assert not report.failures
     assert report.cases - report.skipped > 0
     assert len(calls) == 2 * (report.cases - report.skipped)
     assert set(calls) == {np.ndarray}
@@ -252,5 +252,5 @@ def test_each_decomposition_builds_its_endpoint_table_once(monkeypatch):
             assert calls == [(x, y, m, n - m)]
     calls.clear()
     report = audit_identities(AuditConfig(cases=20, seed=3))
-    assert report.ok and report.cases - report.skipped > 0
+    assert not report.failures and report.cases - report.skipped > 0
     assert len(calls) == 2 * (report.cases - report.skipped)

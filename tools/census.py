@@ -33,10 +33,12 @@ import sys
 from collections import Counter
 
 SHOWN = 5  # ops listed per difference class
-# (workload, seed, ops) that `compare` runs: a whole `div_small` run each, one `zm_large` cycle each.
+# (workload, seed, ops) that `compare` runs: a whole `div_small` run each, one `zm_large` cycle each,
+# and six default audits (about 2 s on a 2-vCPU x86-64 host) for each `verify_suite` seed.
 SEEDS = (
     ("div_small", 9001, 6000), ("div_small", 5151, 6000),
     ("zm_large", 7101, 40), ("zm_large", 7919, 40), ("zm_large", 8120, 40), ("zm_large", 40001, 40),
+    ("verify_suite", 9111, 6), ("verify_suite", 29001, 6),
 )
 
 
