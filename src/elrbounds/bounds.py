@@ -259,7 +259,6 @@ def bound(
     The private `_tables` dict collects each side's endpoint table (`_terms`).
     """
     family = _family(tag)
-    _check_convexity(convexity)
     sides = family.terms(f, A.interval, n, m, _moments(A), A.mean, _tables)
     lower, upper, valid = family.arrange(n, m, convexity, [math.fsum(t) for t in sides])
     n, m = _check_orders(n, m if family.takes_m else None)

@@ -3,7 +3,8 @@
 `f_divergence` evaluates sum of q_i * f(p_i / q_i) with the usual limit
 conventions at zero entries: a q_i = 0, p_i = 0 pair contributes nothing,
 q_i = 0 with p_i > 0 contributes p_i times the generator's declared slope at
-infinity, and p_i = 0 uses the generator's declared limit at 0+.
+infinity, and p_i = 0 uses the generator's declared limit at 0+.  f is
+evaluated once, by `_values`, at the other entries' ratios: one array pass.
 
 `divergence_bounds` is the one path from a pair of distributions to a bound
 report.  It resolves the enclosing interval [a, b] once (the ratio range, or
@@ -20,21 +21,22 @@ moments
 as an independent transcription check; the two routes share each side's
 endpoint table, built once.  The libm route, `direct_bound_values`, sums
 a side's moments in one 2-D pass of libm `pow`s (`_pq_moments`), bit for
-bit `_pq_moment`'s point-by-point sums.  Below `_TABLE_MIN_POINTS` each side
-the report carries must agree with it to 1e-12.
+bit `_pq_moment`'s point-by-point sums.  Where the functional's moments are
+`_batched` sums (`DiscreteFunctional._chains` off, as below its gate), each
+side the report carries must agree with it to 1e-12.
 
-From the gate on, a chain stage decides first (`_chain_bound_values`): the
-same sums from powers built by repeated multiplication (`_batched` sums both),
-each side c with a stated bound E on its distance from the libm route's side
-(the error model is `_chain_moments`').  It decides when every side the report
-carries has E < |c| and |delegated - c| <= 1e-12 + E, or when a side has
-|delegated - c| > 1e-12 + E, which the libm route refuses too.  Otherwise (a
-NaN difference among them) the op is handed on as below the gate, its report
-rebuilt from the point-by-point sums' bits.  One loop then ends every op: each
-side the report carries must lie within 1e-12 + E of the deciding stage's c,
-or within 1e-12 of the libm route's side.  So the stage only turns a refusal
-that its own rounding explains, on a side it fixes, into the report.  The
-functional and its chains are freed before the crosscheck.
+Where they are chain sums, a chain stage decides first (`_chain_bound_values`):
+the same sums from powers built by repeated multiplication (`_batched` sums
+both), each side c with a stated bound E on its distance from the libm route's
+side (the error model is `_chain_moments`').  It decides when every side the
+report carries has E < |c| and |delegated - c| <= 1e-12 + E, or when a side
+has |delegated - c| > 1e-12 + E, which the libm route refuses too.  Otherwise
+(a NaN difference among them) the op is handed on as below the gate, its
+report rebuilt on a twin functional stored with its chains off.  One loop then
+ends every op: each side the report carries must lie within 1e-12 + E of the
+deciding stage's c, or within 1e-12 of the libm route's side.  So the stage
+only turns a refusal that its own rounding explains, on a side it fixes, into
+the report.  The functional and its chains are freed before the crosscheck.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ import numpy as np
 
 from . import bounds as _bounds
 from .bounds import CONVEX, BoundReport, _family
-from .divided_diff import _U, FunctionModel, _checked_interval
+from .divided_diff import _U, FunctionModel, _checked_interval, _sum, _values
 from .functional import (
-    _CHAIN_MAX, _SUM_TOL, _TABLE_MIN_POINTS, DiscreteFunctional, _batched, _chain_table, _exponents,
-    _first_outside, _float_array, _lazy_tuples, _moment_reader, _point_by_point, _pow_below, _unit_sum,
+    _CHAIN_MAX, _SUM_TOL, DiscreteFunctional, _batched, _chain_table, _exponents,
+    _first_outside, _float_array, _lazy_tuples, _moment_reader, _pow_below, _unit_sum,
 )
 from .generators import GeneratorSpec, definite_class, make_generator
 
@@ -141,27 +143,29 @@ def _check_pair(p: ProbabilityVector, q: ProbabilityVector) -> None:
 
 
 def f_divergence(f: FunctionModel, p: ProbabilityVector, q: ProbabilityVector) -> float:
-    """sum of q_i f(p_i / q_i) with limit conventions at zero entries."""
+    """sum of q_i f(p_i / q_i): first each zero entry's limit convention, in entry order, then f at
+    the other ratios by `_values`; `_sum` adds the terms in entry order (a p_i = q_i = 0 pair has none)."""
     _check_pair(p, q)
-    terms = []
-    for i, (pi, qi) in enumerate(zip(p, q)):
-        if qi == 0.0:
-            if pi == 0.0:
-                continue
+    pv, qv = p._v, q._v
+    live, terms = (pv > 0.0) & (qv > 0.0), np.zeros(len(q))
+    for i in np.flatnonzero(~live).tolist():
+        pi, qi = float(pv[i]), float(qv[i])
+        if qi == 0.0 and pi > 0.0:
             if f.slope_at_infinity is None:
                 raise ValueError(
                     f"entry {i}: q_i = 0 with p_i > 0 needs a declared "
                     f"slope-at-infinity limit on {f.name!r}"
                 )
-            terms.append(pi * f.slope_at_infinity)
-        elif pi == 0.0:
+            terms[i] = pi * f.slope_at_infinity
+        elif qi > 0.0:
             v = f.zero_limit if f.zero_limit is not None else float(f(0.0))
             if math.isnan(v):
                 raise ValueError(f"entry {i}: p_i = 0 needs a declared 0+ limit on {f.name!r}")
-            terms.append(qi * v)
-        else:
-            terms.append(qi * float(f(pi / qi)))
-    return math.fsum(terms)
+            terms[i] = qi * v
+    with np.errstate(over="ignore"):  # p_i / q_i overflows to inf, as in float division
+        ratios = pv[live] / qv[live]
+    terms[live] = qv[live] * _values(f, ratios)
+    return _sum(terms[(pv > 0.0) | (qv > 0.0)])
 
 
 def _ratios(p: ProbabilityVector, q: ProbabilityVector) -> np.ndarray:
@@ -384,9 +388,9 @@ def divergence_bounds(
     del ratios
     tables: dict = {}
     report = _bounds.bound(theorem, f, A, n, m, convexity, _tables=tables)
+    delegated, chained, chains = (report.lower, report.upper), None, A._chains
     del A
-    delegated, chained = (report.lower, report.upper), None
-    if len(q) >= _TABLE_MIN_POINTS:
+    if chains:
         chained = _chain_bound_values(f, p, q, a, b, n, theorem, m, convexity, tables)
         if chained is not None:  # it decides when it accepts, or proves a refusal:
             # |c - libm side| <= e, so a side off by more than 1e-12 + e is refused on both routes.
@@ -395,8 +399,8 @@ def divergence_bounds(
                     or any(abs(d - c) > _CROSSCHECK_TOL + e for d, c, e in carried)):
                 chained = None  # neither, as when a difference is NaN
         if chained is None:  # handed on, as below the gate: the libm route checks the point-by-point report
-            report = _bounds.bound(theorem, f, _point_by_point(_ratios(p, q), q._v, q._total, (a, b)),
-                                   n, m, convexity, _tables=tables)
+            twin = object.__new__(DiscreteFunctional)._store(_ratios(p, q), q._v, q._total, (a, b), chains=False)
+            report = _bounds.bound(theorem, f, twin, n, m, convexity, _tables=tables)
             delegated = report.lower, report.upper
     direct, slack = chained or (
         direct_bound_values(f, p, q, a, b, n, theorem, m, convexity, _tables=tables), (0.0, 0.0))

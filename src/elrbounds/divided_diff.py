@@ -365,23 +365,18 @@ class NewtonForm:
             raise ValueError("nodes and coeffs must have equal length")
 
     def __call__(self, t: float) -> float:
-        acc = self.coeffs[-1]
-        for i in range(len(self.coeffs) - 2, -1, -1):
-            acc = self.coeffs[i] + (t - self.nodes[i]) * acc
-        return float(acc)
+        return self._horner(0, t)
 
     def deriv(self, order: int, t: float) -> float:
-        """Derivative via the Horner recurrence carried with all lower orders."""
-        order = _integer(order, "derivative order", 1)
-        d = [0.0] * (order + 1)
-        d[0] = float(self.coeffs[-1])
-        for i in range(len(self.coeffs) - 2, -1, -1):
-            dt = t - self.nodes[i]
-            new = [0.0] * (order + 1)
-            for j in range(order, 0, -1):
-                new[j] = j * d[j - 1] + dt * d[j]
-            new[0] = self.coeffs[i] + dt * d[0]
-            d = new
+        """The derivative of integer order >= 1 at t."""
+        return self._horner(_integer(order, "derivative order", 1), t)
+
+    def _horner(self, order: int, t: float) -> float:
+        """Row `order` of the Horner recurrence carried with all lower orders: row 0 is the value."""
+        d = [float(self.coeffs[-1])] + [0.0] * order
+        for c, node in zip(self.coeffs[-2::-1], self.nodes[-2::-1]):
+            dt = t - node
+            d = [c + dt * d[0]] + [j * d[j - 1] + dt * d[j] for j in range(1, order + 1)]
         return float(d[order])
 
     def to_dict(self) -> dict:

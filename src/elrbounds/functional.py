@@ -12,9 +12,10 @@ array paths never pay for them, and copies and pickles are rebuilt from the
 arrays alone.  A function that accepts the point array is evaluated on all
 points in one call, bit for bit.  `_batched` is the one sum and rerun of
 moments: a side's are one 2-D pass of libm pows, the point-by-point sums' bits;
-from `_TABLE_MIN_POINTS` points on, each is a multiply-chain product, summed
-once per functional (`_moment_reader`) within a stated bound of the scalar
-sums, which rerun where a power may overflow or a term is not finite.
+from `_TABLE_MIN_POINTS` points on (the one gate, which `_store` records as
+`_chains`), each is a multiply-chain product, summed once per functional
+(`_moment_reader`) within a stated bound of the scalar sums, which rerun where
+a power may overflow or a term is not finite.
 """
 
 from __future__ import annotations
@@ -157,7 +158,6 @@ class DiscreteFunctional:
     points: tuple[float, ...]
     weights: tuple[float, ...]
     interval: tuple[float, float]
-    _pointwise = False  # not a field: True where `_point_by_point` turns the chains off
 
     def __post_init__(self) -> None:
         x = _float_array(self.points)
@@ -174,16 +174,16 @@ class DiscreteFunctional:
             raise ValueError(f"points[{i}] = {float(x[i])} outside interval [{a}, {b}]")
         self._store(x, w, total, (a, b))
 
-    def _store(self, x: np.ndarray, w: np.ndarray, total: float, interval) -> "DiscreteFunctional":
-        """Keep valid points x, weights w of fsum `total` (renormalized here) and
-        a checked interval; the arrays become read-only."""
+    def _store(self, x: np.ndarray, w: np.ndarray, total: float, interval, chains=True) -> "DiscreteFunctional":
+        """Keep valid points x, weights w of fsum `total` (renormalized here) and a checked interval, the
+        arrays read-only; `_chains`: moments by multiply chains, from `_TABLE_MIN_POINTS` points on if `chains`."""
         if total != 1.0:
             w = w / total
         for arr in (x, w):
             arr.setflags(write=False)
         for name in ("points", "weights"):
             vars(self).pop(name, None)
-        vars(self).update(interval=interval, _x=x, _w=w)
+        vars(self).update(interval=interval, _x=x, _w=w, _chains=chains and len(x) >= _TABLE_MIN_POINTS)
         return self
 
     def __getstate__(self):  # what copies and pickles keep: no cached value
@@ -214,10 +214,9 @@ class DiscreteFunctional:
         return self._moments(((_integer(j, "moment order j", 0), _integer(k, "moment order k", 0)),))[0]
 
     def _moments(self, keys: tuple) -> list[float]:
-        """[A[(g - a)^j (g - b)^k] for (j, k) in keys]: from `_TABLE_MIN_POINTS` points on the
-        chains' moments, key by key; below it, or `_pointwise`, one `_batched` pass of the
-        terms w X^j Y^k (X = x - a, Y = x - b), bit for bit `_moment_sum`'s."""
-        if len(self._x) >= _TABLE_MIN_POINTS and not self._pointwise:
+        """[A[(g - a)^j (g - b)^k] for (j, k) in keys]: with `_chains` the chains' moments, key by key;
+        else one `_batched` pass of the terms w X^j Y^k (X = x - a, Y = x - b), bit for bit `_moment_sum`'s."""
+        if self._chains:
             return [self._table_moment(*key) for key in keys]
         (a, b), w, x = self.interval, self._w, self._x
 
@@ -281,13 +280,6 @@ def _json_numbers(values, what: str):
 def _moment_sum(weights, points, a: float, b: float, j: int, k: int) -> float:
     """sum of w_i (x_i - a)^j (x_i - b)^k point by point: the chain table's reference."""
     return math.fsum(w * (x - a) ** j * (x - b) ** k for w, x in zip(weights, points))
-
-
-def _point_by_point(x: np.ndarray, w: np.ndarray, total: float, interval) -> DiscreteFunctional:
-    """The functional `_store` keeps, its moments `_batched` at any size (no chains)."""
-    A = object.__new__(DiscreteFunctional)._store(x, w, total, interval)
-    vars(A)["_pointwise"] = True
-    return A
 
 
 def lr_difference(f: FunctionModel, A: DiscreteFunctional) -> float:

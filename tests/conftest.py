@@ -9,17 +9,14 @@ differences in the generator tests.
 from __future__ import annotations
 
 import contextlib
-import importlib
 import math
-import pkgutil
 import re
 from functools import cache
 
 import numpy as np
 import pytest
 
-import elrbounds
-from elrbounds import DiscreteFunctional, FunctionModel, GeneratorSpec, divergence, make_generator
+from elrbounds import DiscreteFunctional, FunctionModel, GeneratorSpec, divergence, functional, make_generator
 from elrbounds.bounds import _family, _moments
 from elrbounds.divergence import _ETA, _UP, _gamma
 from elrbounds.divided_diff import _U, _float_power
@@ -155,23 +152,12 @@ def side_bounds(tag, f, A: DiscreteFunctional, n, m, convexity) -> tuple:
 
 @pytest.fixture
 def scalar_moments(monkeypatch):
-    """A call that sends every later moment down the point-by-point sums.
-
-    It sets `_TABLE_MIN_POINTS` to inf in every elrbounds module that binds
-    the name (read from `vars(module)`, so a copy of the gate in a new module
-    is patched too); the patch ends with the test.
+    """A call that sends the moments of every functional built after it down the
+    point-by-point sums: it sets the one gate, `functional._TABLE_MIN_POINTS`, to
+    inf, so `_store` turns every later functional's chains off (and with them the
+    crosscheck's chain stage); the patch ends with the test.
     """
-    modules = [
-        importlib.import_module(f"elrbounds.{info.name}")
-        for info in pkgutil.iter_modules(elrbounds.__path__)
-    ]
-
-    def scalar_everywhere():
-        for module in modules:
-            if "_TABLE_MIN_POINTS" in vars(module):
-                monkeypatch.setattr(module, "_TABLE_MIN_POINTS", math.inf)
-
-    return scalar_everywhere
+    return lambda: monkeypatch.setattr(functional, "_TABLE_MIN_POINTS", math.inf)
 
 
 @pytest.fixture

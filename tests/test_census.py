@@ -124,6 +124,11 @@ def test_compare_diffs_two_checkouts_seed_by_seed(tmp_path, capsys):
     assert out[0] == "== div_small seed 9001, 2 ops: same"
     assert "== div_small seed 9001, 3 ops: differ" in out
     assert out.count("report<->refusal flips: 0") == 1 and "report<->refusal flips: 1" in out
+    # Then each checkout's src/ lines per module and in all, as `wc -l` counts them.
+    lines = {p.name: p.read_bytes().count(b"\n") for p in (ROOT / "src" / "elrbounds").glob("*.py")}
+    assert out[-len(lines) - 3:-len(lines) - 1] == ["== src/ lines (wc -l)", f"{'module':<24}{'A':>8}{'B':>8}"]
+    assert f"{'divergence.py':<24}{lines['divergence.py']:>8}{lines['divergence.py']:>8}" in out
+    assert out[-1] == f"{'total':<24}{sum(lines.values()):>8}{sum(lines.values()):>8}"
 
 
 @pytest.mark.slow

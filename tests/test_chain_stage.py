@@ -135,6 +135,30 @@ def test_an_op_the_chain_stage_hands_on_ends_as_below_the_gate(monkeypatch, scal
     assert run() == got
 
 
+def test_the_functional_owns_the_chain_gate(monkeypatch):
+    # The crosscheck reads the functional's gate: with only `functional._TABLE_MIN_POINTS`
+    # at inf, a 128-point pair's functional keeps no chains, the chain stage never
+    # starts, and the libm route checks the point-by-point report, as with the stage off.
+    p, q = (pmf_vector(ZipfMandelbrotParams(128, shift, s)) for shift, s in ((1.0, 1.2), (2.0, 1.5)))
+    chained, direct = [], []
+    honest_chained, honest_direct = divergence._chain_bound_values, divergence.direct_bound_values
+    monkeypatch.setattr(divergence, "_chain_bound_values",
+                        lambda *args: chained.append(args) or honest_chained(*args))
+    monkeypatch.setattr(divergence, "direct_bound_values",
+                        lambda *args, **kwargs: direct.append(args) or honest_direct(*args, **kwargs))
+
+    def run():
+        del chained[:], direct[:]
+        return outcome(divergence_bounds, GeneratorSpec("kl"), p, q, n=7, theorem="TM23")
+
+    assert isinstance(run(), dict) and (len(chained), len(direct)) == (1, 0)  # above the gate
+    with chains_off():
+        want = run()
+    monkeypatch.setattr(functional, "_TABLE_MIN_POINTS", math.inf)
+    assert run() == want
+    assert (len(chained), len(direct)) == (0, 1)
+
+
 def _sweep_case(rng, i):
     tag = ("TM21", "TM22", "COR21", "TM23", "TM24")[i % 5]
     name = ("kl", "hellinger", "harmonic", "jeffreys")[(i // 5) % 4]

@@ -112,6 +112,101 @@ def test_length_mismatch_rejected():
         f_divergence(_gen("kl"), P, ProbabilityVector((1.0,)))
 
 
+def _loop_f_divergence(f, p, q):
+    """`f_divergence` as the per-entry loop it was: the reference of the array pass."""
+    terms = []
+    for i, (pi, qi) in enumerate(zip(p, q)):
+        if qi == 0.0:
+            if pi == 0.0:
+                continue
+            if f.slope_at_infinity is None:
+                raise ValueError(
+                    f"entry {i}: q_i = 0 with p_i > 0 needs a declared "
+                    f"slope-at-infinity limit on {f.name!r}"
+                )
+            terms.append(pi * f.slope_at_infinity)
+        elif pi == 0.0:
+            v = f.zero_limit if f.zero_limit is not None else float(f(0.0))
+            if math.isnan(v):
+                raise ValueError(f"entry {i}: p_i = 0 needs a declared 0+ limit on {f.name!r}")
+            terms.append(qi * v)
+        else:
+            terms.append(qi * float(f(pi / qi)))
+    return math.fsum(terms)
+
+
+def _divergence_outcome(call, f, p, q):
+    """The value as float.hex, or the error's type and text."""
+    try:
+        value = call(f, p, q)
+    except Exception as exc:  # every error is an outcome, warnings raised as errors too
+        return type(exc).__name__, str(exc)
+    assert type(value) is float
+    return value.hex()
+
+
+def _plain_t_log_t(t):
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan at 0, as no declared limit says
+        return t * np.log(t)
+
+
+_DIVERGENCE_MODELS = {
+    **{name: _gen(name) for name in ("kl", "hellinger", "harmonic", "jeffreys", "exp")},
+    "poly": _gen("poly", coeffs=(1.0, -2.0, 0.5, 0.25)),
+    "power": _gen("power", exponent=2.5),
+    # No declared limits: p_i = 0 reads f(0.0), nan here, and a scalar-only math.log raises there.
+    "plain": FunctionModel(fn=_plain_t_log_t, deriv_fn=lambda k, t: 0.0, domain=(0.5, 2.0), name="plain"),
+    "plain_scalar": FunctionModel(fn=math.log, deriv_fn=lambda k, t: 0.0, domain=(0.5, 2.0), name="scalar"),
+}
+
+
+def _planted_pairs(seed=2030):
+    """Dirichlet pairs, K from 1 to 300, plain and with zeros planted in p, in q, in
+    both at the same entries, and in all three ways at once."""
+    rng = np.random.default_rng(seed)
+    sizes = sorted({1, 2, 3, 300, *rng.integers(4, 300, 16).tolist()})
+    for K in sizes:
+        for plant in ("none", "p", "q", "both", "all"):
+            conc = math.exp(rng.uniform(math.log(0.05), math.log(2.0)))
+            p, q = rng.dirichlet(np.full(K, conc)), rng.dirichlet(np.full(K, conc))
+            if K > 3 and plant != "none":
+                zeros = rng.permutation(K)[: int(rng.integers(3, K // 2 + 2))]
+                third = len(zeros) // 3
+                in_p, in_q = {"p": (zeros, zeros[:0]), "q": (zeros[:0], zeros), "both": (zeros, zeros),
+                              "all": (zeros[:2 * third], zeros[third:])}[plant]
+                p[in_p], q[in_q] = 0.0, 0.0
+            elif plant != "none":
+                continue
+            p, q = p / math.fsum(p), q / math.fsum(q)
+            if all(np.isfinite(v).all() and abs(math.fsum(v) - 1.0) <= 1e-12 for v in (p, q)):
+                yield ProbabilityVector(p), ProbabilityVector(q)
+
+
+@pytest.mark.parametrize("name", list(_DIVERGENCE_MODELS))
+def test_f_divergence_is_the_per_entry_loop_bit_for_bit(name):
+    # One array pass, the loop's value, or its error's type and text, on every pair.
+    f, pairs = _DIVERGENCE_MODELS[name], list(_planted_pairs())
+    assert len(pairs) > 60 and all(any((v._v == 0.0).any() for v in side) for side in zip(*pairs))
+    outcomes = [(_divergence_outcome(f_divergence, f, p, q), _divergence_outcome(_loop_f_divergence, f, p, q))
+                for p, q in pairs]
+    for (p, q), (got, want) in zip(pairs, outcomes):
+        assert got == want, (len(p), got, want)
+    if name.startswith("plain"):  # each convention without a declared limit gives the loop's error
+        texts = " ".join(got[1] for got, _ in outcomes if isinstance(got, tuple))
+        assert "slope-at-infinity" in texts and ("0+ limit" if name == "plain" else "math domain error") in texts
+
+
+@pytest.mark.parametrize("name", list(_DIVERGENCE_MODELS)[:4])
+def test_f_divergence_of_20000_point_zm_pairs_is_the_per_entry_loop(name):
+    from elrbounds import ZipfMandelbrotParams, pmf_vector
+
+    P, Q = (pmf_vector(ZipfMandelbrotParams(20_000, shift, s)) for shift, s in ((1.3, 1.1), (0.4, 1.7)))
+    f = _DIVERGENCE_MODELS[name]
+    for p, q in ((P, Q), (Q, P)):
+        got = f_divergence(f, p, q)
+        assert got.hex() == _loop_f_divergence(f, p, q).hex()
+
+
 def test_probability_vector_validation():
     with pytest.raises(ValueError, match="outside"):
         ProbabilityVector((1.2, -0.2))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from elrbounds import (
     FunctionModel,
     GeneratorSpec,
+    NewtonForm,
     NodeMultiset,
     divided_difference,
     hermite_mn,
@@ -229,6 +230,46 @@ def test_newton_form_serialization():
     f = poly_model([0, 0, 1])
     form = newton_interpolant(f, NodeMultiset.from_points([0.0, 1.0, 2.0]))
     assert form.to_dict() == {"nodes": [0.0, 1.0, 2.0], "coeffs": [0.0, 1.0, 1.0]}
+
+
+def _loop_value(form, t):
+    """`NewtonForm.__call__` as its own Horner loop was: the reference of the shared recurrence."""
+    acc = form.coeffs[-1]
+    for i in range(len(form.coeffs) - 2, -1, -1):
+        acc = form.coeffs[i] + (t - form.nodes[i]) * acc
+    return float(acc)
+
+
+def _loop_deriv(form, order, t):
+    """`NewtonForm.deriv` as its own recurrence was, for an integer order >= 1."""
+    d = [0.0] * (order + 1)
+    d[0] = float(form.coeffs[-1])
+    for i in range(len(form.coeffs) - 2, -1, -1):
+        dt = t - form.nodes[i]
+        new = [0.0] * (order + 1)
+        for j in range(order, 0, -1):
+            new[j] = j * d[j - 1] + dt * d[j]
+        new[0] = form.coeffs[i] + dt * d[0]
+        d = new
+    return float(d[order])
+
+
+def test_newton_form_value_and_derivatives_come_from_one_recurrence():
+    # Random forms on confluent nodes (each of 1..5 nodes repeated 1..3 times),
+    # coefficients over six decades: every value and derivative keeps its bits.
+    rng = np.random.default_rng(30)
+    for _ in range(150):
+        k = int(rng.integers(1, 6))
+        nodes = NodeMultiset(tuple(zip(rng.uniform(-3.0, 3.0, k).tolist(), rng.integers(1, 4, k).tolist())))
+        z = nodes.flatten()
+        coeffs = (rng.normal(size=len(z)) * 10.0 ** rng.uniform(-3.0, 3.0, len(z))).tolist()
+        form = NewtonForm(z, tuple(coeffs))
+        for t in [*z[:2], *rng.uniform(-4.0, 4.0, 3).tolist()]:
+            assert form(t).hex() == _loop_value(form, t).hex(), (form, t)
+            for order in range(1, len(z) + 2):
+                assert form.deriv(order, t).hex() == _loop_deriv(form, order, t).hex(), (form, order, t)
+    with pytest.raises(ValueError, match="^derivative order must be an integer >= 1, got 0$"):
+        form.deriv(0, 0.5)
 
 
 # --- hermite_mn ---------------------------------------------------------------

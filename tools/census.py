@@ -18,7 +18,9 @@ flips, the reports whose values moved and the errors whose type or text
 changed, with the first few of each; it exits 1 when any op differs, 2 when
 the runs hold different ops.  `compare` runs `run` for both checkouts, in two
 child processes at a time, on each of `SEEDS` (the workloads' pinned seeds),
-and prints each seed's `diff` summary; its exit code is the worst of theirs.
+and prints each seed's `diff` summary, then each checkout's `src/` lines per
+module (as `wc -l src/elrbounds/*.py` counts them) and their total; its exit
+code is the worst of the seeds'.
 A reader that closes early (`| head`) stops the printing of any command
 quietly, with the same exit code (0 for `run`).
 Nothing under bench/ is written.
@@ -31,6 +33,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 SHOWN = 5  # ops listed per difference class
 # (workload, seed, ops) that `compare` runs: a whole `div_small` run each, one `zm_large` cycle each,
@@ -92,10 +95,7 @@ def _is_report(rec: dict) -> bool:
 
 def diff(path_a: str, path_b: str) -> int:
     code, lines = _compare(_load(path_a), _load(path_b))
-    try:
-        print("\n".join(lines), flush=True)
-    except BrokenPipeError:  # the reader stopped early (`diff A B | head`): keep the verdict
-        _silence_stdout()
+    _print(*lines)
     return code
 
 
@@ -113,12 +113,24 @@ def compare(root_a: str, root_b: str, seeds=SEEDS) -> int:
             sys.exit(f"error: `run` failed on {workload} seed {seed}")
         seed_code, lines = _compare(*([json.loads(line) for line in out.splitlines()] for out in outs))
         code = max(code, seed_code)
-        try:
-            print(f"== {workload} seed {seed}, {ops} ops: {'same' if seed_code == 0 else 'differ'}", *lines,
-                  sep="\n", flush=True)
-        except BrokenPipeError:  # the reader stopped early: the verdict still covers every seed
-            _silence_stdout()
+        _print(f"== {workload} seed {seed}, {ops} ops: {'same' if seed_code == 0 else 'differ'}", *lines)
+    a, b = (_src_lines(root) for root in (root_a, root_b))
+    _print("== src/ lines (wc -l)", f"{'module':<24}{'A':>8}{'B':>8}",
+           *(f"{name:<24}{a.get(name, 0):>8}{b.get(name, 0):>8}" for name in sorted(a.keys() | b.keys())),
+           f"{'total':<24}{sum(a.values()):>8}{sum(b.values()):>8}")
     return code
+
+
+def _print(*lines: str) -> None:
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:  # the reader stopped early (`| head`): the exit code keeps the verdict
+        _silence_stdout()
+
+
+def _src_lines(root: str) -> dict[str, int]:
+    """The newlines of each module in ROOT/src/elrbounds (`wc -l`'s count), by file name."""
+    return {path.name: path.read_bytes().count(b"\n") for path in Path(root, "src", "elrbounds").glob("*.py")}
 
 
 def _compare(a: list[dict], b: list[dict]) -> tuple[int, list[str]]:
