@@ -3,10 +3,13 @@
 
 Convexity certificates sample divided differences over random
 well-separated points using function values only, so they are an
-independent check on the analytic derivative stacks.  The audits replay the
-decomposition identities and the bound directions over randomized suites;
-the wrong-parity injection at the end shows the direction dispatcher is
-doing real work.
+independent check on the analytic derivative stacks, and evidence, not
+proof.  The audits replay the decomposition identities and the bound
+directions over randomized suites; the bracket audit takes each function's
+class exactly (closed-form derivative signs, exact Bernstein signs for a
+polynomial), so `AuditConfig.certify_samples` and `verify --samples` no
+longer change it.  The wrong-parity injection at the end shows the
+direction dispatcher is doing real work.
 """
 
 from elrbounds import (

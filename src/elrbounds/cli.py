@@ -8,9 +8,10 @@ CSV rows, and `main` writes the one that --format asks for.  Exit status is
 when a div or zm bound fails its dual-route crosscheck and when a report's
 lr or a side is not finite, and 2 when `verify` finds a violated identity
 or bracket.  `--convexity auto` takes the class from `generators.classify`
-in bounds, div and zm alike (an indefinite class is a validation error);
-only verify samples, so --samples is a verify flag and --seed matters only
-there.  `verify` always runs both audit suites; --cases 0 or
+in bounds, div and zm alike (an indefinite class is a validation error).
+Only verify draws, so --seed matters only there; its --samples is checked
+but changes nothing, as the audit's classes are exact (it stays for callers
+that pass it).  `verify` always runs both audit suites; --cases 0 or
 --cases-per-theorem 0 leaves one empty.  --p-file and --q-file read JSON: an
 object keyed p / q, or a bare array.  `zm` needs --ratio-range or --theorem.
 """

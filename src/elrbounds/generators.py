@@ -11,14 +11,15 @@ Four named generators cover the classical divergences:
 Each model's `fn` also takes a float64 array and returns the point-by-point
 bits (hellinger's square and power's `t**p` go through `np.float_power`,
 libm `pow` like float `**`), so the chord gap evaluates all points in one call.
-Every built-in is one row of `_MODELS`: the open lower limit of its domain
-and a builder of its functions and limits from the spec.
-Derivatives are closed forms; the stack is capped at order 12, past which
-double precision gives the formulas little meaning.  `classify` reads the
-n-convexity class off the sign of the n-th derivative sampled on an even
-grid over the declared domain (by `_values`, as every point array is); it
-is the one class source of every bound path (`definite_class` is the same
-verdict with INDEFINITE, or an overflowing sample, as a ValueError).
+Every built-in is one row of `_MODELS`: the open lower limit of its domain,
+a builder of its functions and limits from the spec, and its exact class
+(`_exact_class`: closed-form derivative signs, exact Bernstein signs for a
+poly), which the bracket audit reads.  Derivatives are closed forms; the
+stack is capped at order 12, past which double precision gives the formulas
+little meaning.  `classify` reads the class off the sign of the n-th
+derivative sampled on an even grid over the domain (by `_values`); it is the
+class source of every bound path (`definite_class` is the same verdict with
+INDEFINITE, or an overflowing sample, as a ValueError).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ INDEFINITE = "indefinite"
 
 _DERIV_CAP = 12
 _CLASSIFY_GRID = 101
+_BISECTIONS = 6
 
 
 @dataclass(frozen=True)
@@ -130,18 +132,68 @@ def _poly(spec: GeneratorSpec) -> tuple:
     return model.fn, model.deriv_fn, coeffs[0], slope
 
 
-# Every built-in generator: name -> (floor, builder).  The domain must lie in
-# (floor, inf); builder(spec) returns (fn, dfn, zero_limit, slope_at_infinity).
+def _by_parity(even: str, odd: str, first: str = INDEFINITE):
+    # The class column of a generator whose f^(k), k >= 2, has one sign per parity of k (f' may not).
+    return lambda spec, n: first if n == 1 else even if n % 2 == 0 else odd
+
+
+def _power_class(spec: GeneratorSpec, n: int) -> str:
+    # f^(n)(t) = prod_{i<n} (p - i) * t^(p - n) with t > 0; a zero product is f^(n) = 0.
+    return CONCAVE if math.prod(spec.exponent - i for i in range(n)) < 0 else CONVEX
+
+
+def _poly_class(spec: GeneratorSpec, n: int) -> str:
+    """Class from the Bernstein coefficients of f^(n) on [a, b], in exact integers.
+
+    Over the floats' common power-of-two denominator Q, Q^(d+1) f^(n)(a + (b - a)u) has integer
+    coefficients e_i in u, and d! times its Bernstein coefficients are sum_{i<=k} e_i k!/(k-i)! (d-i)!.
+    A piece with all >= 0 (f^(n) = 0 too) or all <= 0 has one sign; any other is halved by de
+    Casteljau, _BISECTIONS deep.  End coefficients are exact values.  Opposite signs, or a piece
+    undecided at the last level, give INDEFINITE: a definite class is a proof.
+    """
+    ratios = [x.as_integer_ratio() for x in (*spec.domain, *spec.coeffs)]
+    Q = max(q for _, q in ratios)
+    A, B, *P = (p * (Q // q) for p, q in ratios)
+    g = [(P[j] * math.perm(j, n), j - n) for j in range(n, len(P))]
+    d = max(len(P) - 1 - n, 0)
+    e = [sum(c * Q ** (d - m) * math.comb(m, i) * A ** (m - i) * (B - A) ** i for c, m in g if m >= i)
+         for i in range(d + 1)]
+    pieces = [([sum(e[i] * math.perm(k, i) * math.factorial(d - i) for i in range(k + 1))
+                for k in range(d + 1)], 0)]
+    signs: set[bool] = set()
+    while pieces and len(signs) < 2:
+        beta, depth = pieces.pop()
+        signs |= {x > 0 for x in (beta[0], beta[-1]) if x}
+        if min(beta) >= 0 or max(beta) <= 0:
+            signs.add(min(beta) >= 0)
+        elif depth == _BISECTIONS:
+            return INDEFINITE
+        else:  # de Casteljau at the midpoint: each half's coefficients times 2^d
+            rows = [beta]
+            while len(rows[-1]) > 1:
+                rows.append([x + y for x, y in zip(rows[-1], rows[-1][1:])])
+            halves = [r[0] << len(r) - 1 for r in rows], [r[-1] << len(r) - 1 for r in reversed(rows)]
+            pieces += [(half, depth + 1) for half in halves]
+    return INDEFINITE if len(signs) == 2 else CONVEX if True in signs else CONCAVE
+
+
+_ALTERNATING = _by_parity(CONVEX, CONCAVE)  # kl, hellinger and jeffreys: f^(k) has the sign of (-1)^k
+
+# Every built-in generator: name -> (floor, builder, class).  The domain must lie in (floor, inf);
+# builder(spec) returns (fn, dfn, zero_limit, slope_at_infinity), and class(spec, n) the
+# n-convexity class on the domain where it is proved, else INDEFINITE.
 _MODELS = {
-    "kl": (0.0, _fixed(lambda t: t * np.log(t), _kl_deriv, 0.0, math.inf)),
+    "kl": (0.0, _fixed(lambda t: t * np.log(t), _kl_deriv, 0.0, math.inf), _ALTERNATING),
     "hellinger": (
-        0.0, _fixed(lambda t: 0.5 * np.float_power(1.0 - np.sqrt(t), 2.0), _hellinger_deriv, 0.5, 0.5)
+        0.0, _fixed(lambda t: 0.5 * np.float_power(1.0 - np.sqrt(t), 2.0), _hellinger_deriv, 0.5, 0.5), _ALTERNATING
     ),
-    "harmonic": (-1.0, _fixed(lambda t: 2.0 * t / (1.0 + t), _harmonic_deriv, 0.0, 0.0)),
-    "jeffreys": (0.0, _fixed(lambda t: (t - 1.0) * np.log(t), _jeffreys_deriv, math.inf, math.inf)),
-    "exp": (-math.inf, _fixed(np.exp, lambda k, t: np.exp(t), 1.0, math.inf)),
-    "poly": (-math.inf, _poly),
-    "power": (0.0, _power),
+    "harmonic": (
+        -1.0, _fixed(lambda t: 2.0 * t / (1.0 + t), _harmonic_deriv, 0.0, 0.0), _by_parity(CONCAVE, CONVEX, CONVEX)
+    ),
+    "jeffreys": (0.0, _fixed(lambda t: (t - 1.0) * np.log(t), _jeffreys_deriv, math.inf, math.inf), _ALTERNATING),
+    "exp": (-math.inf, _fixed(np.exp, lambda k, t: np.exp(t), 1.0, math.inf), _by_parity(CONVEX, CONVEX, CONVEX)),
+    "poly": (-math.inf, _poly, _poly_class),
+    "power": (0.0, _power, _power_class),
 }
 
 BUILTIN_NAMES = tuple(_MODELS)
@@ -159,6 +211,11 @@ def make_generator(spec: GeneratorSpec) -> FunctionModel:
         zero_limit=zero,
         slope_at_infinity=slope,
     )
+
+
+def _exact_class(spec: GeneratorSpec, n: int) -> str:
+    """The spec's n-convexity class from its `_MODELS` column: CONVEX or CONCAVE only where proved."""
+    return _MODELS[spec.name][2](spec, _integer(n, "n", 1, _DERIV_CAP))
 
 
 def classify(spec: GeneratorSpec, n: int) -> str:

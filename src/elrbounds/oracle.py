@@ -5,9 +5,11 @@ distinct points and classifies their sign; it needs only function values, so
 it is independent of the analytic derivative stacks it is typically used to
 double-check.  `audit_identities` replays the two chord-gap decompositions
 over a randomized suite and reports the worst identity residual;
-`audit_brackets` certifies convexity, evaluates the matching bound family,
-and reports any direction violation.  Both audits are deterministic given
-the config seed; failures are data in the report, not exceptions.
+`audit_brackets` takes each drawn function's exact class from
+`generators._exact_class`, evaluates the matching bound family and reports
+any direction violation; it samples no certificate, which could call a
+function definite that is not.  Both audits are deterministic given the
+config seed; failures are data in the report, not exceptions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import bounds as _bounds
 from .bounds import CONCAVE, CONVEX
 from .divided_diff import FunctionModel, _integer, _values
 from .functional import DiscreteFunctional, lr_difference
-from .generators import INDEFINITE, GeneratorSpec, make_generator
+from .generators import INDEFINITE, GeneratorSpec, _exact_class, make_generator
 
 __all__ = [
     "ConvexityCertificate",
@@ -123,7 +125,9 @@ class AuditConfig:
 
     Checked on construction: a field outside its range raises a ValueError
     that names it.  The counts and the seed are integral reals, not bools,
-    stored as int, and `inject_wrong_parity` is a bool.
+    stored as int, and `inject_wrong_parity` is a bool.  `certify_samples`
+    changes neither audit (the bracket audit's classes are exact); it stays
+    for `verify --samples` callers.
     """
 
     cases: int = 200
@@ -161,21 +165,22 @@ def _sub_interval(rng: np.random.Generator, lo: float, hi: float, min_width: flo
     return a, b
 
 
-def _random_function(rng: np.random.Generator, kinds: tuple[str, ...] = _FUNCTION_KINDS) -> FunctionModel:
+def _random_function(rng: np.random.Generator, kinds: tuple[str, ...] = _FUNCTION_KINDS) -> tuple:
+    """A drawn function's model and its spec; a poly's model is `from_polynomial`'s, named by its coefficients."""
     kind = kinds[int(rng.integers(0, len(kinds)))]
     if kind == "exp":
-        a, b = _sub_interval(rng, -2.0, 3.0, 0.5)
-        return make_generator(GeneratorSpec("exp", domain=(a, b)))
+        spec = GeneratorSpec("exp", domain=_sub_interval(rng, -2.0, 3.0, 0.5))
+        return make_generator(spec), spec
     if kind == "poly":
         a, b = _sub_interval(rng, -2.0, 3.0, 0.5)
         degree = int(rng.integers(0, 9))
         coeffs = tuple(float(c) for c in rng.uniform(-3.0, 3.0, size=degree + 1))
-        return FunctionModel.from_polynomial(coeffs, (a, b))
+        return FunctionModel.from_polynomial(coeffs, (a, b)), GeneratorSpec("poly", (a, b), coeffs)
     # Divergence generators stay on ratio-like intervals away from 0, where
     # their derivative stacks are tame.
     name = ("kl", "hellinger", "harmonic", "jeffreys")[int(rng.integers(0, 4))]
-    a, b = _sub_interval(rng, 0.4, 2.5, 0.4)
-    return make_generator(GeneratorSpec(name, domain=(a, b)))
+    spec = GeneratorSpec(name, domain=_sub_interval(rng, 0.4, 2.5, 0.4))
+    return make_generator(spec), spec
 
 
 def _random_functional(rng: np.random.Generator, interval: tuple[float, float]) -> DiscreteFunctional:
@@ -196,7 +201,7 @@ def audit_identities(config: AuditConfig | None = None) -> AuditReport:
     failures: list[dict] = []
     max_rel = 0.0
     for idx in range(cfg.cases):
-        f = _random_function(rng)
+        f, _ = _random_function(rng)
         n = int(rng.integers(_N_RANGE[0], _N_RANGE[1] + 1))
         m = int(rng.integers(1, n))
         A = _random_functional(rng, f.domain)
@@ -231,15 +236,11 @@ def audit_identities(config: AuditConfig | None = None) -> AuditReport:
     )
 
 
-def _flip(verdict: str) -> str:
-    return CONCAVE if verdict == CONVEX else CONVEX
-
-
 def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
-    """Certify convexity, evaluate the matching bound family, check direction.
+    """Take the exact class, evaluate the matching bound family, check direction.
 
-    Collects `cases_per_theorem` configurations with a definite certificate
-    per theorem tag; indefinite draws are skipped.  A case where the chord
+    Collects `cases_per_theorem` configurations with a definite class per
+    theorem tag; indefinite draws are skipped.  A case where the chord
     gap meets its bound(s) within tolerance on every certified side is
     counted as tight.  With `inject_wrong_parity` the claimed convexity class
     is deliberately flipped; the resulting direction violations are the
@@ -264,16 +265,16 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
             attempts += 1
             if attempts > 100 * cfg.cases_per_theorem:
                 raise RuntimeError(f"unable to collect definite cases for {theorem}")
-            f = _random_function(rng)
+            f, spec = _random_function(rng)
             n = orders[int(rng.integers(0, len(orders)))]
             m = int(rng.integers(3, n)) if family.takes_m else None
-            cert_seed = int(rng.integers(0, 2**31 - 1))
-            cert = certify_convexity(f, n, samples=cfg.certify_samples, seed=cert_seed)
-            if cert.verdict == INDEFINITE:
+            rng.integers(0, 2**31 - 1)  # drawn and unused, so each seed's cases stay those it drew with a sampler
+            certified = _exact_class(spec, n)
+            if certified == INDEFINITE:
                 skipped += 1
                 continue
             A = _random_functional(rng, f.domain)
-            claimed = _flip(cert.verdict) if cfg.inject_wrong_parity else cert.verdict
+            claimed = {CONVEX: CONCAVE, CONCAVE: CONVEX}[certified] if cfg.inject_wrong_parity else certified
             report = _bounds.bound(theorem, f, A, n, m, claimed)
             tol = _BRACKET_REL_TOL * (1.0 + abs(report.lr))
             violation = report.violation()
@@ -286,7 +287,7 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
                         "n": n,
                         "m": m,
                         "claimed": claimed,
-                        "certified": cert.verdict,
+                        "certified": certified,
                         "lr": report.lr,
                         "lower": report.lower,
                         "upper": report.upper,

@@ -78,6 +78,23 @@ def test_diff_sorts_each_difference(tmp_path, capsys):
     assert _diff(tmp_path, a, a[:3], capsys)[0] == 2
 
 
+def test_verify_suite_records_hold_the_audit_counts(tmp_path, capsys):
+    recs = _census("verify_suite", 9111, 1)
+    assert set(recs[0]) == {"op", "case", "kind", "identities", "brackets", "reason"}
+    for suite in ("identities", "brackets"):
+        assert list(recs[0][suite]) == ["skipped", "tight", "failures", "max_residual"]
+        float.fromhex(recs[0][suite]["max_residual"])
+    # diff names each audit op's moved counts, every op, beyond the first few.
+    a = [dict(recs[0], op=i) for i in range(7)]
+    b = [dict(r, brackets=dict(r["brackets"], skipped=98 + i, tight=30)) for i, r in enumerate(a)]
+    b[6]["brackets"] = dict(a[6]["brackets"], skipped=22)
+    code, out = _diff(tmp_path, a, b, capsys)
+    assert code == 1
+    moved = [line for line in out.splitlines() if "→" in line]
+    assert moved[6] == f"  op 6 {recs[0]['case']}: brackets skipped {a[6]['brackets']['skipped']}→22"
+    assert len(moved) == 7 and "brackets tight" in moved[0]
+
+
 def test_diff_stops_quietly_when_its_reader_closes(tmp_path):
     # One changed error whose text outgrows a pipe's buffer: the printing
     # outlasts a reader that takes one line and closes.
@@ -182,13 +199,15 @@ def test_the_zm_large_census_is_pinned(seed, counts, refused, digest):
 @pytest.mark.parametrize(
     "seed,digest",
     [
-        (9111, "c6f0d3546e475038ccdf827506b731964c00201b6b2f51a87c66ffaf87b2a1b7"),
-        (29001, "b06177fe6f264981911ae4a44eb8505344a4e6a1d93083c352e04bb8d4c12d0b"),
+        (9111, "948b2c228855817838e2b377095611cd91cc631dee3382a9f21c4b2aa0b3528e"),
+        (29001, "de5ba1b27cbc429415b2d74e00d4a98d481ef6ffbcec3be1b92734c296b1a794"),
     ],
 )
 def test_the_verify_suite_census_is_pinned(seed, digest):
     # Every default audit holds; the digest covers both reports of each op (their
-    # skipped and tight counts and worst residuals), as tests/golden/verify.txt does.
+    # skipped and tight counts, failure counts and worst residuals), as
+    # tests/golden/verify.txt does.
     recs = _census("verify_suite", seed, 6)
     assert Counter(r["kind"] for r in recs) == {"ok": 6}
-    assert hashlib.sha256("\n".join(r["value"] for r in recs).encode()).hexdigest() == digest
+    reports = (json.dumps([r["identities"], r["brackets"]]) for r in recs)
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == digest

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,6 +15,7 @@ from elrbounds import (
     BUILTIN_NAMES,
     CONCAVE,
     CONVEX,
+    FunctionModel,
     INDEFINITE,
     GeneratorSpec,
     certify_convexity,
@@ -21,6 +24,7 @@ from elrbounds import (
     parse_function_spec,
 )
 from elrbounds.divided_diff import _float_power
+from elrbounds.generators import _exact_class
 
 # mpmath twins of the generator definitions; mpmath.diff runs central finite
 # differences at 40 digits, giving an oracle independent of the closed forms.
@@ -347,6 +351,99 @@ def test_infinite_sample_leaves_the_tolerance_finite():
     spec = GeneratorSpec("kl", domain=(3e-31, 1.0))
     assert float(make_generator(spec).deriv(11, 3e-31)) == -math.inf
     assert classify(spec, 11) == CONCAVE
+
+
+# --- exact classes ------------------------------------------------------------------
+
+_TAME = [GeneratorSpec(name, domain=(0.5, 2.0)) for name in ("kl", "hellinger", "harmonic", "jeffreys", "exp")]
+_TAME += [GeneratorSpec("power", domain=(0.5, 2.0), exponent=p) for p in (-1.5, 0.5, 1.7, 3.0)]
+# (generator, n) where the order-n differences of 200 sampled point sets drown
+# in rounding, which grows like eps * max|f| / gap^n past the sampler's
+# absolute 1e-12 sign tolerance, while f^(n)/n! is small (exp) or zero (t^3
+# from n = 4).
+_UNRESOLVED_BY_SAMPLING = {("exp", n) for n in (10, 11, 12)} | {("power(1.7)", 12)}
+_UNRESOLVED_BY_SAMPLING |= {("power(3)", n) for n in range(4, 13)}
+
+
+@pytest.mark.parametrize("spec", _TAME, ids=lambda spec: make_generator(spec).name)
+def test_class_column_is_both_samplers_class(spec):
+    # Pinned until `classify` reads the column: the audit's class source and
+    # the bound paths' grid must not drift apart.
+    f = make_generator(spec)
+    unresolved = set()
+    for n in range(2, 13):
+        exact = _exact_class(spec, n)
+        assert exact == classify(spec, n) != INDEFINITE, (f.name, n)
+        cert = certify_convexity(f, n, samples=200, seed=1)
+        if cert.verdict == INDEFINITE:
+            unresolved.add((f.name, n))
+        else:
+            assert cert.verdict == exact, (f.name, n)
+    assert unresolved == {case for case in _UNRESOLVED_BY_SAMPLING if case[0] == f.name}
+
+
+def test_class_column_at_order_one():
+    # Only f' of harmonic, exp and power has one sign on every domain.
+    for name, expected in (("kl", INDEFINITE), ("hellinger", INDEFINITE), ("jeffreys", INDEFINITE),
+                           ("harmonic", CONVEX), ("exp", CONVEX)):
+        assert _exact_class(_spec(name), 1) == expected
+    for p, expected in ((-1.5, CONCAVE), (0.0, CONVEX), (0.5, CONVEX)):
+        assert _exact_class(_spec("power", exponent=p), 1) == expected
+    with pytest.raises(ValueError, match="^n must be"):
+        _exact_class(_spec("kl"), 0)
+
+
+def _exact_values(coeffs, n, points):
+    """f^(n) of the polynomial at each rational point, in exact arithmetic."""
+    g = [Fraction(c) * math.perm(j, n) for j, c in enumerate(coeffs) if j >= n]
+    return [sum(c * x**j for j, c in enumerate(g)) for x in points]
+
+
+def test_bernstein_class_is_sound():
+    # A definite class must hold at every probe: the ends, the real parts of
+    # f^(n)'s roots inside (a, b) and the midpoints between them, evaluated
+    # exactly.  INDEFINITE needs a proven sign change among the probes, or
+    # the bisection ran out of depth: those are counted.
+    rng = np.random.default_rng(20261019)
+    verdicts = Counter()
+    for _ in range(400):
+        coeffs = tuple(float(c) for c in rng.uniform(-3.0, 3.0, size=int(rng.integers(1, 10))))
+        n = int(rng.integers(1, 9))
+        a, b = sorted(float(x) for x in rng.uniform(-2.0, 3.0, size=2))
+        verdict = _exact_class(GeneratorSpec("poly", domain=(a, b), coeffs=coeffs), n)
+        if n >= len(coeffs):
+            assert verdict == CONVEX  # f^(n) = 0
+            verdicts["zero"] += 1
+            continue
+        top = [mpmath.mpf(c) * math.perm(j, n) for j, c in enumerate(coeffs) if j >= n][::-1]
+        roots = mpmath.polyroots(top, maxsteps=200, extraprec=200, error=False) if len(top) > 1 else []
+        inside = sorted(Fraction(float(mpmath.re(r))) for r in roots if a < mpmath.re(r) < b)
+        ends = [Fraction(a), *inside, Fraction(b)]
+        probes = ends + [(x + y) / 2 for x, y in zip(ends, ends[1:])]
+        signs = {v > 0 for v in _exact_values(coeffs, n, probes) if v}
+        if verdict == INDEFINITE:
+            verdicts["sign change" if len(signs) == 2 else "depth exhausted"] += 1
+        else:
+            assert signs == {verdict == CONVEX}, (coeffs, n, a, b, verdict)
+            verdicts[verdict] += 1
+    assert min(verdicts[k] for k in (CONVEX, CONCAVE, "sign change", "zero")) >= 20, verdicts
+    assert verdicts["depth exhausted"] == 0, verdicts  # 194 draws with f^(n) != 0
+
+
+def test_bernstein_class_is_exact_where_sampling_is_not():
+    # f'' = t - 1e-3 is negative only on [0, 1e-3): sampled differences
+    # average that away, the Bernstein ends are exact values of both signs.
+    edge = (0.0, 0.0, -5e-4, 1.0 / 6.0)
+    sampled = certify_convexity(FunctionModel.from_polynomial(edge, (0.0, 1.0)), 2, samples=120, seed=0)
+    assert sampled.verdict == CONVEX
+    assert _exact_class(GeneratorSpec("poly", domain=(0.0, 1.0), coeffs=edge), 2) == INDEFINITE
+    # (t - 1)^3 + 1: f' = 3(t - 1)^2 touches 0 at t = 1.  On [0, 2] the first
+    # bisection splits there and proves both halves >= 0; on [0, 3] no
+    # midpoint is 1, so the depth runs out: INDEFINITE, never a guess.
+    cubic = (1.0, 3.0, -3.0, 1.0)
+    assert [_exact_class(GeneratorSpec("poly", domain=(0.0, 2.0), coeffs=cubic), n) for n in (1, 2, 3, 4)] == [
+        CONVEX, INDEFINITE, CONVEX, CONVEX]
+    assert _exact_class(GeneratorSpec("poly", domain=(0.0, 3.0), coeffs=cubic), 1) == INDEFINITE
 
 
 # --- spec validation and parsing --------------------------------------------------

@@ -125,7 +125,7 @@ def _row_form(F, Z):
 def test_transposed_pass_is_the_row_form_bit_for_bit(kind, n):
     rng = np.random.default_rng(n)
     for _ in range(4):
-        f = _random_function(rng, (kind,))
+        f, _ = _random_function(rng, (kind,))
         a, b = f.domain
         Z = np.sort(rng.uniform(a, b, size=(120, n + 1)), axis=1)
         F = _values(f, Z)
@@ -177,7 +177,7 @@ def test_default_identity_suite_is_clean():
 def test_polynomial_only_suite_is_exact_to_rounding():
     rng = np.random.default_rng(11)
     for _ in range(80):
-        f = _random_function(rng, ("poly",))
+        f, _ = _random_function(rng, ("poly",))
         n = int(rng.integers(3, 8))
         m = int(rng.integers(1, n))
         A = _random_functional(rng, f.domain)
@@ -247,6 +247,20 @@ def test_wrong_parity_injection_is_caught():
     first = report.failures[0]
     assert {"theorem", "claimed", "certified", "violation", "lr"} <= set(first)
     assert first["claimed"] != first["certified"]
+
+
+@pytest.mark.parametrize("seed", [54522501, 2092831398, 1897170027])
+def test_bracket_audit_classes_are_exact(seed, monkeypatch):
+    # At these seeds the sampled certificate called a poly n-concave that is
+    # not, and its bound escaped.  The audit reads exact classes instead and
+    # never calls the sampler.
+    from elrbounds import oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bracket audit sampled a certificate")
+
+    monkeypatch.setattr(oracle, "certify_convexity", refuse)
+    assert audit_brackets(AuditConfig(seed=seed)).failures == []
 
 
 def test_bracket_audit_is_deterministic():

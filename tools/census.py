@@ -10,12 +10,15 @@ change, each in its own directory or `git worktree`) run the same ops on their
 own code.  It writes one JSON line per op: its case (tag, generator, n and m;
 the op seed for `verify_suite`), its kind, and either the report (`lr`,
 `lower`, `upper` as `float.hex`, `direction_valid` and the bench check's
-`reason`; any other output as its repr) or the error's type and text.  The
-kind is ok, wrong_bracket or wrong_value by the check, or the error's type.
+`reason`; for `verify_suite`, each audit report's `skipped`, `tight`,
+failure count and `max_residual` (`float.hex`) under its suite's name; any
+other output as its repr) or the error's type and text.  The kind is ok,
+wrong_bracket or wrong_value by the check, or the error's type.
 
 `diff` prints the count of each kind on both sides, then the report<->refusal
 flips, the reports whose values moved and the errors whose type or text
-changed, with the first few of each; it exits 1 when any op differs, 2 when
+changed, with the first few of each, and each audit op's moved counts (such
+as `brackets skipped 98→22`); it exits 1 when any op differs, 2 when
 the runs hold different ops.  `compare` runs `run` for both checkouts, in two
 child processes at a time, on each of `SEEDS` (the workloads' pinned seeds),
 and prints each seed's `diff` summary, then each checkout's `src/` lines per
@@ -67,6 +70,8 @@ def run(root: str, workload: str, seed: int, ops: int) -> None:
                 if hasattr(output, "lr"):
                     rec.update({k: _hex(getattr(output, k)) for k in ("lr", "lower", "upper")})
                     rec["direction_valid"] = output.direction_valid
+                elif workload == "verify_suite":
+                    rec.update({report.suite: _audit_fields(report) for report in output})
                 else:
                     rec["value"] = repr(output)
                 rec["reason"] = reason
@@ -82,6 +87,11 @@ def _silence_stdout() -> None:
 
 def _hex(x):
     return None if x is None else float.hex(x)
+
+
+def _audit_fields(report) -> dict:
+    return {"skipped": report.skipped, "tight": report.tight, "failures": len(report.failures),
+            "max_residual": _hex(report.max_residual)}
 
 
 def _load(path: str) -> list[dict]:
@@ -152,9 +162,18 @@ def _compare(a: list[dict], b: list[dict]) -> tuple[int, list[str]]:
             classes["changed errors"].append((ra, rb))
     for name, pairs in classes.items():
         lines.append(f"{name}: {len(pairs)}")
-        for ra, rb in pairs[:SHOWN]:
-            lines.append(f"  op {ra['op']} {ra['case']}\n    A {_brief(ra)}\n    B {_brief(rb)}")
+        for i, (ra, rb) in enumerate(pairs):
+            if moved := _audit_moves(ra, rb):  # one line per audit op, every op
+                lines.append(f"  op {ra['op']} {ra['case']}: {moved}")
+            elif i < SHOWN:
+                lines.append(f"  op {ra['op']} {ra['case']}\n    A {_brief(ra)}\n    B {_brief(rb)}")
     return (1 if any(classes.values()) else 0), lines
+
+
+def _audit_moves(ra: dict, rb: dict) -> str:
+    """The audit counts that moved between two `verify_suite` records, as `brackets skipped 98→22`."""
+    return ", ".join(f"{suite} {k} {v}→{rb[suite][k]}" for suite in ("identities", "brackets")
+                     if suite in ra and suite in rb for k, v in ra[suite].items() if v != rb[suite][k])
 
 
 def _brief(rec: dict) -> str:
