@@ -22,10 +22,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
+
+import numpy as np
 
 from .divided_diff import (
-    FunctionModel, _check_orders, _check_support, _integer, endpoint_table, remainder_R,
+    _ETA, _TINY, _U, _UP, FunctionModel, _check_orders, _check_support, _error_of, _integer, endpoint_table,
+    remainder_R,
 )
 from .functional import DiscreteFunctional, lr_difference
 
@@ -57,11 +60,11 @@ class _Family:
     sides: tuple[tuple[str, int | None], ...]
     labels: tuple[str, ...]
 
-    @property
+    @cached_property
     def takes_m(self) -> bool:
         return any(k is None for _, k in self.sides)
 
-    @property
+    @cached_property
     def min_n(self) -> int:
         return 4 if self.takes_m else 1 + max(k for _, k in self.sides)
 
@@ -89,22 +92,20 @@ class _Family:
             x, y = (a, b) if anchor == "a" else (b, a)
             yield _terms(f, x, y, n, k, partial(moment, x, y), mean, tables)
 
-    def arrange(
-        self, n: int, m: int | None, convexity: str, values: list[float]
-    ) -> tuple[float | None, float | None, bool]:
-        """(lower, upper, direction_valid) for the side values, by the parity rule.
-
-        With sigma = +1 for n-convex and -1 for n-concave f, the remainder
-        dropped by side (anchor, m) has the sign sigma (-1)^(n-m) at anchor a
-        and sigma (-1)^m at anchor b.  A side whose sign is +1 bounds LR from
-        below, one whose sign is -1 from above.  In a bracket the second side
-        fixes the arrangement, and the bracket is certified only when the two
-        sides' signs differ.
-        """
+    def signs(self, n: int, m: int | None, convexity: str) -> list[int]:
+        """Each side's sign by the parity rule: with sigma = +1 for n-convex and
+        -1 for n-concave f, the remainder dropped by side (anchor, m) has the
+        sign sigma (-1)^(n-m) at anchor a and sigma (-1)^m at anchor b."""
         _check_convexity(convexity)
         sigma = 1 if convexity == CONVEX else -1
         sides = self.resolve(n, m)  # accepts n as an integer, so int(n) is exact
-        signs = [sigma * (-1) ** (int(n) - k if x == "a" else k) for x, k in sides]
+        return [sigma * (-1) ** (int(n) - k if x == "a" else k) for x, k in sides]
+
+    def arrange(self, n: int, m: int | None, convexity: str, values: list) -> tuple:
+        """(lower, upper, direction_valid) for the side values: a side of sign +1 (`signs`) bounds
+        LR from below, of sign -1 from above.  In a bracket the second side fixes the arrangement,
+        and the bracket is certified only when the two sides' signs differ."""
+        signs = self.signs(n, m, convexity)
         if len(signs) == 1:
             return (values[0], None, True) if signs[0] > 0 else (None, values[0], True)
         first, second = values
@@ -188,23 +189,24 @@ def _terms(
 
     `moment(keys)` returns A[(g-x)^i (g-y)^j] for each key of `_layout(n, m)` and
     `mean` is A(g), which only m >= 3 reads.  `tables`, a dict local to one f, n
-    and [a, b], holds the endpoint table by (x, m): a side found there is not
-    built again.  The table's errors come before the moments'.
+    and [a, b], keeps the side's endpoint table, moments and terms by (x, m).
+    The table's errors come before the moments'.
     """
     n, m = _check_orders(n, m)
     if m >= 3:  # this layout reads f[x, x] first: its errors come first
         _check_support(f, (x,), 2)
-    T = (tables or {}).get((x, m)) or endpoint_table(f, x, y, m, n - m)
-    if tables is not None:
-        tables[x, m] = T
+    T = endpoint_table(f, x, y, m, n - m)
     cells, keys = _layout(n, m)
-    terms = [T[i][j] * v for (i, j), v in zip(cells, moment(keys))]
-    if m < 3:
-        return terms
-    # Anchored at b the lead reads (b - A(g))(f[a,b] - f[b,b]), which keeps
-    # lemma 2.2's signed zero when A(g) == b.
-    f_xx, f_xy = T[2][0], T[1][1]
-    return [(mean - x) * (f_xx - f_xy) if x < y else (x - mean) * (f_xy - f_xx)] + terms
+    M = moment(keys)
+    terms = [T[i][j] * v for (i, j), v in zip(cells, M)]
+    if m >= 3:
+        # Anchored at b the lead reads (b - A(g))(f[a,b] - f[b,b]), which keeps
+        # lemma 2.2's signed zero when A(g) == b.
+        f_xx, f_xy = T[2][0], T[1][1]
+        terms.insert(0, (mean - x) * (f_xx - f_xy) if x < y else (x - mean) * (f_xy - f_xx))
+    if tables is not None:
+        tables[x, m] = T, M, terms
+    return terms
 
 
 def _moments(A: DiscreteFunctional):
@@ -223,7 +225,7 @@ def _decompose(
     point on error)."""
     tables: dict = {}
     terms = _terms(f, x, y, n, m, partial(_moments(A), x, y), A.mean, tables)
-    return terms, A._dot(remainder_R(f, x, y, m, n, A._x, _table=tables[x, m]))
+    return terms, A._dot(remainder_R(f, x, y, m, n, A._x, _table=tables[x, m][0]))
 
 
 def decompose_lemma21(
@@ -256,13 +258,115 @@ def bound(
 
     Each side is its decomposition's term sum (no remainder), placed by the
     parity rule of `FAMILIES[tag]`.  Families with fixed sides ignore m.
-    The private `_tables` dict collects each side's endpoint table (`_terms`).
+    The private `_tables` dict collects each side's endpoint table, moments
+    and terms (`_terms`), and f at the points and endpoints (`lr_difference`).
     """
     family = _family(tag)
     sides = family.terms(f, A.interval, n, m, _moments(A), A.mean, _tables)
     lower, upper, valid = family.arrange(n, m, convexity, [math.fsum(t) for t in sides])
     n, m = _check_orders(n, m if family.takes_m else None)
-    return BoundReport(lr_difference(f, A), lower, upper, family.tag, n, m, convexity, valid)
+    return BoundReport(lr_difference(f, A, _tables), lower, upper, family.tag, n, m, convexity, valid)
+
+
+def _not_finite(tag: str, report: dict) -> str | None:
+    """The refusal text for the first of a report's lr, lower and upper that is not
+    finite, such as `TM23 lr is not finite: -Infinity`; None when all are finite."""
+    for key in ("lr", "lower", "upper"):
+        if (v := report[key]) is not None and not math.isfinite(v):
+            return f"{tag} {key} is not finite: {'NaN' if math.isnan(v) else 'Infinity' if v > 0 else '-Infinity'}"
+
+
+def _certify(report: BoundReport, f: FunctionModel, A: DiscreteFunctional, tables: dict) -> BoundReport:
+    """`report`, from `bound(..., _tables=tables)` on A (points >= 0), if each side it carries
+    lies on the side of lr that its parity sign predicts (`_Family.signs`, for direction-invalid
+    pairs too) by more than E_side + E_lr: then the float side bounds A's exact lr as the paper's
+    exact side does.  Else a RuntimeError: a value that is not finite (`_not_finite`), then a
+    side on the wrong side by more than that, "TM23 lower: contradicted by lr", then any other,
+    "TM23 lower: within rounding of lr".  Every comparison fails on NaN.
+    """
+    tag, n, m, convexity = report.theorem, report.n, report.m, report.convexity
+    if text := _not_finite(tag, vars(report)):
+        raise RuntimeError(text)
+    family, (a, b), sides = _family(tag), A.interval, []
+    with np.errstate(all="ignore"):  # a bound that overflows is inf, and certifies nothing
+        e_lr = _lr_error(f, A, report.lr, *tables["lr"])
+        for (anchor, k), sign in zip(family.resolve(n, m), family.signs(n, m, convexity)):
+            x, y = (a, b) if anchor == "a" else (b, a)
+            sides.append((sign, *_side_error(f, A, x, y, n, k, *tables[x, k])))
+    refusals = []  # (not contradicted, text): contradicted first, then lower before upper
+    for name, side in zip(("lower", "upper"), family.arrange(n, m, convexity, sides)[:2]):
+        if side is None:
+            continue
+        sign, value, e = side
+        gap, margin = sign * (report.lr - value), _UP * (e + e_lr)
+        if not gap > margin:
+            wrong = -gap > margin
+            refusals.append((not wrong, f"{tag} {name}: {'contradicted by' if wrong else 'within rounding of'} lr"))
+    if refusals:
+        raise RuntimeError(min(refusals)[1])
+    return report
+
+
+def _product_error(x: float, e_x: float, y: float, e_y: float) -> float:
+    """A bound on the error of fl(x y), x and y off by e_x and e_y (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., §3.3, a running error bound)."""
+    return abs(x) * e_y + e_x * abs(y) + e_x * e_y + _U * abs(x * y) + _ETA
+
+
+def _lr_error(f: FunctionModel, A: DiscreteFunctional, lr: float, fg, fa: float, fb: float) -> float:
+    """A bound on |lr - A's exact chord gap| from f at the points and ends as `lr_difference`
+    used them: f's stated `_error`, the products and fsum of A(f(g)), A(g)'s 2u A(g) (points
+    >= 0), the chord's quotients, products and differences.  Plain sums: `_certify` rounds up."""
+    (a, b), w, u, mean, error = A.interval, A._w, _U, A.mean, _error_of(f)
+    size = float(np.add.reduce(w * np.abs(fg)))  # sum w |f(g)| >= |A(f(g))|
+    err = float(np.add.reduce(w * error(0, A._x, fg))) + _TINY * (1.0 + mean)  # sum w_i _TINY (1 + g_i)
+    err += 2 * u * size + len(w) * _ETA + u * (size + abs(lr))
+    for num, x, fx in ((b - mean, a, fa), (mean - a, b, fb)):  # the chord's terms num / (b - a) * f(x)
+        r = num / (b - a)
+        e_r = (2 * u * mean + u * abs(num)) / (b - a) + 2 * u * abs(r)
+        err += _product_error(r, e_r, fx, error(0, x, fx) + _TINY * (1.0 + abs(x))) + u * abs(r * fx)
+    return err
+
+
+def _side_error(
+    f: FunctionModel, A: DiscreteFunctional, x: float, y: float, n: int, m: int, T, M, terms
+) -> tuple[float, float]:
+    """(side, E_side): the fsum of the side's `terms`, and a bound on its distance from A's exact
+    side, from the endpoint table T and moments M that `_terms` formed them from.  A border
+    f^(k)/k! is off by f's `_error` over k! plus u of itself, an interior cell by (e_up + e_left)/h
+    + 3u of itself (the difference, h = |y - x|, the quotient).  A moment A[(g-x)^J (g-y)^K] sums
+    terms of one sign (the points lie in [a, b]), so it is off by gamma_(2(J+K)+3) |M| (the bases,
+    a chain or a faithful pow each, two products, the fsum; gamma_k as k u, which _UP covers) plus
+    N eta (J + K + 2)(1 + B^J + B^K), B = max(1, h), for underflow.  Each term T_i M_i and the
+    lead (A(g) - x)(f[x, x] - f[x, y]) of m >= 3 (A(g) off by 2u A(g)) then carries its product's
+    error (`_product_error`), and the fsum u |side|.
+    """
+    u, h, cols, fact, error = _U, abs(y - x), n - m, math.factorial, _error_of(f)
+    tiny_x, tiny_y = _TINY * (1.0 + abs(x)), _TINY * (1.0 + abs(y))
+    E = [[0.0] + [float(error(k, y, T[0][k + 1] * fact(k)) + tiny_y) / fact(k) + u * abs(T[0][k + 1])
+                  for k in range(cols)]]
+    for i in range(1, m + 1):
+        above, cells = E[-1], T[i]
+        e = float(error(i - 1, x, cells[0] * fact(i - 1)) + tiny_x) / fact(i - 1) + u * abs(cells[0])
+        row = [e]
+        for j in range(1, cols + 1):
+            e = (above[j] + e) / h + 3 * u * abs(cells[j])
+            row.append(e)
+        E.append(row)
+    powers = [2.0**-500]  # 2^-500 B^e by products: eta B^e = 2^-574 powers[e], in the normal range
+    while len(powers) < n:
+        powers.append(powers[-1] * max(1.0, h))
+    err = under = 0.0  # under: the underflow terms over N 2^-574
+    for (i, j), (J, K), v in zip(*_layout(n, m), M):
+        at, e_t, av = abs(T[i][j]), E[i][j], abs(v)
+        e_m = (2 * (J + K) + 3) * u * av
+        err += at * e_m + e_t * (av + e_m) + u * at * av
+        under += (at + e_t) * (J + K + 2) * (powers[0] + powers[J] + powers[K])
+    if m >= 3:
+        d, f_d = A.mean - x, T[2][0] - T[1][1]
+        err += _product_error(d, 2 * u * A.mean + u * abs(d), f_d, E[2][0] + E[1][1] + u * abs(f_d))
+    side = math.fsum(terms)
+    return side, err + u * abs(side) + len(A) * under * 2.0**-574 + (len(M) + 1) * _ETA
 
 
 def n3_closed_form(f: FunctionModel, A: DiscreteFunctional) -> tuple[float, float]:

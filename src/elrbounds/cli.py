@@ -5,8 +5,9 @@ fixed order and floats are printed with 17 significant digits, so re-parsing
 reproduces the exact values.  Each subcommand returns its JSON value and its
 CSV rows, and `main` writes the one that --format asks for.  Exit status is
 0 on success, 1 on validation errors (reported with the offending field),
-when a div or zm bound fails its dual-route crosscheck and when a report's
-lr or a side is not finite, and 2 when `verify` finds a violated identity
+when a div or zm bound is not certified (a side within rounding of lr or
+contradicted by it) and when a report's lr or a side is not finite, and 2
+when `verify` finds a violated identity
 or bracket.  `--convexity auto` takes the class from `generators.classify`
 in bounds, div and zm alike (an indefinite class is a validation error).
 Only verify draws, so --seed matters only there; its --samples is checked
@@ -25,9 +26,9 @@ import math
 import re
 import sys
 
-from .bounds import CONCAVE, CONVEX, FAMILIES, _moments, bound
+from .bounds import CONCAVE, CONVEX, FAMILIES, _moments, _not_finite, bound
 from .divergence import ProbabilityVector, divergence_bounds, f_divergence, ratio_range
-from .divided_diff import FunctionModel, NodeMultiset, divided_difference, newton_interpolant
+from .divided_diff import FunctionModel, NodeMultiset, _TableOverflow, divided_difference, newton_interpolant
 from .functional import DiscreteFunctional, _json_numbers, lr_difference
 from .generators import definite_class, make_generator, parse_function_spec
 from .oracle import AuditConfig, audit_brackets, audit_identities
@@ -214,23 +215,22 @@ def _run_bounds(args):
 
 
 def _report(args, call) -> dict:
-    """The report of `call()` as a dict.  The crosscheck's refusal (a plain
-    RuntimeError; subclasses such as RecursionError propagate), a moment's
-    OverflowError (too wide a ratio range) and a report whose `lr`, `lower`
-    or `upper` is not finite are ValueErrors."""
+    """The report of `call()` as a dict.  The gate's refusal (a plain
+    RuntimeError; subclasses such as RecursionError propagate), an endpoint
+    table's or a moment's OverflowError (too wide a ratio range) and a report
+    whose `lr`, `lower` or `upper` is not finite are ValueErrors."""
     tag = args.theorem.upper()
     try:
         report = call().to_dict()
     except OverflowError as exc:
-        raise ValueError(f"{tag} moment overflow: {exc}") from exc
+        phase = "endpoint table" if isinstance(exc, _TableOverflow) else "moment"
+        raise ValueError(f"{tag} {phase} overflow: {exc}") from exc
     except RuntimeError as exc:
         if type(exc) is not RuntimeError:
             raise
         raise ValueError(str(exc)) from exc
-    for key in ("lr", "lower", "upper"):
-        value = report[key]
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{tag} {key} is not finite: {dumps(value)}")
+    if text := _not_finite(tag, report):
+        raise ValueError(text)
     return report
 
 

@@ -70,6 +70,27 @@ _SUM_MIN_LEN = 1024
 _U = 2.0**-53  # unit roundoff of float64
 _SUM_PASSES = 3  # extraction passes `_extracted_sum` makes before it gives up
 
+# The certifying gate's error model (`bounds._certify`): _ETA, the subnormal spacing, bounds the
+# error of an operation whose result underflows; _UP exceeds gamma_k for every k below 8e6, so one
+# factor of it rounds a bound up past its second-order terms and its own plain sums; _ULPS is the
+# relative error, in units of u, taken for f and f^(k) of a model that states none (`_error_of`), and
+# _TINY (1 + |t|) bounds what an underflowing result adds to f^(k)(t)'s (each built-in formula
+# scales one by less than 2^31 (1 + |t|); `power` and `poly` state their own).
+_ETA, _UP, _ULPS = 5e-324, 1.0 + 2.0**-30, 16.0
+_TINY = 2.0**31 * _ETA
+
+
+def _error_of(f: FunctionModel):
+    """error(k, t, v): a bound on |v - f^(k)(t)| (k = 0: f itself) for the value v that f's model
+    returned at t, floats or arrays, but for _TINY (1 + |t|), which a caller adds (summed over
+    points, it is one term, and per point a subnormal array is slow): the bound f's `deriv_fn`
+    states as `_error`, else _ULPS u |v|."""
+    return getattr(f.deriv_fn, "_error", None) or (lambda k, t, v: _ULPS * _U * abs(v))
+
+
+class _TableOverflow(OverflowError):
+    """An endpoint table's border f^(k) overflowed (not a moment)."""
+
 
 def _is_integer(value) -> bool:
     """True for an integral real number that is not a bool: 3, 3.0, np.int64(3)."""
@@ -239,10 +260,15 @@ class FunctionModel:
 
     def __neg__(self) -> "FunctionModel":
         fn, dfn = self.fn, self.deriv_fn
+
+        def neg(k, t):
+            return -dfn(k, t)
+        if stated := getattr(dfn, "_error", None):  # -f is off by as much as f
+            neg._error = lambda k, t, v: stated(k, t, -v)
         return dataclasses.replace(
             self,
             fn=lambda t: -fn(t),
-            deriv_fn=lambda k, t: -dfn(k, t),
+            deriv_fn=neg,
             name=f"-({self.name})",
             zero_limit=None if self.zero_limit is None else -self.zero_limit,
             slope_at_infinity=(
@@ -258,7 +284,12 @@ class FunctionModel:
         name: str | None = None,
         max_order: int = 12,
     ) -> "FunctionModel":
-        """Polynomial c0 + c1*t + ... with exact derivatives of every order."""
+        """Polynomial c0 + c1*t + ... with exact derivatives of every order.
+
+        Its stated error (`_error`) is Horner's gamma_2d sum |c_i| |t|^i (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., §5.1) for the derivative's d + 1 coefficients,
+        each rounded up to `order` times, summed by Horner again (gamma_k <= (k + 1) u for k u <
+        1/k), plus eta for each step whose product underflows, times the |t|^i after it."""
         cs = tuple(float(c) for c in coeffs)
         if not cs:
             raise ValueError("polynomial needs at least one coefficient")
@@ -271,6 +302,14 @@ class FunctionModel:
                 acc = acc * t + c
             return acc
 
+        def error(order, t, v, _cs=cs):
+            coeffs = _poly_deriv_coeffs(_cs, order) if order else _cs
+            size = tail = 0.0  # sum |c_i| |t|^i, and 2 sum |t|^i for the steps that underflow
+            for c in reversed(coeffs):
+                size, tail = size * abs(t) + abs(c), tail * abs(t) + 2.0
+            return (4 * len(coeffs) + order + 1) * _U * size + _ETA * tail
+
+        dv._error = error
         return cls(
             fn=functools.partial(dv, 0),
             deriv_fn=dv,
@@ -416,16 +455,20 @@ def endpoint_table(f: FunctionModel, x: float, y: float, rows: int, cols: int) -
     Borders f^(k)/k! at x (column 0) and y (row 0), other cells
     (T[i-1][j] - T[i][j-1]) / (y - x) with the nodes in ascending order: bit
     for bit the confluent table's cells, with its errors in the order a row of
-    cells meets them (gap, domain, f[x, x], f^(k)(x), then a run of y too long).
+    cells meets them (gap, domain, f[x, x], f^(k)(x), then a run of y too long).  A border
+    f^(k) whose float `**` overflows raises `_TableOverflow`, an OverflowError.
     """
     rows, cols = _integer(rows, "rows", 1), _integer(cols, "cols", 1)
     u, v = sorted((x, y))
     _check_gap(u, v)
     _check_support(f, (u, v), min(rows, 2))
     fact = math.factorial
-    table = [[0.0], [float(f(x))]] + [[float(f.deriv(k, x)) / fact(k)] for k in range(1, rows)]
-    _check_support(f, (), min(cols, f.max_order + 2))
-    table[0] += [float(f(y))] + [float(f.deriv(k, y)) / fact(k) for k in range(1, cols)]
+    try:
+        table = [[0.0], [float(f(x))]] + [[float(f.deriv(k, x)) / fact(k)] for k in range(1, rows)]
+        _check_support(f, (), min(cols, f.max_order + 2))
+        table[0] += [float(f(y))] + [float(f.deriv(k, y)) / fact(k) for k in range(1, cols)]
+    except OverflowError as exc:
+        raise _TableOverflow(*exc.args) from exc
     for i in range(1, rows + 1):
         for j in range(1, cols + 1):
             up, left = table[i - 1][j], table[i][j - 1]  # drop one x, drop one y

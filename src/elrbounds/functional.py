@@ -35,7 +35,7 @@ __all__ = ["DiscreteFunctional", "lr_difference"]
 _SUM_TOL = 1e-12
 _CHAIN_MAX = 2.0**1020  # powers and sums of multiply chains stay below it, far from overflow
 
-# Smallest point set whose moments come from multiply chains, on both routes.
+# Smallest point set whose moments come from multiply chains.
 # Against the batched libm sums (`_batched`) the chains break even near 150
 # points: `divergence_bounds` with the gate at 1 took this much of its time
 # with the gate at 10^9 (kl, TM23 n=9 and COR21 n=7 m=4, 20 Dirichlet(0.5)
@@ -174,16 +174,16 @@ class DiscreteFunctional:
             raise ValueError(f"points[{i}] = {float(x[i])} outside interval [{a}, {b}]")
         self._store(x, w, total, (a, b))
 
-    def _store(self, x: np.ndarray, w: np.ndarray, total: float, interval, chains=True) -> "DiscreteFunctional":
+    def _store(self, x: np.ndarray, w: np.ndarray, total: float, interval) -> "DiscreteFunctional":
         """Keep valid points x, weights w of fsum `total` (renormalized here) and a checked interval, the
-        arrays read-only; `_chains`: moments by multiply chains, from `_TABLE_MIN_POINTS` points on if `chains`."""
+        arrays read-only; `_chains`: moments by multiply chains, from `_TABLE_MIN_POINTS` points on."""
         if total != 1.0:
             w = w / total
         for arr in (x, w):
             arr.setflags(write=False)
         for name in ("points", "weights"):
             vars(self).pop(name, None)
-        vars(self).update(interval=interval, _x=x, _w=w, _chains=chains and len(x) >= _TABLE_MIN_POINTS)
+        vars(self).update(interval=interval, _x=x, _w=w, _chains=len(x) >= _TABLE_MIN_POINTS)
         return self
 
     def __getstate__(self):  # what copies and pickles keep: no cached value
@@ -233,9 +233,9 @@ class DiscreteFunctional:
         g sum|t| + alpha, rounded up, of `_moment_sum` (faithful libm pows): g = (gamma_ch
         + gamma_ref) / (1 - max of the two) + 3u for the chains' j-1 + k-1 + 2 roundings
         per term and the reference's 2((j>1) + (k>1)) + 2, alpha = 4 N eta ((j + k + 6)
-        max(1, max|X|)^j max(1, max|Y|)^k + 1) below the normal range (the model of
-        `divergence._chain_moments`, no denominator).  The scalar sum runs where (b - a)^j
-        or (b - a)^k (b - a >= |X_i|, |Y_i|) is not below 2^1020 or a term is not finite.
+        max(1, max|X|)^j max(1, max|Y|)^k + 1) below the normal range.  The scalar sum runs
+        where (b - a)^j or (b - a)^k (b - a >= |X_i|, |Y_i|) is not below 2^1020 or a term is
+        not finite.
         """
         (a, b), w, x = self.interval, self._w, self._x
         with np.errstate(all="ignore"):
@@ -282,10 +282,11 @@ def _moment_sum(weights, points, a: float, b: float, j: int, k: int) -> float:
     return math.fsum(w * (x - a) ** j * (x - b) ** k for w, x in zip(weights, points))
 
 
-def lr_difference(f: FunctionModel, A: DiscreteFunctional) -> float:
+def lr_difference(f: FunctionModel, A: DiscreteFunctional, _seen: dict | None = None) -> float:
     """A(f(g)) - ((b - A(g)) f(a) + (A(g) - a) f(b)) / (b - a).
 
     Nonpositive whenever f is convex (the chord lies above the function).
+    The private `_seen` dict, if given, keeps f at the points, at a and at b under "lr".
     """
     a, b = A.interval
     lo, hi = f.domain
@@ -294,8 +295,7 @@ def lr_difference(f: FunctionModel, A: DiscreteFunctional) -> float:
             f"functional interval [{a}, {b}] not contained in domain [{lo}, {hi}] of {f.name!r}"
         )
     mean = A.mean
-    return (
-        A.apply(f)
-        - (b - mean) / (b - a) * float(f(a))
-        - (mean - a) / (b - a) * float(f(b))
-    )
+    fg, fa, fb = _values(f, A._x), float(f(a)), float(f(b))
+    if _seen is not None:
+        _seen["lr"] = fg, fa, fb
+    return A._dot(fg) - (b - mean) / (b - a) * fa - (mean - a) / (b - a) * fb

@@ -14,7 +14,9 @@ libm `pow` like float `**`), so the chord gap evaluates all points in one call.
 Every built-in is one row of `_MODELS`: the open lower limit of its domain,
 a builder of its functions and limits from the spec, and its exact class
 (`_exact_class`: closed-form derivative signs, exact Bernstein signs for a
-poly), which the bracket audit reads.  Derivatives are closed forms; the
+poly), which the bracket audit reads.  Each derivative function states the
+rounding error of its formulas (`_error`), which the certifying gate of
+`divergence_bounds` reads.  Derivatives are closed forms; the
 stack is capped at order 12, past which double precision gives the formulas
 little meaning.  `classify` reads the class off the sign of the n-th
 derivative sampled on an even grid over the domain (by `_values`); it is the
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import CONCAVE, CONVEX
-from .divided_diff import FunctionModel, _checked_interval, _float_power, _integer, _values
+from .divided_diff import _ETA, _U, FunctionModel, _checked_interval, _float_power, _integer, _values
 
 __all__ = [
     "INDEFINITE",
@@ -76,11 +78,31 @@ class GeneratorSpec:
             raise ValueError(f"power exponent must be finite, got {self.exponent}")
 
 
+# Each derivative function states the rounding error of its formulas as `_error(k, t, v)`, a bound
+# on |v - f^(k)(t)| for the value v it returns (k = 0: f), which `divided_diff._error_of` reads.  In
+# units of u = 2^-53: + - * / and sqrt round once, and libm log, exp and pow are taken to be within
+# 4 ulps (8u).
+
+
 def _kl_deriv(k, t):
+    # f = t log t: log and a product, 9u.  f' = log t + 1: log's 8u |log t| <= 8u (|v| + 1) and the
+    # sum's u |v|.  f^(k) = +-(k-2)! t^(1-k): pow and a product, 9u.
     if k == 1:
         return np.log(t) + 1.0
     sign = -1.0 if k % 2 else 1.0
     return sign * math.factorial(k - 2) * t ** (1.0 - k)
+
+
+def _hellinger_error(k, t, v):
+    # f = (1 - sqrt t)^2 / 2: d = 1 - sqrt t, |d| = sqrt(2|v|), is off by e <= u (sqrt t + |d|) <= u (1 + 2|d|),
+    # so f by e (|d| + e) <= u (|d| + 4|v|) + u^2 (2 + 16|v|), plus pow's 8u |v| (the half is exact).
+    # f' = (1 - r) / 2 with r = t^-1/2 = 1 - 2v: pow's 8u r, halved, and the difference's u |v|.
+    # f^(k) = +-(2k-3)!! / 2^k t^(1/2 - k), the constant exact: pow and a product, 9u.
+    if k == 0:
+        return _U * np.sqrt(2.0 * abs(v)) + (12.0 + 16.0 * _U) * _U * abs(v) + 2.0 * _U * _U
+    if k == 1:
+        return _U * (4.0 * abs(1.0 - 2.0 * v) + abs(v))
+    return 9.0 * _U * abs(v)
 
 
 def _hellinger_deriv(k, t):
@@ -92,8 +114,19 @@ def _hellinger_deriv(k, t):
 
 
 def _harmonic_deriv(k, t):
+    # f = 2t / (1 + t): the sum and the quotient, 2u.  f^(k) = +-2 k! (1 + t)^-(k+1): the sum's u
+    # raised to the power k + 1, pow and a product, (k + 10)u.
     sign = 1.0 if k % 2 else -1.0
     return 2.0 * sign * math.factorial(k) * (1.0 + t) ** (-(k + 1.0))
+
+
+def _jeffreys_error(k, t, v):
+    # f = (t - 1) log t: the difference, log and a product, 10u.  f' = log t + 1 - 1/t: log's
+    # 8u |log t|, the sum's u (|log t| + 1), the quotient's u / t and the difference's u |v|.
+    # f^(k) = +-(k-2)! t^-k (t + k - 1): pow, two products, and 3u for t + k - 1 (t > 0, k >= 2), 13u.
+    if k == 1:
+        return _U * (9.0 * abs(np.log(t)) + 1.0 + 1.0 / t + abs(v))
+    return (10.0 if k == 0 else 13.0) * _U * abs(v)
 
 
 def _jeffreys_deriv(k, t):
@@ -101,6 +134,16 @@ def _jeffreys_deriv(k, t):
         return np.log(t) + 1.0 - 1.0 / t
     sign = -1.0 if k % 2 else 1.0
     return sign * math.factorial(k - 2) * t ** (-1.0 * k) * (t + k - 1.0)
+
+
+def _exp_deriv(k, t):
+    return np.exp(t)
+
+
+_kl_deriv._error = lambda k, t, v: _U * (9.0 * abs(v) + 8.0) if k == 1 else 9.0 * _U * abs(v)
+_hellinger_deriv._error, _jeffreys_deriv._error = _hellinger_error, _jeffreys_error
+_harmonic_deriv._error = lambda k, t, v: (2.0 if k == 0 else k + 10.0) * _U * abs(v)
+_exp_deriv._error = lambda k, t, v: 8.0 * _U * abs(v)  # exp and every derivative: one libm exp
 
 
 def _fixed(*row):  # one shared row: models of equal specs share fn and deriv_fn
@@ -113,11 +156,17 @@ def _power(spec: GeneratorSpec) -> tuple:
     def fn(t):
         return _float_power(t, p)
 
+    # f = t^p: pow, 8u.  f^(k) = prod_{i<k} (p - i) t^(p-k): k differences and k products, the
+    # exponent's rounding u |p - k| scaled by |log t|, pow and a product; a pow that underflows
+    # is off by eta, times the product.
     def dfn(k, t):
         coef = 1.0
         for i in range(k):
             coef *= p - i
         return coef * t ** (p - k)
+
+    dfn._error = lambda k, t, v: 8.0 * _U * abs(v) if k == 0 else 2.0 * _ETA * math.prod(
+        abs(p - i) for i in range(k)) + _U * (2 * k + 9.0 + abs(p - k) * abs(np.log(t))) * abs(v)
 
     zero = 0.0 if p > 0 else 1.0 if p == 0 else math.inf
     slope = 0.0 if p < 1 else 1.0 if p == 1 else math.inf
@@ -191,7 +240,7 @@ _MODELS = {
         -1.0, _fixed(lambda t: 2.0 * t / (1.0 + t), _harmonic_deriv, 0.0, 0.0), _by_parity(CONCAVE, CONVEX, CONVEX)
     ),
     "jeffreys": (0.0, _fixed(lambda t: (t - 1.0) * np.log(t), _jeffreys_deriv, math.inf, math.inf), _ALTERNATING),
-    "exp": (-math.inf, _fixed(np.exp, lambda k, t: np.exp(t), 1.0, math.inf), _by_parity(CONVEX, CONVEX, CONVEX)),
+    "exp": (-math.inf, _fixed(np.exp, _exp_deriv, 1.0, math.inf), _by_parity(CONVEX, CONVEX, CONVEX)),
     "poly": (-math.inf, _poly, _poly_class),
     "power": (0.0, _power, _power_class),
 }

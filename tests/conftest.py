@@ -8,18 +8,21 @@ differences in the generator tests.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import re
 from functools import cache
 
 import numpy as np
 import pytest
 
-from elrbounds import DiscreteFunctional, FunctionModel, GeneratorSpec, divergence, functional, make_generator
+from elrbounds import CONVEX, DiscreteFunctional, FunctionModel, GeneratorSpec, functional, make_generator
 from elrbounds.bounds import _family, _moments
-from elrbounds.divergence import _ETA, _UP, _gamma
-from elrbounds.divided_diff import _U, _float_power
+from elrbounds.divided_diff import _ETA, _U, _UP, _float_power
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error of k roundings (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., lemma 3.1)."""
+    return k * _U / (1.0 - k * _U)
 
 
 def lagrange_dd(fvals, nodes):
@@ -50,66 +53,24 @@ def exp_model(domain=(-1.0, 2.0)):
     return make_generator(GeneratorSpec("exp", domain=domain))
 
 
-_SIDES = ("lower", "upper")
-_REFUSAL = re.compile(
-    r"\w+ (?P<side>lower|upper): delegated value (?P<delegated>\S+) and direct value (?P<direct>\S+) differ"
-)
+def pq_moment(p, q, a: float, b: float, j: int, k: int) -> float:
+    """sum_i (p_i - a q_i)^j (p_i - b q_i)^k / q_i^(j+k-1), point by point: the probability-sum
+    form of the ratio functional's moment A[(g-a)^j (g-b)^k], a summand whose q_i^(j+k-1)
+    underflows to 0 as q_i ((p_i - a q_i)/q_i)^j ((p_i - b q_i)/q_i)^k."""
+    return math.fsum(
+        (pi - a * qi) ** j * (pi - b * qi) ** k / d if (d := qi ** (j + k - 1))
+        else qi * ((pi - a * qi) / qi) ** j * ((pi - b * qi) / qi) ** k
+        for pi, qi in zip(p, q)
+    )
 
 
-def keeps_the_outcome(libm, chained, sides_and_bounds) -> bool:
-    """True when `chained`, an op's outcome with the functional's chains and the
-    crosscheck's chain stage, is one they may give where the point-by-point
-    moments and the libm route alone give `libm`.
-
-    Outcomes are report dicts with float.hex values or (type name, text).
-    `sides_and_bounds()` returns the libm sides, (lower, upper) from
-    `direct_bound_values`, the chain stage's bound E of each, and the bound S
-    of each delegated side's distance from the point-by-point one
-    (`side_bounds`); it is called only when the outcomes differ.  Allowed:
-    - both report, and only the sides differ, each by at most S;
-    - the libm route refused a side that `chained` reports within S of the
-      refused delegated value;
-    - `chained` refuses a side whose delegated value is more than 1e-12 from
-      the libm side (so the libm route refuses it too), with the direct value
-      it prints within E of the libm side; where `libm` reports, that
-      delegated value is within S of its side.
-    """
-    if chained == libm:
-        return True
-    sides, bounds, moved = sides_and_bounds()
-
-    def side(report, i):
-        return None if report[_SIDES[i]] is None else float.fromhex(report[_SIDES[i]])
-
-    def near(x, y, i):
-        return x is None and y is None or x is not None and y is not None and abs(x - y) <= moved[i]
-
-    ours, theirs = (_REFUSAL.match(o[1]) if isinstance(o, tuple) else None for o in (chained, libm))
-    if isinstance(chained, dict) and isinstance(libm, dict):
-        rest = [{key: v for key, v in o.items() if key not in _SIDES} for o in (chained, libm)]
-        return rest[0] == rest[1] and all(near(side(chained, i), side(libm, i), i) for i in (0, 1))
-    if isinstance(chained, dict):
-        if theirs is None:
-            return False
-        i = _SIDES.index(theirs["side"])
-        return near(side(chained, i), float(theirs["delegated"]), i)
-    if ours is None or not (isinstance(libm, dict) or theirs):
-        return False
-    i = _SIDES.index(ours["side"])
-    delegated = float(ours["delegated"])
-    if not (abs(delegated - sides[i]) > 1e-12 and abs(float(ours["direct"]) - sides[i]) <= bounds[i]):
-        return False
-    return not isinstance(libm, dict) or near(delegated, side(libm, i), i)
-
-
-@contextlib.contextmanager
-def chains_off():
-    """The chain stage off: from `_TABLE_MIN_POINTS` points on, every crosscheck is
-    the libm route's check of the point-by-point moments' report, as it was before
-    the stage existed."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(divergence, "_chain_bound_values", lambda *args: None)
-        yield
+def direct_sides(f, p, q, a: float, b: float, n: int, theorem: str, m=None, convexity=CONVEX) -> tuple:
+    """(lower, upper) of family `theorem` from the probability-sum moments (`pq_moment`) instead
+    of the functional's: the same term layout and endpoint tables, none of the moment arithmetic."""
+    family = _family(theorem)
+    moments = lambda x, y, keys: [pq_moment(p, q, x, y, j, k) for j, k in keys]  # noqa: E731
+    sides = family.terms(f, (a, b), n, m, moments, 1.0)
+    return family.arrange(n, m, convexity, [math.fsum(t) for t in sides])[:2]
 
 
 def libm_power_table(base):
@@ -132,7 +93,7 @@ def table_moment_bound(A: DiscreteFunctional, j: int, k: int) -> float:
 def side_bounds(tag, f, A: DiscreteFunctional, n, m, convexity) -> tuple:
     """(lower, upper) bounds on the distance of `bound`'s sides on a table functional A
     from the scalar sums' sides: each moment's `table_moment_bound` fed through
-    `family.terms`, as `divergence._chain_bound_values` feeds the chain stage's."""
+    `family.terms`, and the terms' products and fsum."""
     family, a = _family(tag), A.interval[0]
     tables: dict = {}
 
@@ -154,8 +115,7 @@ def side_bounds(tag, f, A: DiscreteFunctional, n, m, convexity) -> tuple:
 def scalar_moments(monkeypatch):
     """A call that sends the moments of every functional built after it down the
     point-by-point sums: it sets the one gate, `functional._TABLE_MIN_POINTS`, to
-    inf, so `_store` turns every later functional's chains off (and with them the
-    crosscheck's chain stage); the patch ends with the test.
+    inf, so `_store` turns every later functional's chains off; the patch ends with the test.
     """
     return lambda: monkeypatch.setattr(functional, "_TABLE_MIN_POINTS", math.inf)
 

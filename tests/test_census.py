@@ -72,10 +72,18 @@ def test_diff_sorts_each_difference(tmp_path, capsys):
     assert _diff(tmp_path, a, a, capsys)[0] == 0
     code, out = _diff(tmp_path, a, b, capsys)
     assert code == 1
-    for line in ("report<->refusal flips: 1", "moved reports: 1", "changed errors: 1",
+    for line in ("report<->refusal flips: 1", "  RuntimeError → ok: 1", "moved reports: 1", "changed errors: 1",
                  "RuntimeError                   2       1", "ok                             2       3"):
         assert line in out.splitlines(), out
     assert _diff(tmp_path, a, a[:3], capsys)[0] == 2
+    # The gate's refusals count by their reason, any other error by its type.
+    texts = ("TM23 lower: within rounding of lr", "TM23 upper: contradicted by lr", "TM23 lr is not finite: NaN")
+    b = [dict(error, op=i, case=a[i]["case"], text=text) for i, text in enumerate(texts)]
+    b.append(dict(report, op=3, case=a[3]["case"]))
+    code, out = _diff(tmp_path, a, b, capsys)
+    for line in ("within rounding                0       1", "contradicted                   0       1",
+                 "not finite                     0       1", "  ok → within rounding: 1"):
+        assert line in out.splitlines(), out
 
 
 def test_verify_suite_records_hold_the_audit_counts(tmp_path, capsys):
@@ -127,20 +135,22 @@ def test_run_stops_quietly_when_its_reader_closes():
 
 
 def test_compare_diffs_two_checkouts_seed_by_seed(tmp_path, capsys):
-    # A copy whose crosscheck accepts any difference: div_small seed 9001's
-    # first two ops return alike, its third (a crosscheck refusal) flips.
+    # A copy whose gate refuses every COR21 side it cannot fault: div_small seed
+    # 9001's first two ops (TM21, TM22) return alike, its third (COR21) flips.
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=shutil.ignore_patterns("__pycache__", "out"))
-    module = tmp_path / "src" / "elrbounds" / "divergence.py"
+    module = tmp_path / "src" / "elrbounds" / "bounds.py"
     text = module.read_text()
-    assert "_CROSSCHECK_TOL = 1e-12\n" in text
-    module.write_text(text.replace("_CROSSCHECK_TOL = 1e-12\n", "_CROSSCHECK_TOL = 1e300\n"))
+    assert "        if not gap > margin:\n" in text
+    module.write_text(text.replace("        if not gap > margin:\n", "        if not gap > margin or tag == 'COR21':\n"))
     code = _tool().compare(str(ROOT), str(tmp_path), (("div_small", 9001, 2), ("div_small", 9001, 3)))
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     assert out[0] == "== div_small seed 9001, 2 ops: same"
     assert "== div_small seed 9001, 3 ops: differ" in out
     assert out.count("report<->refusal flips: 0") == 1 and "report<->refusal flips: 1" in out
+    # Where the flip went, by reason.
+    assert "  ok → within rounding: 1" in out
     # Then each checkout's src/ lines per module and in all, as `wc -l` counts them.
     lines = {p.name: p.read_bytes().count(b"\n") for p in (ROOT / "src" / "elrbounds").glob("*.py")}
     assert out[-len(lines) - 3:-len(lines) - 1] == ["== src/ lines (wc -l)", f"{'module':<24}{'A':>8}{'B':>8}"]
@@ -150,20 +160,23 @@ def test_compare_diffs_two_checkouts_seed_by_seed(tmp_path, capsys):
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "seed,counts,texts,digest",
+    "seed,counts,reasons,texts,digest",
     [
-        (9001, {"ok": 3088, "wrong_bracket": 22, "RuntimeError": 2660, "OverflowError": 126, "ValueError": 104},
-         {"domain": 89, "-inf + inf in fsum": 15}, "d0b89ce84e9e32c90222ea64b81459a1b78312f34d782bacfea966d4c0d8ed95"),
-        (5151, {"ok": 3109, "wrong_bracket": 17, "RuntimeError": 2627, "OverflowError": 153, "ValueError": 94},
-         {"domain": 80, "-inf + inf in fsum": 14}, "ab945467161e5e25881f2185acc97702396ed59cce3c642f6c29c91bdfea3427"),
+        (9001, {"ok": 5425, "RuntimeError": 345, "OverflowError": 126, "ValueError": 104},
+         {"within rounding": 337, "not finite": 8}, {"domain": 89, "-inf + inf in fsum": 15},
+         "6654a8c29fce59a8aed9150b89704dfa59ec620c8a9d57221c77cf7e76d6d63f"),
+        (5151, {"ok": 5376, "RuntimeError": 377, "OverflowError": 153, "ValueError": 94},
+         {"within rounding": 363, "not finite": 14}, {"domain": 80, "-inf + inf in fsum": 14},
+         "667b465157b0358422cc6df28e62c67749bbec005f1670082113893bf205fabd"),
     ],
     ids=["9001", "5151"],
 )
-def test_the_div_small_census_is_pinned(seed, counts, texts, digest):
+def test_the_div_small_census_is_pinned(seed, counts, reasons, texts, digest):
     recs = _census("div_small", seed, 6000)
     kinds = [r["kind"] for r in recs]
-    # The wrong brackets are a known certification defect, pinned here so they stay visible.
+    # No report is a wrong bracket: every one the gate returns is certified.
     assert Counter(kinds) == counts
+    assert Counter(map(_tool()._kind, (r for r in recs if r["kind"] == "RuntimeError"))) == reasons
     assert Counter(
         "domain" if "requires a domain inside" in r["text"] else r["text"]
         for r in recs if r["kind"] == "ValueError"
@@ -177,13 +190,10 @@ def test_the_div_small_census_is_pinned(seed, counts, texts, digest):
     "seed,counts,refused,digest",
     [
         (7101, {"ok": 40}, [], "0235a1368b41b1467593f5c989530f5627d7a0a21723fd8356219c0ba03d4af7"),
-        # One TM24 lower side that the chain stage itself proves off by more than its bound.
-        (7919, {"ok": 39, "RuntimeError": 1}, ["TM24 lower"],
-         "d03cffb784416540784827c3c87ca74072adea6656d6b06664b5103c814288dd"),
+        # Op 34 (TM24 harmonic n = 8), once refused by the removed crosscheck, is certified.
+        (7919, {"ok": 40}, [], "0235a1368b41b1467593f5c989530f5627d7a0a21723fd8356219c0ba03d4af7"),
         (8120, {"ok": 40}, [], "0235a1368b41b1467593f5c989530f5627d7a0a21723fd8356219c0ba03d4af7"),
-        # Its op 34 is refused on the same side, by the same crosscheck.
-        (40001, {"ok": 39, "RuntimeError": 1}, ["TM24 lower"],
-         "d03cffb784416540784827c3c87ca74072adea6656d6b06664b5103c814288dd"),
+        (40001, {"ok": 40}, [], "0235a1368b41b1467593f5c989530f5627d7a0a21723fd8356219c0ba03d4af7"),
     ],
 )
 def test_the_zm_large_census_is_pinned(seed, counts, refused, digest):

@@ -1,14 +1,12 @@
-"""The crosscheck's chain stage against the libm route it stands in for.
+"""The functional's multiply chains under the certifying gate.
 
-From `_TABLE_MIN_POINTS` points on, `divergence_bounds` first reads the
-direct sides from multiply-chain powers (`_chain_moments`), each with a
-stated bound on its distance from `direct_bound_values`, refuses what that
-bound proves the libm route refuses, and runs the libm route only when the
-chains decide nothing.  These properties hold the bounds to the libm values
-on Zipf-Mandelbrot and heavy-tailed Dirichlet pairs (some with a q_i near
-underflow), on every side with a finite bound, and hold every outcome to the
-one the libm route alone gives on the point-by-point moments, as
-`conftest.keeps_the_outcome` states.
+From `_TABLE_MIN_POINTS` points on, a functional reads its moments from
+multiply-chain powers (`DiscreteFunctional._chains`), within a stated bound
+of the point-by-point sums; `divergence_bounds` then certifies the report
+that those moments give (`bounds._certify`).  These tests hold the gate to
+the chains: an op the removed dual-route crosscheck once handed on is refused
+alike on both moment routes, the functional alone decides which route runs,
+and (slow) no heavy-tailed or `zm_large` op is certified wrong or refused.
 """
 
 from __future__ import annotations
@@ -17,35 +15,36 @@ import math
 
 import numpy as np
 import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elrbounds import (
     CONVEX,
+    DiscreteFunctional,
     GeneratorSpec,
     ProbabilityVector,
     ZipfMandelbrotParams,
-    direct_bound_values,
     divergence_bounds,
     make_generator,
     pmf_vector,
-    ratio_range,
     zm_divergence_bounds,
 )
-from elrbounds import divergence, functional
-from elrbounds.bounds import FAMILIES, bound
-from elrbounds.divergence import _chain_bound_values, _chain_moments, _pq_moment, _ratios
-from elrbounds.functional import DiscreteFunctional
+from elrbounds import functional
+from elrbounds.bounds import FAMILIES
+from elrbounds.functional import _moment_sum
 
-from conftest import chains_off, keeps_the_outcome, libm_power_table, side_bounds
+from conftest import libm_power_table, side_bounds, table_moment_bound
 
 
 def outcome(call, *args, **kwargs):
-    """A report as its dict with floats as hex strings, or the error's type and text."""
+    """A report as its dict with floats as hex strings, a float as hex, or the error's type and text."""
     try:
         report = call(*args, **kwargs)
     except (ArithmeticError, ValueError, RuntimeError) as exc:
         return type(exc).__name__, str(exc)
+    if isinstance(report, float):
+        return report.hex()
     return {key: v.hex() if isinstance(v, float) else v for key, v in report.to_dict().items()}
 
 
@@ -75,88 +74,80 @@ def make_pair(zm: bool, seed: int, tiny: float | None):
 @given(st.booleans(), st.integers(0, 2**32 - 1), st.sampled_from([None, 1e-300, 1e-200, 1e-60]),
        st.sampled_from(["kl", "hellinger", "harmonic", "jeffreys"]), st.integers(3, 11))
 def test_the_chain_stage_is_within_its_bounds_and_keeps_every_outcome(zm, seed, tiny, name, n):
+    # Each chain moment an order-n side reads is within its stated bound of the
+    # point-by-point sum (or raises its error), and each family's outcome is the one
+    # the point-by-point moments give, but for the last bits of its sides (within
+    # `side_bounds`) and a verdict that a side within rounding of lr may flip.
     p, q = make_pair(zm, seed, tiny)
-    rr = ratio_range(p, q)
-    a, b = rr.a, rr.b
+    ratios = p._v / q._v
+    a, b = float(ratios.min()), float(ratios.max())
     if not (0 < a < b < math.inf):  # a generator's domain
         return
-    moment, error = _chain_moments(p, q, a, b)
-    for x, y in ((a, b), (b, a)):
-        for j, k in [(j, k) for j in range(1, n) for k in range(n - j)]:  # what order n reads
-            c = moment(x, y, j, k)  # its bound exists once it is read
-            if math.isfinite(e := error(x, y, j, k)):
-                assert abs(c - _pq_moment(p, q, x, y, j, k)) <= e, (x, y, j, k)
+    A = DiscreteFunctional(ratios, q._v, (a, b))
+    for j, k in [(j, k) for j in range(n) for k in range(n - j) if j + k]:
+        want = outcome(_moment_sum, A.weights, A.points, a, b, j, k)
+        got = outcome(A.moment, j, k)
+        if isinstance(want, tuple) or not math.isfinite(float.fromhex(want)):
+            assert got == want, (j, k)
+        else:
+            assert abs(float.fromhex(got) - float.fromhex(want)) <= table_moment_bound(A, j, k), (j, k)
     f = make_generator(GeneratorSpec(name, domain=(a, b)))
-    A = DiscreteFunctional(_ratios(p, q), q._v, (a, b))
     for tag, family in FAMILIES.items():
         m = n - 1 if family.takes_m else None
         if n < family.min_n:
             continue
-        tables: dict = {}
-        try:
-            bound(tag, f, A, n, m, CONVEX, _tables=tables)
-        except (ArithmeticError, ValueError):
-            continue  # raised before any crosscheck
-        chained = _chain_bound_values(f, p, q, a, b, n, tag, m, CONVEX, tables)
-        try:
-            direct = direct_bound_values(f, p, q, a, b, n, tag, m, CONVEX, _tables=tables)
-        except (ArithmeticError, ValueError):
-            direct = None
-        sides, bounds = chained or ((None, None), (None, None))
-        for c, e, want in zip(sides, bounds, direct or (None, None)):
-            if c is not None and math.isfinite(e):  # fixed or not, the libm side is within e
-                assert want is not None and abs(c - want) <= e, (tag, c, want, e)
         got = outcome(divergence_bounds, f, p, q, n=n, m=m, theorem=tag, convexity=CONVEX)
-        with chains_off():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(functional, "_TABLE_MIN_POINTS", math.inf)
             want = outcome(divergence_bounds, f, p, q, n=n, m=m, theorem=tag, convexity=CONVEX)
-        sides_and_bounds = lambda: (direct, bounds, side_bounds(tag, f, A, n, m, CONVEX))  # noqa: E731
-        assert keeps_the_outcome(want, got, sides_and_bounds), (tag, want, got)
+        if isinstance(got, dict) and isinstance(want, dict):
+            assert {k: v for k, v in got.items() if k not in ("lower", "upper")} == \
+                {k: v for k, v in want.items() if k not in ("lower", "upper")}, tag
+            for side, e in zip(("lower", "upper"), side_bounds(tag, f, A, n, m, CONVEX)):
+                assert (got[side] is None) == (want[side] is None), tag
+                if got[side] is not None:
+                    assert abs(float.fromhex(got[side]) - float.fromhex(want[side])) <= e, (tag, side)
+        elif got != want:
+            verdicts = [o if isinstance(o, dict) else o[1].split(": ")[-1] for o in (got, want)]
+            assert "within rounding of lr" in verdicts and "contradicted by lr" not in verdicts, (tag, got, want)
 
 
-def test_an_op_the_chain_stage_hands_on_ends_as_below_the_gate(monkeypatch, scalar_moments):
-    # Dirichlet K = 66 with q_0 = 1e-300: q_0^2 leaves the normal range, so
-    # the chain stage states no bound and the libm route decides, and its
-    # 1e-12 has no slack for the chains' last bits.  On the chain-read report it passed TM22's upper side -26,624,
-    # below lr = -90.4; on the point-by-point moments' report it refuses, at
-    # every size, so the op is refused here as with the chains gated off.
+def test_an_op_the_chain_stage_hands_on_ends_as_below_the_gate(scalar_moments):
+    # Dirichlet K = 66 with q_0 = 1e-300, which the removed crosscheck's chain
+    # stage handed on: on the chain-read report its libm route passed TM22's
+    # upper side -26,624, below lr = -90.4.  The gate leaves that side within
+    # its rounding, on the chains' moments and on the point-by-point ones alike.
     p, q = make_pair(False, 10_031, 1e-300)
-    direct_calls = []
-    honest = divergence.direct_bound_values
-    monkeypatch.setattr(divergence, "direct_bound_values",
-                        lambda *args, **kwargs: direct_calls.append(args[3:]) or honest(*args, **kwargs))
 
     def run():
         return outcome(divergence_bounds, GeneratorSpec("jeffreys"), p, q, n=7, m=6, theorem="TM22")
 
     got = run()
-    assert len(q) == 66 and len(direct_calls) == 1
-    assert got[0] == "RuntimeError" and got[1].startswith("TM22 upper: delegated value -18432.0 ")
+    assert len(q) == 66
+    assert got == ("RuntimeError", "TM22 upper: within rounding of lr")
     scalar_moments()
     assert run() == got
 
 
 def test_the_functional_owns_the_chain_gate(monkeypatch):
-    # The crosscheck reads the functional's gate: with only `functional._TABLE_MIN_POINTS`
-    # at inf, a 128-point pair's functional keeps no chains, the chain stage never
-    # starts, and the libm route checks the point-by-point report, as with the stage off.
+    # Only `functional._TABLE_MIN_POINTS` decides whether an op's moments come from
+    # multiply chains: with it at inf, a 128-point pair builds no chain, and the
+    # gate certifies the point-by-point report, within the chains' bound of it.
     p, q = (pmf_vector(ZipfMandelbrotParams(128, shift, s)) for shift, s in ((1.0, 1.2), (2.0, 1.5)))
-    chained, direct = [], []
-    honest_chained, honest_direct = divergence._chain_bound_values, divergence.direct_bound_values
-    monkeypatch.setattr(divergence, "_chain_bound_values",
-                        lambda *args: chained.append(args) or honest_chained(*args))
-    monkeypatch.setattr(divergence, "direct_bound_values",
-                        lambda *args, **kwargs: direct.append(args) or honest_direct(*args, **kwargs))
+    chains, honest = [], functional._chain_table
+    monkeypatch.setattr(functional, "_chain_table", lambda base: chains.append(len(base)) or honest(base))
 
     def run():
-        del chained[:], direct[:]
-        return outcome(divergence_bounds, GeneratorSpec("kl"), p, q, n=7, theorem="TM23")
+        del chains[:]
+        return divergence_bounds(GeneratorSpec("kl"), p, q, n=7, theorem="TM23")
 
-    assert isinstance(run(), dict) and (len(chained), len(direct)) == (1, 0)  # above the gate
-    with chains_off():
-        want = run()
+    chained = run()
+    assert chains == [128, 128]  # above the gate: g - a and g - b
     monkeypatch.setattr(functional, "_TABLE_MIN_POINTS", math.inf)
-    assert run() == want
-    assert (len(chained), len(direct)) == (0, 1)
+    scalar = run()
+    assert chains == [] and scalar.lr == chained.lr
+    for side in ("lower", "upper"):
+        assert abs(getattr(scalar, side) - getattr(chained, side)) <= 1e-12 * abs(getattr(scalar, side))
 
 
 def _sweep_case(rng, i):
@@ -173,39 +164,32 @@ def _sweep_case(rng, i):
 
 
 def wrong(report) -> bool:
-    """A direction-valid report whose sides cross, or leave out lr, by more than 16 ulps."""
-    if report is None or not report.direction_valid:
+    """A direction-valid report whose sides cross, or leave out lr."""
+    if not report.direction_valid:  # each side is judged by its own sign, not as a bracket
         return False
     sides = [v for v in (report.lower, report.upper) if v is not None]
-    tol = 32 * divergence._U * max(map(abs, [report.lr, *sides]))
-    return report.violation() > tol or len(sides) == 2 and report.lower - report.upper > tol
-
-
-def report_or_none(call):
-    try:
-        return call()
-    except (ArithmeticError, ValueError, RuntimeError):
-        return None
+    return report.violation() > 0 or len(sides) == 2 and report.lower > report.upper
 
 
 @pytest.mark.slow
-def test_the_chain_stage_adds_no_wrong_brackets_on_heavy_tails():
-    # With the chain stage off the crosscheck is the libm route alone, as it
-    # was before the stage existed.  On seed 5 it lets 7 wrong reports through
-    # (871 refusals); the chain stage turns 707 refusals into reports and
-    # adds no wrong one.
+def test_the_gate_certifies_no_wrong_bracket_on_heavy_tails():
+    # 1,500 heavy-tailed Dirichlet ops of 64 to 400 entries: every report the gate
+    # returns holds lr strictly between its sides; most are certified.
     rng = np.random.default_rng(5)
-    chains = libm = 0
+    verdicts = {"certified": 0, "refused": 0, "raised": 0}
     for i in range(1500):
         tag, name, n, m, p, q = _sweep_case(rng, i)
-
-        def run():
-            return divergence_bounds(GeneratorSpec(name), p, q, n=n, m=m, theorem=tag)
-
-        chains += wrong(report_or_none(run))
-        with chains_off():
-            libm += wrong(report_or_none(run))
-    assert chains <= libm, (chains, libm)
+        try:
+            report = divergence_bounds(GeneratorSpec(name), p, q, n=n, m=m, theorem=tag)
+        except RuntimeError as exc:
+            assert "contradicted" not in str(exc), (i, tag, name, n, m)
+            verdicts["refused"] += 1
+        except (ArithmeticError, ValueError):
+            verdicts["raised"] += 1
+        else:
+            assert not wrong(report), (i, report)
+            verdicts["certified"] += 1
+    assert verdicts["certified"] > 1000, verdicts
 
 
 def zm_large_cases(seed: int, count: int = 40):
@@ -223,31 +207,16 @@ def zm_large_cases(seed: int, count: int = 40):
 
 
 @pytest.mark.slow
-def test_the_chain_stage_decides_every_zm_large_op(monkeypatch):
-    # Every `zm_large`-style op is accepted by the chain stage or refused on a
-    # side its bound proves; none sums its moments point by point at N = 20,000.
-    # Seeds 7101, 7919, 8120 and 40001 are the benchmark's usual ones; each of
-    # the other six has a refusal among its 40 ops.  Each op returns or
-    # refuses as it does with libm powers in the functional's moments.
-    direct_calls = []
-    honest = divergence.direct_bound_values
-    monkeypatch.setattr(divergence, "direct_bound_values",
-                        lambda *args, **kwargs: direct_calls.append(args[3:]) or honest(*args, **kwargs))
-
-    def returns(P, Q, name, n, m, tag):
-        try:
-            zm_divergence_bounds(P, Q, GeneratorSpec(name), n=n, m=m, theorem=tag)
-        except RuntimeError:
-            return False
-        return True
-
-    outcomes = {"report": 0, "refusal": 0}
+def test_the_gate_certifies_every_zm_large_op(monkeypatch):
+    # Every `zm_large`-style op of ten seeds is certified, with the chains' moments
+    # and with libm powers in their place.  Seeds 7101, 7919, 8120 and 40001 are the
+    # benchmark's usual ones (op 34 of 7919 and of 40001 was refused by the removed
+    # crosscheck); each of the other six had a crosscheck refusal among its 40 ops.
     for seed in (22, 45, 51, 103, 132, 133, 7101, 7919, 8120, 40001):
         for tag, name, n, m, laws in zm_large_cases(seed):
             P, Q = (ZipfMandelbrotParams(20_000, q, s) for q, s in laws)
-            reported = returns(P, Q, name, n, m, tag)
-            outcomes["report" if reported else "refusal"] += 1
+            report = zm_divergence_bounds(P, Q, GeneratorSpec(name), n=n, m=m, theorem=tag)
+            assert not wrong(report), (seed, tag, name, n, m)
             with monkeypatch.context() as mp:
                 mp.setattr(functional, "_chain_table", libm_power_table)
-                assert returns(P, Q, name, n, m, tag) == reported, (seed, tag, name, n, m)
-    assert direct_calls == [] and outcomes["refusal"] and sum(outcomes.values()) == 400, outcomes
+                zm_divergence_bounds(P, Q, GeneratorSpec(name), n=n, m=m, theorem=tag)

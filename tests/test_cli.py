@@ -71,7 +71,7 @@ def test_zm_ratio_range(capsys):
 
 def test_zm_bound_report(capsys):
     code, out, _ = run(
-        capsys, "zm", "--zm", "2,0,1", "--zm", "2,0,2",
+        capsys, "zm", "--zm", "3,0,1", "--zm", "3,0,2",
         "--function", "poly:0,0,0,1", "--theorem", "tm23", "--n", "3",
     )
     assert code == 0
@@ -87,7 +87,7 @@ def test_div_value_only(capsys):
 
 def test_div_with_bound_report(capsys):
     code, out, _ = run(
-        capsys, "div", "--function", "jeffreys", "--p", "0.5,0.5", "--q", "0.25,0.75",
+        capsys, "div", "--function", "jeffreys", "--p", "0.2,0.5,0.3", "--q", "0.4,0.3,0.3",
         "--theorem", "tm24", "--n", "3",
     )
     assert code == 0
@@ -120,10 +120,9 @@ def test_auto_convexity_orients_wide_hellinger_bracket(capsys):
     [
         ("kl", ("bounds", "--function", "kl", "--points", "1e-6,1,1e6", "--weights", "0.3,0.4,0.3",
                 "--interval", "1e-6,1e6", "--theorem", "tm23", "--n", "5")),
-        # Ratio range [1e-6, 999999]; its COR21 sides cross (ROADMAP 4(b)), so
-        # only the class is asserted.
-        ("hellinger", ("div", "--function", "hellinger", "--p", "0.999999,0.000001",
-                       "--q", "0.000001,0.999999", "--theorem", "cor21", "--n", "5", "--m", "3")),
+        # Ratio range [1e-6, 999998]: only the class is asserted.
+        ("hellinger", ("div", "--function", "hellinger", "--p", "0.999998,0.000001,0.000001",
+                       "--q", "0.000001,0.999998,0.000001", "--theorem", "cor21", "--n", "5", "--m", "3")),
         ("kl", ("zm", "--zm", "20,0,0.5", "--zm", "20,3,3", "--function", "kl",
                 "--interval", "1e-6,1e6", "--theorem", "tm23", "--n", "5")),
     ],
@@ -293,7 +292,7 @@ def test_missing_m_exits_1(capsys, argv, theorem):
 
 def test_div_with_an_underflowing_moment_denominator_exits_0(capsys):
     code, out, err = run(
-        capsys, "div", "--function", "kl", "--p", "1e-45,0.4,0.6", "--q", "1e-45,0.5,0.5",
+        capsys, "div", "--function", "kl", "--p", "1e-45,0.3,0.3,0.4", "--q", "1e-45,0.4,0.2,0.4",
         "--theorem", "tm21", "--n", "12", "--m", "11",
     )
     assert (code, err) == (0, "")
@@ -382,15 +381,28 @@ def test_dd_interpolant_debug_output(capsys):
 
 
 def test_div_crosscheck_failure_exits_1(capsys):
+    # The gate's refusals.  Two entries put both ratios on the interval's ends:
+    # lr and both sides are 0.
     code, out, err = run(
-        capsys, "div", "--function", "kl",
-        "--p", "0.778139032993772,0.219459595845111,0.002401371161117027",
-        "--q", "0.0012753655699430458,0.10148967407791686,0.8972349603521401",
-        "--theorem", "tm24", "--n", "8",
+        capsys, "div", "--function", "kl", "--p", "0.5,0.5", "--q", "0.25,0.75", "--theorem", "tm24", "--n", "4",
+    )
+    assert (code, out, err) == (1, "", "error: TM24 lower: within rounding of lr\n")
+    # kl is 4-convex: called 4-concave, its sides are on the wrong sides of lr.
+    code, out, err = run(
+        capsys, "div", "--function", "kl", "--p", "0.2,0.5,0.3", "--q", "0.4,0.3,0.3", "--theorem", "tm24",
+        "--n", "4", "--convexity", "n-concave",
+    )
+    assert (code, out, err) == (1, "", "error: TM24 lower: contradicted by lr\n")
+
+
+def test_bounds_endpoint_table_overflow_names_the_table(capsys):
+    # f^(9)(1e-40) of kl overflows in the side's endpoint table; every moment is at most 1.
+    code, out, err = run(
+        capsys, "bounds", "--function", "kl", "--points", "1e-40,1", "--weights", "0.5,0.5",
+        "--interval", "1e-40,1", "--theorem", "tm21", "--n", "12", "--m", "11", "--convexity", "n-convex",
     )
     assert (code, out) == (1, "")
-    assert err.startswith("error: TM24 lower: delegated value ")
-    assert err.endswith(" differ by more than 1e-12\n")
+    assert err == "error: TM21 endpoint table overflow: (34, 'Numerical result out of range')\n"
 
 
 def test_zm_moment_overflow_exits_1(capsys):
@@ -470,7 +482,7 @@ def test_nan_point_exits_1(capsys, subcommand):
 
 
 def test_other_runtime_errors_are_not_reported_as_validation_errors(monkeypatch):
-    # Only the crosscheck's plain RuntimeError from div/zm exits 1 with
+    # Only the gate's plain RuntimeError from div/zm exits 1 with
     # "error:"; an oracle RuntimeError or a RuntimeError subclass is a fault.
     def refuse(*args, **kwargs):
         raise RuntimeError("could not draw well-separated sample points")

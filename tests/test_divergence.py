@@ -16,15 +16,15 @@ from elrbounds import (
     GeneratorSpec,
     ProbabilityVector,
     RatioRange,
-    direct_bound_values,
     divergence_bounds,
     f_divergence,
     make_generator,
     ratio_range,
 )
 from elrbounds.bounds import bound
+from elrbounds.functional import DiscreteFunctional
 
-from conftest import assert_close
+from conftest import assert_close, direct_sides
 
 
 def _gen(name, domain=(0.25, 3.0), **kw):
@@ -291,15 +291,19 @@ def test_constructed_functional_mean_is_one():
 
 def test_worked_bracket_for_cube_generator():
     # Two-point distributions sit exactly on the interval endpoints, so the
-    # chord gap is zero and the bracket must straddle zero.
+    # chord gap is zero and the bracket must straddle zero: its sides are
+    # zero too, so the gate cannot tell them from lr and refuses the report.
     f = _gen("poly", domain=(2.0 / 3.0, 2.0), coeffs=(0, 0, 0, 1))
-    rep = divergence_bounds(f, P, Q, n=3, theorem="tm23", convexity=CONVEX)
+    A = DiscreteFunctional((2.0, 2.0 / 3.0), Q.values, (2.0 / 3.0, 2.0))
+    rep = bound("tm23", f, A, 3, None, CONVEX)
     assert rep.lr == pytest.approx(0.0, abs=1e-12)
     assert rep.lower - 1e-12 <= rep.lr <= rep.upper + 1e-12
     # lr is the divergence minus the chord of f at 1.
     a, b = 2.0 / 3.0, 2.0
     chord_at_one = ((b - 1.0) * float(f(a)) + (1.0 - a) * float(f(b))) / (b - a)
     assert rep.lr == pytest.approx(f_divergence(f, P, Q) - chord_at_one, abs=1e-12)
+    with pytest.raises(RuntimeError, match="TM23 lower: within rounding of lr"):
+        divergence_bounds(f, P, Q, n=3, theorem="tm23", convexity=CONVEX)
 
 
 def test_three_point_bracket_contains_lr():
@@ -317,21 +321,21 @@ def test_three_point_bracket_contains_lr():
 
 
 def test_jeffreys_bracket_via_certified_concavity():
-    rr = ratio_range(P, Q)
+    p, q = ProbabilityVector((0.2, 0.5, 0.3)), ProbabilityVector((0.4, 0.3, 0.3))
+    rr = ratio_range(p, q)
     f = _gen("jeffreys", domain=(rr.a, rr.b))
-    rep = divergence_bounds(f, P, Q, n=3, theorem="tm24", convexity=CONCAVE)
+    rep = divergence_bounds(f, p, q, n=3, theorem="tm24", convexity=CONCAVE)
     assert rep.direction_valid
     assert rep.lower - 1e-12 <= rep.lr <= rep.upper + 1e-12
 
 
 def test_widened_interval_with_identical_distributions():
-    f = _gen("poly", domain=(0.5, 1.5), coeffs=(1.0, 2.0))  # linear: every bound is exact
-    rep = divergence_bounds(
-        f, P, P, n=3, theorem="tm23", convexity=CONVEX, interval=(0.5, 1.5)
-    )
-    assert rep.lr == pytest.approx(0.0, abs=1e-12)
-    assert rep.lower == pytest.approx(rep.lr, abs=1e-12)
-    assert rep.upper == pytest.approx(rep.lr, abs=1e-12)
+    # A linear f has every side equal to lr = 0 exactly: within rounding, so refused.
+    f = _gen("poly", domain=(0.5, 1.5), coeffs=(1.0, 2.0))
+    rep = bound("tm23", f, DiscreteFunctional((1.0, 1.0), P.values, (0.5, 1.5)), 3, None, CONVEX)
+    assert (rep.lr, rep.lower, rep.upper) == (0.0, 0.0, 0.0)
+    with pytest.raises(RuntimeError, match="TM23 lower: within rounding of lr"):
+        divergence_bounds(f, P, P, n=3, theorem="tm23", convexity=CONVEX, interval=(0.5, 1.5))
 
 
 def test_degenerate_interval_rejected():
@@ -362,6 +366,9 @@ def test_unknown_theorem_rejected():
      ("cor21", 7, 4), ("tm23", 4, None), ("tm23", 7, None), ("tm24", 6, None)],
 )
 def test_direct_formulas_match_delegation(theorem, n, m):
+    # The sides from the probability-sum moments (`conftest.direct_sides`) are
+    # the delegated report's, each class alike; the gate returns the report
+    # whole or refuses it.
     rng = np.random.default_rng(hash((theorem, n, m)) % 2**32)
     for name in ("kl", "hellinger", "harmonic", "jeffreys"):
         r = int(rng.integers(2, 12))
@@ -372,17 +379,19 @@ def test_direct_formulas_match_delegation(theorem, n, m):
         qv = ProbabilityVector(q)
         rr = ratio_range(p, qv)
         f = _gen(name, domain=(rr.a, rr.b))
+        A = DiscreteFunctional(tuple(pi / qi for pi, qi in zip(p.values, q)), q, (rr.a, rr.b))
         for convexity in (CONVEX, CONCAVE):
-            rep = divergence_bounds(
-                f, p, qv, n=n, m=m, theorem=theorem, convexity=convexity
-            )
-            direct = direct_bound_values(
-                f, p, qv, rr.a, rr.b, n=n, m=m, theorem=theorem.upper(), convexity=convexity
-            )
+            rep = bound(theorem, f, A, n, m, convexity)
+            direct = direct_sides(f, p, qv, rr.a, rr.b, n, theorem, m, convexity)
             for got, want in zip((rep.lower, rep.upper), direct):
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert abs(got - want) <= 1e-12
+            try:
+                assert divergence_bounds(f, p, qv, n=n, m=m, theorem=theorem, convexity=convexity) == rep
+            except RuntimeError as refusal:
+                assert re.fullmatch(rf"{theorem.upper()} (lower|upper): (within rounding of|contradicted by) lr",
+                                    str(refusal))
 
 
 def test_missing_m_is_a_validation_error():
@@ -393,43 +402,20 @@ def test_missing_m_is_a_validation_error():
 
 
 def test_direct_route_rejects_out_of_range_m():
+    # The probability-sum transcription of the tests (`direct_sides`) and the library alike.
     rr = ratio_range(P, Q)
     f = _gen("kl", domain=(rr.a, rr.b))
     with pytest.raises(ValueError, match="m must be"):
-        direct_bound_values(f, P, Q, rr.a, rr.b, n=5, theorem="TM21", m=7)
+        direct_sides(f, P, Q, rr.a, rr.b, 5, "TM21", 7)
     with pytest.raises(ValueError, match="m must be"):
         divergence_bounds(f, P, Q, n=5, m=7, theorem="tm21", convexity=CONCAVE)
-
-
-def _slip_pq_moments(monkeypatch):
-    """Scale the (1, 1) moment of the direct route's batched source by 1 + 1e-6."""
-    from elrbounds import divergence
-
-    honest = divergence._pq_moments
-
-    def slipped(p, q, a, b, keys):
-        return [v * (1.0 + 1e-6 * (key == (1, 1))) for key, v in zip(keys, honest(p, q, a, b, keys))]
-
-    monkeypatch.setattr(divergence, "_pq_moments", slipped)
-
-
-def test_moment_slip_in_direct_route_raises(monkeypatch):
-    # Negative control for the crosscheck: one wrong probability-sum moment.
-    p = ProbabilityVector((0.2, 0.5, 0.3))
-    q = ProbabilityVector((0.4, 0.3, 0.3))
-    rr = ratio_range(p, q)
-    f = _gen("kl", domain=(rr.a, rr.b))
-    divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
-    _slip_pq_moments(monkeypatch)
-    with pytest.raises(RuntimeError, match="differ"):
-        divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
 
 
 def _table_pair(fallback=False):
     """ZM pmfs of 2 * `_TABLE_MIN_POINTS` entries, above the power-table gate.
 
-    With `fallback`, p_0 and q_0 are near underflow, so q_0^d leaves the
-    normal range for every d >= 2 and the chain stage cannot decide.
+    With `fallback`, p_0 and q_0 are near underflow, so a moment's powers of
+    q_0 leave the normal range.
     """
     from elrbounds import ZipfMandelbrotParams, pmf_vector
     from elrbounds.functional import _TABLE_MIN_POINTS
@@ -442,201 +428,6 @@ def _table_pair(fallback=False):
     p, q = p._v.copy(), q._v.copy()
     p[0], q[0] = 3e-300, 1e-300
     return ProbabilityVector(p / math.fsum(p)), ProbabilityVector(q / math.fsum(q))
-
-
-def _record_direct_route(monkeypatch):
-    """A list that gets one entry per `direct_bound_values` call from the crosscheck."""
-    from elrbounds import divergence
-
-    calls, honest = [], divergence.direct_bound_values
-
-    def recorded(*args, **kwargs):
-        calls.append(args)
-        return honest(*args, **kwargs)
-
-    monkeypatch.setattr(divergence, "direct_bound_values", recorded)
-    return calls
-
-
-def _slip_reader(monkeypatch, key, eps, module=None):
-    """Scale moment `key` = (j, k) by 1 + eps in the `_moment_reader`s that `module`
-    builds: the chain stage's by default (`divergence`, keys (x, y, j, k)), or the
-    functional's (`functional`, keys (j, k))."""
-    from elrbounds import divergence
-
-    module = module or divergence
-    honest = module._moment_reader
-
-    def slipped(table, scalar):
-        moment = honest(table, scalar)
-        return lambda *read: moment(*read) * (1.0 + eps * (read[-2:] == key))
-
-    monkeypatch.setattr(module, "_moment_reader", slipped)
-
-
-def test_moment_slip_in_the_direct_route_table_raises(monkeypatch):
-    # The same negative control above the power-table gate, where the chain
-    # stage decides the crosscheck from the moments its `_moment_reader` reads.
-    from elrbounds import divergence
-
-    p, q = _table_pair()
-    direct_calls = _record_direct_route(monkeypatch)
-    monkeypatch.setattr(divergence, "_pq_moment", None)  # the table paths never call it
-    divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
-    assert direct_calls == []  # decided by the chain stage
-    _slip_reader(monkeypatch, (1, 1), 1e-6)
-    with pytest.raises(RuntimeError, match="differ") as refusal:
-        divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
-    # Refused by the chain stage alone, on a side its bound proves, with the
-    # chain side as the direct value.
-    assert direct_calls == []
-    side, d, c = re.match(
-        r"TM23 (lower|upper): delegated value (\S+) and direct value (\S+) differ", str(refusal.value)
-    ).groups()
-    rr = ratio_range(p, q)
-    f = _gen("kl", domain=(rr.a, rr.b))
-    tables: dict = {}
-    report = bound("TM23", f, DiscreteFunctional(divergence._ratios(p, q), q._v, (rr.a, rr.b)),
-                   4, None, CONVEX, _tables=tables)
-    sides, bounds = divergence._chain_bound_values(f, p, q, rr.a, rr.b, 4, "TM23", None, CONVEX, tables)
-    i = ("lower", "upper").index(side)
-    assert float(d) == (report.lower, report.upper)[i] and float(c) == sides[i]
-    assert abs(float(d) - float(c)) > 1e-12 + bounds[i]
-
-
-def test_moment_slip_in_the_libm_stage_raises_on_fallback(monkeypatch):
-    # The twin: only the libm route's `_pq_moments` slips, on an input the chain stage hands on.
-    p, q = _table_pair(fallback=True)
-    direct_calls = _record_direct_route(monkeypatch)
-    divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
-    assert len(direct_calls) == 1  # the chain stage fell back
-    _slip_pq_moments(monkeypatch)
-    with pytest.raises(RuntimeError, match="differ"):
-        divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
-
-
-@pytest.mark.parametrize(
-    "shift,bound_of,decision",
-    [
-        (5e-12, lambda c: 1e-11, "accepts"),  # fixed (E < |c|) and within 1e-12 + E
-        (5e-12, lambda c: 10 * abs(c), "hands on"),  # within 1e-12 + E, but E >= |c|
-        (1e-9, lambda c: 1e-11, "refuses"),  # off by more than 1e-12 + E
-        (1e-9, lambda c: math.nan, "hands on"),  # no bound proves anything
-    ],
-    ids=["fixed", "unfixed", "proven", "no-bound"],
-)
-def test_the_chain_stage_refuses_only_what_its_bound_proves(monkeypatch, shift, bound_of, decision):
-    # Chain sides moved by `shift` from the honest ones, with a stated bound
-    # E = bound_of(c); the libm route, when it runs, agrees with the report.
-    from elrbounds import divergence
-
-    p, q = _table_pair()
-    honest = divergence._chain_bound_values
-
-    def moved(*args):
-        sides, _ = honest(*args)
-        sides = [c + shift for c in sides]
-        return sides, [bound_of(c) for c in sides]
-
-    monkeypatch.setattr(divergence, "_chain_bound_values", moved)
-    direct_calls = _record_direct_route(monkeypatch)
-    if decision == "refuses":
-        with pytest.raises(RuntimeError, match="TM23 lower: .* and direct value .* differ"):
-            divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
-    else:
-        divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
-    assert len(direct_calls) == (decision == "hands on")
-
-
-def test_a_side_the_chains_do_not_fix_goes_to_the_libm_route(monkeypatch):
-    # A constant f has every divided difference of order 1 or more exactly
-    # 0.0, so both TM23 sides are 0.0, inside any error bound: the chains
-    # cannot fix them and the libm route decides.
-    from elrbounds import FunctionModel, ratio_range
-
-    from elrbounds import divergence
-
-    p, q = _table_pair()
-    rr = ratio_range(p, q)
-    f = FunctionModel.from_polynomial((1.0,), (rr.a, rr.b))
-    direct_calls = _record_direct_route(monkeypatch)
-    keys, honest = [], divergence._pq_moments
-    monkeypatch.setattr(divergence, "_pq_moments", lambda *args: keys.extend(args[4]) or honest(*args))
-    report = divergence_bounds(f, p, q, n=4, theorem="tm23", convexity=CONVEX)
-    assert (report.lower, report.upper) == (0.0, 0.0)
-    assert len(direct_calls) == 1 and keys
-
-
-def test_the_chain_arrays_are_freed_before_the_fallback_runs(monkeypatch):
-    # Peak memory: at most one set of chains per op is alive, so the
-    # functional's two and the chain stage's three are gone (without the cycle
-    # collector) when the libm route starts.
-    import gc
-    import weakref
-
-    from elrbounds import divergence, functional
-
-    p, q = _table_pair(fallback=True)
-    chains, alive_at_fallback = [], []
-    honest_chain, honest_direct = functional._chain_table, divergence.direct_bound_values
-
-    def tracked(base):
-        power = honest_chain(base)
-        chains.append(weakref.ref(power))
-        return power
-
-    def direct(*args, **kwargs):
-        alive_at_fallback.append(sum(ref() is not None for ref in chains))
-        return honest_direct(*args, **kwargs)
-
-    monkeypatch.setattr(functional, "_chain_table", tracked)
-    monkeypatch.setattr(divergence, "_chain_table", tracked)
-    monkeypatch.setattr(divergence, "direct_bound_values", direct)
-    gc.disable()
-    try:
-        divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
-    finally:
-        gc.enable()
-    assert len(chains) == 5 and alive_at_fallback == [0]
-
-
-def _slip_every_moment(monkeypatch, module, theorem, m):
-    """On the library golden's ZM pair, slip each moment that `module`'s readers
-    read, alone, by 1e-9 relative (`_slip_reader`): each slip must be refused."""
-    from elrbounds import ZipfMandelbrotParams, zm_divergence_bounds
-
-    P, Q = ZipfMandelbrotParams(20_000, 1.0, 1.1), ZipfMandelbrotParams(20_000, 2.5, 1.3)
-    read, honest = set(), module._moment_reader
-
-    def recording(table, scalar):
-        moment = honest(table, scalar)
-        return lambda *key: read.add(key[-2:]) or moment(*key)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(module, "_moment_reader", recording)
-        zm_divergence_bounds(P, Q, GeneratorSpec("kl"), n=5, m=m, theorem=theorem)
-    assert read
-    for key in sorted(read):
-        with monkeypatch.context() as mp:
-            _slip_reader(mp, key, 1e-9, module)
-            with pytest.raises(RuntimeError, match="differ"):
-                zm_divergence_bounds(P, Q, GeneratorSpec("kl"), n=5, m=m, theorem=theorem)
-
-
-@pytest.mark.parametrize("theorem,m", [("TM21", 3), ("TM23", None), ("TM24", None), ("COR21", 3)])
-def test_a_1e_9_slip_in_any_moment_of_a_20000_point_pair_raises(monkeypatch, theorem, m):
-    # Each moment the crosscheck's chain stage reads.
-    from elrbounds import divergence
-
-    _slip_every_moment(monkeypatch, divergence, theorem, m)
-
-
-@pytest.mark.parametrize("theorem,m", [("TM21", 3), ("TM23", None), ("TM24", None), ("COR21", 3)])
-def test_a_1e_9_slip_in_any_functional_moment_of_a_20000_point_pair_raises(monkeypatch, theorem, m):
-    # The twin on the delegated route: each moment the functional reads from its chains.
-    from elrbounds import functional
-
-    _slip_every_moment(monkeypatch, functional, theorem, m)
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["chains", "fallback"])
@@ -654,9 +445,7 @@ def test_one_endpoint_table_per_side_on_the_table_path(monkeypatch, theorem, n, 
         return honest_table(*args)
 
     monkeypatch.setattr(bounds, "endpoint_table", counted)
-    direct_calls = _record_direct_route(monkeypatch)
     divergence_bounds(GeneratorSpec("kl"), p, q, n=n, m=m, theorem=theorem)
-    assert len(direct_calls) == fallback
     assert len(calls) == len(set(calls)) == sides
 
 
@@ -665,38 +454,38 @@ def test_one_endpoint_table_per_side_on_the_table_path(monkeypatch, theorem, n, 
                           ("tm24", 6, None, 2), ("cor21", 5, 3, 2)],
 )
 def test_both_routes_share_one_endpoint_table_per_side(monkeypatch, theorem, n, m, sides):
-    from elrbounds import bounds, divergence
+    # The report and its certificate: the gate reads each side's table, moments and
+    # f values where `bound` left them, and builds no table of its own.
+    from elrbounds import bounds
 
-    calls, crosschecked = [], []
-    honest_table, honest_direct = bounds.endpoint_table, divergence.direct_bound_values
+    calls, gated = [], []
+    honest_table, honest_side = bounds.endpoint_table, bounds._side_error
 
     def counted(*args):
-        calls.append(args[1:])
-        return honest_table(*args)
+        calls.append(honest_table(*args))
+        return calls[-1]
 
-    def recorded(*args, **kwargs):
-        crosschecked.append(honest_direct(*args, **kwargs))
-        return crosschecked[-1]
+    def recorded(f, A, x, y, n, m, T, *rest):
+        gated.append(T)
+        return honest_side(f, A, x, y, n, m, T, *rest)
 
     monkeypatch.setattr(bounds, "endpoint_table", counted)
-    monkeypatch.setattr(divergence, "direct_bound_values", recorded)
-    rr = ratio_range(P, Q)
-    f = _gen("kl", domain=(rr.a, rr.b))
-    divergence_bounds(f, P, Q, n=n, m=m, theorem=theorem, convexity=CONVEX)
-    assert len(calls) == len(set(calls)) == sides
-    # Called on its own, the direct route builds its own tables, and they
-    # give the crosscheck's values bit for bit.
-    calls.clear()
-    direct = direct_bound_values(f, P, Q, rr.a, rr.b, n=n, m=m, theorem=theorem, convexity=CONVEX)
-    assert len(calls) == sides
-    assert crosschecked == [direct]
+    monkeypatch.setattr(bounds, "_side_error", recorded)
+    p, q = ProbabilityVector((0.2, 0.5, 0.3)), ProbabilityVector((0.4, 0.3, 0.3))
+    divergence_bounds(GeneratorSpec("kl"), p, q, n=n, m=m, theorem=theorem)
+    assert len(calls) == sides and [id(T) for T in gated] == [id(T) for T in calls]
 
 
 def test_direct_route_survives_an_underflowing_moment_denominator():
-    # q_1^11 underflows to 0.0; the crosscheck used to divide by it.
+    # q_1^11 underflows to 0.0: a probability-sum moment once divided by it.  The
+    # op reaches the gate, where the point of weight 1e-45 leaves lr and the upper
+    # side within rounding of 0.
     p = ProbabilityVector((1e-45, 0.4, 0.6 - 1e-45))
     q = ProbabilityVector((1e-45, 0.5 - 1e-45, 0.5))
-    report = divergence_bounds(GeneratorSpec("kl"), p, q, n=12, m=11, theorem="tm21")
+    with pytest.raises(RuntimeError, match="TM21 upper: within rounding of lr"):
+        divergence_bounds(GeneratorSpec("kl"), p, q, n=12, m=11, theorem="tm21")
+    report = bound("tm21", make_generator(GeneratorSpec("kl", domain=(0.8, 1.2))),
+                   DiscreteFunctional((1.0, 0.8, 1.2), q.values, (0.8, 1.2)), 12, 11, CONVEX)
     assert report.lower is None and math.isfinite(report.upper)
 
 

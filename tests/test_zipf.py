@@ -10,9 +10,11 @@ import pytest
 from elrbounds import (
     CONCAVE,
     CONVEX,
+    DiscreteFunctional,
     GeneratorSpec,
     ProbabilityVector,
     ZipfMandelbrotParams,
+    bound,
     classify,
     divergence_bounds,
     make_generator,
@@ -107,8 +109,10 @@ def test_ratio_extrema_requires_matching_N():
 
 
 def test_zm_bounds_bit_identical_to_materialized_call():
-    P = ZipfMandelbrotParams(2, 0, 1)
-    Q = ZipfMandelbrotParams(2, 0, 2)
+    # Three points: with two, both sit on the interval's ends, lr and every side
+    # are 0, and the gate refuses the report (`test_zm_worked_bracket_against_hand_vectors`).
+    P = ZipfMandelbrotParams(3, 0, 1)
+    Q = ZipfMandelbrotParams(3, 0, 2)
     spec = GeneratorSpec("poly", coeffs=(0, 0, 0, 1))
     got = zm_divergence_bounds(P, Q, spec, n=3, theorem="tm23")
     rr = ratio_range(pmf_vector(P), pmf_vector(Q))
@@ -134,9 +138,15 @@ def test_zm_worked_bracket_against_hand_vectors():
     q = pmf_vector(Q)
     assert p.values == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
     assert q.values == pytest.approx((0.8, 0.2), abs=1e-15)
-    rep = zm_divergence_bounds(P, Q, GeneratorSpec("poly", coeffs=(0, 0, 0, 1)), n=3, theorem="tm23")
+    # Both points sit on the ends of the ratio range, so lr and both sides are 0
+    # but for rounding: the bracket holds, and the gate cannot certify it.
+    rr = ratio_range(p, q)
+    A = DiscreteFunctional((p.values[0] / q.values[0], p.values[1] / q.values[1]), q.values, (rr.a, rr.b))
+    rep = bound("tm23", make_generator(GeneratorSpec("poly", (rr.a, rr.b), (0, 0, 0, 1))), A, 3, None, CONVEX)
     assert rep.direction_valid
     assert rep.lower - 1e-12 <= rep.lr <= rep.upper + 1e-12
+    with pytest.raises(RuntimeError, match="within rounding of lr"):
+        zm_divergence_bounds(P, Q, GeneratorSpec("poly", coeffs=(0, 0, 0, 1)), n=3, theorem="tm23")
 
 
 def test_zm_large_N_jeffreys_bracket():
@@ -154,16 +164,15 @@ def test_zm_identical_laws_need_widened_interval():
     spec = GeneratorSpec("poly", coeffs=(1.0, 1.0))
     with pytest.raises(ValueError, match="degenerate"):
         zm_divergence_bounds(P, P, spec, n=3, theorem="tm23")
-    rep = zm_divergence_bounds(P, P, spec, n=3, theorem="tm23", interval=(0.5, 1.5))
-    assert rep.lr == pytest.approx(0.0, abs=1e-12)
-    assert rep.lower == pytest.approx(0.0, abs=1e-12)
-    assert rep.upper == pytest.approx(0.0, abs=1e-12)
+    # Widened, the linear f leaves every side equal to lr = 0: within rounding.
+    with pytest.raises(RuntimeError, match="TM23 lower: within rounding of lr"):
+        zm_divergence_bounds(P, P, spec, n=3, theorem="tm23", interval=(0.5, 1.5))
 
 
 def test_zm_plain_function_model_needs_convexity():
-    P = ZipfMandelbrotParams(2, 0, 1)
-    Q = ZipfMandelbrotParams(2, 0, 2)
-    f = make_generator(GeneratorSpec("exp", domain=(0.5, 2.0)))
+    P = ZipfMandelbrotParams(3, 0, 1)
+    Q = ZipfMandelbrotParams(3, 0, 2)
+    f = make_generator(GeneratorSpec("exp", domain=(0.5, 2.5)))
     with pytest.raises(ValueError, match="explicit convexity"):
         zm_divergence_bounds(P, Q, f, n=3, theorem="tm23")
     with pytest.raises(ValueError, match="explicit convexity"):

@@ -15,8 +15,10 @@ failure count and `max_residual` (`float.hex`) under its suite's name; any
 other output as its repr) or the error's type and text.  The kind is ok,
 wrong_bracket or wrong_value by the check, or the error's type.
 
-`diff` prints the count of each kind on both sides, then the report<->refusal
-flips, the reports whose values moved and the errors whose type or text
+`diff` prints the count of each kind on both sides, a refusal counted by its
+reason (the gate's "within rounding", "contradicted" or "not finite", else the
+error's type), then the report<->refusal flips with their count from kind to
+kind, the reports whose values moved and the errors whose type or text
 changed, with the first few of each, and each audit op's moved counts (such
 as `brackets skipped 98→22`); it exits 1 when any op differs, 2 when
 the runs hold different ops.  `compare` runs `run` for both checkouts, in two
@@ -39,6 +41,7 @@ from collections import Counter
 from pathlib import Path
 
 SHOWN = 5  # ops listed per difference class
+REASONS = ("within rounding", "contradicted", "not finite")  # the gate's refusals, by their text
 # (workload, seed, ops) that `compare` runs: a whole `div_small` run each, one `zm_large` cycle each,
 # and six default audits (about 2 s on a 2-vCPU x86-64 host) for each `verify_suite` seed.
 SEEDS = (
@@ -143,11 +146,19 @@ def _src_lines(root: str) -> dict[str, int]:
     return {path.name: path.read_bytes().count(b"\n") for path in Path(root, "src", "elrbounds").glob("*.py")}
 
 
+def _kind(rec: dict) -> str:
+    """The op's kind, a refusal by its reason: the gate's verdict (within rounding, contradicted,
+    not finite) for the RuntimeError of `divergence_bounds`, else the error's type."""
+    if rec.get("error") == "RuntimeError":
+        return next((reason for reason in REASONS if reason in rec["text"]), rec["kind"])
+    return rec["kind"]
+
+
 def _compare(a: list[dict], b: list[dict]) -> tuple[int, list[str]]:
     """diff's exit code and the lines it prints."""
     if [r["case"] for r in a] != [r["case"] for r in b]:
         return 2, ["the two runs do not hold the same ops (workload, seed or op count differ)"]
-    ka, kb = Counter(r["kind"] for r in a), Counter(r["kind"] for r in b)
+    ka, kb = Counter(map(_kind, a)), Counter(map(_kind, b))
     lines = [f"{'kind':<24}{'A':>8}{'B':>8}"]
     lines += [f"{kind:<24}{ka[kind]:>8}{kb[kind]:>8}" for kind in sorted(ka.keys() | kb.keys())]
     classes = {"report<->refusal flips": [], "moved reports": [], "changed errors": []}
@@ -162,6 +173,9 @@ def _compare(a: list[dict], b: list[dict]) -> tuple[int, list[str]]:
             classes["changed errors"].append((ra, rb))
     for name, pairs in classes.items():
         lines.append(f"{name}: {len(pairs)}")
+        if name == "report<->refusal flips":  # where the flips went, kind to kind
+            flows = Counter((_kind(ra), _kind(rb)) for ra, rb in pairs)
+            lines += [f"  {ka_} → {kb_}: {count}" for (ka_, kb_), count in sorted(flows.items())]
         for i, (ra, rb) in enumerate(pairs):
             if moved := _audit_moves(ra, rb):  # one line per audit op, every op
                 lines.append(f"  op {ra['op']} {ra['case']}: {moved}")
