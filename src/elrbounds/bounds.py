@@ -80,32 +80,34 @@ class _Family:
 
     def terms(
         self, f: FunctionModel, interval: tuple[float, float], n: int, m: int | None,
-        moment, mean: float, tables=None,
+        moment, mean: float, tables=None, sides=None,
     ) -> Iterator[list[float]]:
         """Yield each side's `_terms` in turn; the remainders they drop are never
         evaluated.  A side anchored at one endpoint of `interval` has x there and
         y at the other, and `moment(x, y, keys)` returns A[(g-x)^j (g-y)^k] for each
         (j, k) of a side's keys, in one call: every route to a side's terms is this loop.
+        `sides`, when given, is what `resolve(n, m)` returned (likewise `signs`' `sides`
+        and `arrange`'s `signs`), so that `bound` resolves the family once.
         """
         a, b = interval
-        for anchor, k in self.resolve(n, m):
+        for anchor, k in sides or self.resolve(n, m):
             x, y = (a, b) if anchor == "a" else (b, a)
             yield _terms(f, x, y, n, k, partial(moment, x, y), mean, tables)
 
-    def signs(self, n: int, m: int | None, convexity: str) -> list[int]:
+    def signs(self, n: int, m: int | None, convexity: str, sides=None) -> list[int]:
         """Each side's sign by the parity rule: with sigma = +1 for n-convex and
         -1 for n-concave f, the remainder dropped by side (anchor, m) has the
         sign sigma (-1)^(n-m) at anchor a and sigma (-1)^m at anchor b."""
         _check_convexity(convexity)
         sigma = 1 if convexity == CONVEX else -1
-        sides = self.resolve(n, m)  # accepts n as an integer, so int(n) is exact
+        sides = sides or self.resolve(n, m)  # accepts n as an integer, so int(n) is exact
         return [sigma * (-1) ** (int(n) - k if x == "a" else k) for x, k in sides]
 
-    def arrange(self, n: int, m: int | None, convexity: str, values: list) -> tuple:
+    def arrange(self, n: int, m: int | None, convexity: str, values: list, signs=None) -> tuple:
         """(lower, upper, direction_valid) for the side values: a side of sign +1 (`signs`) bounds
         LR from below, of sign -1 from above.  In a bracket the second side fixes the arrangement,
         and the bracket is certified only when the two sides' signs differ."""
-        signs = self.signs(n, m, convexity)
+        signs = signs or self.signs(n, m, convexity)
         if len(signs) == 1:
             return (values[0], None, True) if signs[0] > 0 else (None, values[0], True)
         first, second = values
@@ -259,12 +261,17 @@ def bound(
     Each side is its decomposition's term sum (no remainder), placed by the
     parity rule of `FAMILIES[tag]`.  Families with fixed sides ignore m.
     The private `_tables` dict collects each side's endpoint table, moments
-    and terms (`_terms`), and f at the points and endpoints (`lr_difference`).
+    and terms (`_terms`), f at the points and endpoints (`lr_difference`), and
+    the family's resolved sides with their signs.
     """
     family = _family(tag)
-    sides = family.terms(f, A.interval, n, m, _moments(A), A.mean, _tables)
-    lower, upper, valid = family.arrange(n, m, convexity, [math.fsum(t) for t in sides])
+    sides = family.resolve(n, m)
+    values = [math.fsum(t) for t in family.terms(f, A.interval, n, m, _moments(A), A.mean, _tables, sides)]
+    signs = family.signs(n, m, convexity, sides)
+    lower, upper, valid = family.arrange(n, m, convexity, values, signs)
     n, m = _check_orders(n, m if family.takes_m else None)
+    if _tables is not None:
+        _tables["sides"] = sides, signs
     return BoundReport(lr_difference(f, A, _tables), lower, upper, family.tag, n, m, convexity, valid)
 
 
@@ -278,23 +285,24 @@ def _not_finite(tag: str, report: dict) -> str | None:
 
 def _certify(report: BoundReport, f: FunctionModel, A: DiscreteFunctional, tables: dict) -> BoundReport:
     """`report`, from `bound(..., _tables=tables)` on A (points >= 0), if each side it carries
-    lies on the side of lr that its parity sign predicts (`_Family.signs`, for direction-invalid
-    pairs too) by more than E_side + E_lr: then the float side bounds A's exact lr as the paper's
+    lies on the side of lr that its parity sign predicts (`_Family.signs`, as `bound` left them
+    in `tables`, for direction-invalid pairs too) by more than E_side + E_lr: then the float side bounds A's exact lr as the paper's
     exact side does.  Else a RuntimeError: a value that is not finite (`_not_finite`), then a
     side on the wrong side by more than that, "TM23 lower: contradicted by lr", then any other,
     "TM23 lower: within rounding of lr".  Every comparison fails on NaN.
     """
-    tag, n, m, convexity = report.theorem, report.n, report.m, report.convexity
+    tag, n = report.theorem, report.n
     if text := _not_finite(tag, vars(report)):
         raise RuntimeError(text)
-    family, (a, b), sides = _family(tag), A.interval, []
+    (a, b), error, (sides, signs), values = A.interval, _error_of(f), tables["sides"], []
     with np.errstate(all="ignore"):  # a bound that overflows is inf, and certifies nothing
-        e_lr = _lr_error(f, A, report.lr, *tables["lr"])
-        for (anchor, k), sign in zip(family.resolve(n, m), family.signs(n, m, convexity)):
+        e_lr = _lr_error(error, A, report.lr, *tables["lr"])
+        for (anchor, k), sign in zip(sides, signs):
             x, y = (a, b) if anchor == "a" else (b, a)
-            sides.append((sign, *_side_error(f, A, x, y, n, k, *tables[x, k])))
+            values.append((sign, *_side_error(error, A, x, y, n, k, *tables[x, k])))
     refusals = []  # (not contradicted, text): contradicted first, then lower before upper
-    for name, side in zip(("lower", "upper"), family.arrange(n, m, convexity, sides)[:2]):
+    arranged = FAMILIES[tag].arrange(n, report.m, report.convexity, values, signs)[:2]
+    for name, side in zip(("lower", "upper"), arranged):
         if side is None:
             continue
         sign, value, e = side
@@ -307,17 +315,23 @@ def _certify(report: BoundReport, f: FunctionModel, A: DiscreteFunctional, table
     return report
 
 
+# k! as a float for k <= 170 (171! overflows): float arithmetic with the int k! rounds it to this
+# float first, so a product or quotient by _FACTORIALS[k] keeps its bits.
+_FACTORIALS = [float(math.factorial(k)) for k in range(171)]
+
+
 def _product_error(x: float, e_x: float, y: float, e_y: float) -> float:
     """A bound on the error of fl(x y), x and y off by e_x and e_y (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., §3.3, a running error bound)."""
     return abs(x) * e_y + e_x * abs(y) + e_x * e_y + _U * abs(x * y) + _ETA
 
 
-def _lr_error(f: FunctionModel, A: DiscreteFunctional, lr: float, fg, fa: float, fb: float) -> float:
+def _lr_error(error, A: DiscreteFunctional, lr: float, fg, fa: float, fb: float) -> float:
     """A bound on |lr - A's exact chord gap| from f at the points and ends as `lr_difference`
-    used them: f's stated `_error`, the products and fsum of A(f(g)), A(g)'s 2u A(g) (points
-    >= 0), the chord's quotients, products and differences.  Plain sums: `_certify` rounds up."""
-    (a, b), w, u, mean, error = A.interval, A._w, _U, A.mean, _error_of(f)
+    used them: f's stated `error` (`_error_of`), the products and fsum of A(f(g)), A(g)'s
+    2u A(g) (points >= 0), the chord's quotients, products and differences.  Plain sums:
+    `_certify` rounds up."""
+    (a, b), w, u, mean = A.interval, A._w, _U, A.mean
     size = float(np.add.reduce(w * np.abs(fg)))  # sum w |f(g)| >= |A(f(g))|
     err = float(np.add.reduce(w * error(0, A._x, fg))) + _TINY * (1.0 + mean)  # sum w_i _TINY (1 + g_i)
     err += 2 * u * size + len(w) * _ETA + u * (size + abs(lr))
@@ -329,28 +343,28 @@ def _lr_error(f: FunctionModel, A: DiscreteFunctional, lr: float, fg, fa: float,
 
 
 def _side_error(
-    f: FunctionModel, A: DiscreteFunctional, x: float, y: float, n: int, m: int, T, M, terms
+    error, A: DiscreteFunctional, x: float, y: float, n: int, m: int, T, M, terms
 ) -> tuple[float, float]:
     """(side, E_side): the fsum of the side's `terms`, and a bound on its distance from A's exact
     side, from the endpoint table T and moments M that `_terms` formed them from.  A border
-    f^(k)/k! is off by f's `_error` over k! plus u of itself, an interior cell by (e_up + e_left)/h
-    + 3u of itself (the difference, h = |y - x|, the quotient).  A moment A[(g-x)^J (g-y)^K] sums
+    f^(k)/k! is off by f's stated `error` (`_error_of`) over k! plus u of itself, an interior
+    cell by (e_up + e_left)/h + 3u of itself (the difference, h = |y - x|, the quotient).  A moment A[(g-x)^J (g-y)^K] sums
     terms of one sign (the points lie in [a, b]), so it is off by gamma_(2(J+K)+3) |M| (the bases,
     a chain or a faithful pow each, two products, the fsum; gamma_k as k u, which _UP covers) plus
     N eta (J + K + 2)(1 + B^J + B^K), B = max(1, h), for underflow.  Each term T_i M_i and the
     lead (A(g) - x)(f[x, x] - f[x, y]) of m >= 3 (A(g) off by 2u A(g)) then carries its product's
     error (`_product_error`), and the fsum u |side|.
     """
-    u, h, cols, fact, error = _U, abs(y - x), n - m, math.factorial, _error_of(f)
+    u, u3, h, cols, fact = _U, 3 * _U, abs(y - x), n - m, _FACTORIALS
     tiny_x, tiny_y = _TINY * (1.0 + abs(x)), _TINY * (1.0 + abs(y))
-    E = [[0.0] + [float(error(k, y, T[0][k + 1] * fact(k)) + tiny_y) / fact(k) + u * abs(T[0][k + 1])
-                  for k in range(cols)]]
+    E = [[0.0] + [float(error(k, y, c * fact[k]) + tiny_y) / fact[k] + u * abs(c)
+                  for k, c in enumerate(T[0][1:])]]
     for i in range(1, m + 1):
         above, cells = E[-1], T[i]
-        e = float(error(i - 1, x, cells[0] * fact(i - 1)) + tiny_x) / fact(i - 1) + u * abs(cells[0])
+        e = float(error(i - 1, x, cells[0] * fact[i - 1]) + tiny_x) / fact[i - 1] + u * abs(cells[0])
         row = [e]
         for j in range(1, cols + 1):
-            e = (above[j] + e) / h + 3 * u * abs(cells[j])
+            e = (above[j] + e) / h + u3 * abs(cells[j])
             row.append(e)
         E.append(row)
     powers = [2.0**-500]  # 2^-500 B^e by products: eta B^e = 2^-574 powers[e], in the normal range

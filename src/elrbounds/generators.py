@@ -14,14 +14,13 @@ libm `pow` like float `**`), so the chord gap evaluates all points in one call.
 Every built-in is one row of `_MODELS`: the open lower limit of its domain,
 a builder of its functions and limits from the spec, and its exact class
 (`_exact_class`: closed-form derivative signs, exact Bernstein signs for a
-poly), which the bracket audit reads.  Each derivative function states the
-rounding error of its formulas (`_error`), which the certifying gate of
-`divergence_bounds` reads.  Derivatives are closed forms; the
-stack is capped at order 12, past which double precision gives the formulas
-little meaning.  `classify` reads the class off the sign of the n-th
-derivative sampled on an even grid over the domain (by `_values`); it is the
-class source of every bound path (`definite_class` is the same verdict with
-INDEFINITE, or an overflowing sample, as a ValueError).
+poly).  Each derivative function states the rounding error of its formulas
+(`_error`), which the certifying gate of `divergence_bounds` reads.
+Derivatives are closed forms; the stack is capped at order 12, past which
+double precision gives the formulas little meaning.  `classify` returns the
+exact class, evaluating no derivative: it is the class source of every bound
+path and of the bracket audit (`definite_class` is the same verdict with
+INDEFINITE as a ValueError).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import CONCAVE, CONVEX
-from .divided_diff import _ETA, _U, FunctionModel, _checked_interval, _float_power, _integer, _values
+from .divided_diff import _ETA, _U, FunctionModel, _checked_interval, _float_power, _integer
 
 __all__ = [
     "INDEFINITE",
@@ -47,7 +46,6 @@ __all__ = [
 INDEFINITE = "indefinite"
 
 _DERIV_CAP = 12
-_CLASSIFY_GRID = 101
 _BISECTIONS = 6
 
 
@@ -268,36 +266,19 @@ def _exact_class(spec: GeneratorSpec, n: int) -> str:
 
 
 def classify(spec: GeneratorSpec, n: int) -> str:
-    """n-convexity class from the sign of the n-th derivative on the domain.
+    """n-convexity class of the spec on its domain: its `_MODELS` class column (`_exact_class`).
 
-    Returns CONVEX when the sampled derivative is nonnegative everywhere,
-    CONCAVE when nonpositive, INDEFINITE when it changes sign (or a sample is
-    NaN), up to 1e-12 of the largest finite |sample|.  The grid is sampled by
-    `_values`: one array call, or, if a sample is not finite, one call per
-    point, where float `**` raises its OverflowError.
+    CONVEX or CONCAVE only where the sign of the n-th derivative on the domain is proved (f^(n)
+    = 0 counts as convex), else INDEFINITE.  A poly's coefficients must be finite.
     """
-    f = make_generator(spec)
-    n = _integer(n, "n", 1, f.max_order)
-    a, b = spec.domain
-    grid = a + (b - a) * np.arange(_CLASSIFY_GRID) / (_CLASSIFY_GRID - 1)
-    with np.errstate(all="ignore"):
-        values = _values(lambda t: f.deriv(n, t), grid)
-        lo, hi = float(np.minimum.reduce(values)), float(np.maximum.reduce(values))
-        tol = 1e-12 * float(np.maximum.reduce(np.abs(values), where=np.isfinite(values), initial=0.0))
-    if lo >= -tol:
-        return CONVEX
-    if hi <= tol:
-        return CONCAVE
-    return INDEFINITE
+    if spec.name == "poly":
+        make_generator(spec)  # raises on a coefficient that is not finite
+    return _exact_class(spec, n)
 
 
 def definite_class(spec: GeneratorSpec, n: int) -> str:
-    """`classify`, with an indefinite class or an overflowing sample raised as a ValueError."""
-    try:
-        convexity = classify(spec, n)
-    except OverflowError as exc:
-        raise ValueError(f"order-{n} derivative overflow in classify: {exc}") from exc
-    if convexity == INDEFINITE:
+    """`classify`, with an indefinite class raised as a ValueError."""
+    if (convexity := classify(spec, n)) == INDEFINITE:
         a, b = spec.domain
         raise ValueError(
             f"{spec.name} has indefinite order-{n} convexity on [{a}, {b}]; "

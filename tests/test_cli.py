@@ -10,10 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from elrbounds import CONCAVE, GeneratorSpec, classify, cli
+from elrbounds import CONCAVE, CONVEX, GeneratorSpec, ZipfMandelbrotParams, classify, cli, pmf_vector
 
 
 def run(capsys, *argv):
@@ -423,22 +424,42 @@ def test_bounds_moment_overflow_exits_1(capsys):
     assert err == "error: TM23 moment overflow: (34, 'Numerical result out of range')\n"
 
 
-def test_bounds_classify_overflow_exits_1(capsys):
-    # f^(12) of kl overflows near 1e-30: the class fails, not a moment, in
-    # each subcommand that takes its class from classify.
-    for argv in (
-        ("bounds", "--function", "kl", "--points", "1e-30,1", "--weights", "0.5,0.5",
-         "--interval", "1e-30,1", "--convexity", "auto"),
-        ("div", "--function", "kl", "--p", "0.5,0.5", "--q", "0.25,0.75", "--interval", "1e-30,10"),
-        ("zm", "--zm", "100,0,1", "--zm", "100,0,1.2", "--interval", "1e-30,10",
-         "--function", "kl"),
+def _kl_lr(points, weights, a, b):
+    """The chord gap of kl for the float points and weights, in mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        x, w = [mpmath.mpf(float(t)) for t in points], [mpmath.mpf(float(v)) for v in weights]
+        a, b, f = mpmath.mpf(a), mpmath.mpf(b), lambda t: t * mpmath.log(t)
+        mean = mpmath.fsum(wi * xi for wi, xi in zip(w, x))
+        return mpmath.fsum(wi * f(xi) for wi, xi in zip(w, x)) - ((b - mean) * f(a) + (mean - a) * f(b)) / (b - a)
+
+
+def test_auto_class_near_zero_reports_in_every_subcommand(capsys):
+    # f^(12) of kl is 10! t^-11, which overflows near 1e-30: a sampled class
+    # failed there.  The class column reads kl's even orders as convex without
+    # evaluating them, so each subcommand that takes its class from classify
+    # reports.  In `bounds` both points sit on the interval's ends: lr and its
+    # sides are 0.  In `div` and `zm` the certified bracket holds the exact lr.
+    code, out, err = run(
+        capsys, "bounds", "--function", "kl", "--points", "1e-30,1", "--weights", "0.5,0.5",
+        "--interval", "1e-30,1", "--convexity", "auto", "--theorem", "tm23", "--n", "12",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"lr": 0, "lower": 0, "upper": 0, "theorem": "TM23", "n": 12, "m": None,
+                               "convexity": CONVEX, "direction_valid": True}
+    div_pair = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+    zm_pair = tuple(pmf_vector(ZipfMandelbrotParams(100, 0, s))._v for s in (1, 1.2))
+    for argv, bracket, (p, q) in (
+        (("div", "--function", "kl", "--p", "0.5,0.5", "--q", "0.25,0.75"), [-22.50, -2.159, -1.965], div_pair),
+        (("zm", "--zm", "100,0,1", "--zm", "100,0,1.2", "--function", "kl"), [-24.56, -2.260, -2.074], zm_pair),
     ):
-        code, out, err = run(capsys, *argv, "--theorem", "tm23", "--n", "12")
-        assert (code, out) == (1, ""), argv
-        assert err == (
-            "error: order-12 derivative overflow in classify: "
-            "(34, 'Numerical result out of range')\n"
-        ), argv
+        code, out, err = run(capsys, *argv, "--interval", "1e-30,10", "--theorem", "tm23", "--n", "12")
+        assert (code, err) == (0, ""), argv
+        report = json.loads(out)
+        assert report["convexity"] == CONVEX and report["direction_valid"], argv
+        assert [float(f"{report[key]:.4g}") for key in ("lower", "lr", "upper")] == bracket, argv
+        exact = _kl_lr(p / q, q, 1e-30, 10.0)
+        assert report["lower"] < exact < report["upper"], argv
+        assert abs(report["lr"] - exact) < 1e-14 * abs(exact), argv
 
 
 def test_a_report_that_is_not_finite_exits_1(capsys):

@@ -6,7 +6,10 @@ both.  These tests hold its negative controls: a planted slip of one term that
 moves a side past lr, and a wrong convexity class, are contradicted; a value
 that is not finite is refused as such; a side equal to lr is within rounding.
 And they hold what it must not refuse: every draw shaped like the `cli_cold`
-benchmark's `div` op is certified.
+benchmark's `div` op is certified.  Its arithmetic is pinned to a reference
+copy of E_side and E_lr (`_side_error_reference`, `_lr_error_reference`): the
+same bits and the same verdict on every draw, while a `divergence_bounds` call
+resolves its family's sides once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from elrbounds import (
     divergence_bounds,
     zm_divergence_bounds,
 )
+from elrbounds.divided_diff import _ETA, _TINY, _U, _UP, _error_of
 
 
 def _refusal(call) -> str | None:
@@ -117,3 +121,151 @@ def test_every_draw_like_the_cli_div_op_is_certified():
         p, q = (ProbabilityVector(rng.dirichlet(np.ones(5)).tolist()) for _ in range(2))
         report = divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="TM24")
         assert report.direction_valid and report.lower < report.lr < report.upper
+
+
+# --- the gate's arithmetic, pinned to a reference copy ------------------------------
+
+def _side_error_reference(f, A, x, y, n, m, T, M, terms):
+    """`bounds._side_error` as first written: f's `_error_of` per call and int factorials."""
+    u, h, cols, fact, error = _U, abs(y - x), n - m, math.factorial, _error_of(f)
+    tiny_x, tiny_y = _TINY * (1.0 + abs(x)), _TINY * (1.0 + abs(y))
+    E = [[0.0] + [float(error(k, y, T[0][k + 1] * fact(k)) + tiny_y) / fact(k) + u * abs(T[0][k + 1])
+                  for k in range(cols)]]
+    for i in range(1, m + 1):
+        above, cells = E[-1], T[i]
+        e = float(error(i - 1, x, cells[0] * fact(i - 1)) + tiny_x) / fact(i - 1) + u * abs(cells[0])
+        row = [e]
+        for j in range(1, cols + 1):
+            e = (above[j] + e) / h + 3 * u * abs(cells[j])
+            row.append(e)
+        E.append(row)
+    powers = [2.0**-500]
+    while len(powers) < n:
+        powers.append(powers[-1] * max(1.0, h))
+    err = under = 0.0
+    for (i, j), (J, K), v in zip(*bounds._layout(n, m), M):
+        at, e_t, av = abs(T[i][j]), E[i][j], abs(v)
+        e_m = (2 * (J + K) + 3) * u * av
+        err += at * e_m + e_t * (av + e_m) + u * at * av
+        under += (at + e_t) * (J + K + 2) * (powers[0] + powers[J] + powers[K])
+    if m >= 3:
+        d, f_d = A.mean - x, T[2][0] - T[1][1]
+        err += _product_error_reference(d, 2 * u * A.mean + u * abs(d), f_d, E[2][0] + E[1][1] + u * abs(f_d))
+    side = math.fsum(terms)
+    return side, err + u * abs(side) + len(A) * under * 2.0**-574 + (len(M) + 1) * _ETA
+
+
+def _product_error_reference(x, e_x, y, e_y):
+    return abs(x) * e_y + e_x * abs(y) + e_x * e_y + _U * abs(x * y) + _ETA
+
+
+def _lr_error_reference(f, A, lr, fg, fa, fb):
+    """`bounds._lr_error` as first written."""
+    (a, b), w, u, mean, error = A.interval, A._w, _U, A.mean, _error_of(f)
+    size = float(np.add.reduce(w * np.abs(fg)))
+    err = float(np.add.reduce(w * error(0, A._x, fg))) + _TINY * (1.0 + mean)
+    err += 2 * u * size + len(w) * _ETA + u * (size + abs(lr))
+    for num, x, fx in ((b - mean, a, fa), (mean - a, b, fb)):
+        r = num / (b - a)
+        e_r = (2 * u * mean + u * abs(num)) / (b - a) + 2 * u * abs(r)
+        err += _product_error_reference(r, e_r, fx, error(0, x, fx) + _TINY * (1.0 + abs(x))) + u * abs(r * fx)
+    return err
+
+
+def _verdict_reference(report, f, A, tables):
+    """`bounds._certify`'s refusal text (None: certified), the family resolved again as first written."""
+    tag, n, m, convexity = report.theorem, report.n, report.m, report.convexity
+    if text := bounds._not_finite(tag, vars(report)):
+        return text
+    family, (a, b), sides = bounds.FAMILIES[tag], A.interval, []
+    with np.errstate(all="ignore"):
+        e_lr = _lr_error_reference(f, A, report.lr, *tables["lr"])
+        for (anchor, k), sign in zip(family.resolve(n, m), family.signs(n, m, convexity)):
+            x, y = (a, b) if anchor == "a" else (b, a)
+            sides.append((sign, *_side_error_reference(f, A, x, y, n, k, *tables[x, k])))
+    refusals = []
+    for name, side in zip(("lower", "upper"), family.arrange(n, m, convexity, sides)[:2]):
+        if side is not None:
+            sign, value, e = side
+            gap, margin = sign * (report.lr - value), _UP * (e + e_lr)
+            if not gap > margin:
+                wrong = -gap > margin
+                refusals.append((not wrong, f"{tag} {name}: {'contradicted by' if wrong else 'within rounding of'} lr"))
+    return min(refusals)[1] if refusals else None
+
+
+def _gated(monkeypatch, calls):
+    """Run each call with `bounds._certify` recording its arguments; returns them."""
+    seen, honest = [], bounds._certify
+
+    def recorded(report, f, A, tables):
+        seen.append((report, f, A, tables))
+        return honest(report, f, A, tables)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bounds, "_certify", recorded)
+        for call in calls:
+            try:
+                call()
+            except (RuntimeError, ValueError, OverflowError):
+                pass
+    return seen
+
+
+def _assert_gate_is_the_reference(seen):
+    for report, f, A, tables in seen:
+        (a, b), error = A.interval, _error_of(f)
+        with np.errstate(all="ignore"):
+            assert float.hex(bounds._lr_error(error, A, report.lr, *tables["lr"])) == float.hex(
+                _lr_error_reference(f, A, report.lr, *tables["lr"])), report
+            for anchor, k in bounds.FAMILIES[report.theorem].resolve(report.n, report.m):
+                x, y = (a, b) if anchor == "a" else (b, a)
+                got = bounds._side_error(error, A, x, y, report.n, k, *tables[x, k])
+                want = _side_error_reference(f, A, x, y, report.n, k, *tables[x, k])
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), (report, anchor, k)
+        assert _refusal(lambda: bounds._certify(report, f, A, tables)) == _verdict_reference(report, f, A, tables)
+
+
+def test_the_gate_keeps_the_reference_bits_on_div_small_draws(monkeypatch):
+    # Draws shaped like the `div_small` benchmark: every tag and generator, n 3..12,
+    # K 3..30, Dirichlet concentration log-uniform over 0.03..5.
+    rng, calls = np.random.default_rng(37), []
+    for tag in bounds.FAMILIES:
+        for gen in ("kl", "hellinger", "harmonic", "jeffreys"):
+            for n in range(3 if tag in ("TM23", "TM24") else 4, 13):
+                for _ in range(2):
+                    K, conc = int(rng.integers(3, 31)), math.exp(rng.uniform(math.log(0.03), math.log(5.0)))
+                    p, q = (ProbabilityVector(rng.dirichlet(np.full(K, conc)).tolist()) for _ in range(2))
+                    m = int(rng.integers(3, n)) if bounds.FAMILIES[tag].takes_m else None
+                    calls.append(lambda p=p, q=q, gen=gen, n=n, m=m, tag=tag: divergence_bounds(
+                        GeneratorSpec(gen), p, q, n=n, m=m, theorem=tag))
+    seen = _gated(monkeypatch, calls)
+    assert len(seen) > 0.9 * len(calls)
+    verdicts = [_verdict_reference(*args) for args in seen]
+    assert None in verdicts and any(v and "within rounding" in v for v in verdicts)
+    _assert_gate_is_the_reference(seen)
+
+
+def test_the_gate_keeps_the_reference_bits_on_a_20000_point_pair(monkeypatch):
+    P, Q = ZipfMandelbrotParams(20_000, 1.0, 1.1), ZipfMandelbrotParams(20_000, 1.2, 1.12)
+    seen = _gated(monkeypatch, [
+        lambda tag=tag: zm_divergence_bounds(P, Q, GeneratorSpec("kl"), n=8, m=5, theorem=tag)
+        for tag in bounds.FAMILIES
+    ])
+    assert len(seen) == 5
+    _assert_gate_is_the_reference(seen)
+
+
+def test_one_divergence_bounds_call_resolves_its_family_once(monkeypatch):
+    calls, honest = [], bounds._Family.resolve
+
+    def counted(self, n, m):
+        calls.append(self.tag)
+        return honest(self, n, m)
+
+    monkeypatch.setattr(bounds._Family, "resolve", counted)
+    p, q = ProbabilityVector((0.2, 0.5, 0.3)), ProbabilityVector((0.4, 0.3, 0.3))
+    for tag in bounds.FAMILIES:
+        calls.clear()
+        _refusal(lambda: divergence_bounds(GeneratorSpec("kl"), p, q, n=5, m=3, theorem=tag))
+        assert calls == [tag]

@@ -23,7 +23,7 @@ from elrbounds import (
     make_generator,
     parse_function_spec,
 )
-from elrbounds.divided_diff import _float_power
+from elrbounds.divided_diff import _float_power, _integer, _values
 from elrbounds.generators import _exact_class
 
 # mpmath twins of the generator definitions; mpmath.diff runs central finite
@@ -247,6 +247,27 @@ def test_classification_agrees_with_derivative_sign_on_grid():
             assert verdict == (CONVEX if signs == {True} else CONCAVE)
 
 
+def _grid_class(spec, n):
+    """The class column's independent check: the sign of the n-th derivative sampled on a
+    101-point even grid over the domain, up to 1e-12 of the largest finite |sample|; INDEFINITE
+    when it changes sign or a sample is NaN.  The grid is sampled by `_values`: one array call,
+    or, if a sample is not finite, one call per point, where float `**` raises its OverflowError.
+    """
+    f = make_generator(spec)
+    n = _integer(n, "n", 1, f.max_order)
+    a, b = spec.domain
+    grid = a + (b - a) * np.arange(101) / 100
+    with np.errstate(all="ignore"):
+        values = _values(lambda t: f.deriv(n, t), grid)
+        lo, hi = float(np.minimum.reduce(values)), float(np.maximum.reduce(values))
+        tol = 1e-12 * float(np.maximum.reduce(np.abs(values), where=np.isfinite(values), initial=0.0))
+    if lo >= -tol:
+        return CONVEX
+    if hi <= tol:
+        return CONCAVE
+    return INDEFINITE
+
+
 def _classify_per_point(spec, n):
     """Reference verdict: the 101-point grid one float at a time, tolerance
     1e-12 of the largest finite |sample| (no absolute floor)."""
@@ -291,15 +312,16 @@ def _random_specs(rng):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 def test_array_grid_classify_matches_the_per_point_reference():
-    # One array call of the derivative per verdict; a non-finite sample
-    # re-runs the grid point by point, so the scalar `**` errors stay as
-    # they are.  Verdicts and errors (type and text) must match the reference.
+    # The grid sampler (`_grid_class`): one array call of the derivative per
+    # verdict; a non-finite sample re-runs the grid point by point, so the
+    # scalar `**` errors stay as they are.  Verdicts and errors (type and
+    # text) must match the reference.
     rng = np.random.default_rng(20261018)
     seen = set()
     for _ in range(6):
         for name, family, spec in _random_specs(rng):
             for n in range(1, 13):
-                got = _outcome(classify, spec, n)
+                got = _outcome(_grid_class, spec, n)
                 assert got == _outcome(_classify_per_point, spec, n), (spec, n)
                 seen.add((family, got if isinstance(got, str) else got[0]))
     kinds = {kind for _, kind in seen}
@@ -314,7 +336,7 @@ def test_array_grid_classify_matches_the_per_point_reference():
             spec = GeneratorSpec("poly", domain=domain, coeffs=(1.0,) + (0.0,) * 11 + (top,))
             assert math.isinf(make_generator(spec).deriv(10, 1.0))
             for n in range(1, 13):
-                got = _outcome(classify, spec, n)
+                got = _outcome(_grid_class, spec, n)
                 assert got == _outcome(_classify_per_point, spec, n), (spec, n)
                 verdicts.add(got)
     assert verdicts == {CONVEX, CONCAVE, INDEFINITE}
@@ -322,11 +344,13 @@ def test_array_grid_classify_matches_the_per_point_reference():
 
 def test_a_nan_sample_makes_the_class_indefinite():
     # f^(10) = 12!/2! * 1e300 * t^2 samples as inf * t * t: +inf except at the
-    # grid point t = 0, where it is NaN.  The sign there is unknown.
+    # grid point t = 0, where it is NaN.  The sign there is unknown to the
+    # grid; the class column proves it: Bernstein signs of 1e300 t^2 on [-1, 1].
     spec = GeneratorSpec("poly", domain=(-1.0, 1.0), coeffs=(0.0,) * 12 + (1e300,))
     f = make_generator(spec)
     assert math.isnan(f.deriv(10, 0.0)) and f.deriv(10, -0.5) == f.deriv(10, 0.5) == math.inf
-    assert classify(spec, 10) == INDEFINITE
+    assert _grid_class(spec, 10) == INDEFINITE
+    assert classify(spec, 10) == CONVEX
 
 
 def test_an_overflowing_grid_is_sampled_without_a_warning():
@@ -334,7 +358,7 @@ def test_an_overflowing_grid_is_sampled_without_a_warning():
     # errstate as the array call, so numpy warns about neither.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert classify(GeneratorSpec("exp", domain=(0.0, 800.0)), 3) == CONVEX
+        assert _grid_class(GeneratorSpec("exp", domain=(0.0, 800.0)), 3) == CONVEX
 
 
 def test_tiny_negative_derivative_is_concave():
@@ -367,13 +391,13 @@ _UNRESOLVED_BY_SAMPLING |= {("power(3)", n) for n in range(4, 13)}
 
 @pytest.mark.parametrize("spec", _TAME, ids=lambda spec: make_generator(spec).name)
 def test_class_column_is_both_samplers_class(spec):
-    # Pinned until `classify` reads the column: the audit's class source and
-    # the bound paths' grid must not drift apart.
+    # `classify` reads the column; the derivative grid and the divided-difference
+    # sampler check it independently.
     f = make_generator(spec)
     unresolved = set()
     for n in range(2, 13):
         exact = _exact_class(spec, n)
-        assert exact == classify(spec, n) != INDEFINITE, (f.name, n)
+        assert classify(spec, n) == exact == _grid_class(spec, n) != INDEFINITE, (f.name, n)
         cert = certify_convexity(f, n, samples=200, seed=1)
         if cert.verdict == INDEFINITE:
             unresolved.add((f.name, n))
