@@ -254,7 +254,7 @@ def decompose_lemma22(
 
 def bound(
     tag: str, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None, convexity: str,
-    *, _tables: dict | None = None,
+    *, _tables: dict | None = None, _sides: list | None = None,
 ) -> BoundReport:
     """Bound report of family `tag` (any letter case) for LR(f, A).
 
@@ -262,10 +262,11 @@ def bound(
     parity rule of `FAMILIES[tag]`.  Families with fixed sides ignore m.
     The private `_tables` dict collects each side's endpoint table, moments
     and terms (`_terms`), f at the points and endpoints (`lr_difference`), and
-    the family's resolved sides with their signs.
+    the family's resolved sides with their signs; `_sides`, when given, is
+    the family's `resolve(n, m)`, which the caller has already run.
     """
     family = _family(tag)
-    sides = family.resolve(n, m)
+    sides = _sides or family.resolve(n, m)
     values = [math.fsum(t) for t in family.terms(f, A.interval, n, m, _moments(A), A.mean, _tables, sides)]
     signs = family.signs(n, m, convexity, sides)
     lower, upper, valid = family.arrange(n, m, convexity, values, signs)

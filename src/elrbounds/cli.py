@@ -208,8 +208,9 @@ def _run_bounds(args):
     A = _load_functional(args)
     spec = parse_function_spec(args.function, domain=A.interval)
     f = make_generator(spec)
+    sides = FAMILIES[args.theorem.upper()].resolve(args.n, args.m)  # its n and m texts come before the class's
     convexity = _auto(args) or definite_class(spec, args.n)
-    report = _report(args, lambda: bound(args.theorem, f, A, args.n, args.m, convexity))
+    report = _report(args, lambda: bound(args.theorem, f, A, args.n, args.m, convexity, _sides=sides))
     # Lazy: the term rows are computed only when --format csv writes them.
     return report, itertools.chain(_report_rows(report), _bound_term_rows(args, f, A))
 

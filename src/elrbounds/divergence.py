@@ -174,7 +174,7 @@ def divergence_bounds(
     are not all certified is refused with a RuntimeError (`bounds._certify`).
     """
     _check_pair(p, q)
-    theorem = _family(theorem).tag
+    family = _family(theorem)
     ratios = _ratios(p, q)
     rr = RatioRange(float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios)))
     if interval is None:
@@ -197,19 +197,19 @@ def divergence_bounds(
         raise ValueError(
             f"degenerate ratio interval [{a}, {b}]; supply a wider enclosing interval"
         )
+    f = generator
     if isinstance(generator, GeneratorSpec):
         spec = replace(generator, domain=(a, b))
         f = make_generator(spec)
-        if convexity is None:
-            convexity = definite_class(spec, n)
-    else:
-        f = generator
-        if convexity is None:
-            raise ValueError("a plain FunctionModel needs an explicit convexity class")
+    elif convexity is None:
+        raise ValueError("a plain FunctionModel needs an explicit convexity class")
+    sides = family.resolve(n, m)  # its n and m texts come before the class's
+    if convexity is None:
+        convexity = definite_class(spec, n)
     # Built by the store step alone, which skips the checks that hold here: no
     # copy (the ratios are new, q's array is read-only), no sign or sum check
     # of q's entries as weights (q kept their fsum), and no [a, b] scan (a and
     # b are the ratios' extremes or a checked enclosing interval).
     A = object.__new__(DiscreteFunctional)._store(ratios, q._v, q._total, (a, b))
     tables: dict = {}
-    return _bounds._certify(_bounds.bound(theorem, f, A, n, m, convexity, _tables=tables), f, A, tables)
+    return _bounds._certify(_bounds.bound(theorem, f, A, n, m, convexity, _tables=tables, _sides=sides), f, A, tables)

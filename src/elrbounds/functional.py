@@ -10,12 +10,12 @@ Points and weights are validated and kept as read-only float64 arrays; the
 public `points`/`weights` tuples are built from them on first read, so the
 array paths never pay for them, and copies and pickles are rebuilt from the
 arrays alone.  A function that accepts the point array is evaluated on all
-points in one call, bit for bit.  `_batched` is the one sum and rerun of
-moments: a side's are one 2-D pass of libm pows, the point-by-point sums' bits;
-from `_TABLE_MIN_POINTS` points on (the one gate, which `_store` records as
-`_chains`), each is a multiply-chain product, summed once per functional
-(`_moment_reader`) within a stated bound of the scalar sums, which rerun where
-a power may overflow or a term is not finite.
+points in one call, bit for bit.  `_moments` makes one `_batched` call, the one
+sum and rerun of moments: below `_TABLE_MIN_POINTS` points its rows are one 2-D
+pass of libm pows, the point-by-point sums' bits; from there on (the one gate,
+which `_store` records as `_chains`) they are multiply-chain products of the keys
+not yet summed, each summed once per functional within a stated bound of the
+scalar sums, which rerun where a power may overflow or a term is not finite.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ _CHAIN_MAX = 2.0**1020  # powers and sums of multiply chains stay below it, far 
 # 0.9x at 192, 0.7x at 512.  It stays at 64 (set at twice the break-even of
 # the old generator sums), since moving it moves reports' last bits.
 _TABLE_MIN_POINTS = 64
-_BLOCK = 2**15  # elements of one 2-D block of `_batched` sums
 
 
 def _chain_table(base: np.ndarray) -> Callable[[int], np.ndarray | float]:
@@ -61,12 +60,6 @@ def _chain_table(base: np.ndarray) -> Callable[[int], np.ndarray | float]:
     return power
 
 
-def _moment_reader(table, scalar) -> Callable[..., float]:
-    """moment(*key): `_batched` of the one key, its terms `table(*key)` (None declines them),
-    read once per key: the chains' only cache (one key is one block, so the size is moot)."""
-    return cache(lambda *key: _batched((key,), 1, lambda block: [table(*key)], scalar)[0])
-
-
 @lru_cache(maxsize=256)  # a table's keys share their exponents
 def _pow_below(base: float, e: int, limit: float) -> bool:
     """base**e < limit by libm `pow`: the float `**`'s bits, inf where `**` raises, so a gate that cannot raise."""
@@ -79,22 +72,18 @@ def _exponents(keys: tuple) -> np.ndarray:
     return np.array(keys, dtype=float).reshape(-1, 2, 1).transpose(1, 0, 2)
 
 
-def _batched(keys: tuple, size: int, rows, scalar) -> list[float]:
-    """The moments of `keys`, the one sum and rerun of moments: `rows(block)` gives each key of a block its
-    terms over `size` points (a 2-D libm pass, or a chain product per key), or None where it declines; a key
-    declined, or whose fsum raises or is not finite, reruns the point-by-point `scalar(*key)`, in order."""
-    out, small, step = [], size < _SUM_MIN_LEN, max(1, _BLOCK // size)
-    with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
-        for i in range(0, len(keys), step):
-            terms = rows(block := keys[i:i + step])
-            if listed := small and type(terms) is np.ndarray:  # fsum reads a small 2-D pass fastest as lists
-                terms = terms.tolist()
-            for key, row in zip(block, terms):
-                try:
-                    total = math.nan if row is None else math.fsum(row) if listed else _sum(row)
-                except (ArithmeticError, ValueError):  # fsum raises ValueError on opposite infinities
-                    total = math.nan
-                out.append(total if math.isfinite(total) else scalar(*key))
+def _batched(keys: tuple, rows, scalar) -> list[float]:
+    """The moments of `keys`, the one sum and rerun of moments: `rows` gives each key its terms (a 2-D libm pass's
+    row, a chain product) or None; a key declined, or whose fsum raises or is not finite, reruns `scalar(*key)`."""
+    out = []
+    if listed := type(rows) is np.ndarray and rows.shape[1] < _SUM_MIN_LEN:  # fsum reads a small pass fastest as lists
+        rows = rows.tolist()
+    for key, row in zip(keys, rows):
+        try:
+            total = math.nan if row is None else math.fsum(row) if listed else _sum(row)
+        except (ArithmeticError, ValueError):  # fsum raises ValueError on opposite infinities
+            total = math.nan
+        out.append(total if math.isfinite(total) else scalar(*key))
     return out
 
 
@@ -214,37 +203,31 @@ class DiscreteFunctional:
         return self._moments(((_integer(j, "moment order j", 0), _integer(k, "moment order k", 0)),))[0]
 
     def _moments(self, keys: tuple) -> list[float]:
-        """[A[(g - a)^j (g - b)^k] for (j, k) in keys]: with `_chains` the chains' moments, key by key;
-        else one `_batched` pass of the terms w X^j Y^k (X = x - a, Y = x - b), bit for bit `_moment_sum`'s."""
-        if self._chains:
-            return [self._table_moment(*key) for key in keys]
+        """[A[(g - a)^j (g - b)^k] for (j, k) in keys] by one `_batched` call on the terms w X^j Y^k (X = x - a,
+        Y = x - b): one 2-D pass of libm pows, `_moment_sum`'s bits; with `_chains`, the chain products of the
+        keys not yet summed, one at a time, None where (b - a)^j or (b - a)^k is not below `_CHAIN_MAX`."""
         (a, b), w, x = self.interval, self._w, self._x
-
-        def rows(block):  # one 2-D pass of libm pows
-            J, K = _exponents(block)
-            return w * np.float_power(x - a, J) * np.float_power(x - b, K)
-        return _batched(keys, len(x), rows, lambda j, k: _moment_sum(self.weights, self.points, a, b, j, k))
+        scalar = lambda j, k: _moment_sum(w.tolist(), x.tolist(), a, b, j, k)  # noqa: E731
+        with np.errstate(all="ignore"):  # inf and nan pass silently, as in float arithmetic
+            if not self._chains:
+                J, K = _exponents(keys)
+                return _batched(keys, w * np.float_power(x - a, J) * np.float_power(x - b, K), scalar)
+            X, Y, summed = self._chain_moments
+            new = tuple(dict.fromkeys(key for key in keys if key not in summed))
+            rows = (w * X(j) * Y(k) if _pow_below(b - a, j, _CHAIN_MAX) and _pow_below(b - a, k, _CHAIN_MAX)
+                    else None for j, k in new)
+            summed.update(zip(new, _batched(new, rows, scalar)))
+        return [summed[key] for key in keys]
 
     @cached_property
-    def _table_moment(self) -> Callable[[int, int], float]:
-        """`_moment_reader` of multiply chains; it holds the arrays, never self (no cycle).
-
-        moment(j, k) = `_sum` of t_i = w_i X_i^j Y_i^k, X = x - a, Y = x - b, is within
-        g sum|t| + alpha, rounded up, of `_moment_sum` (faithful libm pows): g = (gamma_ch
-        + gamma_ref) / (1 - max of the two) + 3u for the chains' j-1 + k-1 + 2 roundings
-        per term and the reference's 2((j>1) + (k>1)) + 2, alpha = 4 N eta ((j + k + 6)
-        max(1, max|X|)^j max(1, max|Y|)^k + 1) below the normal range.  The scalar sum runs
-        where (b - a)^j or (b - a)^k (b - a >= |X_i|, |Y_i|) is not below 2^1020 or a term is
-        not finite.
-        """
-        (a, b), w, x = self.interval, self._w, self._x
-        with np.errstate(all="ignore"):
-            X, Y = _chain_table(x - a), _chain_table(x - b)
-        return _moment_reader(
-            lambda j, k: w * X(j) * Y(k) if _pow_below(b - a, j, _CHAIN_MAX) and _pow_below(b - a, k, _CHAIN_MAX)
-            else None,
-            lambda j, k: _moment_sum(w.tolist(), x.tolist(), a, b, j, k),
-        )
+    def _chain_moments(self) -> tuple:
+        """(X, Y, summed): `_chain_table`s of X = x - a and Y = x - b and the moments summed, by key; no self
+        (no cycle).  moment(j, k) = `_sum` of t_i = w_i X_i^j Y_i^k is within g sum|t| + alpha, rounded up,
+        of `_moment_sum` (faithful libm pows): g = (gamma_ch + gamma_ref) / (1 - max of the two) + 3u for the
+        chains' j-1 + k-1 + 2 roundings per term and the reference's 2((j>1) + (k>1)) + 2, and alpha =
+        4 N eta ((j + k + 6) max(1, max|X|)^j max(1, max|Y|)^k + 1) below the normal range."""
+        (a, b), x = self.interval, self._x
+        return _chain_table(x - a), _chain_table(x - b), {}
 
     def to_dict(self) -> dict:
         return {

@@ -97,7 +97,7 @@ def _hellinger_error(k, t, v):
     # f' = (1 - r) / 2 with r = t^-1/2 = 1 - 2v: pow's 8u r, halved, and the difference's u |v|.
     # f^(k) = +-(2k-3)!! / 2^k t^(1/2 - k), the constant exact: pow and a product, 9u.
     if k == 0:
-        return _U * np.sqrt(2.0 * abs(v)) + (12.0 + 16.0 * _U) * _U * abs(v) + 2.0 * _U * _U
+        return _U * np.sqrt(2.0 * (m := abs(v))) + (12.0 + 16.0 * _U) * _U * m + 2.0 * _U * _U
     if k == 1:
         return _U * (4.0 * abs(1.0 - 2.0 * v) + abs(v))
     return 9.0 * _U * abs(v)

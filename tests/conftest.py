@@ -79,7 +79,7 @@ def libm_power_table(base):
 
 
 def table_moment_bound(A: DiscreteFunctional, j: int, k: int) -> float:
-    """The bound `DiscreteFunctional._table_moment` states on |A.moment(j, k) - the
+    """The bound `DiscreteFunctional._chain_moments` states on |A.moment(j, k) - the
     point-by-point sum|: g sum|t| + alpha, sum|t| over the scalar sum's terms."""
     (a, b), N = A.interval, len(A)
     size = math.fsum(abs(w * (x - a) ** j * (x - b) ** k) for w, x in zip(A.weights, A.points))

@@ -148,6 +148,17 @@ def test_auto_convexity_indefinite_is_a_validation_error(capsys):
     assert "indefinite order-3 convexity" in err
 
 
+@pytest.mark.parametrize("convexity", [[], ["--convexity", CONVEX]], ids=["auto", "explicit"])
+@pytest.mark.parametrize("command", [
+    ["div", "--function", "kl", "--p", "0.5,0.3,0.2", "--q", "0.4,0.3,0.3"],
+    ["bounds", "--function", "kl", "--points", "0.5,1.5", "--weights", "0.5,0.5", "--interval", "0.25,2"],
+], ids=["div", "bounds"])
+def test_n_1_gets_the_n_text_before_the_class(capsys, command, convexity):
+    # kl is indefinite at order 1, but the n rule is checked first, with and without a class.
+    code, out, err = run(capsys, *command, "--theorem", "tm23", "--n", "1", *convexity)
+    assert (code, out, err) == (1, "", "error: n must be an integer >= 2, got 1\n")
+
+
 def test_samples_is_a_verify_flag_only():
     parser = cli.build_parser()
     assert parser.parse_args(["verify", "--samples", "7"]).samples == 7

@@ -85,6 +85,21 @@ def test_a_moment_read_by_both_sides_is_summed_once(monkeypatch):
     assert calls == [5000]
 
 
+def test_a_tm23_bound_on_a_20000_point_pair_sums_each_distinct_key_once(monkeypatch):
+    # Each side hands `_batched` only the keys the functional has not summed: the
+    # m=2 side leaves out A[(g-a)(g-b)], which the m=1 side summed; nothing reruns.
+    from elrbounds import GeneratorSpec, ZipfMandelbrotParams, functional, zm_divergence_bounds
+
+    calls, honest = [], functional._batched
+    monkeypatch.setattr(functional, "_batched", lambda keys, *args: calls.append(keys) or honest(keys, *args))
+    monkeypatch.setattr(functional, "_moment_sum", None)  # a rerun would raise
+    P, Q = ZipfMandelbrotParams(20_000, 1.0, 1.2), ZipfMandelbrotParams(20_000, 2.0, 1.5)
+    zm_divergence_bounds(P, Q, GeneratorSpec("kl"), n=9, theorem="TM23")
+    keys = [key for call in calls for key in call]
+    assert len(calls) == 2 and len(keys) == len(set(keys)) == 13 and (1, 1) in calls[0]
+    assert sorted(keys) == [(1, k) for k in range(1, 8)] + [(2, k) for k in range(1, 7)]
+
+
 def test_the_closed_form_sums_its_one_moment_once(monkeypatch):
     from elrbounds.bounds import n3_closed_form
 

@@ -269,3 +269,17 @@ def test_one_divergence_bounds_call_resolves_its_family_once(monkeypatch):
         calls.clear()
         _refusal(lambda: divergence_bounds(GeneratorSpec("kl"), p, q, n=5, m=3, theorem=tag))
         assert calls == [tag]
+
+
+def test_the_hellinger_error_keeps_its_bits_with_one_abs():
+    # k = 0 takes |v| once; the bound is the two-`abs` expression's, bit for bit.
+    from elrbounds.generators import _hellinger_error
+
+    def two_abs(v):
+        return _U * np.sqrt(2.0 * abs(v)) + (12.0 + 16.0 * _U) * _U * abs(v) + 2.0 * _U * _U
+
+    rng = np.random.default_rng(38)
+    for v in (0.0, -0.0, 5e-324, -1e-300, 0.125, -0.5, 3.0, 1e300, -math.inf):
+        assert float.hex(float(_hellinger_error(0, 1.0, v))) == float.hex(float(two_abs(v))), v
+    v = rng.standard_normal(20_000) * np.logspace(-300, 300, 20_000)
+    assert _hellinger_error(0, 1.0, v).tobytes() == two_abs(v).tobytes()

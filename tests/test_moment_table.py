@@ -241,17 +241,15 @@ def _assert_the_gate_decides_as_before(gate_at, tops, limit):
 
 
 def test_the_functional_gate_declines_where_a_float_power_did(monkeypatch):
-    # (b - a)^j and (b - a)^k against 2^1020, read in place: the row source
-    # `_table_moment` hands `_moment_reader` gives None where it declines.
-    monkeypatch.setattr(functional, "_moment_reader", lambda table, scalar: table)
+    # (b - a)^j and (b - a)^k against 2^1020, read in place: the chain rows
+    # `_moments` hands `_batched` are None where it declines.
+    monkeypatch.setattr(functional, "_TABLE_MIN_POINTS", 2)  # two points take the chains
+    monkeypatch.setattr(functional, "_batched", lambda keys, rows, scalar: [row is not None for row in rows])
 
     def gate_at(top):
-        table = DiscreteFunctional([0.0, top], [0.5, 0.5], (0.0, top))._table_moment
-
-        def gate(j, k):
-            with np.errstate(all="ignore"):
-                return table(j, k) is not None
-        return gate
+        A = DiscreteFunctional([0.0, top], [0.5, 0.5], (0.0, top))
+        assert A._chains
+        return lambda j, k: A._moments(((j, k),))[0]
 
     _assert_the_gate_decides_as_before(gate_at, _gate_tops(functional._CHAIN_MAX), functional._CHAIN_MAX)
 
@@ -323,15 +321,6 @@ def test_the_batched_moments_are_the_scalar_sums(make, size):
     widen = size == 1  # one point: a degenerate ratio range needs an enclosing interval
     r = float(_ratios(p, q)[0])
     assert_both_routes_are_scalar(p, q, (r / 2, 2 * r) if widen else None)
-
-
-def test_a_key_list_splits_into_blocks(monkeypatch):
-    # At most `_BLOCK` elements per 2-D block: two keys of 30 points here.
-    blocks, honest = [], functional._exponents
-    monkeypatch.setattr(functional, "_BLOCK", 60)
-    monkeypatch.setattr(functional, "_exponents", lambda keys: blocks.append(len(keys)) or honest(keys))
-    assert_both_routes_are_scalar(*_dirichlet_pair(np.random.default_rng(30), 30))
-    assert max(blocks) == 2
 
 
 def _planted(head_p, head_q, size=8):

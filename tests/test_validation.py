@@ -97,6 +97,24 @@ CASES = {
         lambda: endpoint_table(KL, 0.5, 2.0, 2.5, 1), ValueError, "rows must be an integer >= 1, got 2.5"),
     "endpoint_table_zero_cols": (
         lambda: endpoint_table(KL, 0.5, 2.0, 2, 0), ValueError, "cols must be an integer >= 1, got 0"),
+    "divergence_n_1_auto_class": (
+        lambda: divergence_bounds(
+            GeneratorSpec("kl"), ProbabilityVector((0.5, 0.3, 0.2)), ProbabilityVector((0.4, 0.3, 0.3)),
+            n=1, theorem="tm23",
+        ),
+        ValueError, "n must be an integer >= 2, got 1"),
+    "divergence_n_1_explicit_class": (
+        lambda: divergence_bounds(
+            GeneratorSpec("kl"), ProbabilityVector((0.5, 0.3, 0.2)), ProbabilityVector((0.4, 0.3, 0.3)),
+            n=1, theorem="tm23", convexity=CONVEX,
+        ),
+        ValueError, "n must be an integer >= 2, got 1"),
+    "divergence_fractional_n_auto_class": (
+        lambda: divergence_bounds(
+            GeneratorSpec("kl"), ProbabilityVector((0.5, 0.3, 0.2)), ProbabilityVector((0.4, 0.3, 0.3)),
+            n=2.5, theorem="tm23",
+        ),
+        ValueError, "n must be an integer >= 2, got 2.5"),
     "divergence_nan_interval": (
         lambda: divergence_bounds(
             KL, ProbabilityVector((0.2, 0.8)), ProbabilityVector((0.5, 0.5)),
@@ -289,4 +307,4 @@ def test_a_float_moment_order_reads_the_int_order_cache_entry():
     A = _large()
     first = A.moment(3.0, 1)
     assert float.hex(A.moment(3, 1)) == float.hex(first)
-    assert A._table_moment.cache_info().currsize == 1
+    assert list(A._chain_moments[2]) == [(3, 1)]
