@@ -30,7 +30,7 @@ from .divided_diff import (
     _ETA, _TINY, _U, _UP, FunctionModel, _check_orders, _check_support, _error_of, _integer, endpoint_table,
     remainder_R,
 )
-from .functional import DiscreteFunctional, lr_difference
+from .functional import DiscreteFunctional, _lr
 
 __all__ = [
     "CONVEX",
@@ -78,41 +78,10 @@ class _Family:
             raise ValueError(f"{self.tag} requires n >= {self.min_n}, got n={n}")
         return [(x, m if k is None else k) for x, k in self.sides]
 
-    def terms(
-        self, f: FunctionModel, interval: tuple[float, float], n: int, m: int | None,
-        moment, mean: float, tables=None, sides=None,
-    ) -> Iterator[list[float]]:
-        """Yield each side's `_terms` in turn; the remainders they drop are never
-        evaluated.  A side anchored at one endpoint of `interval` has x there and
-        y at the other, and `moment(x, y, keys)` returns A[(g-x)^j (g-y)^k] for each
-        (j, k) of a side's keys, in one call: every route to a side's terms is this loop.
-        `sides`, when given, is what `resolve(n, m)` returned (likewise `signs`' `sides`
-        and `arrange`'s `signs`), so that `bound` resolves the family once.
-        """
-        a, b = interval
-        for anchor, k in sides or self.resolve(n, m):
-            x, y = (a, b) if anchor == "a" else (b, a)
-            yield _terms(f, x, y, n, k, partial(moment, x, y), mean, tables)
-
-    def signs(self, n: int, m: int | None, convexity: str, sides=None) -> list[int]:
-        """Each side's sign by the parity rule: with sigma = +1 for n-convex and
-        -1 for n-concave f, the remainder dropped by side (anchor, m) has the
-        sign sigma (-1)^(n-m) at anchor a and sigma (-1)^m at anchor b."""
+    def arrange(self, n: int, m: int | None, convexity: str, values: list) -> tuple:
+        """`_arrange` of the side values by the `_signs` of `resolve(n, m)`."""
         _check_convexity(convexity)
-        sigma = 1 if convexity == CONVEX else -1
-        sides = sides or self.resolve(n, m)  # accepts n as an integer, so int(n) is exact
-        return [sigma * (-1) ** (int(n) - k if x == "a" else k) for x, k in sides]
-
-    def arrange(self, n: int, m: int | None, convexity: str, values: list, signs=None) -> tuple:
-        """(lower, upper, direction_valid) for the side values: a side of sign +1 (`signs`) bounds
-        LR from below, of sign -1 from above.  In a bracket the second side fixes the arrangement,
-        and the bracket is certified only when the two sides' signs differ."""
-        signs = signs or self.signs(n, m, convexity)
-        if len(signs) == 1:
-            return (values[0], None, True) if signs[0] > 0 else (None, values[0], True)
-        first, second = values
-        lower, upper = (second, first) if signs[1] > 0 else (first, second)
-        return lower, upper, signs[0] != signs[1]
+        return _arrange(_signs(self.resolve(n, m), n, convexity), values)
 
 
 FAMILIES = {
@@ -146,21 +115,47 @@ class BoundReport:
     direction_valid: bool
 
     def violation(self) -> float:
-        """Largest amount by which lr escapes the certified side(s); 0 if contained."""
+        """Largest amount by which lr escapes the certified side(s); 0 if contained, NaN if lr or
+        a side is NaN (or lr and a side are infinities of the bound's sign)."""
         v = 0.0
         if self.lower is not None:
-            v = max(v, self.lower - self.lr)
+            v = _worst(v, self.lower - self.lr)
         if self.upper is not None:
-            v = max(v, self.lr - self.upper)
+            v = _worst(v, self.lr - self.upper)
         return v
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
+def _worst(a: float, b: float) -> float:
+    """max(a, b), but NaN if either is: a NaN residual must show, and fail every check."""
+    return a if math.isnan(a) or a >= b else b
+
+
 def _check_convexity(convexity: str) -> None:
     if convexity not in (CONVEX, CONCAVE):
         raise ValueError(f"convexity must be {CONVEX!r} or {CONCAVE!r}, got {convexity!r}")
+
+
+def _signs(sides: list, n: int, convexity: str) -> list[int]:
+    """Each resolved side's sign by the parity rule: with sigma = +1 for n-convex and -1 for
+    n-concave f, the remainder dropped by side (anchor, m) has the sign sigma (-1)^(n-m) at anchor
+    a and sigma (-1)^m at anchor b (`resolve` accepted n as an integer, so int(n) is exact)."""
+    _check_convexity(convexity)
+    sigma = 1 if convexity == CONVEX else -1
+    return [sigma * (-1) ** (int(n) - k if x == "a" else k) for x, k in sides]
+
+
+def _arrange(signs: list[int], values: list) -> tuple:
+    """(lower, upper, direction_valid) for the side values: a side of sign +1 bounds LR from below,
+    of sign -1 from above.  In a bracket the second side fixes the arrangement, and the bracket is
+    certified only when the two sides' signs differ."""
+    if len(signs) == 1:
+        return (values[0], None, True) if signs[0] > 0 else (None, values[0], True)
+    first, second = values
+    lower, upper = (second, first) if signs[1] > 0 else (first, second)
+    return lower, upper, signs[0] != signs[1]
 
 
 def _family(tag: str) -> _Family:
@@ -185,14 +180,13 @@ def _layout(n: int, m: int) -> tuple[tuple, tuple]:
 
 
 def _terms(
-    f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean: float, tables=None
-) -> list[float]:
-    """Endpoint terms of the decomposition anchored at x, the other endpoint being y.
+    f: FunctionModel, x: float, y: float, n: int, m: int, moment, mean: float
+) -> tuple[list, list, list[float]]:
+    """(T, M, terms): the endpoint table, the moments and the endpoint terms of the decomposition
+    anchored at x, the other endpoint being y.
 
     `moment(keys)` returns A[(g-x)^i (g-y)^j] for each key of `_layout(n, m)` and
-    `mean` is A(g), which only m >= 3 reads.  `tables`, a dict local to one f, n
-    and [a, b], keeps the side's endpoint table, moments and terms by (x, m).
-    The table's errors come before the moments'.
+    `mean` is A(g), which only m >= 3 reads.  The table's errors come before the moments'.
     """
     n, m = _check_orders(n, m)
     if m >= 3:  # this layout reads f[x, x] first: its errors come first
@@ -206,9 +200,19 @@ def _terms(
         # lemma 2.2's signed zero when A(g) == b.
         f_xx, f_xy = T[2][0], T[1][1]
         terms.insert(0, (mean - x) * (f_xx - f_xy) if x < y else (x - mean) * (f_xy - f_xx))
-    if tables is not None:
-        tables[x, m] = T, M, terms
-    return terms
+    return T, M, terms
+
+
+def _side_terms(f: FunctionModel, sides: list, interval: tuple, n: int, moment, mean: float) -> Iterator[tuple]:
+    """Each resolved side's (x, y, m, T, M, terms, value): x its anchor's end of `interval`, y the
+    other, `_terms`' table, moments and terms, and their fsum.  `moment(x, y, keys)` returns
+    A[(g-x)^j (g-y)^k] for each (j, k) of a side's keys, in one call.  Every route to a side's
+    terms is this loop, and none evaluates the remainder that the terms drop."""
+    a, b = interval
+    for anchor, k in sides:
+        x, y = (a, b) if anchor == "a" else (b, a)
+        T, M, terms = _terms(f, x, y, n, k, partial(moment, x, y), mean)
+        yield x, y, k, T, M, terms, math.fsum(terms)
 
 
 def _moments(A: DiscreteFunctional):
@@ -225,9 +229,8 @@ def _decompose(
     A(R(g)) they leave out, R evaluated on all of A's points in one array call
     that reads the terms' endpoint table (that call already reruns point by
     point on error)."""
-    tables: dict = {}
-    terms = _terms(f, x, y, n, m, partial(_moments(A), x, y), A.mean, tables)
-    return terms, A._dot(remainder_R(f, x, y, m, n, A._x, _table=tables[x, m][0]))
+    T, _, terms = _terms(f, x, y, n, m, partial(_moments(A), x, y), A.mean)
+    return terms, A._dot(remainder_R(f, x, y, m, n, A._x, _table=T))
 
 
 def decompose_lemma21(
@@ -252,28 +255,29 @@ def decompose_lemma22(
     return _decompose(f, A, n, m, *reversed(A.interval))
 
 
-def bound(
-    tag: str, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None, convexity: str,
-    *, _tables: dict | None = None, _sides: list | None = None,
-) -> BoundReport:
+def _evaluate(
+    family: _Family, sides: list, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None, convexity: str
+) -> tuple[BoundReport, list[tuple], list[int], tuple]:
+    """(report, sides, signs, f_values): `family`'s report for LR(f, A) from its resolved `sides`
+    (`_Family.resolve`), with all it was computed from: each side's `_side_terms`, their parity
+    `_signs`, and f at A's points, at a and at b (`functional._lr`).  `_certify` and the CLI's
+    term rows read these; nothing is evaluated twice."""
+    evaluated = list(_side_terms(f, sides, A.interval, n, _moments(A), A.mean))
+    signs = _signs(sides, n, convexity)
+    lower, upper, valid = _arrange(signs, [value for *_, value in evaluated])
+    n, m = _check_orders(n, m if family.takes_m else None)
+    lr, f_values = _lr(f, A)
+    return BoundReport(lr, lower, upper, family.tag, n, m, convexity, valid), evaluated, signs, f_values
+
+
+def bound(tag: str, f: FunctionModel, A: DiscreteFunctional, n: int, m: int | None, convexity: str) -> BoundReport:
     """Bound report of family `tag` (any letter case) for LR(f, A).
 
     Each side is its decomposition's term sum (no remainder), placed by the
     parity rule of `FAMILIES[tag]`.  Families with fixed sides ignore m.
-    The private `_tables` dict collects each side's endpoint table, moments
-    and terms (`_terms`), f at the points and endpoints (`lr_difference`), and
-    the family's resolved sides with their signs; `_sides`, when given, is
-    the family's `resolve(n, m)`, which the caller has already run.
     """
     family = _family(tag)
-    sides = _sides or family.resolve(n, m)
-    values = [math.fsum(t) for t in family.terms(f, A.interval, n, m, _moments(A), A.mean, _tables, sides)]
-    signs = family.signs(n, m, convexity, sides)
-    lower, upper, valid = family.arrange(n, m, convexity, values, signs)
-    n, m = _check_orders(n, m if family.takes_m else None)
-    if _tables is not None:
-        _tables["sides"] = sides, signs
-    return BoundReport(lr_difference(f, A, _tables), lower, upper, family.tag, n, m, convexity, valid)
+    return _evaluate(family, family.resolve(n, m), f, A, n, m, convexity)[0]
 
 
 def _not_finite(tag: str, report: dict) -> str | None:
@@ -284,26 +288,24 @@ def _not_finite(tag: str, report: dict) -> str | None:
             return f"{tag} {key} is not finite: {'NaN' if math.isnan(v) else 'Infinity' if v > 0 else '-Infinity'}"
 
 
-def _certify(report: BoundReport, f: FunctionModel, A: DiscreteFunctional, tables: dict) -> BoundReport:
-    """`report`, from `bound(..., _tables=tables)` on A (points >= 0), if each side it carries
-    lies on the side of lr that its parity sign predicts (`_Family.signs`, as `bound` left them
-    in `tables`, for direction-invalid pairs too) by more than E_side + E_lr: then the float side bounds A's exact lr as the paper's
-    exact side does.  Else a RuntimeError: a value that is not finite (`_not_finite`), then a
-    side on the wrong side by more than that, "TM23 lower: contradicted by lr", then any other,
-    "TM23 lower: within rounding of lr".  Every comparison fails on NaN.
-    """
+def _certify(evaluation: tuple, f: FunctionModel, A: DiscreteFunctional) -> BoundReport:
+    """The report of `evaluation` (`_evaluate` on A, points >= 0) if each side it carries lies on
+    the side of lr that its parity sign predicts (for direction-invalid pairs too) by more than
+    E_side + E_lr, read from the tables, moments and f values the evaluation kept: then the float
+    side bounds A's exact lr as the paper's exact side does.  Else a RuntimeError: a value that is
+    not finite (`_not_finite`), then a side on the wrong side by more than that, "TM23 lower:
+    contradicted by lr", then any other, "TM23 lower: within rounding of lr".  Every comparison
+    fails on NaN."""
+    report, sides, signs, f_values = evaluation
     tag, n = report.theorem, report.n
     if text := _not_finite(tag, vars(report)):
         raise RuntimeError(text)
-    (a, b), error, (sides, signs), values = A.interval, _error_of(f), tables["sides"], []
+    error = _error_of(f)
     with np.errstate(all="ignore"):  # a bound that overflows is inf, and certifies nothing
-        e_lr = _lr_error(error, A, report.lr, *tables["lr"])
-        for (anchor, k), sign in zip(sides, signs):
-            x, y = (a, b) if anchor == "a" else (b, a)
-            values.append((sign, *_side_error(error, A, x, y, n, k, *tables[x, k])))
+        e_lr = _lr_error(error, A, report.lr, *f_values)
+        judged = [(sign, v, _side_error(error, A, x, y, n, k, T, M, v)) for sign, (x, y, k, T, M, _, v) in zip(signs, sides)]
     refusals = []  # (not contradicted, text): contradicted first, then lower before upper
-    arranged = FAMILIES[tag].arrange(n, report.m, report.convexity, values, signs)[:2]
-    for name, side in zip(("lower", "upper"), arranged):
+    for name, side in zip(("lower", "upper"), _arrange(signs, judged)[:2]):
         if side is None:
             continue
         sign, value, e = side
@@ -344,10 +346,10 @@ def _lr_error(error, A: DiscreteFunctional, lr: float, fg, fa: float, fb: float)
 
 
 def _side_error(
-    error, A: DiscreteFunctional, x: float, y: float, n: int, m: int, T, M, terms
-) -> tuple[float, float]:
-    """(side, E_side): the fsum of the side's `terms`, and a bound on its distance from A's exact
-    side, from the endpoint table T and moments M that `_terms` formed them from.  A border
+    error, A: DiscreteFunctional, x: float, y: float, n: int, m: int, T, M, side: float
+) -> float:
+    """E_side: a bound on the distance of `side`, the fsum of a side's terms, from A's exact side,
+    from the endpoint table T and moments M that `_terms` formed the terms from.  A border
     f^(k)/k! is off by f's stated `error` (`_error_of`) over k! plus u of itself, an interior
     cell by (e_up + e_left)/h + 3u of itself (the difference, h = |y - x|, the quotient).  A moment A[(g-x)^J (g-y)^K] sums
     terms of one sign (the points lie in [a, b]), so it is off by gamma_(2(J+K)+3) |M| (the bases,
@@ -380,8 +382,7 @@ def _side_error(
     if m >= 3:
         d, f_d = A.mean - x, T[2][0] - T[1][1]
         err += _product_error(d, 2 * u * A.mean + u * abs(d), f_d, E[2][0] + E[1][1] + u * abs(f_d))
-    side = math.fsum(terms)
-    return side, err + u * abs(side) + len(A) * under * 2.0**-574 + (len(M) + 1) * _ETA
+    return err + u * abs(side) + len(A) * under * 2.0**-574 + (len(M) + 1) * _ETA
 
 
 def n3_closed_form(f: FunctionModel, A: DiscreteFunctional) -> tuple[float, float]:

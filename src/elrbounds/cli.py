@@ -20,13 +20,12 @@ object keyed p / q, or a bare array.  `zm` needs --ratio-range or --theorem.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import re
 import sys
 
-from .bounds import CONCAVE, CONVEX, FAMILIES, _moments, _not_finite, bound
+from .bounds import CONCAVE, CONVEX, FAMILIES, _evaluate, _not_finite
 from .divergence import ProbabilityVector, divergence_bounds, f_divergence, ratio_range
 from .divided_diff import FunctionModel, NodeMultiset, _TableOverflow, divided_difference, newton_interpolant
 from .functional import DiscreteFunctional, _json_numbers, lr_difference
@@ -174,15 +173,6 @@ def _report_rows(report: dict) -> list[tuple]:
     return [("kind", "k", "value")] + [(k, None, v) for k, v in report.items()]
 
 
-def _bound_term_rows(args, f: FunctionModel, A: DiscreteFunctional):
-    """One row per displayed summand, mirroring the bound's summation structure."""
-    family = FAMILIES[args.theorem.upper()]
-    sides = family.terms(f, A.interval, args.n, args.m, _moments(A), A.mean)
-    for side, terms in zip(family.labels, sides):
-        for k, term in enumerate(terms, start=1):
-            yield (f"{side}_term", k, term)
-
-
 def _auto(args) -> str | None:
     return None if args.convexity == "auto" else args.convexity
 
@@ -208,31 +198,31 @@ def _run_bounds(args):
     A = _load_functional(args)
     spec = parse_function_spec(args.function, domain=A.interval)
     f = make_generator(spec)
-    sides = FAMILIES[args.theorem.upper()].resolve(args.n, args.m)  # its n and m texts come before the class's
+    family = FAMILIES[args.theorem.upper()]
+    sides = family.resolve(args.n, args.m)  # its n and m texts come before the class's
     convexity = _auto(args) or definite_class(spec, args.n)
-    report = _report(args, lambda: bound(args.theorem, f, A, args.n, args.m, convexity, _sides=sides))
-    # Lazy: the term rows are computed only when --format csv writes them.
-    return report, itertools.chain(_report_rows(report), _bound_term_rows(args, f, A))
+    report, evaluated = _checked(args, lambda: _evaluate(family, sides, f, A, args.n, args.m, convexity))[:2]
+    if text := _not_finite(family.tag, report := report.to_dict()):  # ungated: refused as the gate would
+        raise ValueError(text)
+    # One row per summand of each side: the terms the report summed.
+    rows = [(f"{label}_term", k, term) for label, (*_, terms, _) in zip(family.labels, evaluated)
+            for k, term in enumerate(terms, start=1)]
+    return report, _report_rows(report) + rows
 
 
-def _report(args, call) -> dict:
-    """The report of `call()` as a dict.  The gate's refusal (a plain
-    RuntimeError; subclasses such as RecursionError propagate), an endpoint
-    table's or a moment's OverflowError (too wide a ratio range) and a report
-    whose `lr`, `lower` or `upper` is not finite are ValueErrors."""
-    tag = args.theorem.upper()
+def _checked(args, call):
+    """`call()`.  The gate's refusal (a plain RuntimeError; subclasses such as
+    RecursionError propagate) and an endpoint table's or a moment's
+    OverflowError (too wide a ratio range) are ValueErrors."""
     try:
-        report = call().to_dict()
+        return call()
     except OverflowError as exc:
         phase = "endpoint table" if isinstance(exc, _TableOverflow) else "moment"
-        raise ValueError(f"{tag} {phase} overflow: {exc}") from exc
+        raise ValueError(f"{args.theorem.upper()} {phase} overflow: {exc}") from exc
     except RuntimeError as exc:
         if type(exc) is not RuntimeError:
             raise
         raise ValueError(str(exc)) from exc
-    if text := _not_finite(tag, report):
-        raise ValueError(text)
-    return report
 
 
 def _run_div(args):
@@ -240,15 +230,15 @@ def _run_div(args):
     q = _load_distribution(args.q, args.q_file, "q", "--q")
     interval = _parse_interval(args.interval, "--interval") if args.interval else None
     spec = parse_function_spec(args.function, domain=interval)
-    if args.theorem is None:
-        value = f_divergence(make_generator(spec), p, q)
-        return value, [("divergence",), (value,)]
-    report = _report(args, lambda: divergence_bounds(
+    # The bound comes first, so that its refusal is the error a failing call prints.
+    report = None if args.theorem is None else _checked(args, lambda: divergence_bounds(
         spec, p, q, n=args.n, m=args.m, theorem=args.theorem, convexity=_auto(args),
         interval=interval,
-    ))
-    out = {"divergence": f_divergence(make_generator(spec), p, q)}
-    out.update(report)
+    )).to_dict()
+    value = f_divergence(make_generator(spec), p, q)
+    if report is None:
+        return value, [("divergence",), (value,)]
+    out = {"divergence": value, **report}
     return out, _report_rows(out)
 
 
@@ -267,10 +257,10 @@ def _run_zm(args):
     if len(laws) != 2:
         raise ValueError("--theorem: needs exactly two --zm laws")
     interval = _parse_interval(args.interval, "--interval") if args.interval else None
-    report = _report(args, lambda: zm_divergence_bounds(
+    report = _checked(args, lambda: zm_divergence_bounds(
         laws[0], laws[1], parse_function_spec(args.function), n=args.n, m=args.m,
         theorem=args.theorem, convexity=_auto(args), interval=interval,
-    ))
+    )).to_dict()
     return report, _report_rows(report)
 
 

@@ -15,10 +15,10 @@ forms the weighted-point functional with points p_i / q_i and weights q_i
 (whose mean is exactly 1), delegates to the requested bound family, and
 returns the report only when every side it carries is certified: it lies on
 the side of lr that its parity sign predicts by more than a stated bound on
-the rounding error of both, read from what the report was computed from
-(`bounds._certify`).  Otherwise a RuntimeError names the side: "contradicted
-by lr" (on the wrong side by more than that), "within rounding of lr", or
-"is not finite".
+the rounding error of both, read from the one evaluation the report was
+computed from (`bounds._evaluate`, judged by `bounds._certify`).  Otherwise
+a RuntimeError names the side: "contradicted by lr" (on the wrong side by
+more than that), "within rounding of lr", or "is not finite".
 """
 
 from __future__ import annotations
@@ -171,7 +171,9 @@ def divergence_bounds(
     produce a degenerate range and require it.  A `GeneratorSpec` is rebuilt
     on [a, b] and, when `convexity` is omitted, classified there; a plain
     `FunctionModel` needs an explicit convexity class.  A report whose sides
-    are not all certified is refused with a RuntimeError (`bounds._certify`).
+    are not all certified is refused with a RuntimeError: `bounds._certify`
+    judges them from the tables, moments, terms and f values that
+    `bounds._evaluate` summed them from.
     """
     _check_pair(p, q)
     family = _family(theorem)
@@ -211,5 +213,4 @@ def divergence_bounds(
     # of q's entries as weights (q kept their fsum), and no [a, b] scan (a and
     # b are the ratios' extremes or a checked enclosing interval).
     A = object.__new__(DiscreteFunctional)._store(ratios, q._v, q._total, (a, b))
-    tables: dict = {}
-    return _bounds._certify(_bounds.bound(theorem, f, A, n, m, convexity, _tables=tables, _sides=sides), f, A, tables)
+    return _bounds._certify(_bounds._evaluate(family, sides, f, A, n, m, convexity), f, A)

@@ -265,12 +265,16 @@ def _moment_sum(weights, points, a: float, b: float, j: int, k: int) -> float:
     return math.fsum(w * (x - a) ** j * (x - b) ** k for w, x in zip(weights, points))
 
 
-def lr_difference(f: FunctionModel, A: DiscreteFunctional, _seen: dict | None = None) -> float:
+def lr_difference(f: FunctionModel, A: DiscreteFunctional) -> float:
     """A(f(g)) - ((b - A(g)) f(a) + (A(g) - a) f(b)) / (b - a).
 
     Nonpositive whenever f is convex (the chord lies above the function).
-    The private `_seen` dict, if given, keeps f at the points, at a and at b under "lr".
     """
+    return _lr(f, A)[0]
+
+
+def _lr(f: FunctionModel, A: DiscreteFunctional) -> tuple[float, tuple]:
+    """(lr_difference(f, A), (f(g), f(a), f(b))): the chord gap and f at the points and ends it read."""
     a, b = A.interval
     lo, hi = f.domain
     if a < lo or b > hi:
@@ -279,6 +283,4 @@ def lr_difference(f: FunctionModel, A: DiscreteFunctional, _seen: dict | None = 
         )
     mean = A.mean
     fg, fa, fb = _values(f, A._x), float(f(a)), float(f(b))
-    if _seen is not None:
-        _seen["lr"] = fg, fa, fb
-    return A._dot(fg) - (b - mean) / (b - a) * fa - (mean - a) / (b - a) * fb
+    return A._dot(fg) - (b - mean) / (b - a) * fa - (mean - a) / (b - a) * fb, (fg, fa, fb)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bounds as _bounds
-from .bounds import CONCAVE, CONVEX
+from .bounds import CONCAVE, CONVEX, _worst
 from .divided_diff import FunctionModel, _integer, _values
 from .functional import DiscreteFunctional, lr_difference
 from .generators import INDEFINITE, GeneratorSpec, _exact_class, make_generator
@@ -194,7 +194,8 @@ def audit_identities(config: AuditConfig | None = None) -> AuditReport:
     """Replay both decompositions on random configurations.
 
     Each case checks |lr - (sum of terms + remainder)| <= 1e-9 (1 + |lr|) for
-    both anchorings; `max_residual` is the worst relative residual seen.
+    both anchorings; `max_residual` is the worst relative residual seen.  A NaN
+    residual fails the check and is the worst (`bounds._worst`).
     """
     cfg = config or AuditConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -212,8 +213,8 @@ def audit_identities(config: AuditConfig | None = None) -> AuditReport:
         ):
             terms, remainder = decompose(f, A, n, m)
             rel = abs(lr - (math.fsum(terms) + remainder)) / (1.0 + abs(lr))
-            max_rel = max(max_rel, rel)
-            if rel > _IDENTITY_REL_TOL:
+            max_rel = _worst(max_rel, rel)
+            if not rel <= _IDENTITY_REL_TOL:  # NaN fails
                 failures.append(
                     {
                         "case": idx,
@@ -242,7 +243,8 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
     Collects `cases_per_theorem` configurations with a definite class per
     theorem tag; indefinite draws are skipped.  A case where the chord
     gap meets its bound(s) within tolerance on every certified side is
-    counted as tight.  With `inject_wrong_parity` the claimed convexity class
+    counted as tight; a NaN violation (`BoundReport.violation`) is a failure, and
+    the worst.  With `inject_wrong_parity` the claimed convexity class
     is deliberately flipped; the resulting direction violations are the
     negative control for the dispatcher.
     """
@@ -278,8 +280,8 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
             report = _bounds.bound(theorem, f, A, n, m, claimed)
             tol = _BRACKET_REL_TOL * (1.0 + abs(report.lr))
             violation = report.violation()
-            worst = max(worst, violation)
-            if violation > tol:
+            worst = _worst(worst, violation)
+            if not violation <= tol:  # NaN fails
                 failures.append(
                     {
                         "theorem": theorem,

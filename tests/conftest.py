@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from elrbounds import CONVEX, DiscreteFunctional, FunctionModel, GeneratorSpec, functional, make_generator
-from elrbounds.bounds import _family, _moments
+from elrbounds.bounds import _family, _moments, _side_terms
 from elrbounds.divided_diff import _ETA, _U, _UP, _float_power
 
 
@@ -69,8 +69,8 @@ def direct_sides(f, p, q, a: float, b: float, n: int, theorem: str, m=None, conv
     of the functional's: the same term layout and endpoint tables, none of the moment arithmetic."""
     family = _family(theorem)
     moments = lambda x, y, keys: [pq_moment(p, q, x, y, j, k) for j, k in keys]  # noqa: E731
-    sides = family.terms(f, (a, b), n, m, moments, 1.0)
-    return family.arrange(n, m, convexity, [math.fsum(t) for t in sides])[:2]
+    sides = _side_terms(f, family.resolve(n, m), (a, b), n, moments, 1.0)
+    return family.arrange(n, m, convexity, [value for *_, value in sides])[:2]
 
 
 def libm_power_table(base):
@@ -93,12 +93,11 @@ def table_moment_bound(A: DiscreteFunctional, j: int, k: int) -> float:
 def side_bounds(tag, f, A: DiscreteFunctional, n, m, convexity) -> tuple:
     """(lower, upper) bounds on the distance of `bound`'s sides on a table functional A
     from the scalar sums' sides: each moment's `table_moment_bound` fed through
-    `family.terms`, and the terms' products and fsum."""
+    `bounds._side_terms`, and the terms' products and fsum."""
     family, a = _family(tag), A.interval[0]
-    tables: dict = {}
 
     def sides(moment):
-        return family.terms(f, A.interval, n, m, moment, A.mean, tables)
+        return (terms for *_, terms, _ in _side_terms(f, family.resolve(n, m), A.interval, n, moment, A.mean))
 
     def error(x, y, keys):
         return [table_moment_bound(A, j, k) if x == a else table_moment_bound(A, k, j) for j, k in keys]

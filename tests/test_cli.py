@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import shlex
@@ -14,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from elrbounds import CONCAVE, CONVEX, GeneratorSpec, ZipfMandelbrotParams, classify, cli, pmf_vector
+from elrbounds import CONCAVE, CONVEX, FAMILIES, GeneratorSpec, ZipfMandelbrotParams, classify, cli, pmf_vector
 
 
 def run(capsys, *argv):
@@ -249,6 +250,33 @@ def test_bounds_csv_rows_reuse_the_moments_of_the_report(tmp_path, capsys, monke
     assert calls == [5000] * 16
     scalar_moments()
     assert run(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("tag", [tag.lower() for tag in FAMILIES])
+def test_bounds_csv_term_rows_are_the_terms_the_report_summed(capsys, monkeypatch, tag):
+    # Each side's rows sum (fsum) to that side's JSON value, bit for bit, and the
+    # rows are not formed a second time: one endpoint table per side.
+    from elrbounds import bounds
+
+    family = FAMILIES[tag.upper()]
+    argv = ("bounds", "--function", "exp", "--points", "0.3,0.9,1.4,1.9", "--weights", "0.1,0.4,0.3,0.2",
+            "--interval", "0.2,2", "--theorem", tag, "--n", "7", "--m", "4")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    tables, honest = [], bounds.endpoint_table
+    monkeypatch.setattr(bounds, "endpoint_table", lambda *args: tables.append(args) or honest(*args))
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and len(tables) == len(family.sides)
+    rows = {label: [] for label in family.labels}
+    for line in out.strip().splitlines()[1:]:
+        kind, _, value = line.split(",")
+        if kind.endswith("_term"):
+            rows[kind.removesuffix("_term")].append(float(value))
+    sums = [math.fsum(rows[label]) for label in family.labels]
+    want = family.arrange(7, 4, report["convexity"], sums)[:2]
+    assert [None if v is None else v.hex() for v in want] == [
+        None if report[key] is None else float(report[key]).hex() for key in ("lower", "upper")]
 
 
 # --- files ------------------------------------------------------------------------

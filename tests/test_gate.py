@@ -8,8 +8,11 @@ that is not finite is refused as such; a side equal to lr is within rounding.
 And they hold what it must not refuse: every draw shaped like the `cli_cold`
 benchmark's `div` op is certified.  Its arithmetic is pinned to a reference
 copy of E_side and E_lr (`_side_error_reference`, `_lr_error_reference`): the
-same bits and the same verdict on every draw, while a `divergence_bounds` call
-resolves its family's sides once.
+same bits and the same verdict on every draw.  The gate judges the one evaluation
+the report was summed from (`bounds._evaluate`: each side's endpoint table,
+moments, terms and value, the parity signs, and f at the points and ends), and a
+`divergence_bounds` call, like a CLI `bounds` or `div` call, resolves its
+family's sides once.
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ def _slipped(monkeypatch, call, eps=1e-6) -> str | None:
     honest = bounds._terms
 
     def terms(*args, **kwargs):
-        out = honest(*args, **kwargs)  # the list the gate reads too
+        T, M, out = honest(*args, **kwargs)  # the list the gate reads too
         i = max(range(len(out)), key=lambda i: abs(out[i]))
         out[i] += eps * math.copysign(abs(out[i]), lr - math.fsum(out))
-        return out
+        return T, M, out
 
     with monkeypatch.context() as mp:
         mp.setattr(bounds, "_terms", terms)
@@ -172,15 +175,17 @@ def _lr_error_reference(f, A, lr, fg, fa, fb):
     return err
 
 
-def _verdict_reference(report, f, A, tables):
+def _verdict_reference(evaluation, f, A):
     """`bounds._certify`'s refusal text (None: certified), the family resolved again as first written."""
+    report, evaluated, _, f_values = evaluation
     tag, n, m, convexity = report.theorem, report.n, report.m, report.convexity
     if text := bounds._not_finite(tag, vars(report)):
         return text
     family, (a, b), sides = bounds.FAMILIES[tag], A.interval, []
+    resolved, tables = family.resolve(n, m), {(x, k): (T, M, terms) for x, _, k, T, M, terms, _ in evaluated}
     with np.errstate(all="ignore"):
-        e_lr = _lr_error_reference(f, A, report.lr, *tables["lr"])
-        for (anchor, k), sign in zip(family.resolve(n, m), family.signs(n, m, convexity)):
+        e_lr = _lr_error_reference(f, A, report.lr, *f_values)
+        for (anchor, k), sign in zip(resolved, bounds._signs(resolved, n, convexity)):
             x, y = (a, b) if anchor == "a" else (b, a)
             sides.append((sign, *_side_error_reference(f, A, x, y, n, k, *tables[x, k])))
     refusals = []
@@ -198,9 +203,9 @@ def _gated(monkeypatch, calls):
     """Run each call with `bounds._certify` recording its arguments; returns them."""
     seen, honest = [], bounds._certify
 
-    def recorded(report, f, A, tables):
-        seen.append((report, f, A, tables))
-        return honest(report, f, A, tables)
+    def recorded(evaluation, f, A):
+        seen.append((evaluation, f, A))
+        return honest(evaluation, f, A)
 
     with monkeypatch.context() as mp:
         mp.setattr(bounds, "_certify", recorded)
@@ -213,17 +218,17 @@ def _gated(monkeypatch, calls):
 
 
 def _assert_gate_is_the_reference(seen):
-    for report, f, A, tables in seen:
-        (a, b), error = A.interval, _error_of(f)
+    for evaluation, f, A in seen:
+        report, evaluated, _, f_values = evaluation
+        error = _error_of(f)
         with np.errstate(all="ignore"):
-            assert float.hex(bounds._lr_error(error, A, report.lr, *tables["lr"])) == float.hex(
-                _lr_error_reference(f, A, report.lr, *tables["lr"])), report
-            for anchor, k in bounds.FAMILIES[report.theorem].resolve(report.n, report.m):
-                x, y = (a, b) if anchor == "a" else (b, a)
-                got = bounds._side_error(error, A, x, y, report.n, k, *tables[x, k])
-                want = _side_error_reference(f, A, x, y, report.n, k, *tables[x, k])
-                assert list(map(float.hex, got)) == list(map(float.hex, want)), (report, anchor, k)
-        assert _refusal(lambda: bounds._certify(report, f, A, tables)) == _verdict_reference(report, f, A, tables)
+            assert float.hex(bounds._lr_error(error, A, report.lr, *f_values)) == float.hex(
+                _lr_error_reference(f, A, report.lr, *f_values)), report
+            for x, y, k, T, M, terms, value in evaluated:
+                got = value, bounds._side_error(error, A, x, y, report.n, k, T, M, value)
+                want = _side_error_reference(f, A, x, y, report.n, k, T, M, terms)
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), (report, x, k)
+        assert _refusal(lambda: bounds._certify(evaluation, f, A)) == _verdict_reference(evaluation, f, A)
 
 
 def test_the_gate_keeps_the_reference_bits_on_div_small_draws(monkeypatch):
@@ -256,7 +261,8 @@ def test_the_gate_keeps_the_reference_bits_on_a_20000_point_pair(monkeypatch):
     _assert_gate_is_the_reference(seen)
 
 
-def test_one_divergence_bounds_call_resolves_its_family_once(monkeypatch):
+def _resolves(monkeypatch) -> list:
+    """The tags of the families resolved from here on, one entry per `_Family.resolve` call."""
     calls, honest = [], bounds._Family.resolve
 
     def counted(self, n, m):
@@ -264,11 +270,33 @@ def test_one_divergence_bounds_call_resolves_its_family_once(monkeypatch):
         return honest(self, n, m)
 
     monkeypatch.setattr(bounds._Family, "resolve", counted)
+    return calls
+
+
+def test_one_divergence_bounds_call_resolves_its_family_once(monkeypatch):
+    calls = _resolves(monkeypatch)
     p, q = ProbabilityVector((0.2, 0.5, 0.3)), ProbabilityVector((0.4, 0.3, 0.3))
     for tag in bounds.FAMILIES:
         calls.clear()
         _refusal(lambda: divergence_bounds(GeneratorSpec("kl"), p, q, n=5, m=3, theorem=tag))
         assert calls == [tag]
+
+
+def test_one_cli_bounds_or_div_call_resolves_its_family_once(monkeypatch, capsys):
+    # `bounds --format csv` prints the term rows too: they are the report's, not resolved again.
+    from elrbounds import cli
+
+    calls = _resolves(monkeypatch)
+    for tag in bounds.FAMILIES:
+        for argv in (
+            ["bounds", "--function", "exp", "--points", "0.5,1.5,1.9", "--weights", "0.3,0.3,0.4",
+             "--interval", "0,2", "--format", "csv"],
+            ["div", "--function", "kl", "--p", "0.2,0.5,0.3", "--q", "0.4,0.3,0.3"],
+        ):
+            calls.clear()
+            assert cli.main([*argv, "--theorem", tag.lower(), "--n", "5", "--m", "3"]) == 0
+            capsys.readouterr()
+            assert calls == [tag], argv
 
 
 def test_the_hellinger_error_keeps_its_bits_with_one_abs():

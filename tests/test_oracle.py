@@ -200,10 +200,45 @@ def test_layout_slip_fails_identity_audit(monkeypatch):
     from elrbounds import bounds
 
     honest = bounds._terms
-    monkeypatch.setattr(bounds, "_terms", lambda *args: honest(*args)[:-1])
+
+    def slipped(*args):
+        T, M, terms = honest(*args)
+        return T, M, terms[:-1]
+
+    monkeypatch.setattr(bounds, "_terms", slipped)
     report = audit_identities(AuditConfig(cases=40, seed=42))
     assert report.failures
     assert {failure["identity"] for failure in report.failures} == {"lemma21", "lemma22"}
+
+
+def _nan_terms(monkeypatch):
+    """Make every side's terms NaN, the table and moments they were formed from left as they are."""
+    from elrbounds import bounds
+
+    honest = bounds._terms
+
+    def terms(*args):
+        T, M, out = honest(*args)
+        return T, M, [math.nan] * len(out)
+
+    monkeypatch.setattr(bounds, "_terms", terms)
+
+
+def test_nan_sides_fail_the_bracket_audit(monkeypatch):
+    # max(0.0, nan) is 0.0: a violation read that way counted a NaN side as held.
+    _nan_terms(monkeypatch)
+    report = audit_brackets(AuditConfig(cases_per_theorem=5, seed=3))
+    assert len(report.failures) == report.cases and report.tight == 0
+    assert math.isnan(report.max_residual)
+    assert all(math.isnan(failure["violation"]) for failure in report.failures)
+
+
+def test_nan_terms_fail_the_identity_audit(monkeypatch):
+    # nan > tol is False: a residual compared that way counted a NaN identity as held.
+    _nan_terms(monkeypatch)
+    report = audit_identities(AuditConfig(cases=20, seed=3))
+    assert len(report.failures) == 2 * report.cases
+    assert math.isnan(report.max_residual)
 
 
 @pytest.mark.parametrize(

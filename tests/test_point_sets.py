@@ -145,13 +145,13 @@ def test_stored_arrays_are_read_only_and_never_the_callers(monkeypatch):
     stored = [ProbabilityVector(raw), DiscreteFunctional(points=raw, weights=raw, interval=(0, 1))]
     assert raw.flags.writeable
     stored.append(pmf_vector(ZipfMandelbrotParams(100, 1.0, 1.2)))
-    bound = bounds_module.bound
+    evaluate = bounds_module._evaluate
 
-    def spy(tag, f, A, *args, **kwargs):
+    def spy(family, sides, f, A, *args, **kwargs):
         stored.append(A)
-        return bound(tag, f, A, *args, **kwargs)
+        return evaluate(family, sides, f, A, *args, **kwargs)
 
-    monkeypatch.setattr(bounds_module, "bound", spy)
+    monkeypatch.setattr(bounds_module, "_evaluate", spy)
     p, q = ProbabilityVector((0.2, 0.3, 0.5)), ProbabilityVector((0.3, 0.3, 0.4))
     divergence_bounds(GeneratorSpec("kl"), p, q, n=4, theorem="tm23")
     assert isinstance(stored[-1], DiscreteFunctional)
@@ -166,7 +166,7 @@ def test_stored_arrays_are_read_only_and_never_the_callers(monkeypatch):
 def test_zm_divergence_bounds_builds_no_tuple(monkeypatch):
     """A tuple, once read, is kept in the instance dict; none is there after a call."""
     seen = []
-    for module, name in ((zipf_module, "divergence_bounds"), (bounds_module, "bound")):
+    for module, name in ((zipf_module, "divergence_bounds"), (bounds_module, "_evaluate")):
         original = getattr(module, name)
 
         def spy(*args, original=original, **kwargs):
