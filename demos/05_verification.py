@@ -7,9 +7,9 @@ independent check on the analytic derivative stacks, and evidence, not
 proof.  The audits replay the decomposition identities and the bound
 directions over randomized suites; the bracket audit takes each function's
 class exactly (closed-form derivative signs, exact Bernstein signs for a
-polynomial), so `AuditConfig.certify_samples` and `verify --samples` no
-longer change it.  The wrong-parity injection at the end shows the
-direction dispatcher is doing real work.
+polynomial) from `classify`, so no sample count reaches it.  The
+wrong-parity injection at the end shows the direction dispatcher is doing
+real work.
 """
 
 from elrbounds import (

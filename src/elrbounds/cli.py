@@ -10,11 +10,12 @@ contradicted by it) and when a report's lr or a side is not finite, and 2
 when `verify` finds a violated identity
 or bracket.  `--convexity auto` takes the class from `generators.classify`
 in bounds, div and zm alike (an indefinite class is a validation error).
-Only verify draws, so --seed matters only there; its --samples is checked
-but changes nothing, as the audit's classes are exact (it stays for callers
-that pass it).  `verify` always runs both audit suites; --cases 0 or
---cases-per-theorem 0 leaves one empty.  --p-file and --q-file read JSON: an
-object keyed p / q, or a bare array.  `zm` needs --ratio-range or --theorem.
+Only verify draws, so --seed matters only there; its --samples must be at
+least 1 but reaches no audit, as the audit's classes are exact.  `verify`
+always runs both audit suites; --cases 0 or --cases-per-theorem 0 leaves one
+empty.  --p-file and --q-file read JSON: an object keyed p / q, or a bare
+array.  `zm` needs --ratio-range or --theorem, not both.  `dd` without
+--domain takes the span of its nodes, or [v, v + 1] for a single node v.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 
 from .bounds import CONCAVE, CONVEX, FAMILIES, _evaluate, _not_finite
 from .divergence import ProbabilityVector, divergence_bounds, f_divergence, ratio_range
-from .divided_diff import FunctionModel, NodeMultiset, _TableOverflow, divided_difference, newton_interpolant
+from .divided_diff import FunctionModel, NodeMultiset, _integer, _TableOverflow, divided_difference, newton_interpolant
 from .functional import DiscreteFunctional, _json_numbers, lr_difference
 from .generators import definite_class, make_generator, parse_function_spec
 from .oracle import AuditConfig, audit_brackets, audit_identities
@@ -113,7 +114,7 @@ def _function_for_nodes(args, nodes: NodeMultiset) -> FunctionModel:
     else:
         lo = nodes.entries[0][0]
         hi = nodes.entries[-1][0]
-        domain = (lo, hi) if lo < hi else (lo - 0.5, hi + 0.5)
+        domain = (lo, hi) if lo < hi else (lo, lo + 1.0)
     return make_generator(parse_function_spec(args.function, domain=domain))
 
 
@@ -269,9 +270,9 @@ def _run_verify(args):
         cases=args.cases,
         seed=args.seed,
         cases_per_theorem=args.cases_per_theorem,
-        certify_samples=args.samples,
         inject_wrong_parity=args.inject_wrong_parity,
     )
+    _integer(args.samples, "samples", 1)  # reaches no audit; checked after the config's fields
     out = {"identities": audit_identities(cfg).to_dict(), "brackets": audit_brackets(cfg).to_dict()}
     rows = [("suite", "cases", "skipped", "tight", "failures", "max_residual")]
     rows += [
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     dd = subs.add_parser("dd", help="divided difference over a node multiset")
     _add_common(dd, seed=False)
     dd.add_argument("--nodes", required=True, help="v[:mult],... e.g. 0:3 or 0,1,2")
-    dd.add_argument("--domain", help="a,b (defaults to the node span)")
+    dd.add_argument("--domain", help="a,b (defaults to the node span; v,v+1 for a single node v)")
     dd.add_argument("--interpolant", action="store_true", help="emit the Newton form instead of the top difference")
     dd.set_defaults(run=_run_dd)
 
@@ -381,6 +382,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "theorem", None) is not None:
+            if getattr(args, "ratio_range", False):
+                raise ValueError("--ratio-range and --theorem: give one or the other")
             for flag in ("n", "function"):
                 if getattr(args, flag) is None:
                     raise ValueError(f"--{flag}: required with --theorem")

@@ -13,14 +13,15 @@ bits (hellinger's square and power's `t**p` go through `np.float_power`,
 libm `pow` like float `**`), so the chord gap evaluates all points in one call.
 Every built-in is one row of `_MODELS`: the open lower limit of its domain,
 a builder of its functions and limits from the spec, and its exact class
-(`_exact_class`: closed-form derivative signs, exact Bernstein signs for a
-poly).  Each derivative function states the rounding error of its formulas
-(`_error`), which the certifying gate of `divergence_bounds` reads.
-Derivatives are closed forms; the stack is capped at order 12, past which
-double precision gives the formulas little meaning.  `classify` returns the
-exact class, evaluating no derivative: it is the class source of every bound
-path and of the bracket audit (`definite_class` is the same verdict with
-INDEFINITE as a ValueError).
+(closed-form derivative signs, exact Bernstein signs for a poly).  Each
+derivative function states the rounding error of its formulas (`_error`),
+which the certifying gate of `divergence_bounds` reads.  Derivatives are
+closed forms; the stack is capped at order 12, past which double precision
+gives the formulas little meaning.  `classify` reads the class column,
+building no model and evaluating no derivative: it is the class source of
+every bound path and of the bracket audit (`definite_class` is the same
+verdict with INDEFINITE as a ValueError).  A spec is checked when it is
+built, a poly's coefficients and a power's exponent included.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class GeneratorSpec:
         object.__setattr__(self, "exponent", float(self.exponent))
         if self.name == "power" and not math.isfinite(self.exponent):
             raise ValueError(f"power exponent must be finite, got {self.exponent}")
+        if self.name == "poly" and not all(map(math.isfinite, self.coeffs)):
+            raise ValueError(f"polynomial coefficients must be finite, got {self.coeffs}")
 
 
 # Each derivative function states the rounding error of its formulas as `_error(k, t, v)`, a bound
@@ -260,20 +263,13 @@ def make_generator(spec: GeneratorSpec) -> FunctionModel:
     )
 
 
-def _exact_class(spec: GeneratorSpec, n: int) -> str:
-    """The spec's n-convexity class from its `_MODELS` column: CONVEX or CONCAVE only where proved."""
-    return _MODELS[spec.name][2](spec, _integer(n, "n", 1, _DERIV_CAP))
-
-
 def classify(spec: GeneratorSpec, n: int) -> str:
-    """n-convexity class of the spec on its domain: its `_MODELS` class column (`_exact_class`).
+    """n-convexity class of the spec on its domain: its `_MODELS` class column.
 
     CONVEX or CONCAVE only where the sign of the n-th derivative on the domain is proved (f^(n)
-    = 0 counts as convex), else INDEFINITE.  A poly's coefficients must be finite.
+    = 0 counts as convex), else INDEFINITE.
     """
-    if spec.name == "poly":
-        make_generator(spec)  # raises on a coefficient that is not finite
-    return _exact_class(spec, n)
+    return _MODELS[spec.name][2](spec, _integer(n, "n", 1, _DERIV_CAP))
 
 
 def definite_class(spec: GeneratorSpec, n: int) -> str:

@@ -6,7 +6,7 @@ it is independent of the analytic derivative stacks it is typically used to
 double-check.  `audit_identities` replays the two chord-gap decompositions
 over a randomized suite and reports the worst identity residual;
 `audit_brackets` takes each drawn function's exact class from
-`generators._exact_class`, evaluates the matching bound family and reports
+`generators.classify`, evaluates the matching bound family and reports
 any direction violation; it samples no certificate, which could call a
 function definite that is not.  Both audits are deterministic given the
 config seed; failures are data in the report, not exceptions.
@@ -23,7 +23,7 @@ from . import bounds as _bounds
 from .bounds import CONCAVE, CONVEX, _worst
 from .divided_diff import FunctionModel, _integer, _values
 from .functional import DiscreteFunctional, lr_difference
-from .generators import INDEFINITE, GeneratorSpec, _exact_class, make_generator
+from .generators import INDEFINITE, GeneratorSpec, classify, make_generator
 
 __all__ = [
     "ConvexityCertificate",
@@ -125,19 +125,16 @@ class AuditConfig:
 
     Checked on construction: a field outside its range raises a ValueError
     that names it.  The counts and the seed are integral reals, not bools,
-    stored as int, and `inject_wrong_parity` is a bool.  `certify_samples`
-    changes neither audit (the bracket audit's classes are exact); it stays
-    for `verify --samples` callers.
+    stored as int, and `inject_wrong_parity` is a bool.
     """
 
     cases: int = 200
     seed: int = 42
     cases_per_theorem: int = 100
-    certify_samples: int = 120
     inject_wrong_parity: bool = False
 
     def __post_init__(self) -> None:
-        for name, low in (("cases", 0), ("seed", 0), ("cases_per_theorem", 0), ("certify_samples", 1)):
+        for name, low in (("cases", 0), ("seed", 0), ("cases_per_theorem", 0)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if not isinstance(self.inject_wrong_parity, bool):
             raise ValueError(f"inject_wrong_parity must be a bool, got {self.inject_wrong_parity!r}")
@@ -270,8 +267,8 @@ def audit_brackets(config: AuditConfig | None = None) -> AuditReport:
             f, spec = _random_function(rng)
             n = orders[int(rng.integers(0, len(orders)))]
             m = int(rng.integers(3, n)) if family.takes_m else None
-            rng.integers(0, 2**31 - 1)  # drawn and unused, so each seed's cases stay those it drew with a sampler
-            certified = _exact_class(spec, n)
+            rng.integers(0, 2**31 - 1)  # drawn and unused: it keeps each seed's cases as they were
+            certified = classify(spec, n)
             if certified == INDEFINITE:
                 skipped += 1
                 continue

@@ -9,6 +9,7 @@ update a pin only with a line in CHANGES.md that says which ops moved and why.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -151,11 +152,45 @@ def test_compare_diffs_two_checkouts_seed_by_seed(tmp_path, capsys):
     assert out.count("report<->refusal flips: 0") == 1 and "report<->refusal flips: 1" in out
     # Where the flip went, by reason.
     assert "  ok → within rounding: 1" in out
-    # Then each checkout's src/ lines per module and in all, as `wc -l` counts them.
+    # Then each checkout's src/ code lines per module and in all, counted here line by line,
     lines = {p.name: p.read_bytes().count(b"\n") for p in (ROOT / "src" / "elrbounds").glob("*.py")}
+    code = {p.name: _code_lines_by_text(p) for p in (ROOT / "src" / "elrbounds").glob("*.py")}
+    rows = len(lines) + 3  # the title, the column names, a row per module and the total
+    assert out[-2 * rows:-rows] == [
+        "== src/ code lines (no blank, comment or docstring line)", f"{'module':<24}{'A':>8}{'B':>8}",
+        *(f"{name:<24}{code[name]:>8}{code[name]:>8}" for name in sorted(code)),
+        f"{'total':<24}{sum(code.values()):>8}{sum(code.values()):>8}",
+    ]
+    # and their lines as `wc -l` counts them.
     assert out[-len(lines) - 3:-len(lines) - 1] == ["== src/ lines (wc -l)", f"{'module':<24}{'A':>8}{'B':>8}"]
     assert f"{'divergence.py':<24}{lines['divergence.py']:>8}{lines['divergence.py']:>8}" in out
     assert out[-1] == f"{'total':<24}{sum(lines.values()):>8}{sum(lines.values()):>8}"
+
+
+def _code_lines_by_text(path: Path) -> int:
+    """Lines that are not blank, not a comment alone and not in a docstring's line span: a count
+    from the text, not from `census.py`'s tokens (the two agree where no string literal holds a
+    blank line or one that starts with #)."""
+    text = path.read_text()
+    docstring = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node) is not None:
+            docstring.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for i, line in enumerate(text.splitlines(), 1)
+               if line.strip() and not line.lstrip().startswith("#") and i not in docstring)
+
+
+def test_code_lines_count_tokens_of_code(tmp_path):
+    # A string that is no docstring counts on every line it spans, blank or # lines inside it too.
+    package = tmp_path / "src" / "elrbounds"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(
+        '"""Module\n\ndocstring."""\n\n# a comment\nX = """\n# kept\n\n"""\n\n\n'
+        'class C:\n    """Class docstring."""\n\n    def f(self):  # code and a comment\n'
+        '        """Function\n        docstring."""\n        return 1\n'
+    )
+    assert _tool()._code_lines(str(tmp_path)) == {"m.py": 7}
 
 
 @pytest.mark.slow

@@ -39,6 +39,23 @@ def test_dd_confluent_multiplicity_syntax(capsys):
     assert json.loads(out) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("function,nodes,value", [
+    ("kl", "0.5:3", 1.0),  # f''(t)/2! = 1/(2t)
+    ("hellinger", "0.2:3", 0.2**-1.5 / 8),  # f''(t)/2! = t^(-3/2)/8
+    ("harmonic", "-0.7:2", 2 / 0.3**2),  # f'(t) = 2/(1 + t)^2
+], ids=["kl", "hellinger", "harmonic"])
+def test_dd_single_node_default_domain_stays_inside_the_generator(capsys, function, nodes, value):
+    # A single node v defaults to [v, v + 1], which never crosses the lower limit below v.
+    code, out, err = run(capsys, "dd", "--function", function, "--nodes", nodes)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == pytest.approx(value, rel=1e-12)
+
+
+def test_dd_single_node_at_the_lower_limit_gets_the_domain_text(capsys):
+    code, out, err = run(capsys, "dd", "--function", "kl", "--nodes", "0:3")
+    assert (code, out, err) == (1, "", "error: kl requires a domain inside (0, inf), got [0.0, 1.0]\n")
+
+
 def test_lr_worked_value(capsys):
     code, out, _ = run(
         capsys, "lr", "--function", "poly:0,0,1",
@@ -394,13 +411,18 @@ def test_verify_ok_exit_0(capsys):
 @pytest.mark.parametrize(
     "flag,value,field",
     [("--cases", "-3", "cases"), ("--cases-per-theorem", "-2", "cases_per_theorem"),
-     ("--samples", "0", "certify_samples"), ("--seed", "-1", "seed")],
+     ("--samples", "0", "samples"), ("--seed", "-1", "seed")],
 )
 def test_verify_rejects_out_of_range_flags(capsys, flag, value, field):
     code, out, err = run(capsys, "verify", flag, value)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {field} must be an integer >= ")
+
+
+def test_verify_samples_changes_no_byte(capsys):
+    argv = ("verify", "--cases", "5", "--cases-per-theorem", "2", "--seed", "3")
+    assert run(capsys, *argv, "--samples", "7") == run(capsys, *argv)
 
 
 def test_verify_injected_violation_exit_2(capsys):
@@ -642,6 +664,9 @@ DIV = ("div", "--function", "kl")
         (LR + ("bool_weight.json",), "functional JSON weights: entry 1 is not a number: false"),
         (LR + ("string_interval.json",), 'functional JSON interval: entry 0 is not a number: "0"'),
         (LR + ("long_interval.json",), "functional JSON interval: expected two numbers, got 3"),
+        (("zm", "--zm", "3,0,1", "--zm", "3,0,2", "--theorem", "tm23", "--n", "3", "--function", "kl",
+          "--ratio-range"), "--ratio-range and --theorem: give one or the other"),
+        (("zm", "--ratio-range", "--theorem", "tm23"), "--ratio-range and --theorem: give one or the other"),
     ],
 )
 def test_validation_error_texts(tmp_path, capsys, argv, text):

@@ -24,7 +24,6 @@ from elrbounds import (
     parse_function_spec,
 )
 from elrbounds.divided_diff import _float_power, _integer, _values
-from elrbounds.generators import _exact_class
 
 # mpmath twins of the generator definitions; mpmath.diff runs central finite
 # differences at 40 digits, giving an oracle independent of the closed forms.
@@ -396,8 +395,8 @@ def test_class_column_is_both_samplers_class(spec):
     f = make_generator(spec)
     unresolved = set()
     for n in range(2, 13):
-        exact = _exact_class(spec, n)
-        assert classify(spec, n) == exact == _grid_class(spec, n) != INDEFINITE, (f.name, n)
+        exact = classify(spec, n)
+        assert exact == _grid_class(spec, n) != INDEFINITE, (f.name, n)
         cert = certify_convexity(f, n, samples=200, seed=1)
         if cert.verdict == INDEFINITE:
             unresolved.add((f.name, n))
@@ -410,11 +409,11 @@ def test_class_column_at_order_one():
     # Only f' of harmonic, exp and power has one sign on every domain.
     for name, expected in (("kl", INDEFINITE), ("hellinger", INDEFINITE), ("jeffreys", INDEFINITE),
                            ("harmonic", CONVEX), ("exp", CONVEX)):
-        assert _exact_class(_spec(name), 1) == expected
+        assert classify(_spec(name), 1) == expected
     for p, expected in ((-1.5, CONCAVE), (0.0, CONVEX), (0.5, CONVEX)):
-        assert _exact_class(_spec("power", exponent=p), 1) == expected
+        assert classify(_spec("power", exponent=p), 1) == expected
     with pytest.raises(ValueError, match="^n must be"):
-        _exact_class(_spec("kl"), 0)
+        classify(_spec("kl"), 0)
 
 
 def _exact_values(coeffs, n, points):
@@ -434,7 +433,7 @@ def test_bernstein_class_is_sound():
         coeffs = tuple(float(c) for c in rng.uniform(-3.0, 3.0, size=int(rng.integers(1, 10))))
         n = int(rng.integers(1, 9))
         a, b = sorted(float(x) for x in rng.uniform(-2.0, 3.0, size=2))
-        verdict = _exact_class(GeneratorSpec("poly", domain=(a, b), coeffs=coeffs), n)
+        verdict = classify(GeneratorSpec("poly", domain=(a, b), coeffs=coeffs), n)
         if n >= len(coeffs):
             assert verdict == CONVEX  # f^(n) = 0
             verdicts["zero"] += 1
@@ -460,14 +459,14 @@ def test_bernstein_class_is_exact_where_sampling_is_not():
     edge = (0.0, 0.0, -5e-4, 1.0 / 6.0)
     sampled = certify_convexity(FunctionModel.from_polynomial(edge, (0.0, 1.0)), 2, samples=120, seed=0)
     assert sampled.verdict == CONVEX
-    assert _exact_class(GeneratorSpec("poly", domain=(0.0, 1.0), coeffs=edge), 2) == INDEFINITE
+    assert classify(GeneratorSpec("poly", domain=(0.0, 1.0), coeffs=edge), 2) == INDEFINITE
     # (t - 1)^3 + 1: f' = 3(t - 1)^2 touches 0 at t = 1.  On [0, 2] the first
     # bisection splits there and proves both halves >= 0; on [0, 3] no
     # midpoint is 1, so the depth runs out: INDEFINITE, never a guess.
     cubic = (1.0, 3.0, -3.0, 1.0)
-    assert [_exact_class(GeneratorSpec("poly", domain=(0.0, 2.0), coeffs=cubic), n) for n in (1, 2, 3, 4)] == [
+    assert [classify(GeneratorSpec("poly", domain=(0.0, 2.0), coeffs=cubic), n) for n in (1, 2, 3, 4)] == [
         CONVEX, INDEFINITE, CONVEX, CONVEX]
-    assert _exact_class(GeneratorSpec("poly", domain=(0.0, 3.0), coeffs=cubic), 1) == INDEFINITE
+    assert classify(GeneratorSpec("poly", domain=(0.0, 3.0), coeffs=cubic), 1) == INDEFINITE
 
 
 # --- spec validation and parsing --------------------------------------------------
@@ -483,6 +482,22 @@ def test_domain_validity_per_generator():
         GeneratorSpec("poly")
     with pytest.raises(ValueError, match="unknown generator"):
         GeneratorSpec("entropy")
+
+
+def test_a_poly_coefficient_is_checked_when_the_spec_is_built():
+    # With the text `from_polynomial` gives, so no class or model of the spec meets a NaN.
+    with pytest.raises(ValueError) as exc:
+        GeneratorSpec("poly", coeffs=(1.0, math.nan))
+    assert str(exc.value) == "polynomial coefficients must be finite, got (1.0, nan)"
+
+
+def test_classify_builds_no_model(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify built a model")
+
+    monkeypatch.setattr(FunctionModel, "from_polynomial", staticmethod(refuse))
+    spec = GeneratorSpec("poly", domain=(0.0, 2.0), coeffs=(1.0, 3.0, -3.0, 1.0))
+    assert [classify(spec, n) for n in (1, 2, 3, 4)] == [CONVEX, INDEFINITE, CONVEX, CONVEX]
 
 
 def test_parse_function_spec():

@@ -246,7 +246,6 @@ def test_nan_terms_fail_the_identity_audit(monkeypatch):
     [
         ("cases", -3),
         ("cases_per_theorem", -2),
-        ("certify_samples", 0),
         ("seed", -1),
         ("cases", 2.5),
         ("cases", True),

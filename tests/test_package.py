@@ -32,9 +32,11 @@ REMOVED_MEMBERS = (
 )
 # AuditConfig fields that only set the audit suite's shape, with a value each
 # once accepted.  The suite is fixed: orders 3..7, at most 20 points, every
-# bound family and the exp/poly/generator draws.
+# bound family and the exp/poly/generator draws.  `certify_samples` set
+# nothing: the bracket audit reads exact classes, not sampled ones.
 REMOVED_AUDIT_FIELDS = {
     "n_range": (3, 7), "max_points": 20, "theorems": ("TM21",), "function_pool": ("poly",),
+    "certify_samples": 120,
 }
 
 

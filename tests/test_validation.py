@@ -257,7 +257,6 @@ INTEGER_ARGS = {
     "audit_cases": (lambda v: AuditConfig(cases=v), "cases"),
     "audit_seed": (lambda v: AuditConfig(seed=v), "seed"),
     "audit_cases_per_theorem": (lambda v: AuditConfig(cases_per_theorem=v), "cases_per_theorem"),
-    "audit_certify_samples": (lambda v: AuditConfig(certify_samples=v), "certify_samples"),
 }
 
 # Every interval argument: a call with the interval v (valid at (1, 2)) and its name.

@@ -23,9 +23,11 @@ changed, with the first few of each, and each audit op's moved counts (such
 as `brackets skipped 98→22`); it exits 1 when any op differs, 2 when
 the runs hold different ops.  `compare` runs `run` for both checkouts, in two
 child processes at a time, on each of `SEEDS` (the workloads' pinned seeds),
-and prints each seed's `diff` summary, then each checkout's `src/` lines per
-module (as `wc -l src/elrbounds/*.py` counts them) and their total; its exit
-code is the worst of the seeds'.
+and prints each seed's `diff` summary, then two tables of each checkout's
+`src/` lines per module and their total: its code lines (a line counts unless
+it is blank, holds only a comment or lies inside a module, class or function
+docstring), then all its lines (as `wc -l src/elrbounds/*.py` counts them);
+its exit code is the worst of the seeds'.
 A reader that closes early (`| head`) stops the printing of any command
 quietly, with the same exit code (0 for `run`).
 Nothing under bench/ is written.
@@ -33,10 +35,13 @@ Nothing under bench/ is written.
 
 from __future__ import annotations
 
+import ast
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -127,10 +132,12 @@ def compare(root_a: str, root_b: str, seeds=SEEDS) -> int:
         seed_code, lines = _compare(*([json.loads(line) for line in out.splitlines()] for out in outs))
         code = max(code, seed_code)
         _print(f"== {workload} seed {seed}, {ops} ops: {'same' if seed_code == 0 else 'differ'}", *lines)
-    a, b = (_src_lines(root) for root in (root_a, root_b))
-    _print("== src/ lines (wc -l)", f"{'module':<24}{'A':>8}{'B':>8}",
-           *(f"{name:<24}{a.get(name, 0):>8}{b.get(name, 0):>8}" for name in sorted(a.keys() | b.keys())),
-           f"{'total':<24}{sum(a.values()):>8}{sum(b.values()):>8}")
+    for title, count in (("code lines (no blank, comment or docstring line)", _code_lines),
+                         ("lines (wc -l)", _src_lines)):
+        a, b = (count(root) for root in (root_a, root_b))
+        _print(f"== src/ {title}", f"{'module':<24}{'A':>8}{'B':>8}",
+               *(f"{name:<24}{a.get(name, 0):>8}{b.get(name, 0):>8}" for name in sorted(a.keys() | b.keys())),
+               f"{'total':<24}{sum(a.values()):>8}{sum(b.values()):>8}")
     return code
 
 
@@ -144,6 +151,29 @@ def _print(*lines: str) -> None:
 def _src_lines(root: str) -> dict[str, int]:
     """The newlines of each module in ROOT/src/elrbounds (`wc -l`'s count), by file name."""
     return {path.name: path.read_bytes().count(b"\n") for path in Path(root, "src", "elrbounds").glob("*.py")}
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _code_lines(root: str) -> dict[str, int]:
+    """The lines of each module in ROOT/src/elrbounds that hold a token of code, by file name:
+    a comment, a docstring (of the module, a class or a function) and a blank line hold none."""
+    counts = {}
+    for path in Path(root, "src", "elrbounds").glob("*.py"):
+        text = path.read_text()
+        docstrings = {  # where each docstring's token starts
+            (node.body[0].lineno, node.body[0].col_offset) for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+        }
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _NOT_CODE and tok.start not in docstrings:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        counts[path.name] = len(lines)
+    return counts
 
 
 def _kind(rec: dict) -> str:
